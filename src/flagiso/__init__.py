@@ -17,12 +17,10 @@ from .algebras import (
     elementary_ut,
     invariants,
     realize,
-    tensor_grading,
 )
 from .cocycles import (
     Cocycle,
     Corrector,
-    RootScalar,
     cohomologous,
     is_corrector,
     transport,
@@ -84,7 +82,6 @@ from .modlinalg import solve_congruences
 from .presentations import (
     BlockShape,
     FlagPresentation,
-    coset_signature,
     make_presentation,
     shift_presentation,
 )
@@ -118,7 +115,6 @@ __all__ = [
     "IsoWitness",
     "NOT_EQUIVALENT",
     "NOT_ISOMORPHIC",
-    "RootScalar",
     "SearchExhausted",
     "Subgroup",
     "UnsupportedInput",
@@ -132,7 +128,6 @@ __all__ = [
     "classify",
     "cohomologous",
     "compose_witness",
-    "coset_signature",
     "count_classes_pairwise",
     "elementary_ut",
     "enumerate_classes",
@@ -154,7 +149,6 @@ __all__ = [
     "shift_presentation",
     "solve_congruences",
     "subgroup_closure",
-    "tensor_grading",
     "transport",
     "trivial_cocycle",
     "trivial_division",

@@ -16,18 +16,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .division import GradedDivisionAlgebra, trivial_division
+from .division import trivial_division
 from .groups import Group
-from .presentations import BlockShape, FlagPresentation, make_presentation
+from .presentations import FlagPresentation, make_presentation
 
 __all__ = [
     "BasisElem",
     "GradedAlgebra",
     "GradingReport",
     "GradedInvariants",
+    "basis_of",
     "realize",
     "elementary_ut",
-    "tensor_grading",
     "check_grading",
     "invariants",
 ]
@@ -96,14 +96,15 @@ class GradedAlgebra:
         return self.identity_component_dim() == 1
 
 
-def realize(p: FlagPresentation) -> GradedAlgebra:
-    """Build the graded algebra of p and verify its grading law and unit."""
-    grp = p.group
+def basis_of(p: FlagPresentation) -> list[BasisElem]:
+    """The basis of p's algebra, in the order every realization and witness uses.
+
+    Sorted by (row block, column block, row, column, support position).
+    """
     shape = p.shape
     members = p.division.support.members
     block_of = [shape.block_of(i) for i in range(shape.n)]
     sup_pos = {h: k for k, h in enumerate(members)}
-
     elems = [
         BasisElem(i, j, h)
         for i in range(shape.n)
@@ -112,68 +113,25 @@ def realize(p: FlagPresentation) -> GradedAlgebra:
         for h in members
     ]
     elems.sort(key=lambda b: (block_of[b.row], block_of[b.col], b.row, b.col, sup_pos[b.sup]))
+    return elems
+
+
+def realize(p: FlagPresentation) -> GradedAlgebra:
+    """Build the graded algebra of p: basis, degrees and index.
+
+    Construction only; check_grading is the separate check of the grading law.
+    """
+    grp = p.group
+    elems = basis_of(p)
     degs = tuple(
         grp.mul(grp.mul(p.degrees[b.row], b.sup), grp.inv(p.degrees[b.col])) for b in elems
     )
-    alg = GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
-
-    report = check_grading(alg)
-    assert report.ok, f"grading law violated at construction: {report.violations[:3]}"
-    e = grp.identity
-    for pos, b in enumerate(alg.basis):  # unit = sum of (i,i,e) must fix every basis elem
-        left = alg.product(BasisElem(b.row, b.row, e), b)
-        right = alg.product(b, BasisElem(b.col, b.col, e))
-        assert left == (0, b) and right == (0, b), "unit fails to act as identity"
-    return alg
+    return GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
 
 
 def elementary_ut(group: Group, blocks: Sequence[int], degrees: Sequence) -> GradedAlgebra:
     """Elementary grading on upper block triangular matrices: deg e_ij = g_i g_j^-1."""
     return realize(make_presentation(trivial_division(group), blocks, degrees))
-
-
-def tensor_grading(
-    blocks: Sequence[int], degrees: Sequence, division: GradedDivisionAlgebra
-) -> GradedAlgebra:
-    """Grading on UT(blocks) tensor D with deg(e_ij (x) x_h) = g_i h g_j^-1.
-
-    Constructed from matrix-unit algebra rules directly, then checked basis
-    element by basis element against realize() of the same presentation; the
-    two must coincide exactly.
-    """
-    p = make_presentation(division, blocks, degrees)
-    base = realize(p)
-    grp = p.group
-    shape = p.shape
-    members = division.support.members
-    block_of = [shape.block_of(i) for i in range(shape.n)]
-    sup_pos = {h: k for k, h in enumerate(members)}
-
-    pairs = [
-        (i, j) for i in range(shape.n) for j in range(shape.n) if block_of[i] <= block_of[j]
-    ]
-    pairs.sort(key=lambda ij: (block_of[ij[0]], block_of[ij[1]], ij[0], ij[1]))
-    elems = [BasisElem(i, j, h) for (i, j) in pairs for h in members]
-    assert tuple(elems) == base.basis, "tensor basis order diverges from realization"
-
-    for pos, (b, (i, j, h)) in enumerate(zip(base.basis, elems)):
-        want = grp.mul(grp.mul(p.degrees[i], h), grp.inv(p.degrees[j]))
-        assert base.degree[pos] == want, f"degree of e_{i}{j} (x) x_{h} diverges"
-
-    coc = division.cocycle
-    idx = {b: k for k, b in enumerate(elems)}
-    for i, j, h in elems:  # e_ij e_kl = delta_jk e_il, tensored with x_h x_h2
-        for k, l, h2 in elems:
-            if j != k:
-                got = base.product(BasisElem(i, j, h), BasisElem(k, l, h2))
-                assert got is None, "realization has a product the tensor rule forbids"
-                continue
-            exp = coc.val(h, h2)
-            target = BasisElem(i, l, grp.mul(h, h2))
-            assert target in idx, "tensor product leaves the basis"
-            got = base.product(BasisElem(i, j, h), BasisElem(k, l, h2))
-            assert got == (exp, target), "structure constants diverge from the tensor rule"
-    return base
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import io
-from .algebras import invariants, realize
+from .algebras import check_grading, invariants, realize
 from .errors import FlagisoError, GroupMismatch
 from .groups import Group, build_abelian
 from .iso import (
@@ -132,6 +132,9 @@ def cmd_validate(args) -> int:
 def cmd_dims(args) -> int:
     p = io.load_presentation(args.file)
     alg = realize(p)
+    report = check_grading(alg)
+    if not report.ok:
+        raise AssertionError(f"grading law violated: {report.violations[:3]}")
     inv = invariants(alg)
     grp = p.group
     for u, d in inv.dims:

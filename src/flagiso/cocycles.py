@@ -16,7 +16,6 @@ from .groups import Subgroup
 from .modlinalg import solve_congruences
 
 __all__ = [
-    "RootScalar",
     "Cocycle",
     "Corrector",
     "validate_cocycle",
@@ -25,38 +24,6 @@ __all__ = [
     "is_corrector",
     "transport",
 ]
-
-
-@dataclass(frozen=True)
-class RootScalar:
-    """A root of unity in mu_order, stored as its exponent."""
-
-    exp: int
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise InvalidInput(f"root order must be >= 1, got {self.order}")
-        object.__setattr__(self, "exp", self.exp % self.order)
-
-    @classmethod
-    def one(cls, order: int = 1) -> RootScalar:
-        return cls(0, order)
-
-    def embed(self, new_order: int) -> RootScalar:
-        if new_order % self.order:
-            raise InvalidInput(f"cannot embed mu_{self.order} into mu_{new_order}")
-        return RootScalar(self.exp * (new_order // self.order), new_order)
-
-    def __mul__(self, other: RootScalar) -> RootScalar:
-        m = lcm(self.order, other.order)
-        return RootScalar(self.embed(m).exp + other.embed(m).exp, m)
-
-    def inv(self) -> RootScalar:
-        return RootScalar(-self.exp, self.order)
-
-    def is_one(self) -> bool:
-        return self.exp == 0
 
 
 @dataclass(frozen=True)
@@ -78,9 +45,6 @@ class Cocycle:
     def val(self, a: int, b: int) -> int:
         """Exponent of sigma(a, b); a, b are parent-group element indices."""
         return self.values[self._pos[a]][self._pos[b]]
-
-    def scalar(self, a: int, b: int) -> RootScalar:
-        return RootScalar(self.val(a, b), self.order)
 
 
 def trivial_cocycle(support: Subgroup, order: int = 1) -> Cocycle:
@@ -154,9 +118,6 @@ class Corrector:
     def exp_of(self, h: int) -> int:
         return self.exps[self.support.position_of(h)]
 
-    def scalar_of(self, h: int) -> RootScalar:
-        return RootScalar(self.exp_of(h), self.order)
-
     def embed(self, new_order: int) -> Corrector:
         if new_order % self.order:
             raise InvalidInput(f"cannot embed mu_{self.order} into mu_{new_order}")
@@ -201,14 +162,14 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
                 coeff[col[ab]] -= 1
             rows.append(coeff)
             rhs.append(ks * sigma.val(a, b) - kt * tau.val(a, b))
+    # the rows are the corrector law on non-identity pairs (pairs with e hold by
+    # normalization), and solve_congruences checks its solution against them
     sol = solve_congruences(rows, rhs, L)
     if sol is None:
         return None
     exps = {e: 0}
     exps.update({h: sol[col[h]] for h in unknowns})
-    mu = Corrector.from_map(sub, L, exps)
-    assert is_corrector(mu, sigma, tau), "solver returned a non-corrector"
-    return mu
+    return Corrector.from_map(sub, L, exps)
 
 
 def is_corrector(mu: Corrector, sigma: Cocycle, tau: Cocycle) -> bool:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import lcm
 
-from .algebras import BasisElem, GradedAlgebra, invariants, realize
+from .algebras import BasisElem, GradedAlgebra, basis_of, invariants, realize
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, iso_division, shift_conjugate, equiv_division
@@ -171,7 +171,6 @@ def _derive_mapping(
     sigma: tuple[int, ...],
     correctors: tuple[int, ...],
     mu: Corrector,
-    alg: GradedAlgebra,
 ) -> tuple[dict[BasisElem, tuple[BasisElem, int]], int]:
     """The monomial map of the pair isomorphism determined by the witness data.
 
@@ -192,7 +191,7 @@ def _derive_mapping(
     a_of = [grp.conj(grp.inv(h), shift) for h in correctors]
     ainv_of = [grp.inv(a) for a in a_of]
     mapping: dict[BasisElem, tuple[BasisElem, int]] = {}
-    for b in alg.basis:
+    for b in basis_of(p):
         k, l, h = b
         c = grp.conj(h, shift)
         a = a_of[k]
@@ -222,8 +221,7 @@ def build_witness(
     sigma_t = tuple(sigma)
     corr_t = tuple(_as_index(grp, h) for h in correctors)
     _validate_witness_data(p, p2, shift_i, sigma_t, corr_t, mu)
-    alg = realize(p)
-    mapping, order = _derive_mapping(p, p2, shift_i, sigma_t, corr_t, mu, alg)
+    mapping, order = _derive_mapping(p, p2, shift_i, sigma_t, corr_t, mu)
     return IsoWitness(p, p2, shift_i, sigma_t, corr_t, mu, order, mapping)
 
 
@@ -637,12 +635,15 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 
     candidate_failed = False
     branches = 0
+    algs: tuple[GradedAlgebra, GradedAlgebra] | None = None  # realized at the first leaf
 
     def search(pos: int, lam: dict[int, int], used: set[int]) -> Verdict | None:
-        nonlocal candidate_failed, branches
+        nonlocal candidate_failed, branches, algs
         if pos == len(vals1):
             witness = _assemble_equiv_witness(p, p2, dict(lam), blocks)
-            report = verify_equiv_witness(realize(p), realize(p2), witness)
+            if algs is None:
+                algs = realize(p), realize(p2)
+            report = verify_equiv_witness(*algs, witness)
             if report.ok:
                 return Verdict(EQUIVALENT, equiv_witness=witness)
             candidate_failed = True
@@ -792,16 +793,13 @@ def canonical_form(p: FlagPresentation, shifts: list[int] | None = None) -> tupl
     support = p.division.support
     rep_of = [left_coset(x, support)[0] for x in grp.elements()]
     blocks = p.shape.block_positions()
-    best: tuple[int, ...] | None = None
+    forms = []
     for g in shifts:
         cand: list[int] = []
         for blk in blocks:
             cand.extend(sorted(rep_of[grp.mul(p.degrees[i], g)] for i in blk))
-        tup = tuple(cand)
-        if best is None or tup < best:
-            best = tup
-    assert best is not None
-    return best
+        forms.append(tuple(cand))
+    return min(forms)
 
 
 def classify(

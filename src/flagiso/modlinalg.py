@@ -104,5 +104,6 @@ def solve_congruences(
     x = [sum(V[i][j] * y[j] for j in range(ncols)) % L for i in range(ncols)]
     for row, want in zip(a, rhs):  # exactness check against the original system
         got = sum(v * xi for v, xi in zip(row, x)) % L
-        assert got == want % L, "internal solver error"
+        if got != want % L:
+            raise AssertionError("internal solver error: solution fails the original system")
     return x

@@ -12,14 +12,13 @@ from typing import Sequence
 
 from .division import GradedDivisionAlgebra, _as_index, shift_conjugate
 from .errors import InvalidInput
-from .groups import Group, left_coset
+from .groups import Group
 
 __all__ = [
     "BlockShape",
     "FlagPresentation",
     "make_presentation",
     "shift_presentation",
-    "coset_signature",
 ]
 
 
@@ -97,18 +96,4 @@ def shift_presentation(p: FlagPresentation, g) -> FlagPresentation:
         shift_conjugate(p.division, gi),
         p.shape,
         tuple(grp.mul(d, gi) for d in p.degrees),
-    )
-
-
-def coset_signature(p: FlagPresentation) -> tuple[tuple[int, ...], ...]:
-    """Per block, the sorted multiset of canonical left-coset representatives.
-
-    The canonical representative of g*H is its minimal element index; two
-    presentations over the same division part have equal signatures exactly
-    when their blockwise coset multisets agree.
-    """
-    sub = p.division.support
-    reps = [left_coset(d, sub)[0] for d in p.degrees]
-    return tuple(
-        tuple(sorted(reps[i] for i in block)) for block in p.shape.block_positions()
     )

@@ -23,6 +23,7 @@ from flagiso import (
     ISOMORPHIC,
     NOT_EQUIVALENT,
     NOT_ISOMORPHIC,
+    BasisElem,
     GradedDivisionAlgebra,
     Subgroup,
     build_abelian,
@@ -178,6 +179,11 @@ def test_criterion_1_grading_and_dimension():
             )
             assert alg.dim == expected
             assert sum(d for _, d in invariants(alg).dims) == expected
+            units = [BasisElem(i, i, p.group.identity) for i in range(p.shape.n)]
+            for b in alg.basis:  # the unit, the sum of the (i,i,e), fixes every b
+                left = [r for u in units if (r := alg.product(u, b)) is not None]
+                right = [r for u in units if (r := alg.product(b, u)) is not None]
+                assert left == right == [(0, b)]
 
 
 # -- 2: transformed pairs must come back isomorphic with a checkable witness ---------

@@ -7,7 +7,6 @@ from flagiso import (
     Cocycle,
     Corrector,
     InvalidInput,
-    RootScalar,
     Subgroup,
     build_abelian,
     cohomologous,
@@ -87,27 +86,6 @@ def klein_pauli_table():
 KLEIN_PAULI = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 1, 1]]
 
 
-# -- scalars -----------------------------------------------------------------
-
-
-def test_root_scalar_arithmetic():
-    a = RootScalar(1, 2)
-    b = RootScalar(1, 3)
-    assert (a * b) == RootScalar(5, 6)  # (-1) * omega = omega^5 in mu_6
-    assert a.inv() == a
-    assert RootScalar(2, 3).inv() == RootScalar(1, 3)
-    assert RootScalar.one().is_one()
-    assert RootScalar(7, 3) == RootScalar(1, 3)  # reduced on construction
-
-
-def test_root_scalar_embed():
-    assert RootScalar(1, 2).embed(6) == RootScalar(3, 6)
-    with pytest.raises(InvalidInput):
-        RootScalar(1, 2).embed(3)
-    with pytest.raises(InvalidInput):
-        RootScalar(0, 0)
-
-
 # -- cocycle validation --------------------------------------------------------
 
 
@@ -165,7 +143,6 @@ def test_cocycle_on_proper_subgroup_uses_parent_indices():
     sub = subgroup_closure(z4, [2])
     coc = validate_cocycle(sub, 2, [[0, 0], [0, 1]])
     assert coc.val(2, 2) == 1
-    assert coc.scalar(2, 2) == RootScalar(1, 2)
     with pytest.raises(KeyError):
         coc.val(1, 1)  # not in the support
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from flagiso import (
+    ISOMORPHIC,
+    GradingReport,
     InvalidInput,
     Subgroup,
     build_abelian,
@@ -290,6 +295,15 @@ def test_cli_dims(capsys):
     assert capsys.readouterr().out.splitlines() == ["(0): 2", "(1): 1", "J^1 (1): 1"]
 
 
+def test_cli_dims_checks_the_grading_law(monkeypatch, capsys):
+    failing = GradingReport(False, 1, ("deg(x) = y",))
+    monkeypatch.setattr("flagiso.cli.check_grading", lambda alg: failing)
+    assert main(["dims", fx("z3_eaa.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: grading law violated")
+
+
 def test_cli_iso_yes_with_witness_file(tmp_path, capsys):
     wpath = str(tmp_path / "w.json")
     code = main(["iso", fx("z2_ea.json"), fx("z2_ae.json"), "--witness", wpath])
@@ -470,3 +484,46 @@ def test_cli_pauli_fixture_round(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert out[0] == "ISOMORPHIC"
+
+
+def run_cli(*args, optimize=False):
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "flagiso", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+def test_cli_optimized_mode_matches_normal_mode(tmp_path):
+    """Under python -O (asserts stripped) verdicts, witnesses and exit codes are unchanged."""
+    cases = [
+        ("z2_ea.json", "z2_ae.json", "ISOMORPHIC"),
+        ("klein_pauli.json", "klein_pauli_shifted.json", "ISOMORPHIC"),
+        ("z3_ea.json", "z3_eaa.json", "NOT_ISOMORPHIC"),
+    ]
+    for a, b, verdict in cases:
+        outcomes = []
+        for optimize in (False, True):
+            wpath = tmp_path / f"w-{a}-{optimize}.json"
+            res = run_cli("iso", fx(a), fx(b), "--witness", str(wpath), optimize=optimize)
+            outcome = [(res.returncode, res.stdout.splitlines()[:1])]
+            if wpath.exists():
+                outcome.append(wpath.read_bytes())
+                res = run_cli("verify-witness", fx(a), fx(b), str(wpath), optimize=optimize)
+                outcome.append((res.returncode, res.stdout.splitlines()[:1]))
+                obj = json.loads(wpath.read_text())
+                obj["map"][-1]["to"] = obj["map"][0]["to"]  # no longer injective
+                wpath.write_text(json.dumps(obj))
+                res = run_cli("verify-witness", fx(a), fx(b), str(wpath), optimize=optimize)
+                outcome.append((res.returncode, res.stdout.splitlines()[:1]))
+            outcomes.append(outcome)
+        normal, optimized = outcomes
+        assert normal[0] == (0, [verdict])
+        if verdict == ISOMORPHIC:
+            assert normal[2:] == [(0, ["WITNESS_VALID"]), (0, ["WITNESS_INVALID"])]
+        assert optimized == normal

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flagiso import (
+    EQUIVALENT,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     BasisElem,
@@ -17,6 +18,7 @@ from flagiso import (
     build_abelian,
     build_witness,
     compose_witness,
+    equiv_elementary,
     invert_witness,
     iso_algebras,
     iso_pairs,
@@ -437,3 +439,38 @@ def test_decisions_are_deterministic():
         assert v1.witness.shift == v2.witness.shift
         assert v1.witness.sigma == v2.witness.sigma
         assert v1.witness.mapping == v2.witness.mapping
+
+
+# -- realization count ------------------------------------------------------------
+
+
+def test_each_presentation_is_realized_once_per_decision(monkeypatch):
+    """A decision realizes each side once; building a witness realizes nothing."""
+    calls = []
+    monkeypatch.setattr("flagiso.iso.realize", lambda p: calls.append(p) or realize(p))
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, len(calls)
+
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    yes, n_yes = count(iso_algebras, p, q)
+    assert yes.kind == ISOMORPHIC and n_yes == 2
+    no, n_no = count(iso_algebras, p, make_presentation(d, [1, 1], [0, 0]))
+    assert no.kind == NOT_ISOMORPHIC and n_no == 2
+    w = yes.witness
+    assert count(build_witness, p, q, w.shift, w.sigma, w.correctors, w.mu)[1] == 0
+    inv, n_inv = count(invert_witness, w)
+    assert n_inv == 0
+    assert count(compose_witness, w, inv)[1] == 0
+    pairs, n_pairs = count(iso_pairs, p, q)
+    assert pairs.kind == ISOMORPHIC and n_pairs == 2
+    t = trivial_division(grp)
+    eq, n_eq = count(
+        equiv_elementary, make_presentation(t, [1, 1], [0, 1]), make_presentation(t, [1, 1], [0, 3])
+    )
+    assert eq.kind == EQUIVALENT and n_eq == 2

@@ -4,7 +4,7 @@ from flagiso import (
     BlockShape,
     InvalidInput,
     build_abelian,
-    coset_signature,
+    canonical_form,
     make_presentation,
     pauli,
     shift_presentation,
@@ -80,6 +80,14 @@ def test_shift_presentation_moves_division_part():
     assert q.division.cocycle.values == d.cocycle.values
 
 
+def coset_signature(p):
+    """Per block, the sorted canonical left-coset representatives, concatenated.
+
+    This is canonical_form restricted to the identity shift.
+    """
+    return canonical_form(p, [p.group.identity])
+
+
 def test_coset_signature_z4():
     z4 = build_abelian([4])
     sub = subgroup_closure(z4, [2])
@@ -88,14 +96,14 @@ def test_coset_signature_z4():
     d = GradedDivisionAlgebra(validate_cocycle(sub, 1, [[0, 0], [0, 0]]))
     p = make_presentation(d, [2, 1], [0, 2, 3])
     # cosets: 0H = {0,2} rep 0, 2H rep 0, 3H = {1,3} rep 1
-    assert coset_signature(p) == ((0, 0), (1,))
+    assert coset_signature(p) == (0, 0, 1)
 
 
 def test_coset_signature_trivial_support_is_degree_multiset():
     grp = build_abelian([3])
     d = trivial_division(grp)
     p = make_presentation(d, [2, 1], [2, 0, 1])
-    assert coset_signature(p) == ((0, 2), (1,))
+    assert coset_signature(p) == (0, 2, 1)
 
 
 def test_coset_signature_ignores_order_within_block():
