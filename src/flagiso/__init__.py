@@ -14,7 +14,6 @@ from .algebras import (
     GradedInvariants,
     GradingReport,
     check_grading,
-    elementary_ut,
     invariants,
     realize,
 )
@@ -46,7 +45,6 @@ from .groups import (
     Group,
     GroupElem,
     Subgroup,
-    all_subgroups,
     build_abelian,
     find_isomorphisms,
     left_coset,
@@ -85,7 +83,7 @@ from .presentations import (
     make_presentation,
     shift_presentation,
 )
-from .tables import ClassTable, count_classes_pairwise, enumerate_classes
+from .tables import enumerate_classes
 
 __version__ = "0.1.0"
 
@@ -93,7 +91,6 @@ __all__ = [
     "BasisElem",
     "BlockShape",
     "BudgetExceeded",
-    "ClassTable",
     "Classification",
     "Cocycle",
     "Corrector",
@@ -120,7 +117,6 @@ __all__ = [
     "UnsupportedInput",
     "Verdict",
     "WitnessReport",
-    "all_subgroups",
     "build_abelian",
     "build_witness",
     "canonical_form",
@@ -128,8 +124,6 @@ __all__ = [
     "classify",
     "cohomologous",
     "compose_witness",
-    "count_classes_pairwise",
-    "elementary_ut",
     "enumerate_classes",
     "equiv_check",
     "equiv_division",

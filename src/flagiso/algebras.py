@@ -14,20 +14,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .division import trivial_division
 from .groups import Group
-from .presentations import FlagPresentation, make_presentation
+from .presentations import FlagPresentation
 
 __all__ = [
     "BasisElem",
     "GradedAlgebra",
     "GradingReport",
     "GradedInvariants",
-    "basis_of",
     "realize",
-    "elementary_ut",
     "check_grading",
     "invariants",
 ]
@@ -78,15 +75,6 @@ class GradedAlgebra:
         exp, pos = res
         return exp, self.basis[pos]
 
-    def degree_of(self, b: BasisElem) -> int:
-        return self.degree[self.index[b]]
-
-    def positions_by_row(self) -> dict[int, list[int]]:
-        by_row: dict[int, list[int]] = {}
-        for pos, b in enumerate(self.basis):
-            by_row.setdefault(b.row, []).append(pos)
-        return by_row
-
     def identity_component_dim(self) -> int:
         e = self.group.identity
         return sum(1 for d in self.degree if d == e)
@@ -129,11 +117,6 @@ def realize(p: FlagPresentation) -> GradedAlgebra:
     return GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
 
 
-def elementary_ut(group: Group, blocks: Sequence[int], degrees: Sequence) -> GradedAlgebra:
-    """Elementary grading on upper block triangular matrices: deg e_ij = g_i g_j^-1."""
-    return realize(make_presentation(trivial_division(group), blocks, degrees))
-
-
 @dataclass(frozen=True)
 class GradingReport:
     ok: bool
@@ -144,7 +127,9 @@ class GradingReport:
 def check_grading(alg: GradedAlgebra) -> GradingReport:
     """Verify deg(b1*b2) = deg(b1)*deg(b2) for every nonzero basis product."""
     grp = alg.group
-    by_row = alg.positions_by_row()
+    by_row: dict[int, list[int]] = {}
+    for pos, b in enumerate(alg.basis):
+        by_row.setdefault(b.row, []).append(pos)
     checked = 0
     bad: list[str] = []
     for p1, b1 in enumerate(alg.basis):
@@ -179,10 +164,6 @@ class GradedInvariants:
 
     def dims_map(self) -> dict[int, int]:
         return dict(self.dims)
-
-    def describe(self, group: Group) -> str:
-        parts = [f"{group.name_of(u)}:{d}" for u, d in self.dims]
-        return "dim by degree {" + ", ".join(parts) + "}"
 
 
 def invariants(alg: GradedAlgebra) -> GradedInvariants:

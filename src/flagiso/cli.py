@@ -218,10 +218,9 @@ def cmd_classify(args) -> int:
     group = _parse_group_arg(args.group)
     blocks = _parse_blocks(args.blocks)
     division = _parse_division_arg(args.division, group)
-    table = enumerate_classes(group, blocks, division, budget=args.budget)
-    cls = table.classification
+    cls = enumerate_classes(group, blocks, division, budget=args.budget)
     print(f"CLASSES {cls.count}")
-    rows = table.rows()
+    rows = cls.rows()
     for names, size in rows:
         print(f"tuple {','.join(names)}  orbit {size}")
     for k, (names, size) in enumerate(rows, start=1):

@@ -118,15 +118,6 @@ class Corrector:
     def exp_of(self, h: int) -> int:
         return self.exps[self.support.position_of(h)]
 
-    def embed(self, new_order: int) -> Corrector:
-        if new_order % self.order:
-            raise InvalidInput(f"cannot embed mu_{self.order} into mu_{new_order}")
-        k = new_order // self.order
-        return Corrector(self.support, new_order, tuple(v * k for v in self.exps))
-
-    def inv(self) -> Corrector:
-        return Corrector(self.support, self.order, tuple(-v for v in self.exps))
-
 
 def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
     if sigma.support.group != tau.support.group or sigma.support.members != tau.support.members:

@@ -1,16 +1,20 @@
-"""Search caps and budgets.
+"""Size caps and budgets.
 
 The algorithms here are exact and exhaustive, so every potentially expensive
-enumeration is gated by an explicit cap.  Budgets for the tuple enumeration can
-be raised per run through the FLAGISO_BUDGET environment variable.
+construction or enumeration is gated by an explicit cap.  Group order (checked
+before a Cayley table is built or validated), isomorphism search and tuple
+enumeration raise BudgetExceeded past their caps; the class-table cross-check
+is skipped past its pair budget.  Budgets for the tuple enumeration can be
+raised per run through the FLAGISO_BUDGET environment variable.
 """
 
 from __future__ import annotations
 
 import os
 
-# subgroup lattice enumeration refuses groups above this order
-SUBGROUP_ENUM_CAP = 24
+# groups above this order are refused before their table is built or checked;
+# the associativity check alone is cubic in the order
+GROUP_ORDER_CAP = 256
 
 # backtracking search for group isomorphisms refuses domains above this order
 ISO_SEARCH_CAP = 16

@@ -44,9 +44,6 @@ class GradedDivisionAlgebra:
     def is_trivial(self) -> bool:
         return len(self.support.members) == 1
 
-    def dim(self) -> int:
-        return len(self.support.members)
-
 
 def _as_index(group: Group, x) -> int:
     """Coerce an element given as index, name, or GroupElem into an index of group."""

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import ISO_SEARCH_CAP, SUBGROUP_ENUM_CAP
-from .errors import BudgetExceeded, GroupMismatch, InvalidInput
+from .config import GROUP_ORDER_CAP, ISO_SEARCH_CAP
+from .errors import BudgetExceeded, InvalidInput
 
 __all__ = [
     "Group",
@@ -22,7 +22,6 @@ __all__ = [
     "validate_table",
     "subgroup_closure",
     "left_coset",
-    "all_subgroups",
     "find_isomorphisms",
 ]
 
@@ -31,8 +30,9 @@ class Group:
     """An abstract finite group given by its multiplication table."""
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
+        _check_order(len(table))
         tbl = tuple(tuple(row) for row in table)
-        _check_table(tbl)
+        self.identity = _check_table(tbl)
         self.table = tbl
         self.size = len(tbl)
         if names is None:
@@ -45,7 +45,6 @@ class Group:
             raise InvalidInput("element names must be distinct", code="bad-names")
         self.names = tuple(str(n) for n in names)
         self._index_of_name = {n: i for i, n in enumerate(self.names)}
-        self.identity = _find_identity(tbl)
         self._inv = _build_inverses(tbl, self.identity)
 
     # -- arithmetic on element indices -------------------------------------
@@ -78,11 +77,6 @@ class Group:
 
     # -- element access -----------------------------------------------------
 
-    def elem(self, i: int) -> GroupElem:
-        if not 0 <= i < self.size:
-            raise InvalidInput(f"element index {i} out of range", code="bad-element")
-        return GroupElem(self, i)
-
     def elem_by_name(self, name: str) -> GroupElem:
         try:
             return GroupElem(self, self._index_of_name[name])
@@ -94,10 +88,6 @@ class Group:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.size) for b in range(a))
 
     # -- identity & comparison ----------------------------------------------
 
@@ -113,35 +103,10 @@ class Group:
 
 @dataclass(frozen=True)
 class GroupElem:
-    """An element of a concrete Group; operators check the groups match."""
+    """An element of a concrete Group, as returned by Group.elem_by_name."""
 
     group: Group
     index: int
-
-    def _check(self, other: GroupElem) -> None:
-        if self.group != other.group:
-            raise GroupMismatch("elements belong to different groups")
-
-    def __mul__(self, other: GroupElem) -> GroupElem:
-        self._check(other)
-        return GroupElem(self.group, self.group.mul(self.index, other.index))
-
-    def inv(self) -> GroupElem:
-        return GroupElem(self.group, self.group.inv(self.index))
-
-    def conj(self, g: GroupElem) -> GroupElem:
-        self._check(g)
-        return GroupElem(self.group, self.group.conj(self.index, g.index))
-
-    def order(self) -> int:
-        return self.group.order_of(self.index)
-
-    @property
-    def name(self) -> str:
-        return self.group.names[self.index]
-
-    def __repr__(self) -> str:
-        return f"<{self.name}>"
 
 
 @dataclass(frozen=True)
@@ -177,9 +142,6 @@ class Subgroup:
     def position_of(self, a: int) -> int:
         return self.members.index(a)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.group.name_of(a) for a in self.members)
-
 
 # -- construction ------------------------------------------------------------
 
@@ -196,6 +158,7 @@ def build_abelian(factors: Sequence[int]) -> Group:
     size = 1
     for f in factors:
         size *= f
+    _check_order(size)
 
     def decode(i: int) -> tuple[int, ...]:
         coords = []
@@ -223,7 +186,13 @@ def validate_table(table: Sequence[Sequence[int]], names: Sequence[str] | None =
     return Group(table, names)
 
 
-def _check_table(tbl: tuple[tuple[int, ...], ...]) -> None:
+def _check_order(size: int) -> None:
+    if size > GROUP_ORDER_CAP:
+        raise BudgetExceeded(f"group order {size} exceeds the cap of {GROUP_ORDER_CAP}")
+
+
+def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
+    """Reject anything but a group table; return the identity's index."""
     n = len(tbl)
     if n == 0:
         raise InvalidInput("empty table", code="non-latin")
@@ -231,7 +200,7 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> None:
         if len(row) != n:
             raise InvalidInput("table is not square", code="non-latin")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
     full = set(range(n))
     for i, row in enumerate(tbl):
@@ -255,13 +224,7 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> None:
                     raise InvalidInput(
                         f"not associative at triple ({a},{b},{c})", code="non-associative"
                     )
-
-
-def _find_identity(tbl: tuple[tuple[int, ...], ...]) -> int:
-    for i in range(len(tbl)):
-        if all(tbl[i][b] == b for b in range(len(tbl))):
-            return i
-    raise InvalidInput("no two-sided identity", code="no-identity")
+    return e
 
 
 def _build_inverses(tbl: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:
@@ -301,28 +264,6 @@ def left_coset(g: int, sub: Subgroup) -> tuple[int, ...]:
     return tuple(sorted(grp.mul(g, h) for h in sub.members))
 
 
-def all_subgroups(group: Group) -> list[Subgroup]:
-    """Every subgroup, found by closing known subgroups under one extra generator."""
-    if group.size > SUBGROUP_ENUM_CAP:
-        raise BudgetExceeded(
-            f"subgroup enumeration capped at order {SUBGROUP_ENUM_CAP}, group has {group.size}"
-        )
-    trivial = subgroup_closure(group, ())
-    seen = {trivial.members: trivial}
-    queue = [trivial]
-    while queue:
-        sub = queue.pop()
-        inside = set(sub.members)
-        for g in group.elements():
-            if g in inside:
-                continue
-            bigger = subgroup_closure(group, sub.members + (g,))
-            if bigger.members not in seen:
-                seen[bigger.members] = bigger
-                queue.append(bigger)
-    return sorted(seen.values(), key=lambda s: (len(s.members), s.members))
-
-
 # -- isomorphism search --------------------------------------------------------
 
 
@@ -332,14 +273,11 @@ def _as_carrier(x: Group | Subgroup) -> tuple[tuple[int, ...], Group]:
     return x.members, x.group
 
 
-def find_isomorphisms(
-    h1: Group | Subgroup, h2: Group | Subgroup, limit: int | None = None
-) -> list[dict[int, int]]:
+def find_isomorphisms(h1: Group | Subgroup, h2: Group | Subgroup) -> list[dict[int, int]]:
     """All group isomorphisms h1 -> h2 as element-index maps, generator backtracking.
 
     Accepts plain groups or subgroups (maps are between parent-group indices in
-    the latter case).  Returns [] when none exist; results are deterministic and
-    capped at ``limit`` when given.
+    the latter case).  Returns [] when none exist; results are deterministic.
     """
     elems1, g1 = _as_carrier(h1)
     elems2, g2 = _as_carrier(h2)
@@ -360,14 +298,10 @@ def find_isomorphisms(
     found: list[dict[int, int]] = []
 
     def extend(images: list[int]) -> None:
-        if limit is not None and len(found) >= limit:
-            return
         k = len(images)
         if k < len(gens):
             for cand in by_order.get(order1[gens[k]], []):
                 extend(images + [cand])
-                if limit is not None and len(found) >= limit:
-                    return
             return
         f = _close_homomorphism(elems1, g1, g2, gens, images)
         if f is None:

@@ -52,9 +52,24 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _int(value: Any, message: str, code: str = "bad-schema", least: int | None = None) -> int:
+    """An integer field, at least ``least`` when given.  JSON true/false are
+    not integers here, although Python's bool subclasses int."""
+    if type(value) is not int or (least is not None and value < least):
+        raise InvalidInput(message, code=code)
+    return value
+
+
+def _ints(values: Any, message: str, code: str = "bad-schema") -> list[int]:
+    if not isinstance(values, list):
+        raise InvalidInput(message, code=code)
+    return [_int(v, message, code) for v in values]
+
+
 def _check_version(obj: Any, where: str) -> None:
-    if _require(obj, "v", where) != 1:
-        raise InvalidInput(f'{where} must declare "v": 1', code="bad-schema")
+    message = f'{where} must declare "v": 1'
+    if _int(_require(obj, "v", where), message) != 1:
+        raise InvalidInput(message, code="bad-schema")
 
 
 # -- groups --------------------------------------------------------------------
@@ -63,14 +78,20 @@ def _check_version(obj: Any, where: str) -> None:
 def group_from_obj(obj: Any) -> Group:
     kind = _require(obj, "kind", "group object")
     if kind == "abelian":
-        factors = _require(obj, "factors", "abelian group object")
-        if not isinstance(factors, list) or not all(isinstance(f, int) for f in factors):
-            raise InvalidInput("abelian factors must be a list of integers", code="bad-schema")
+        factors = _ints(
+            _require(obj, "factors", "abelian group object"),
+            "abelian factors must be a list of integers",
+        )
         return build_abelian(factors)
     if kind == "table":
+        message = "table must be a list of rows of integers"
         table = _require(obj, "table", "table group object")
+        if not isinstance(table, list):
+            raise InvalidInput(message, code="non-latin")
         names = obj.get("names")
-        return validate_table(table, names)
+        if names is not None and not isinstance(names, list):
+            raise InvalidInput("table names must be a list", code="bad-names")
+        return validate_table([_ints(row, message, "non-latin") for row in table], names)
     raise InvalidInput(f"unknown group kind {kind!r}", code="bad-schema")
 
 
@@ -96,17 +117,19 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
     if kind == "trivial":
         return trivial_division(group)
     if kind == "pauli":
-        t = _require(obj, "t", "pauli division object")
+        t = _int(_require(obj, "t", "pauli division object"), "pauli t must be an integer")
         images = _require(obj, "images", "pauli division object")
         if not isinstance(images, list) or len(images) != 2:
             raise InvalidInput("pauli images must be a two-element list", code="bad-schema")
         return pauli(t, group, images)
     if kind == "twisted":
         listed = _require(obj, "support", "twisted division object")
-        order = _require(obj, "root_order", "twisted division object")
+        order = _int(
+            _require(obj, "root_order", "twisted division object"),
+            "root_order must be a positive integer",
+            least=1,
+        )
         values = _require(obj, "values", "twisted division object")
-        if not isinstance(order, int) or order < 1:
-            raise InvalidInput("root_order must be a positive integer", code="bad-schema")
         members = [_as_index(group, x) for x in listed]
         if len(set(members)) != len(members):
             raise InvalidInput("twisted support lists an element twice", code="bad-schema")
@@ -126,10 +149,7 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
         tbl = [[0] * n for _ in range(n)]
         for i, a in enumerate(members):
             for j, b in enumerate(members):
-                v = values[i][j]
-                if not isinstance(v, int):
-                    raise InvalidInput("twisted values must be integers", code="bad-schema")
-                tbl[pos[a]][pos[b]] = v
+                tbl[pos[a]][pos[b]] = _int(values[i][j], "twisted values must be integers")
         return GradedDivisionAlgebra(validate_cocycle(sub, order, tbl))
     raise InvalidInput(f"unknown division kind {kind!r}", code="bad-schema")
 
@@ -154,9 +174,7 @@ def presentation_from_obj(obj: Any, where: str = "presentation") -> FlagPresenta
     _check_version(obj, where)
     group = group_from_obj(_require(obj, "group", where))
     division = division_from_obj(_require(obj, "division", where), group)
-    blocks = _require(obj, "blocks", where)
-    if not isinstance(blocks, list) or not all(isinstance(b, int) for b in blocks):
-        raise InvalidInput("blocks must be a list of integers", code="bad-schema")
+    blocks = _ints(_require(obj, "blocks", where), "blocks must be a list of integers")
     degrees = _require(obj, "tuple", where)
     if not isinstance(degrees, list):
         raise InvalidInput("tuple must be a list of element names", code="bad-schema")
@@ -222,15 +240,10 @@ def witness_from_obj(
     grp = source.group
     n = source.shape.n
     shift = _as_index(grp, _require(obj, "g", where))
-    sigma_raw = _require(obj, "sigma", where)
-    if (
-        not isinstance(sigma_raw, list)
-        or len(sigma_raw) != n
-        or sorted(sigma_raw) != list(range(1, n + 1))
-    ):
-        raise InvalidInput(
-            f"{where}: sigma must be a permutation of 1..{n}", code="invalid-witness-data"
-        )
+    message = f"{where}: sigma must be a permutation of 1..{n}"
+    sigma_raw = _ints(_require(obj, "sigma", where), message, "invalid-witness-data")
+    if sorted(sigma_raw) != list(range(1, n + 1)):
+        raise InvalidInput(message, code="invalid-witness-data")
     sigma = tuple(s - 1 for s in sigma_raw)
     h_raw = _require(obj, "h", where)
     if not isinstance(h_raw, list) or len(h_raw) != n:
@@ -241,9 +254,12 @@ def witness_from_obj(
         raise InvalidInput(
             f"{where}: correctors must lie in the division support", code="invalid-witness-data"
         )
-    order = _require(obj, "root_order", where)
-    if not isinstance(order, int) or order < 1:
-        raise InvalidInput(f"{where}: root_order must be a positive integer", code="invalid-witness-data")
+    order = _int(
+        _require(obj, "root_order", where),
+        f"{where}: root_order must be a positive integer",
+        "invalid-witness-data",
+        least=1,
+    )
     mu_raw = _require(obj, "mu", where)
     tgt_sup = target.division.support
     if not isinstance(mu_raw, dict) or sorted(mu_raw) != sorted(
@@ -253,8 +269,14 @@ def witness_from_obj(
             f"{where}: mu must assign an exponent to each target support element",
             code="invalid-witness-data",
         )
+    mu_message = f"{where}: mu exponents must be integers"
     mu = Corrector(
-        tgt_sup, order, tuple(int(mu_raw[grp.name_of(h)]) for h in tgt_sup.members)
+        tgt_sup,
+        order,
+        tuple(
+            _int(mu_raw[grp.name_of(h)], mu_message, "invalid-witness-data")
+            for h in tgt_sup.members
+        ),
     )
     map_raw = _require(obj, "map", where)
     if not isinstance(map_raw, list):
@@ -263,9 +285,11 @@ def witness_from_obj(
     for entry in map_raw:
         frm = _triple_from(entry, "from", grp, where)
         to = _triple_from(entry, "to", grp, where)
-        exp = _require(entry, "scalar_exp", f"{where} map entry")
-        if not isinstance(exp, int):
-            raise InvalidInput(f"{where}: scalar_exp must be an integer", code="invalid-witness-data")
+        exp = _int(
+            _require(entry, "scalar_exp", f"{where} map entry"),
+            f"{where}: scalar_exp must be an integer",
+            "invalid-witness-data",
+        )
         if frm in mapping:
             raise InvalidInput(
                 f"{where}: map defines {tuple(frm)} twice", code="invalid-witness-data"
@@ -281,12 +305,9 @@ def _triple_from(entry: Any, key: str, grp: Group, where: str) -> BasisElem:
             f"{where}: map entry {key!r} must be [row, col, element]",
             code="invalid-witness-data",
         )
-    i, j, h = raw
-    if not isinstance(i, int) or not isinstance(j, int) or i < 1 or j < 1:
-        raise InvalidInput(
-            f"{where}: map positions are 1-based integers", code="invalid-witness-data"
-        )
-    return BasisElem(i - 1, j - 1, _as_index(grp, h))
+    message = f"{where}: map positions are 1-based integers"
+    i, j = (_int(x, message, "invalid-witness-data", least=1) for x in raw[:2])
+    return BasisElem(i - 1, j - 1, _as_index(grp, raw[2]))
 
 
 def load_witness(path: str, source: FlagPresentation, target: FlagPresentation) -> IsoWitness:

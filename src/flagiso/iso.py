@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm
+from typing import Sequence
 
 from .algebras import BasisElem, GradedAlgebra, basis_of, invariants, realize
 from .cocycles import Corrector, is_corrector
@@ -758,16 +759,33 @@ def verify_equiv_witness(
 
 @dataclass
 class Classification:
+    """Orbit representatives of the degree tuples, with their orbit sizes.
+
+    ``shifts`` are the admissible shifts the canonical forms were taken over.
+    The two flags record which cross-checks enumerate_classes ran; classify
+    runs none.
+    """
+
     group: Group
     shape: BlockShape
     division: GradedDivisionAlgebra
     representatives: tuple[tuple[int, ...], ...]
     orbit_sizes: tuple[int, ...]
     total: int
+    shifts: tuple[int, ...]
+    pairwise_checked: bool = False
+    membership_checked: bool = False
 
     @property
     def count(self) -> int:
         return len(self.representatives)
+
+    def rows(self) -> list[tuple[tuple[str, ...], int]]:
+        """(representative as element names, orbit size), one row per class."""
+        return [
+            (tuple(self.group.name_of(x) for x in rep), size)
+            for rep, size in zip(self.representatives, self.orbit_sizes)
+        ]
 
 
 def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
@@ -785,7 +803,7 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     ]
 
 
-def canonical_form(p: FlagPresentation, shifts: list[int] | None = None) -> tuple[int, ...]:
+def canonical_form(p: FlagPresentation, shifts: Sequence[int] | None = None) -> tuple[int, ...]:
     """Lexicographically minimal tuple over shift, block permutation, coset correction."""
     grp = p.group
     if shifts is None:
@@ -827,5 +845,5 @@ def classify(
         buckets[key] = buckets.get(key, 0) + 1
     reps = tuple(sorted(buckets))
     return Classification(
-        group, shape, division, reps, tuple(buckets[r] for r in reps), total
+        group, shape, division, reps, tuple(buckets[r] for r in reps), total, tuple(shifts)
     )

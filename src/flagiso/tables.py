@@ -10,7 +10,6 @@ bug, not an answer, and raises.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .config import DEFAULT_PAIR_BUDGET
 from .division import GradedDivisionAlgebra
@@ -19,32 +18,13 @@ from .iso import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     Classification,
+    canonical_form,
     classify,
     iso_algebras,
 )
-from .presentations import BlockShape, FlagPresentation, make_presentation
+from .presentations import FlagPresentation, make_presentation
 
-__all__ = ["ClassTable", "enumerate_classes", "count_classes_pairwise"]
-
-
-@dataclass
-class ClassTable:
-    classification: Classification
-    pairwise_checked: bool
-    membership_checked: bool
-
-    @property
-    def count(self) -> int:
-        return self.classification.count
-
-    def rows(self) -> list[tuple[tuple[str, ...], int]]:
-        grp = self.classification.group
-        return [
-            (tuple(grp.name_of(x) for x in rep), size)
-            for rep, size in zip(
-                self.classification.representatives, self.classification.orbit_sizes
-            )
-        ]
+__all__ = ["enumerate_classes"]
 
 
 def enumerate_classes(
@@ -53,8 +33,12 @@ def enumerate_classes(
     division: GradedDivisionAlgebra,
     budget: int | None = None,
     pair_budget: int | None = None,
-) -> ClassTable:
-    """Classify all degree tuples for (group, blocks, division) up to isomorphism."""
+) -> Classification:
+    """Classify all degree tuples for (group, blocks, division) up to isomorphism.
+
+    Returns classify's result with pairwise_checked / membership_checked set
+    to whether each cross-check ran within the pair budget.
+    """
     cls = classify(group, blocks, division, budget)
     if sum(cls.orbit_sizes) != cls.total:
         raise AssertionError("orbit sizes do not partition the tuple space")
@@ -65,8 +49,8 @@ def enumerate_classes(
     ]
 
     npairs = len(reps) * (len(reps) - 1) // 2
-    pairwise_checked = npairs <= pb
-    if pairwise_checked:
+    cls.pairwise_checked = npairs <= pb
+    if cls.pairwise_checked:
         for a, b in itertools.combinations(reps, 2):
             verdict = iso_algebras(a, b)
             if verdict.kind != NOT_ISOMORPHIC:
@@ -75,15 +59,12 @@ def enumerate_classes(
                     "collapse under the pairwise engine"
                 )
 
-    membership_checked = cls.total <= pb
-    if membership_checked:
+    cls.membership_checked = cls.total <= pb
+    if cls.membership_checked:
         by_rep = {rep.degrees: rep for rep in reps}
-        from .iso import canonical_form, _admissible_shifts
-
-        shifts = _admissible_shifts(division)
         for tup in itertools.product(range(group.size), repeat=cls.shape.n):
             p = FlagPresentation(division, cls.shape, tup)
-            rep = by_rep[canonical_form(p, shifts)]
+            rep = by_rep[canonical_form(p, cls.shifts)]
             verdict = iso_algebras(p, rep)
             if verdict.kind != ISOMORPHIC:
                 raise AssertionError(
@@ -91,33 +72,4 @@ def enumerate_classes(
                     f"{rep.degree_names()}"
                 )
 
-    return ClassTable(cls, pairwise_checked, membership_checked)
-
-
-def count_classes_pairwise(
-    group: Group, blocks, division: GradedDivisionAlgebra
-) -> int:
-    """Class count by union-find over all tuple pairs, using only iso_algebras.
-
-    Independent of the canonical-form machinery; intended as a cross-check for
-    small instances (cost is quadratic in |G|^n).
-    """
-    shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
-    tuples = list(itertools.product(range(group.size), repeat=shape.n))
-    parent = list(range(len(tuples)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(tuples)):
-        for j in range(i + 1, len(tuples)):
-            if find(i) == find(j):
-                continue
-            a = FlagPresentation(division, shape, tuples[i])
-            b = FlagPresentation(division, shape, tuples[j])
-            if iso_algebras(a, b).kind == ISOMORPHIC:
-                parent[find(j)] = find(i)
-    return len({find(i) for i in range(len(tuples))})
+    return cls

@@ -1,14 +1,23 @@
-"""Shared builders for the test suite.
+"""Shared builders and oracles for the test suite.
 
 make_sym constructs symmetric groups straight from permutation composition, so
 group-layer tests can check Cayley-table arithmetic against an independent
-model.  ACCEPTANCE_LINES collects the acceptance suite's per-criterion
-verdict lines; they are printed after the run, outside output capture.
+model.  count_classes_pairwise counts isomorphism classes with the pairwise
+engine alone, as an oracle for enumerate_classes.  ACCEPTANCE_LINES collects
+the acceptance suite's per-criterion verdict lines; they are printed after the
+run, outside output capture.
 """
 
 import itertools
 
-from flagiso import Group
+from flagiso import (
+    ISOMORPHIC,
+    BlockShape,
+    FlagPresentation,
+    GradedDivisionAlgebra,
+    Group,
+    iso_algebras,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -39,3 +48,30 @@ def make_sym(n):
     table = [[idx[compose(p, q)] for q in perms] for p in perms]
     names = ["".join(str(x) for x in p) for p in perms]
     return Group(table, names), perms, idx
+
+
+def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra) -> int:
+    """Class count by union-find over all tuple pairs, using only iso_algebras.
+
+    Independent of the canonical-form machinery; intended as a cross-check for
+    small instances (cost is quadratic in |G|^n).
+    """
+    shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
+    tuples = list(itertools.product(range(group.size), repeat=shape.n))
+    parent = list(range(len(tuples)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(tuples)):
+        for j in range(i + 1, len(tuples)):
+            if find(i) == find(j):
+                continue
+            a = FlagPresentation(division, shape, tuples[i])
+            b = FlagPresentation(division, shape, tuples[j])
+            if iso_algebras(a, b).kind == ISOMORPHIC:
+                parent[find(j)] = find(i)
+    return len({find(i) for i in range(len(tuples))})

@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import ACCEPTANCE_LINES, make_sym
+from conftest import ACCEPTANCE_LINES, count_classes_pairwise, make_sym
 
 from flagiso import (
     EQUIVALENT,
@@ -29,7 +29,6 @@ from flagiso import (
     build_abelian,
     cohomologous,
     compose_witness,
-    count_classes_pairwise,
     enumerate_classes,
     equiv_check,
     equiv_division,

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from conftest import count_classes_pairwise
 
+import flagiso.iso
 from flagiso import (
     BudgetExceeded,
     GradedDivisionAlgebra,
@@ -10,7 +12,6 @@ from flagiso import (
     build_abelian,
     canonical_form,
     classify,
-    count_classes_pairwise,
     enumerate_classes,
     make_presentation,
     pauli,
@@ -27,7 +28,7 @@ def orbits_by_brute(grp, blocks, division):
     """All degree-tuple orbits under in-block shuffles, entrywise support
     translations, and global right shifts.  Abelian groups only, where every
     shift preserves the division part on the nose."""
-    assert grp.is_abelian()
+    assert all(grp.mul(a, b) == grp.mul(b, a) for a in grp.elements() for b in grp.elements())
     members = division.support.members
     n = sum(blocks)
     ranges = []
@@ -214,6 +215,22 @@ def test_enumerate_classes_runs_both_cross_checks():
         (("(0)", "(1)"), 3),
         (("(0)", "(2)"), 3),
     ]
+
+
+def test_enumerate_classes_solves_admissible_shifts_once(monkeypatch):
+    calls = []
+    solve = flagiso.iso._admissible_shifts
+
+    def counted(division):
+        calls.append(division)
+        return solve(division)
+
+    monkeypatch.setattr(flagiso.iso, "_admissible_shifts", counted)
+    grp = build_abelian([4])
+    cls = enumerate_classes(grp, (1, 1), sign_division(grp, 2))
+    assert cls.membership_checked  # the cross-check that reads the shifts ran
+    assert cls.shifts == (0, 1, 2, 3)
+    assert len(calls) == 1
 
 
 def test_enumerate_classes_respects_pair_budget():

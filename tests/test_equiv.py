@@ -10,7 +10,6 @@ from flagiso import (
     EquivWitness,
     UnsupportedInput,
     build_abelian,
-    elementary_ut,
     equiv_check,
     equiv_elementary,
     iso_algebras,

@@ -3,18 +3,24 @@ import itertools
 import pytest
 from conftest import compose, invert_perm, make_sym
 
+import flagiso.groups
+
 from flagiso import (
     BudgetExceeded,
+    Group,
+    GroupElem,
     GroupMismatch,
     InvalidInput,
     Subgroup,
-    all_subgroups,
     build_abelian,
     find_isomorphisms,
     left_coset,
+    make_presentation,
     subgroup_closure,
+    trivial_division,
     validate_table,
 )
+from flagiso.config import GROUP_ORDER_CAP
 
 # -- oracles -----------------------------------------------------------------
 
@@ -24,18 +30,6 @@ def abelian_order_from_coords(coords, factors):
     from math import gcd, lcm
 
     return lcm(*(f // gcd(f, c) for c, f in zip(coords, factors))) if coords else 1
-
-
-def subgroups_by_subsets(group):
-    """Every subgroup, by testing all subsets containing the identity."""
-    rest = [x for x in group.elements() if x != group.identity]
-    found = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            cand = {group.identity, *combo}
-            if all(group.mul(a, b) in cand for a in cand for b in cand):
-                found.append(tuple(sorted(cand)))
-    return sorted(found, key=lambda m: (len(m), m))
 
 
 def isos_by_bijections(g1, g2):
@@ -82,7 +76,7 @@ def test_build_abelian_mixed_radix():
     assert g.names[:3] == ("(0,0)", "(0,1)", "(0,2)")
     a = g.elem_by_name("(1,2)")
     b = g.elem_by_name("(1,1)")
-    assert (a * b).name == "(0,0)"
+    assert g.name_of(g.mul(a.index, b.index)) == "(0,0)"
 
 
 @pytest.mark.parametrize("bad", [[], [1], [0, 2], [2, 1]])
@@ -175,16 +169,37 @@ def test_group_equality_is_table_equality():
 def test_group_elem_ops_and_mismatch():
     z2 = build_abelian([2])
     z3 = build_abelian([3])
-    a = z2.elem(1)
-    assert (a * a).index == 0
-    assert a.inv().index == 1
-    assert a.order() == 2
+    a = z2.elem_by_name("(1)")
+    assert a == GroupElem(z2, 1) and a.index == 1
+    assert a != z3.elem_by_name("(1)")  # the record carries its group
     with pytest.raises(GroupMismatch):
-        a * z3.elem(1)
-    with pytest.raises(InvalidInput):
-        z2.elem(5)
+        make_presentation(trivial_division(z3), (1,), [a])
     with pytest.raises(InvalidInput):
         z2.elem_by_name("nope")
+
+
+# -- size cap ----------------------------------------------------------------------
+
+
+def test_group_order_cap_refuses_before_construction(monkeypatch):
+    assert GROUP_ORDER_CAP == 256
+    with pytest.raises(BudgetExceeded) as ei:
+        build_abelian([16, 17])  # order 272
+    assert ei.value.code == "budget-exceeded"
+    # refused before the table is checked: this one is not even a Latin square
+    with pytest.raises(BudgetExceeded):
+        Group([[0] * 257] * 257)
+    # the cap itself is allowed (a lowered cap keeps the check cheap)
+    monkeypatch.setattr(flagiso.groups, "GROUP_ORDER_CAP", 6)
+    assert build_abelian([6]).size == 6
+    with pytest.raises(BudgetExceeded):
+        build_abelian([7])
+
+
+def test_table_entries_must_not_be_booleans():
+    with pytest.raises(InvalidInput) as ei:
+        validate_table([[False, True], [True, False]])
+    assert ei.value.code == "non-latin"
 
 
 # -- subgroups -------------------------------------------------------------------
@@ -207,26 +222,6 @@ def test_subgroup_validation():
     assert sub.members == (0, 2)
     assert 2 in sub and 1 not in sub
     assert sub.position_of(2) == 1
-
-
-def test_all_subgroups_klein_against_subset_oracle():
-    g = build_abelian([2, 2])
-    want = subgroups_by_subsets(g)
-    assert len(want) == 5
-    got = [s.members for s in all_subgroups(g)]
-    assert got == want
-
-
-def test_all_subgroups_s3_against_subset_oracle():
-    g, _, _ = make_sym(3)
-    want = subgroups_by_subsets(g)
-    assert len(want) == 6
-    assert [s.members for s in all_subgroups(g)] == want
-
-
-def test_all_subgroups_budget():
-    with pytest.raises(BudgetExceeded):
-        all_subgroups(build_abelian([3, 3, 3]))
 
 
 def test_left_coset_z4():
@@ -258,11 +253,6 @@ def test_z4_automorphisms():
     assert len(want) == 2  # identity and inversion
     got = {tuple(sorted(f.items())) for f in find_isomorphisms(g, g)}
     assert got == want
-
-
-def test_isomorphism_limit():
-    g, _, _ = make_sym(3)
-    assert len(find_isomorphisms(g, g, limit=2)) == 2
 
 
 def test_subgroup_carrier_isomorphism():

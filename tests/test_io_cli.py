@@ -151,7 +151,7 @@ def test_presentation_fixture_files_load():
     assert p.group.size == 2
     assert p.degrees == (0, 1)
     kp = load_presentation(fx("klein_pauli.json"))
-    assert kp.division.dim() == 4
+    assert len(kp.division.support.members) == 4
     assert kp.degrees == (0, 2)
 
 
@@ -477,6 +477,63 @@ def test_cli_bad_arguments(capsys):
     with pytest.raises(SystemExit):
         main(["iso"])  # argparse handles missing positionals
     capsys.readouterr()
+
+
+BOOL_TABLE = {"kind": "table", "table": [[False, True], [True, False]], "names": ["(0)", "(1)"]}
+
+
+@pytest.mark.parametrize(
+    "target,path,value",
+    [
+        pytest.param("z2_ea.json", ("v",), True, id="v-true"),
+        pytest.param("z2_ea.json", ("blocks",), [True, True], id="blocks-true"),
+        pytest.param("z2_ea.json", ("group",), BOOL_TABLE, id="table-bool-entries"),
+        pytest.param("z2_ea.json", ("group",), {**BOOL_TABLE, "table": 5}, id="table-not-a-list"),
+        pytest.param("z2_ea.json", ("group",), {**BOOL_TABLE, "table": [[0, 1], [1, 0]], "names": 5},
+                     id="table-names-not-a-list"),
+        pytest.param("klein_pauli.json", ("division", "t"), 2.0, id="pauli-t-float"),
+        pytest.param("klein_pauli.json", ("division", "t"), "2", id="pauli-t-string"),
+        pytest.param("witness", ("v",), True, id="witness-v-true"),
+        pytest.param("witness", ("root_order",), True, id="root-order-true"),
+        pytest.param("witness", ("sigma",), [True, 2], id="sigma-true"),
+        pytest.param("witness", ("mu", "(0,0)"), "1", id="mu-string"),
+        pytest.param("witness", ("mu", "(0,0)"), [1], id="mu-list"),
+        pytest.param("witness", ("mu", "(0,0)"), None, id="mu-null"),
+        pytest.param("witness", ("mu", "(0,0)"), 1.5, id="mu-float"),
+        pytest.param("witness", ("map", 0, "from", 0), True, id="map-position-true"),
+        pytest.param("witness", ("map", 0, "scalar_exp"), True, id="scalar-exp-true"),
+    ],
+)
+def test_cli_rejects_malformed_integers(tmp_path, capsys, target, path, value):
+    """Every integer field is an int in the file; bool, float, string and null are errors."""
+    if target == "witness":
+        a, b = fx("klein_pauli.json"), fx("klein_pauli_shifted.json")
+        src = tmp_path / "w.json"
+        assert main(["iso", a, b, "--witness", str(src)]) == 0
+        argv = ["verify-witness", a, b]
+    else:
+        src = FIXTURES / target
+        argv = ["validate"]
+    obj = json.loads(src.read_text(encoding="utf-8"))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main([*argv, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    assert captured.err.startswith("validation error:")
+
+
+def test_cli_refuses_groups_above_the_order_cap(capsys):
+    code = main(["classify", "--group", "abelian:16,17", "--blocks", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("validation error:")
+    assert "group order 272 exceeds the cap of 256" in captured.err
 
 
 def test_cli_pauli_fixture_round(capsys):

@@ -1,13 +1,23 @@
 """Source rules for the library itself.
 
 Runtime guarantees must hold under ``python -O``, which strips ``assert``
-statements; the library therefore raises explicitly wherever it checks.
+statements; the library therefore raises explicitly wherever it checks.  The
+export lists must agree: every exported name exists, and the package exports
+exactly what its library modules export (``io`` and ``cli`` stay namespaced).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import flagiso
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagiso"
+MODULES = [
+    importlib.import_module(f"flagiso.{path.stem}")
+    for path in sorted(SRC.glob("*.py"))
+    if not path.stem.startswith("_")
+]
 
 
 def test_library_has_no_assert_statements():
@@ -19,3 +29,25 @@ def test_library_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), "library sources not found"
     assert found == [], f"assert statements in the library: {found}"
+
+
+def test_every_exported_name_resolves():
+    missing = [
+        f"{mod.__name__}.{name}"
+        for mod in [flagiso, *MODULES]
+        for name in getattr(mod, "__all__", ())
+        if not hasattr(mod, name)
+    ]
+    assert missing == []
+
+
+def test_package_exports_the_union_of_module_exports():
+    union = {
+        name
+        for mod in MODULES
+        if mod.__name__ not in ("flagiso.io", "flagiso.cli")
+        for name in getattr(mod, "__all__", ())
+    }
+    assert len(MODULES) >= 10, "library modules not found"
+    assert len(set(flagiso.__all__)) == len(flagiso.__all__), "duplicate package exports"
+    assert sorted(set(flagiso.__all__) ^ union) == []

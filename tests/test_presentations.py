@@ -42,7 +42,7 @@ def test_make_presentation():
 
 def test_make_presentation_accepts_shape_and_mixed_entries():
     grp = build_abelian([4])
-    p = make_presentation(trivial_division(grp), BlockShape((2, 1)), [0, "(3)", grp.elem(2)])
+    p = make_presentation(trivial_division(grp), BlockShape((2, 1)), [0, "(3)", grp.elem_by_name("(2)")])
     assert p.degrees == (0, 3, 2)
 
 
