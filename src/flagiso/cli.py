@@ -15,6 +15,7 @@ import sys
 
 from . import io
 from .algebras import check_grading, invariants, realize
+from .division import pauli, trivial_division
 from .errors import FlagisoError, GroupMismatch
 from .groups import Group, build_abelian
 from .iso import (
@@ -276,8 +277,6 @@ def _split_element_names(text: str) -> list[str]:
 
 
 def _parse_division_arg(value: str, group: Group):
-    from .division import pauli, trivial_division
-
     if value == "trivial":
         return trivial_division(group)
     if value.startswith("pauli:"):

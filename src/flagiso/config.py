@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import InvalidInput
+
 # groups above this order are refused before their table is built or checked;
 # the associativity check alone is cubic in the order
 GROUP_ORDER_CAP = 256
@@ -38,8 +40,6 @@ def classify_budget(explicit: int | None = None) -> int:
         try:
             return int(raw)
         except ValueError:
-            from .errors import InvalidInput
-
             raise InvalidInput(
                 f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}",
                 code="invalid-budget",

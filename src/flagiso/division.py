@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .cocycles import Cocycle, Corrector, cohomologous, transport, trivial_cocycle, validate_cocycle
 from .errors import GroupMismatch, InvalidInput
-from .groups import Group, GroupElem, Subgroup
+from .groups import Group, GroupElem, Subgroup, find_isomorphisms
 
 __all__ = [
     "GradedDivisionAlgebra",
@@ -130,8 +130,6 @@ def equiv_division(
     The ambient groups may differ.  Returns the first (alpha, mu) in the
     deterministic search order, or None.
     """
-    from .groups import find_isomorphisms
-
     for alpha in find_isomorphisms(d.support, d2.support):
         moved = transport(d.cocycle, alpha, d2.support)
         mu = cohomologous(moved, d2.cocycle)

@@ -14,7 +14,7 @@ from typing import Any
 
 from .algebras import BasisElem
 from .cocycles import Corrector, validate_cocycle
-from .division import GradedDivisionAlgebra, pauli, trivial_division, _as_index
+from .division import GradedDivisionAlgebra, pauli, trivial_division
 from .errors import InvalidInput
 from .groups import Group, Subgroup, build_abelian, validate_table
 from .iso import IsoWitness
@@ -66,6 +66,13 @@ def _ints(values: Any, message: str, code: str = "bad-schema") -> list[int]:
     return [_int(v, message, code) for v in values]
 
 
+def _elem(group: Group, value: Any, message: str, code: str = "bad-schema") -> int:
+    """An element field: a name of the group, never an index."""
+    if not isinstance(value, str):
+        raise InvalidInput(message, code=code)
+    return group.elem_by_name(value).index
+
+
 def _check_version(obj: Any, where: str) -> None:
     message = f'{where} must declare "v": 1'
     if _int(_require(obj, "v", where), message) != 1:
@@ -89,8 +96,10 @@ def group_from_obj(obj: Any) -> Group:
         if not isinstance(table, list):
             raise InvalidInput(message, code="non-latin")
         names = obj.get("names")
-        if names is not None and not isinstance(names, list):
-            raise InvalidInput("table names must be a list", code="bad-names")
+        if names is not None and (
+            not isinstance(names, list) or any(not isinstance(x, str) for x in names)
+        ):
+            raise InvalidInput("table names must be a list of strings", code="bad-names")
         return validate_table([_ints(row, message, "non-latin") for row in table], names)
     raise InvalidInput(f"unknown group kind {kind!r}", code="bad-schema")
 
@@ -121,7 +130,8 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
         images = _require(obj, "images", "pauli division object")
         if not isinstance(images, list) or len(images) != 2:
             raise InvalidInput("pauli images must be a two-element list", code="bad-schema")
-        return pauli(t, group, images)
+        uv = [_elem(group, x, "pauli images must be element names") for x in images]
+        return pauli(t, group, uv)
     if kind == "twisted":
         listed = _require(obj, "support", "twisted division object")
         order = _int(
@@ -130,7 +140,10 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
             least=1,
         )
         values = _require(obj, "values", "twisted division object")
-        members = [_as_index(group, x) for x in listed]
+        message = "twisted support must be a list of element names"
+        if not isinstance(listed, list):
+            raise InvalidInput(message, code="bad-schema")
+        members = [_elem(group, x, message) for x in listed]
         if len(set(members)) != len(members):
             raise InvalidInput("twisted support lists an element twice", code="bad-schema")
         sub = Subgroup(group, tuple(members))
@@ -176,9 +189,10 @@ def presentation_from_obj(obj: Any, where: str = "presentation") -> FlagPresenta
     division = division_from_obj(_require(obj, "division", where), group)
     blocks = _ints(_require(obj, "blocks", where), "blocks must be a list of integers")
     degrees = _require(obj, "tuple", where)
+    message = "tuple must be a list of element names"
     if not isinstance(degrees, list):
-        raise InvalidInput("tuple must be a list of element names", code="bad-schema")
-    return make_presentation(division, blocks, degrees)
+        raise InvalidInput(message, code="bad-schema")
+    return make_presentation(division, blocks, [_elem(group, x, message) for x in degrees])
 
 
 def load_presentation(path: str) -> FlagPresentation:
@@ -239,7 +253,8 @@ def witness_from_obj(
     _check_version(obj, where)
     grp = source.group
     n = source.shape.n
-    shift = _as_index(grp, _require(obj, "g", where))
+    message = f"{where}: g must be an element name"
+    shift = _elem(grp, _require(obj, "g", where), message, "invalid-witness-data")
     message = f"{where}: sigma must be a permutation of 1..{n}"
     sigma_raw = _ints(_require(obj, "sigma", where), message, "invalid-witness-data")
     if sorted(sigma_raw) != list(range(1, n + 1)):
@@ -248,7 +263,8 @@ def witness_from_obj(
     h_raw = _require(obj, "h", where)
     if not isinstance(h_raw, list) or len(h_raw) != n:
         raise InvalidInput(f"{where}: h must list {n} correctors", code="invalid-witness-data")
-    correctors = tuple(_as_index(grp, x) for x in h_raw)
+    message = f"{where}: h must list element names"
+    correctors = tuple(_elem(grp, x, message, "invalid-witness-data") for x in h_raw)
     sup = set(source.division.support.members)
     if any(h not in sup for h in correctors):
         raise InvalidInput(
@@ -307,7 +323,8 @@ def _triple_from(entry: Any, key: str, grp: Group, where: str) -> BasisElem:
         )
     message = f"{where}: map positions are 1-based integers"
     i, j = (_int(x, message, "invalid-witness-data", least=1) for x in raw[:2])
-    return BasisElem(i - 1, j - 1, _as_index(grp, raw[2]))
+    message = f"{where}: map elements are element names"
+    return BasisElem(i - 1, j - 1, _elem(grp, raw[2], message, "invalid-witness-data"))
 
 
 def load_witness(path: str, source: FlagPresentation, target: FlagPresentation) -> IsoWitness:

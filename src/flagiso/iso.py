@@ -21,9 +21,9 @@ from typing import Sequence
 from .algebras import BasisElem, GradedAlgebra, basis_of, invariants, realize
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
-from .division import GradedDivisionAlgebra, iso_division, shift_conjugate, equiv_division
+from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
 from .errors import BudgetExceeded, GroupMismatch, InvalidInput, UnsupportedInput
-from .groups import Group, left_coset
+from .groups import Group, Subgroup, left_coset
 from .presentations import BlockShape, FlagPresentation, make_presentation
 
 __all__ = [
@@ -93,7 +93,7 @@ class IsoWitness:
     shift: int
     sigma: tuple[int, ...]  # target position -> source position
     correctors: tuple[int, ...]  # by source position, in supp D
-    mu: Corrector  # corrector for shift_conjugate(D, shift) vs D'
+    mu: Corrector  # corrector for D conjugated by the shift vs D'
     scalar_order: int
     mapping: dict[BasisElem, tuple[BasisElem, int]] = field(repr=False)
 
@@ -215,8 +215,6 @@ def build_witness(
     mu: Corrector,
 ) -> IsoWitness:
     """Assemble and fully populate a witness; rejects data violating the relation."""
-    from .division import _as_index
-
     grp = p.group
     shift_i = _as_index(grp, shift)
     sigma_t = tuple(sigma)
@@ -361,47 +359,50 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
 # -- isomorphism decisions -----------------------------------------------------
 
 
-def _match_blockwise(
-    grp: Group,
-    support,
-    src_degrees: tuple[int, ...],
-    tgt_shifted: tuple[int, ...],
-    blocks: list[range],
-) -> list[int] | None:
-    """Blockwise multiset matching of left cosets; sigma[target pos] = source pos.
+def _coset_reps(support: Subgroup) -> list[int]:
+    """rep[x] = the least element of the left coset x*H, for every x in G."""
+    rep = [-1] * support.group.size
+    for x in support.group.elements():
+        if rep[x] < 0:
+            coset = left_coset(x, support)
+            for y in coset:
+                rep[y] = coset[0]
+    return rep
 
-    Cosets are compared through canonical (minimal) representatives; within a
-    coset class, ascending target positions pair with ascending source
-    positions, which makes the returned permutation deterministic.
+
+def _shift_search(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra):
+    """Yield (g, mu) for each shift g, ascending, with mu a corrector from D^g to D'."""
+    for g in d.group.elements():
+        mu = iso_division(shift_conjugate(d, g), d2)
+        if mu is not None:
+            yield g, mu
+
+
+def _witness_at(
+    p: FlagPresentation, p2: FlagPresentation, g: int, mu: Corrector, rep: list[int]
+) -> IsoWitness | None:
+    """The witness at shift g, or None when the blockwise left-coset multisets differ.
+
+    Source degrees and target degrees shifted by g^-1 are paired blockwise by
+    coset representative; within a coset class, ascending target positions
+    pair with ascending source positions, which makes sigma deterministic.
     """
-    n = len(src_degrees)
-    sigma = [0] * n
-    for block in blocks:
-        src_buckets: dict[int, list[int]] = {}
-        tgt_buckets: dict[int, list[int]] = {}
-        for i in block:
-            src_buckets.setdefault(left_coset(src_degrees[i], support)[0], []).append(i)
-            tgt_buckets.setdefault(left_coset(tgt_shifted[i], support)[0], []).append(i)
-        if set(src_buckets) != set(tgt_buckets):
+    grp = p.group
+    ginv = grp.inv(g)
+    src = [rep[d] for d in p.degrees]
+    tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
+    sigma = [0] * p.shape.n
+    for block in p.shape.block_positions():
+        src_ids = sorted(block, key=src.__getitem__)  # stable: ascending within a class
+        tgt_ids = sorted(block, key=tgt.__getitem__)
+        if [src[i] for i in src_ids] != [tgt[i] for i in tgt_ids]:
             return None
-        for rep, src_ids in src_buckets.items():
-            tgt_ids = tgt_buckets[rep]
-            if len(src_ids) != len(tgt_ids):
-                return None
-            for t_i, s_i in zip(tgt_ids, src_ids):
-                sigma[t_i] = s_i
-    return sigma
-
-
-def _solve_correctors(
-    grp: Group, p: FlagPresentation, p2: FlagPresentation, shift: int, sigma: list[int]
-) -> tuple[int, ...]:
-    ginv = grp.inv(shift)
-    corr = [grp.identity] * p.shape.n
-    for i in range(p.shape.n):
-        k = sigma[i]
+        for t_i, s_i in zip(tgt_ids, src_ids):
+            sigma[t_i] = s_i
+    corr = [0] * p.shape.n
+    for i, k in enumerate(sigma):
         corr[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
-    return tuple(corr)
+    return build_witness(p, p2, g, sigma, corr, mu)
 
 
 def _checked_isomorphic(p: FlagPresentation, p2: FlagPresentation, w: IsoWitness) -> Verdict:
@@ -439,10 +440,8 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 detail="pair isomorphism admits no shift; division parts are not isomorphic",
             ),
         )
-    sigma = _match_blockwise(
-        grp, p.division.support, flat.degrees, flat2.degrees, flat.shape.block_positions()
-    )
-    if sigma is None:
+    w = _witness_at(flat, flat2, grp.identity, mu, _coset_reps(p.division.support))
+    if w is None:
         return Verdict(
             NOT_ISOMORPHIC,
             certificate=SearchExhausted(
@@ -450,8 +449,6 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 detail="full-tuple left-coset multisets differ",
             ),
         )
-    corr = _solve_correctors(grp, flat, flat2, grp.identity, sigma)
-    w = build_witness(flat, flat2, grp.identity, tuple(sigma), corr, mu)
     return _checked_isomorphic(flat, flat2, w)
 
 
@@ -474,20 +471,12 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 f"block shapes differ: {p.shape.blocks} vs {p2.shape.blocks}"
             ),
         )
-    blocks = p.shape.block_positions()
     support = p.division.support
-    for g in grp.elements():
-        mu = iso_division(shift_conjugate(p.division, g), p2.division)
-        if mu is None:
-            continue
-        ginv = grp.inv(g)
-        shifted_tgt = tuple(grp.mul(d, ginv) for d in p2.degrees)
-        sigma = _match_blockwise(grp, support, p.degrees, shifted_tgt, blocks)
-        if sigma is None:
-            continue
-        corr = _solve_correctors(grp, p, p2, g, sigma)
-        w = build_witness(p, p2, g, tuple(sigma), corr, mu)
-        return _checked_isomorphic(p, p2, w)
+    rep = _coset_reps(support)
+    for g, mu in _shift_search(p.division, p2.division):
+        w = _witness_at(p, p2, g, mu, rep)
+        if w is not None:
+            return _checked_isomorphic(p, p2, w)
 
     inv1 = invariants(realize(p))
     inv2 = invariants(realize(p2))
@@ -566,23 +555,25 @@ def equiv_check(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 
 def _class_profiles(p: FlagPresentation) -> dict[int, tuple[int, ...]]:
     """Per distinct left coset of the support, its count in each block."""
-    reps = [left_coset(d, p.division.support)[0] for d in p.degrees]
+    rep = _coset_reps(p.division.support)
+    reps = [rep[d] for d in p.degrees]
     blocks = p.shape.block_positions()
     out: dict[int, tuple[int, ...]] = {}
-    for rep in sorted(set(reps)):
-        out[rep] = tuple(sum(1 for i in blk if reps[i] == rep) for blk in blocks)
+    for r in sorted(set(reps)):
+        out[r] = tuple(sum(1 for i in blk if reps[i] == r) for blk in blocks)
     return out
 
 
 def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     """Full equivalence decision for elementary gradings (trivial division parts).
 
-    Searches bijections lam between the degree-value sets, subject to: lam
-    preserves blockwise multiplicity vectors, and whenever two in-algebra
-    positions give equal degree g_i g_j^-1, their lam-images give equal
-    degrees.  Quantification is over positions whose elementary matrices lie
-    in the algebra (row block <= column block).  Any found witness is verified
-    component-onto-component before being returned.
+    Searches bijections lam between the degree-value sets that preserve
+    blockwise multiplicity vectors, subject to the two-sided coincidence rule:
+    over in-algebra positions (row block <= column block), a b^-1 ->
+    lam(a) lam(b)^-1 must be a function in both directions.  Every complete
+    assignment then maps components onto components, so the first one found
+    is the witness, with that function as its component map; it is verified
+    once before being returned.
     """
     if not p.division.is_trivial() or not p2.division.is_trivial():
         raise UnsupportedInput("equivalence decision requires trivial division parts")
@@ -623,67 +614,44 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
         }
     )
 
-    def coincidence_ok(lam: dict[int, int]) -> bool:
-        seen: dict[int, int] = {}
+    def components(lam: dict[int, int]) -> dict[int, int] | None:
+        """u -> w over the assigned pairs, or None unless it is a bijection."""
+        fwd: dict[int, int] = {}
+        back: dict[int, int] = {}
         for a, b in pairs:
-            if a not in lam or b not in lam:
-                continue
-            u = g1.mul(a, g1.inv(b))
-            w = g2.mul(lam[a], g2.inv(lam[b]))
-            if seen.setdefault(u, w) != w:
-                return False
-        return True
+            if a in lam and b in lam:
+                u = g1.mul(a, g1.inv(b))
+                w = g2.mul(lam[a], g2.inv(lam[b]))
+                if fwd.setdefault(u, w) != w or back.setdefault(w, u) != u:
+                    return None
+        return fwd
 
-    candidate_failed = False
+    lam: dict[int, int] = {}
     branches = 0
-    algs: tuple[GradedAlgebra, GradedAlgebra] | None = None  # realized at the first leaf
 
-    def search(pos: int, lam: dict[int, int], used: set[int]) -> Verdict | None:
-        nonlocal candidate_failed, branches, algs
+    def extend(pos: int) -> bool:
+        nonlocal branches
         if pos == len(vals1):
-            witness = _assemble_equiv_witness(p, p2, dict(lam), blocks)
-            if algs is None:
-                algs = realize(p), realize(p2)
-            report = verify_equiv_witness(*algs, witness)
-            if report.ok:
-                return Verdict(EQUIVALENT, equiv_witness=witness)
-            candidate_failed = True
-            return None
+            return True
         v = vals1[pos]
         for w in vals2:
-            if w in used or cv2[w] != cv1[v]:
+            if w in lam.values() or cv2[w] != cv1[v]:
                 continue
             branches += 1
             lam[v] = w
-            if coincidence_ok(lam):
-                found = search(pos + 1, lam, used | {w})
-                if found is not None:
-                    return found
+            if components(lam) is not None and extend(pos + 1):
+                return True
             del lam[v]
-        return None
+        return False
 
-    found = search(0, {}, set())
-    if found is not None:
-        return found
-    if candidate_failed:
-        raise AssertionError(
-            "internal: a degree bijection satisfied the coincidence condition "
-            "but its induced map failed verification"
+    if not extend(0):
+        return Verdict(
+            NOT_EQUIVALENT,
+            reason=(
+                "no degree bijection satisfies the coincidence condition "
+                f"(searched {branches} assignments)"
+            ),
         )
-    return Verdict(
-        NOT_EQUIVALENT,
-        reason=(
-            "no degree bijection satisfies the coincidence condition "
-            f"(searched {branches} assignments)"
-        ),
-    )
-
-
-def _assemble_equiv_witness(
-    p: FlagPresentation, p2: FlagPresentation, lam: dict[int, int], blocks: list[range]
-) -> EquivWitness:
-    g1, g2 = p.group, p2.group
-    n = p.shape.n
     sigma = [0] * n
     for blk in blocks:
         slots: dict[int, list[int]] = {}
@@ -691,15 +659,13 @@ def _assemble_equiv_witness(
             slots.setdefault(p2.degrees[j], []).append(j)
         for i in blk:  # ascending source positions take ascending target slots
             sigma[i] = slots[lam[p.degrees[i]]].pop(0)
-    block_of = [p.shape.block_of(i) for i in range(n)]
-    component_map: dict[int, int] = {}
-    for i in range(n):
-        for j in range(n):
-            if block_of[i] <= block_of[j]:
-                u = g1.mul(p.degrees[i], g1.inv(p.degrees[j]))
-                w = g2.mul(lam[p.degrees[i]], g2.inv(lam[p.degrees[j]]))
-                component_map.setdefault(u, w)
-    return EquivWitness(p, p2, lam, tuple(sigma), component_map)
+    witness = EquivWitness(p, p2, lam, tuple(sigma), components(lam))
+    report = verify_equiv_witness(realize(p), realize(p2), witness)
+    if not report.ok:
+        raise AssertionError(
+            f"engine produced an equivalence witness failing verification: {report.failures[:3]}"
+        )
+    return Verdict(EQUIVALENT, equiv_witness=witness)
 
 
 def verify_equiv_witness(
@@ -795,29 +761,25 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     two presentations sharing the division part; for abelian groups or trivial
     cocycles this is all of G.
     """
-    grp = division.group
-    return [
-        g
-        for g in grp.elements()
-        if iso_division(shift_conjugate(division, g), division) is not None
-    ]
+    return [g for g, _ in _shift_search(division, division)]
 
 
 def canonical_form(p: FlagPresentation, shifts: Sequence[int] | None = None) -> tuple[int, ...]:
     """Lexicographically minimal tuple over shift, block permutation, coset correction."""
-    grp = p.group
     if shifts is None:
         shifts = _admissible_shifts(p.division)
-    support = p.division.support
-    rep_of = [left_coset(x, support)[0] for x in grp.elements()]
-    blocks = p.shape.block_positions()
-    forms = []
-    for g in shifts:
-        cand: list[int] = []
-        for blk in blocks:
-            cand.extend(sorted(rep_of[grp.mul(p.degrees[i], g)] for i in blk))
-        forms.append(tuple(cand))
-    return min(forms)
+    rep = _coset_reps(p.division.support)
+    return _least_form(p.group, p.shape.block_positions(), p.degrees, shifts, rep)
+
+
+def _least_form(
+    grp: Group, blocks: list[range], degrees: Sequence[int], shifts: Sequence[int], rep: list[int]
+) -> tuple[int, ...]:
+    """Over the shifts g, the least blockwise-sorted tuple of coset reps of d*g."""
+    return min(
+        tuple(x for blk in blocks for x in sorted(rep[grp.mul(degrees[i], g)] for i in blk))
+        for g in shifts
+    )
 
 
 def classify(
@@ -838,10 +800,11 @@ def classify(
             f"enumeration of {group.size}^{n} = {total} tuples exceeds budget {limit}"
         )
     shifts = _admissible_shifts(division)
+    rep = _coset_reps(division.support)
+    positions = shape.block_positions()
     buckets: dict[tuple[int, ...], int] = {}
     for tup in itertools.product(range(group.size), repeat=n):
-        p = FlagPresentation(division, shape, tup)
-        key = canonical_form(p, shifts)
+        key = _least_form(group, positions, tup, shifts, rep)
         buckets[key] = buckets.get(key, 0) + 1
     reps = tuple(sorted(buckets))
     return Classification(

@@ -395,6 +395,25 @@ def test_cli_equiv_elementary(capsys):
     assert "degree value sets" in out[1]
 
 
+def test_cli_equiv_elementary_answers_both_orders(tmp_path, capsys):
+    """The off-diagonal cells carry four distinct degrees over Z8 but three over
+    Z2^3, so no relabeling maps components one-to-one: NOT_EQUIVALENT either way,
+    although a relabeling that is a function on components exists from Z8."""
+    files = []
+    for factors, degrees in (([8], ["(6)", "(7)", "(1)"]),
+                             ([2, 2, 2], ["(1,1,1)", "(0,1,1)", "(1,1,0)"])):
+        path = tmp_path / f"z{len(factors)}.json"
+        doc = {"v": 1, "group": {"kind": "abelian", "factors": factors},
+               "division": {"kind": "trivial"}, "blocks": [2, 1], "tuple": degrees}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        files.append(str(path))
+    for a, b in (files, files[::-1]):
+        code = main(["equiv-elementary", a, b])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "NOT_EQUIVALENT"
+
+
 def test_cli_classify(capsys):
     code = main(["classify", "--group", "abelian:3", "--blocks", "1,1"])
     out = capsys.readouterr().out.splitlines()
@@ -482,6 +501,36 @@ def test_cli_bad_arguments(capsys):
 BOOL_TABLE = {"kind": "table", "table": [[False, True], [True, False]], "names": ["(0)", "(1)"]}
 
 
+def run_mutated(tmp_path, capsys, target, path, value):
+    """Set the field at ``path`` of a document to ``value`` and run the command reading it.
+
+    ``target`` is a presentations/ fixture or an inline presentation (run
+    through ``validate``), or "witness": the klein_pauli fixture pair's
+    witness (run through ``verify-witness``).
+    """
+    if target == "witness":
+        a, b = fx("klein_pauli.json"), fx("klein_pauli_shifted.json")
+        src = tmp_path / "w.json"
+        assert main(["iso", a, b, "--witness", str(src)]) == 0
+        obj = json.loads(src.read_text(encoding="utf-8"))
+        argv = ["verify-witness", a, b]
+    elif isinstance(target, dict):
+        obj = json.loads(json.dumps(target))
+        argv = ["validate"]
+    else:
+        obj = json.loads((FIXTURES / target).read_text(encoding="utf-8"))
+        argv = ["validate"]
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    code = main([*argv, str(bad)])
+    return code, capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "target,path,value",
     [
@@ -506,24 +555,45 @@ BOOL_TABLE = {"kind": "table", "table": [[False, True], [True, False]], "names":
 )
 def test_cli_rejects_malformed_integers(tmp_path, capsys, target, path, value):
     """Every integer field is an int in the file; bool, float, string and null are errors."""
-    if target == "witness":
-        a, b = fx("klein_pauli.json"), fx("klein_pauli_shifted.json")
-        src = tmp_path / "w.json"
-        assert main(["iso", a, b, "--witness", str(src)]) == 0
-        argv = ["verify-witness", a, b]
-    else:
-        src = FIXTURES / target
-        argv = ["validate"]
-    obj = json.loads(src.read_text(encoding="utf-8"))
-    node = obj
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj), encoding="utf-8")
-    capsys.readouterr()
-    code = main([*argv, str(bad)])
-    captured = capsys.readouterr()
+    code, captured = run_mutated(tmp_path, capsys, target, path, value)
+    assert code == 2, captured.out
+    assert captured.err.startswith("validation error:")
+
+
+# a table group with single-character names and a twisted division over all of it
+TWISTED_TABLE = {
+    "v": 1,
+    "group": {"kind": "table", "table": [[0, 1], [1, 0]], "names": ["0", "1"]},
+    "division": {"kind": "twisted", "support": ["0", "1"], "root_order": 1,
+                 "values": [[0, 0], [0, 0]]},
+    "blocks": [1, 1],
+    "tuple": ["0", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "target,path,value",
+    [
+        pytest.param("z2_ea.json", ("tuple", 0), 0, id="tuple-index"),
+        pytest.param("klein_pauli.json", ("division", "images", 0), 2, id="pauli-image-index"),
+        pytest.param(TWISTED_TABLE, ("division", "support", 0), 0, id="support-entry-index"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), 1, id="support-int"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), 1.5, id="support-float"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), True, id="support-bool"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), None, id="support-null"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), "01", id="support-string"),
+        pytest.param(TWISTED_TABLE, ("division", "support"), {"0": 0, "1": 0}, id="support-dict"),
+        pytest.param(TWISTED_TABLE, ("group", "names", 0), ["0"], id="names-entry-list"),
+        pytest.param(TWISTED_TABLE, ("group", "names", 0), {"0": 0}, id="names-entry-dict"),
+        pytest.param(TWISTED_TABLE, ("group", "names"), [0, 1], id="names-ints"),
+        pytest.param("witness", ("g",), 0, id="witness-g-index"),
+        pytest.param("witness", ("h", 0), 0, id="witness-h-index"),
+        pytest.param("witness", ("map", 0, "from", 2), 0, id="map-element-index"),
+    ],
+)
+def test_cli_rejects_element_indices_and_malformed_lists(tmp_path, capsys, target, path, value):
+    """Element fields are names, never indices; support and names are lists (of strings)."""
+    code, captured = run_mutated(tmp_path, capsys, target, path, value)
     assert code == 2, captured.out
     assert captured.err.startswith("validation error:")
 

@@ -1,7 +1,9 @@
 """Source rules for the library itself.
 
 Runtime guarantees must hold under ``python -O``, which strips ``assert``
-statements; the library therefore raises explicitly wherever it checks.  The
+statements; the library therefore raises explicitly wherever it checks.
+Imports sit at module level, where a reader sees a module's dependencies at
+once; no library module needs a deferred import to break a cycle.  The
 export lists must agree: every exported name exists, and the package exports
 exactly what its library modules export (``io`` and ``cli`` stay namespaced).
 """
@@ -29,6 +31,21 @@ def test_library_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), "library sources not found"
     assert found == [], f"assert statements in the library: {found}"
+
+
+def test_library_imports_at_module_level():
+    found = sorted(
+        {
+            f"{path.name}:{inner.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+            if isinstance(inner, (ast.Import, ast.ImportFrom))
+        }
+    )
+    assert sorted(SRC.glob("*.py")), "library sources not found"
+    assert found == [], f"imports inside functions: {found}"
 
 
 def test_every_exported_name_resolves():
