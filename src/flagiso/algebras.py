@@ -68,6 +68,16 @@ class GradedAlgebra:
         target = BasisElem(b1.row, b2.col, grp.mul(b1.sup, b2.sup))
         return coc.val(b1.sup, b2.sup), self.index[target]
 
+    def nonzero_products(self):
+        """Yield (p1, p2, scalar exponent, position) for each nonzero basis product,
+        ascending in p1 and then in p2."""
+        by_row: dict[int, list[int]] = {}
+        for pos, b in enumerate(self.basis):
+            by_row.setdefault(b.row, []).append(pos)
+        for p1, b1 in enumerate(self.basis):
+            for p2 in by_row.get(b1.col, ()):
+                yield (p1, p2, *self.product_pos(p1, p2))
+
     def product(self, b1: BasisElem, b2: BasisElem) -> tuple[int, BasisElem] | None:
         res = self.product_pos(self.index[b1], self.index[b2])
         if res is None:
@@ -87,21 +97,18 @@ class GradedAlgebra:
 def basis_of(p: FlagPresentation) -> list[BasisElem]:
     """The basis of p's algebra, in the order every realization and witness uses.
 
-    Sorted by (row block, column block, row, column, support position).
+    Ordered by (row block, column block, row, column, support position).
     """
-    shape = p.shape
+    blocks = p.shape.block_positions()
     members = p.division.support.members
-    block_of = [shape.block_of(i) for i in range(shape.n)]
-    sup_pos = {h: k for k, h in enumerate(members)}
-    elems = [
+    return [
         BasisElem(i, j, h)
-        for i in range(shape.n)
-        for j in range(shape.n)
-        if block_of[i] <= block_of[j]
+        for a, rows in enumerate(blocks)
+        for cols in blocks[a:]
+        for i in rows
+        for j in cols
         for h in members
     ]
-    elems.sort(key=lambda b: (block_of[b.row], block_of[b.col], b.row, b.col, sup_pos[b.sup]))
-    return elems
 
 
 def realize(p: FlagPresentation) -> GradedAlgebra:
@@ -127,25 +134,17 @@ class GradingReport:
 def check_grading(alg: GradedAlgebra) -> GradingReport:
     """Verify deg(b1*b2) = deg(b1)*deg(b2) for every nonzero basis product."""
     grp = alg.group
-    by_row: dict[int, list[int]] = {}
-    for pos, b in enumerate(alg.basis):
-        by_row.setdefault(b.row, []).append(pos)
     checked = 0
     bad: list[str] = []
-    for p1, b1 in enumerate(alg.basis):
-        d1 = alg.degree[p1]
-        for p2 in by_row.get(b1.col, ()):
-            res = alg.product_pos(p1, p2)
-            if res is None:
-                continue
-            checked += 1
-            want = grp.mul(d1, alg.degree[p2])
-            got = alg.degree[res[1]]
-            if got != want:
-                bad.append(
-                    f"deg({tuple(b1)} * {tuple(alg.basis[p2])}) = {grp.name_of(got)}, "
-                    f"expected {grp.name_of(want)}"
-                )
+    for p1, p2, _, pos in alg.nonzero_products():
+        checked += 1
+        want = grp.mul(alg.degree[p1], alg.degree[p2])
+        got = alg.degree[pos]
+        if got != want:
+            bad.append(
+                f"deg({tuple(alg.basis[p1])} * {tuple(alg.basis[p2])}) = {grp.name_of(got)}, "
+                f"expected {grp.name_of(want)}"
+            )
     return GradingReport(not bad, checked, tuple(bad))
 
 

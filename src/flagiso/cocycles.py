@@ -31,7 +31,9 @@ class Cocycle:
     """A normalized 2-cocycle on ``support`` with values in mu_order.
 
     ``values[i][j]`` is the exponent of sigma(h_i, h_j) where h_i, h_j run over
-    ``support.members`` in order.  Use validate_cocycle to construct.
+    ``support.members`` in order, reduced mod ``order``.  validate_cocycle
+    checks tables from outside; transport and pauli build cocycles by
+    construction (moved along an isomorphism; a bilinear table).
     """
 
     support: Subgroup
@@ -206,4 +208,4 @@ def transport(sigma: Cocycle, alpha: Mapping[int, int], target: Subgroup) -> Coc
     for a in src.members:
         for b in src.members:
             tbl[pos_t[alpha[a]]][pos_t[alpha[b]]] = sigma.val(a, b)
-    return validate_cocycle(target, sigma.order, tbl)
+    return Cocycle(target, sigma.order, tuple(map(tuple, tbl)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cocycles import Cocycle, Corrector, cohomologous, transport, trivial_cocycle, validate_cocycle
+from .cocycles import Cocycle, Corrector, cohomologous, transport, trivial_cocycle
 from .errors import GroupMismatch, InvalidInput
 from .groups import Group, GroupElem, Subgroup, find_isomorphisms
 
@@ -96,12 +96,8 @@ def pauli(t: int, group: Group, images) -> GradedDivisionAlgebra:
                 )
             coords[x] = (i, j)
     sub = Subgroup(group, tuple(coords))
-    n = len(sub.members)
-    tbl = [[0] * n for _ in range(n)]
-    for a_pos, a in enumerate(sub.members):
-        for b_pos, b in enumerate(sub.members):
-            tbl[a_pos][b_pos] = (coords[a][1] * coords[b][0]) % t
-    return GradedDivisionAlgebra(validate_cocycle(sub, t, tbl))
+    tbl = tuple(tuple(coords[a][1] * coords[b][0] % t for b in sub.members) for a in sub.members)
+    return GradedDivisionAlgebra(Cocycle(sub, t, tbl))
 
 
 def shift_conjugate(d: GradedDivisionAlgebra, g) -> GradedDivisionAlgebra:

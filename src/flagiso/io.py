@@ -15,7 +15,7 @@ from typing import Any
 from .algebras import BasisElem
 from .cocycles import Corrector, validate_cocycle
 from .division import GradedDivisionAlgebra, pauli, trivial_division
-from .errors import InvalidInput
+from .errors import GroupMismatch, InvalidInput
 from .groups import Group, Subgroup, build_abelian, validate_table
 from .iso import IsoWitness
 from .presentations import FlagPresentation, make_presentation
@@ -248,9 +248,12 @@ def witness_to_obj(w: IsoWitness) -> dict:
 def witness_from_obj(
     obj: Any, source: FlagPresentation, target: FlagPresentation, where: str = "witness"
 ) -> IsoWitness:
-    """Rebuild a witness verbatim: names are resolved and shapes checked, but the
-    relation between tuples and the corrector law are left for verify_witness."""
+    """Rebuild a witness verbatim: the endpoints must share a group, names are
+    resolved and shapes checked, but the relation between tuples and the
+    corrector law are left for verify_witness."""
     _check_version(obj, where)
+    if source.group != target.group:
+        raise GroupMismatch("witness endpoints are graded by different groups")
     grp = source.group
     n = source.shape.n
     message = f"{where}: g must be an element name"

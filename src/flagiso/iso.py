@@ -1,7 +1,7 @@
 """Isomorphism and equivalence decisions with checkable witnesses.
 
 YES answers carry an explicit monomial map (basis element to scalar times
-basis element) that verify_witness re-checks exhaustively; NO answers carry
+basis element) that verify_witness re-checks exactly; NO answers carry
 either a separating invariant or an exhausted-search certificate.  The degree
 tuple relation underlying every isomorphism witness is
 
@@ -225,7 +225,11 @@ def build_witness(
 
 
 def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> WitnessReport:
-    """Exhaustive exact check: bijective on bases, degree-preserving, multiplicative."""
+    """Exact check on all dim^2 basis pairs: bijective on bases, degree-preserving,
+    multiplicative.  Zero products are checked through one index map."""
+    grp = alg.group
+    if grp != alg2.group:
+        raise GroupMismatch("witness endpoints are graded by different groups")
     failures: list[str] = []
     basis = alg.basis
     dim = len(basis)
@@ -253,12 +257,10 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     if failures:
         return WitnessReport(False, 0, tuple(failures))
     if len(set(img_pos)) != dim:
-        failures.append("map is not injective on basis elements")
-        return WitnessReport(False, 0, tuple(failures))
+        return WitnessReport(False, 0, ("map is not injective on basis elements",))
 
     for pos in range(dim):
         if alg2.degree[img_pos[pos]] != alg.degree[pos]:
-            grp = alg.group
             failures.append(
                 f"degree mismatch at {tuple(basis[pos])}: "
                 f"{grp.name_of(alg.degree[pos])} -> {grp.name_of(alg2.degree[img_pos[pos]])}"
@@ -266,46 +268,40 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     if failures:
         return WitnessReport(False, 0, tuple(failures))
 
-    rows = [b.row for b in basis]
-    cols = [b.col for b in basis]
-    rows2 = [b.row for b in alg2.basis]
-    cols2 = [b.col for b in alg2.basis]
-    checked = 0
-    for p1 in range(dim):
-        c1 = cols[p1]
-        ip1 = img_pos[p1]
-        ic1 = cols2[ip1]
-        e1 = img_exp[p1]
-        for q in range(dim):
-            src_zero = c1 != rows[q]
-            tgt_zero = ic1 != rows2[img_pos[q]]
-            checked += 1
-            if src_zero:
-                if not tgt_zero:
-                    failures.append(
-                        f"zero product {tuple(basis[p1])} * {tuple(basis[q])} maps to a nonzero product"
-                    )
-                continue
-            if tgt_zero:
-                failures.append(
-                    f"nonzero product {tuple(basis[p1])} * {tuple(basis[q])} maps to a zero product"
-                )
-                continue
-            s_exp, s_pos = alg.product_pos(p1, q)
-            t_exp, t_pos = alg2.product_pos(ip1, img_pos[q])
-            if t_pos != img_pos[s_pos]:
-                failures.append(
-                    f"product routing differs at {tuple(basis[p1])} * {tuple(basis[q])}"
-                )
-                continue
-            lhs = k1 * s_exp + img_exp[s_pos]
-            rhs = e1 + img_exp[q] + k2 * t_exp
-            if (lhs - rhs) % order:
-                failures.append(
-                    f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
-                    f"exponent {lhs % order} != {rhs % order} (mod {order})"
-                )
-    return WitnessReport(not failures, checked, tuple(failures))
+    # pi sends index k to the row of the image of the unit (k,k,e).  The map
+    # keeps the zero pattern iff every image sits at (pi(row), pi(col)) and pi
+    # is injective.  The first holds iff unit * b and b * unit keep their
+    # pattern for every b; the second follows, as two units of degree e cannot
+    # share a cell (l,l), which holds one element of degree e.  So only those
+    # O(dim) pairs are compared.
+    img = [alg2.basis[t] for t in img_pos]
+    units = [alg.index[BasisElem(k, k, grp.identity)] for k in range(alg.presentation.shape.n)]
+    pairs = set()
+    for pos, b in enumerate(basis):
+        pairs |= {(units[b.row], pos), (pos, units[b.col])}
+    for p1, q in sorted(pairs):
+        src_zero = basis[p1].col != basis[q].row
+        if src_zero != (img[p1].col != img[q].row):
+            failures.append(
+                f"{'zero' if src_zero else 'nonzero'} product {tuple(basis[p1])} * "
+                f"{tuple(basis[q])} maps to a {'nonzero' if src_zero else 'zero'} product"
+            )
+    if failures:
+        return WitnessReport(False, dim * dim, tuple(failures))
+
+    for p1, q, s_exp, s_pos in alg.nonzero_products():
+        t_exp, t_pos = alg2.product_pos(img_pos[p1], img_pos[q])
+        if t_pos != img_pos[s_pos]:
+            failures.append(f"product routing differs at {tuple(basis[p1])} * {tuple(basis[q])}")
+            continue
+        lhs = k1 * s_exp + img_exp[s_pos]
+        rhs = img_exp[p1] + img_exp[q] + k2 * t_exp
+        if (lhs - rhs) % order:
+            failures.append(
+                f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
+                f"exponent {lhs % order} != {rhs % order} (mod {order})"
+            )
+    return WitnessReport(not failures, dim * dim, tuple(failures))
 
 
 def invert_witness(w: IsoWitness) -> IsoWitness:
@@ -585,19 +581,16 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     g1, g2 = p.group, p2.group
     n = p.shape.n
     blocks = p.shape.block_positions()
-    vals1 = sorted(set(p.degrees))
-    vals2 = sorted(set(p2.degrees))
+    # with a trivial support every degree value is its own coset class, so the
+    # profiles are the blockwise multiplicity vectors of the degree values
+    cv1 = _class_profiles(p)
+    cv2 = _class_profiles(p2)
+    vals1, vals2 = list(cv1), list(cv2)  # ascending
     if len(vals1) != len(vals2):
         return Verdict(
             NOT_EQUIVALENT,
             reason=f"degree value sets have different sizes: {len(vals1)} vs {len(vals2)}",
         )
-
-    def count_vec(degrees: tuple[int, ...], v: int) -> tuple[int, ...]:
-        return tuple(sum(1 for i in blk if degrees[i] == v) for blk in blocks)
-
-    cv1 = {v: count_vec(p.degrees, v) for v in vals1}
-    cv2 = {v: count_vec(p2.degrees, v) for v in vals2}
     if sorted(cv1.values()) != sorted(cv2.values()):
         return Verdict(
             NOT_EQUIVALENT,

@@ -18,7 +18,8 @@ from .iso import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     Classification,
-    canonical_form,
+    _coset_reps,
+    _least_form,
     classify,
     iso_algebras,
 )
@@ -32,24 +33,22 @@ def enumerate_classes(
     blocks,
     division: GradedDivisionAlgebra,
     budget: int | None = None,
-    pair_budget: int | None = None,
 ) -> Classification:
     """Classify all degree tuples for (group, blocks, division) up to isomorphism.
 
     Returns classify's result with pairwise_checked / membership_checked set
-    to whether each cross-check ran within the pair budget.
+    to whether each cross-check ran within DEFAULT_PAIR_BUDGET.
     """
     cls = classify(group, blocks, division, budget)
     if sum(cls.orbit_sizes) != cls.total:
         raise AssertionError("orbit sizes do not partition the tuple space")
 
-    pb = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
     reps = [
         make_presentation(division, cls.shape, rep) for rep in cls.representatives
     ]
 
     npairs = len(reps) * (len(reps) - 1) // 2
-    cls.pairwise_checked = npairs <= pb
+    cls.pairwise_checked = npairs <= DEFAULT_PAIR_BUDGET
     if cls.pairwise_checked:
         for a, b in itertools.combinations(reps, 2):
             verdict = iso_algebras(a, b)
@@ -59,12 +58,14 @@ def enumerate_classes(
                     "collapse under the pairwise engine"
                 )
 
-    cls.membership_checked = cls.total <= pb
+    cls.membership_checked = cls.total <= DEFAULT_PAIR_BUDGET
     if cls.membership_checked:
         by_rep = {rep.degrees: rep for rep in reps}
+        coset_rep = _coset_reps(division.support)
+        positions = cls.shape.block_positions()
         for tup in itertools.product(range(group.size), repeat=cls.shape.n):
             p = FlagPresentation(division, cls.shape, tup)
-            rep = by_rep[canonical_form(p, cls.shifts)]
+            rep = by_rep[_least_form(group, positions, tup, cls.shifts, coset_rep)]
             verdict = iso_algebras(p, rep)
             if verdict.kind != ISOMORPHIC:
                 raise AssertionError(

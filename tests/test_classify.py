@@ -4,6 +4,7 @@ import pytest
 from conftest import count_classes_pairwise
 
 import flagiso.iso
+import flagiso.tables
 from flagiso import (
     BudgetExceeded,
     GradedDivisionAlgebra,
@@ -233,9 +234,10 @@ def test_enumerate_classes_solves_admissible_shifts_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_enumerate_classes_respects_pair_budget():
+def test_enumerate_classes_respects_pair_budget(monkeypatch):
+    monkeypatch.setattr(flagiso.tables, "DEFAULT_PAIR_BUDGET", 0)
     grp = build_abelian([3])
-    table = enumerate_classes(grp, (1, 1), trivial_division(grp), pair_budget=0)
+    table = enumerate_classes(grp, (1, 1), trivial_division(grp))
     assert table.count == 3
     assert not table.pairwise_checked and not table.membership_checked
 

@@ -9,10 +9,12 @@ import pytest
 from flagiso import (
     ISOMORPHIC,
     GradingReport,
+    GroupMismatch,
     InvalidInput,
     Subgroup,
     build_abelian,
     build_witness,
+    iso_algebras,
     make_presentation,
     pauli,
     realize,
@@ -179,8 +181,6 @@ def test_presentation_schema_rejections():
 def klein_pauli_witness():
     p = load_presentation(fx("klein_pauli.json"))
     q = load_presentation(fx("klein_pauli_shifted.json"))
-    from flagiso import iso_algebras
-
     v = iso_algebras(p, q)
     assert v.kind == "ISOMORPHIC"
     return p, q, v.witness
@@ -340,6 +340,37 @@ def test_cli_iso_group_mismatch_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("validation error: group mismatch:")
+
+
+@pytest.mark.parametrize(
+    "witness_pair, source, target",
+    [
+        ("z2_ea.json", "z2_ea.json", "z3_eaa.json"),  # was WITNESS_VALID
+        ("z2_ea.json", "z2_ea.json", "z3_ea.json"),  # was exit 1
+        ("z2_ea.json", "z2_ea.json", "z4_eb.json"),  # was exit 1
+        ("z2_ea.json", "klein_pauli.json", "z2_ea.json"),
+        ("klein_pauli.json", "klein_pauli.json", "z2_ea.json"),  # was a mu message
+        ("klein_pauli.json", "z3_ea.json", "klein_pauli.json"),
+    ],
+)
+def test_cli_verify_witness_across_groups_exits_2(tmp_path, capsys, witness_pair, source, target):
+    """A witness checked against presentations over two groups is unusable input,
+    refused before any element name in it is resolved."""
+    wpath = str(tmp_path / "w.json")
+    assert main(["iso", fx(witness_pair), fx(witness_pair), "--witness", wpath]) == 0
+    capsys.readouterr()
+    code = main(["verify-witness", fx(source), fx(target), wpath])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: group mismatch:")
+
+
+def test_verify_witness_refuses_algebras_over_two_groups():
+    p = load_presentation(fx("z2_ea.json"))
+    w = iso_algebras(p, p).witness
+    with pytest.raises(GroupMismatch):
+        verify_witness(realize(p), realize(load_presentation(fx("z3_eaa.json"))), w)
 
 
 def test_cli_corrupted_witness_is_a_decision_not_an_error(tmp_path, capsys):

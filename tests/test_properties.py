@@ -6,9 +6,13 @@ the trivial division; shapes have at most three blocks and n <= 4.
 Equivalence: elementary pairs over ten abelian groups of order <= 9 with
 n <= 5, against a brute-force search over block-preserving permutations.
 Loaders: every fixture, its saved form and one fixture witness with one
-field replaced by a random JSON value or deleted, run through the CLI.  Runs
-are derandomized and keep no example database, so every run draws the same
-examples.
+field replaced by a random JSON value or deleted, run through the CLI.
+Oracles for checks the library proves instead of re-running: verify_witness
+against the all-pairs loop, on valid and corrupted witnesses; basis_of
+against a sort; every shifted or transported cocycle against
+validate_cocycle; every find_isomorphisms map against an all-pairs
+homomorphism check.  Runs are derandomized and keep no example database,
+so every run draws the same examples.
 """
 
 import contextlib
@@ -25,17 +29,27 @@ from hypothesis import strategies as st
 from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
+    GradedDivisionAlgebra,
+    Group,
+    IsoWitness,
+    Subgroup,
+    WitnessReport,
     build_abelian,
     canonical_form,
     equiv_elementary,
+    find_isomorphisms,
     iso_algebras,
     make_presentation,
     pauli,
     realize,
     shift_conjugate,
+    subgroup_closure,
+    transport,
     trivial_division,
+    validate_cocycle,
     verify_witness,
 )
+from flagiso.algebras import basis_of
 from flagiso.cli import main
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
@@ -109,6 +123,267 @@ def test_every_witness_survives_the_json_round_trip(pair):
 def test_rewrites_are_isomorphic(rewrite):
     p, q = rewrite
     assert iso_algebras(p, q).kind == ISOMORPHIC
+
+
+# -- verify_witness against the all-pairs loop ------------------------------------------
+
+
+def verify_witness_by_pairs(alg, alg2, w) -> WitnessReport:
+    """The exhaustive check: every one of the dim^2 basis pairs, one at a time."""
+    failures: list[str] = []
+    basis = alg.basis
+    dim = len(basis)
+    if set(w.mapping) != set(basis):
+        return WitnessReport(False, 0, ("map is not defined on exactly the source basis",))
+    if dim != len(alg2.basis):
+        return WitnessReport(False, 0, ("algebras have different dimensions",))
+    order = w.scalar_order
+    m1, m2 = alg.order, alg2.order
+    if order % m1 or order % m2:
+        return WitnessReport(
+            False, 0, (f"scalar order {order} does not embed both mu_{m1} and mu_{m2}",)
+        )
+    k1, k2 = order // m1, order // m2
+    img_pos = [0] * dim
+    img_exp = [0] * dim
+    for pos, b in enumerate(basis):
+        tgt, exp = w.mapping[b]
+        tpos = alg2.index.get(tgt)
+        if tpos is None:
+            failures.append(f"image of {tuple(b)} is not a basis element: {tuple(tgt)}")
+            continue
+        img_pos[pos] = tpos
+        img_exp[pos] = exp % order
+    if failures:
+        return WitnessReport(False, 0, tuple(failures))
+    if len(set(img_pos)) != dim:
+        return WitnessReport(False, 0, ("map is not injective on basis elements",))
+    grp = alg.group
+    for pos in range(dim):
+        if alg2.degree[img_pos[pos]] != alg.degree[pos]:
+            failures.append(
+                f"degree mismatch at {tuple(basis[pos])}: "
+                f"{grp.name_of(alg.degree[pos])} -> {grp.name_of(alg2.degree[img_pos[pos]])}"
+            )
+    if failures:
+        return WitnessReport(False, 0, tuple(failures))
+    checked = 0
+    for p1 in range(dim):
+        for q in range(dim):
+            checked += 1
+            src_zero = basis[p1].col != basis[q].row
+            tgt_zero = alg2.basis[img_pos[p1]].col != alg2.basis[img_pos[q]].row
+            pair = f"{tuple(basis[p1])} * {tuple(basis[q])}"
+            if src_zero or tgt_zero:
+                if src_zero != tgt_zero:
+                    failures.append(
+                        f"zero product {pair} maps to a nonzero product"
+                        if src_zero
+                        else f"nonzero product {pair} maps to a zero product"
+                    )
+                continue
+            s_exp, s_pos = alg.product_pos(p1, q)
+            t_exp, t_pos = alg2.product_pos(img_pos[p1], img_pos[q])
+            if t_pos != img_pos[s_pos]:
+                failures.append(f"product routing differs at {pair}")
+                continue
+            lhs = k1 * s_exp + img_exp[s_pos]
+            rhs = img_exp[p1] + img_exp[q] + k2 * t_exp
+            if (lhs - rhs) % order:
+                failures.append(
+                    f"scalar mismatch at {pair}: "
+                    f"exponent {lhs % order} != {rhs % order} (mod {order})"
+                )
+    return WitnessReport(not failures, checked, tuple(failures))
+
+
+CORRUPTIONS = ["none", "scalar", "equal-degree swap", "in-cell swap"]
+
+
+@st.composite
+def witnesses(draw):
+    """An isomorphic pair, its witness, and one corruption of the witness's map:
+    a changed scalar; two swapped images of basis elements of equal degree,
+    which keeps degrees and breaks only the zero pattern; or two swapped
+    images within one cell (row, column), which misroutes products (within a
+    cell the degree fixes the support element, so the degree check sees it
+    first)."""
+    p, q = draw(rewrites())
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    mapping = dict(w.mapping)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    basis = alg.basis
+    if kind == "scalar":
+        b = draw(st.sampled_from(basis))
+        tgt, exp = mapping[b]
+        mapping[b] = (tgt, exp + 1)  # no change when the scalar order is 1
+    elif kind != "none":
+        key = {
+            "equal-degree swap": lambda b: alg.degree[alg.index[b]],
+            "in-cell swap": lambda b: (b.row, b.col),
+        }[kind]
+        swaps = [(x, y) for x in basis for y in basis if x < y and key(x) == key(y)]
+        if swaps:
+            x, y = draw(st.sampled_from(swaps))
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+    corrupted = IsoWitness(
+        p, q, w.shift, w.sigma, w.correctors, w.mu, w.scalar_order, mapping
+    )
+    return alg, alg2, corrupted
+
+
+def is_subsequence(short, long) -> bool:
+    it = iter(long)
+    return all(x in it for x in short)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(witnesses())
+def test_verify_witness_agrees_with_the_all_pairs_loop(case):
+    """Same verdict and pair count as the loop.  Where the loop finds the zero
+    pattern broken, the report names some of the pairs it names, in its order;
+    otherwise the failures are the loop's, line for line."""
+    alg, alg2, w = case
+    got = verify_witness(alg, alg2, w)
+    want = verify_witness_by_pairs(alg, alg2, w)
+    assert (got.ok, got.checked_pairs) == (want.ok, want.checked_pairs)
+    if any("zero product" in f for f in want.failures):
+        assert got.failures and is_subsequence(got.failures, want.failures)
+    else:
+        assert got.failures == want.failures
+
+
+@SETTINGS
+@given(pairs())
+def test_basis_order_is_the_sorted_order(pair):
+    p, _ = pair
+    shape, members = p.shape, p.division.support.members
+    cells = [
+        (i, j)
+        for i in range(shape.n)
+        for j in range(shape.n)
+        if shape.block_of(i) <= shape.block_of(j)
+    ]
+    want = sorted(
+        ((i, j, h) for i, j in cells for h in members),
+        key=lambda b: (shape.block_of(b[0]), shape.block_of(b[1]), b[0], b[1], members.index(b[2])),
+    )
+    assert [tuple(b) for b in basis_of(p)] == want
+
+
+# -- derived cocycles and group isomorphisms --------------------------------------------
+
+S3 = make_sym(3)[0]
+S4 = make_sym(4)[0]
+
+
+def twisted_transposition():
+    """A cocycle of order 2 with sigma((01),(01)) = -1 on the support {e, (01)} of S3."""
+    sub = Subgroup(S3, (S3.identity, S3.elem_by_name("102").index))
+    return GradedDivisionAlgebra(validate_cocycle(sub, 2, [[0, 0], [0, 1]]))
+
+
+SHIFTED = [
+    pauli(2, KLEIN, ["(1,0)", "(0,1)"]),
+    pauli(2, build_abelian([2, 4]), ["(1,0)", "(0,2)"]),
+    pauli(3, build_abelian([3, 3]), ["(1,0)", "(0,1)"]),
+    pauli(2, S4, ["1032", "2301"]),  # the normal Klein four-group
+    pauli(2, S4, ["1023", "0132"]),  # a Klein four-group that conjugation moves
+    twisted_transposition(),
+]
+
+
+def assert_valid(cocycle):
+    again = validate_cocycle(cocycle.support, cocycle.order, cocycle.values)
+    assert again.values == cocycle.values
+
+
+def test_every_shifted_cocycle_is_a_cocycle():
+    for d in SHIFTED:
+        for g in d.group.elements():
+            assert_valid(shift_conjugate(d, g).cocycle)
+
+
+def test_every_transported_cocycle_is_a_cocycle():
+    moved = 0
+    for d in SHIFTED:
+        targets = {shift_conjugate(d, g).support for g in d.group.elements()}
+        if d.group == KLEIN:
+            targets.add(SHIFTED[3].support)  # across groups, onto a Klein subgroup of S4
+        for target in targets:
+            for alpha in find_isomorphisms(d.support, target):
+                assert_valid(transport(d.cocycle, alpha, target))
+                moved += 1
+    assert moved == 12 + 6 + 48 + 6 + 3 * 6 + 3  # |Aut| times targets, per division
+
+
+def carrier(h):
+    """(elements, parent group) of a group or a subgroup."""
+    return (h.members, h.group) if isinstance(h, Subgroup) else (tuple(h.elements()), h)
+
+
+def is_isomorphism(f, h1, h2):
+    """f is a bijection between the carriers that respects all products."""
+    (e1, g1), (e2, g2) = carrier(h1), carrier(h2)
+    return (
+        sorted(f) == sorted(e1)
+        and sorted(f.values()) == sorted(e2)
+        and all(f[g1.mul(a, b)] == g2.mul(f[a], f[b]) for a in e1 for b in e1)
+    )
+
+
+def brute_force_isomorphisms(h1, h2):
+    (e1, _), (e2, _) = carrier(h1), carrier(h2)
+    if len(e1) != len(e2):
+        return []
+    maps = (dict(zip(e1, images)) for images in itertools.permutations(e2))
+    return [f for f in maps if is_isomorphism(f, h1, h2)]
+
+
+def by_names(group, *names):
+    return subgroup_closure(group, [group.elem_by_name(x).index for x in names])
+
+
+SMALL = [build_abelian([4]), KLEIN, build_abelian([6]), S3, SHIFTED[3].support, SHIFTED[4].support]
+
+
+def test_find_isomorphisms_matches_brute_force_on_small_groups():
+    for h1 in SMALL:
+        for h2 in SMALL:
+            got = sorted(sorted(f.items()) for f in find_isomorphisms(h1, h2))
+            want = sorted(sorted(f.items()) for f in brute_force_isomorphisms(h1, h2))
+            assert got == want
+
+
+def z4_by_z4():
+    """Z4 x| Z4, (a,b)(c,d) = (a + (-1)^b c, b + d): as many elements of each order
+    as Z4 x Z4, so only the homomorphism law tells the two apart."""
+    elems = [(a, b) for a in range(4) for b in range(4)]
+    pos = {x: i for i, x in enumerate(elems)}
+    return Group(
+        [[pos[((a + (-1) ** b * c) % 4, (b + d) % 4)] for c, d in elems] for a, b in elems]
+    )
+
+
+def test_every_found_map_is_a_homomorphism():
+    """Larger groups, against the all-pairs check and the size of Aut."""
+    semidirect, z4z4 = z4_by_z4(), build_abelian([4, 4])
+    assert find_isomorphisms(semidirect, z4z4) == find_isomorphisms(z4z4, semidirect) == []
+    cases = [
+        (semidirect, 32),
+        (build_abelian([2, 4]), 8),
+        (build_abelian([3, 3]), 48),
+        (build_abelian([2, 2, 2]), 168),
+        (by_names(S4, "1230", "2103"), 8),  # a dihedral group of order 8
+        (by_names(S4, "1203", "1032"), 24),  # the alternating group A4
+        (build_abelian([4, 4]), 96),
+    ]
+    for h, automorphisms in cases:
+        maps = find_isomorphisms(h, h)
+        assert len(maps) == automorphisms
+        assert len({tuple(sorted(f.items())) for f in maps}) == automorphisms
+        assert all(is_isomorphism(f, h, h) for f in maps)
 
 
 # -- equivalence of elementary gradings ------------------------------------------------
