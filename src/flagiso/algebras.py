@@ -57,41 +57,33 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def product_pos(self, p1: int, p2: int) -> tuple[int, int] | None:
-        """(scalar exponent, basis position) of basis[p1]*basis[p2], or None if zero."""
-        b1 = self.basis[p1]
-        b2 = self.basis[p2]
-        if b1.col != b2.row:
-            return None
-        grp = self.group
-        coc = self.presentation.division.cocycle
-        target = BasisElem(b1.row, b2.col, grp.mul(b1.sup, b2.sup))
-        return coc.val(b1.sup, b2.sup), self.index[target]
-
     def nonzero_products(self):
         """Yield (p1, p2, scalar exponent, position) for each nonzero basis product,
-        ascending in p1 and then in p2."""
-        by_row: dict[int, list[int]] = {}
-        for pos, b in enumerate(self.basis):
-            by_row.setdefault(b.row, []).append(pos)
-        for p1, b1 in enumerate(self.basis):
-            for p2 in by_row.get(b1.col, ()):
-                yield (p1, p2, *self.product_pos(p1, p2))
+        ascending in p1 and then in p2.
 
-    def product(self, b1: BasisElem, b2: BasisElem) -> tuple[int, BasisElem] | None:
-        res = self.product_pos(self.index[b1], self.index[b2])
-        if res is None:
-            return None
-        exp, pos = res
-        return exp, self.basis[pos]
-
-    def identity_component_dim(self) -> int:
-        e = self.group.identity
-        return sum(1 for d in self.degree if d == e)
-
-    def is_division_grading(self) -> bool:
-        """The identity-component test: dim A_e = 1 characterizes division gradings here."""
-        return self.identity_component_dim() == 1
+        (i,j,h_x)*(j,l,h_y) = sigma(h_x,h_y) (i,l,h_x h_y), and each cell (i,j)
+        holds one copy of the support at a base offset, so the walk runs over
+        cells i <= j <= l with one product table over support positions.
+        """
+        division = self.presentation.division
+        members = division.support.members
+        k = len(members)
+        pos_of = {h: x for x, h in enumerate(members)}
+        prod = [[pos_of[self.group.mul(a, b)] for b in members] for a in members]
+        vals = division.cocycle.values
+        base: dict[tuple[int, int], int] = {}  # cell -> offset, in basis order
+        by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
+        for off in range(0, self.dim, k):
+            b = self.basis[off]
+            base[b.row, b.col] = off
+            by_row.setdefault(b.row, []).append((b.col, off))
+        for (i, j), off1 in base.items():
+            right = [(off2, base[i, l]) for l, off2 in by_row[j]]
+            for x in range(k):
+                p1, px, vx = off1 + x, prod[x], vals[x]
+                for off2, off3 in right:
+                    for y in range(k):
+                        yield p1, off2 + y, vx[y], off3 + px[y]
 
 
 def basis_of(p: FlagPresentation) -> list[BasisElem]:

@@ -241,7 +241,7 @@ def _parse_group_arg(value: str) -> Group:
     if value.startswith("abelian:"):
         spec = value[len("abelian:") :]
         try:
-            factors = [int(tok) for tok in spec.split(",") if tok]
+            factors = [int(tok) for tok in spec.split(",")]
         except ValueError:
             raise FlagisoError(f"cannot parse abelian factors from {value!r}") from None
         return build_abelian(factors)
@@ -250,12 +250,9 @@ def _parse_group_arg(value: str) -> Group:
 
 def _parse_blocks(value: str) -> tuple[int, ...]:
     try:
-        blocks = tuple(int(tok) for tok in value.split(",") if tok)
+        return tuple(int(tok) for tok in value.split(","))
     except ValueError:
         raise FlagisoError(f"cannot parse block sizes from {value!r}") from None
-    if not blocks:
-        raise FlagisoError("blocks must name at least one block size")
-    return blocks
 
 
 def _split_element_names(text: str) -> list[str]:

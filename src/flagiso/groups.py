@@ -133,9 +133,6 @@ class Subgroup:
                         code="bad-subgroup",
                     )
 
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.members)
-
     def position_of(self, a: int) -> int:
         return self.members.index(a)
 

@@ -3,7 +3,9 @@
 make_sym constructs symmetric groups straight from permutation composition, so
 group-layer tests can check Cayley-table arithmetic against an independent
 model.  count_classes_pairwise counts isomorphism classes with the pairwise
-engine alone, as an oracle for enumerate_classes.  ACCEPTANCE_LINES collects
+engine alone, as an oracle for enumerate_classes.  product_pos and product
+multiply two basis elements straight from the structure constants, as the
+pair-by-pair oracle for GradedAlgebra.nonzero_products.  ACCEPTANCE_LINES collects
 the acceptance suite's per-criterion verdict lines; they are printed after the
 run, outside output capture.
 """
@@ -12,6 +14,7 @@ import itertools
 
 from flagiso import (
     ISOMORPHIC,
+    BasisElem,
     BlockShape,
     FlagPresentation,
     GradedDivisionAlgebra,
@@ -75,3 +78,22 @@ def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra
             if iso_algebras(a, b).kind == ISOMORPHIC:
                 parent[find(j)] = find(i)
     return len({find(i) for i in range(len(tuples))})
+
+
+def product_pos(alg, p1: int, p2: int):
+    """(scalar exponent, basis position) of basis[p1]*basis[p2], or None if zero."""
+    b1 = alg.basis[p1]
+    b2 = alg.basis[p2]
+    if b1.col != b2.row:
+        return None
+    target = BasisElem(b1.row, b2.col, alg.group.mul(b1.sup, b2.sup))
+    return alg.presentation.division.cocycle.val(b1.sup, b2.sup), alg.index[target]
+
+
+def product(alg, b1, b2):
+    """(scalar exponent, basis element) of b1*b2, or None if zero."""
+    res = product_pos(alg, alg.index[b1], alg.index[b2])
+    if res is None:
+        return None
+    exp, pos = res
+    return exp, alg.basis[pos]

@@ -220,7 +220,7 @@ def test_subgroup_validation():
         Subgroup(g, (2,))  # no identity
     sub = Subgroup(g, (2, 0))
     assert sub.members == (0, 2)
-    assert 2 in sub and 1 not in sub
+    assert 2 in sub.members and 1 not in sub.members
     assert sub.position_of(2) == 1
 
 

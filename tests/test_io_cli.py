@@ -520,6 +520,17 @@ def test_cli_bad_arguments(capsys):
     assert code == 2
     assert "cannot parse block sizes" in captured.err
 
+    for blocks in ("1,,1", "1,", ",1"):  # an empty entry is an error, not skipped
+        code = main(["classify", "--group", "abelian:2", "--blocks", blocks])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot parse block sizes" in captured.err
+
+    code = main(["classify", "--group", "abelian:2,,2", "--blocks", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cannot parse abelian factors" in captured.err
+
     code = main(["classify", "--group", "abelian:2", "--blocks", "1,1", "--division", "pauli:x"])
     captured = capsys.readouterr()
     assert code == 2

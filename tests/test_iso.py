@@ -20,6 +20,7 @@ from flagiso import (
     compose_witness,
     equiv_elementary,
     invert_witness,
+    is_corrector,
     iso_algebras,
     iso_pairs,
     make_presentation,
@@ -442,6 +443,25 @@ def test_decisions_are_deterministic():
 
 
 # -- realization count ------------------------------------------------------------
+
+
+def test_engine_witnesses_are_not_revalidated(monkeypatch):
+    """The engine builds its witness from data it solved; build_witness checks
+    data from callers, and verify_witness checks every YES either way."""
+    calls = []
+    monkeypatch.setattr(
+        "flagiso.iso.is_corrector", lambda *args: calls.append(args) or is_corrector(*args)
+    )
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    yes = iso_algebras(p, q)
+    assert yes.kind == ISOMORPHIC and len(calls) == 0
+    w = yes.witness
+    built = build_witness(p, q, w.shift, w.sigma, w.correctors, w.mu)
+    assert len(calls) == 1
+    assert (built.sigma, built.correctors, built.mapping) == (w.sigma, w.correctors, w.mapping)
 
 
 def test_each_presentation_is_realized_once_per_decision(monkeypatch):

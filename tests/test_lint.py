@@ -9,15 +9,19 @@ exactly what its library modules export (``io`` and ``cli`` stay namespaced).
 Each fact is proved once: ``validate_cocycle`` checks only tables that come
 from outside (the twisted loader and ``trivial_cocycle``); cocycles derived
 from checked ones (``transport``, ``pauli``) are built without a re-check.
+Every library name the benchmark's tracer wraps must exist, so deleting one
+fails here and not only in a benchmark run.
 """
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import flagiso
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "flagiso"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flagiso"
 MODULES = [
     importlib.import_module(f"flagiso.{path.stem}")
     for path in sorted(SRC.glob("*.py"))
@@ -84,3 +88,17 @@ def test_package_exports_the_union_of_module_exports():
     assert len(MODULES) >= 10, "library modules not found"
     assert len(set(flagiso.__all__)) == len(flagiso.__all__), "duplicate package exports"
     assert sorted(set(flagiso.__all__) ^ union) == []
+
+
+def test_benchmark_traced_names_resolve():
+    # the tracer imports only the standard library, so it loads by path
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TRACED) >= 20, "traced names not found"
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in tracer.TRACED
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

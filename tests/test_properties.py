@@ -11,8 +11,10 @@ Oracles for checks the library proves instead of re-running: verify_witness
 against the all-pairs loop, on valid and corrupted witnesses; basis_of
 against a sort; every shifted or transported cocycle against
 validate_cocycle; every find_isomorphisms map against an all-pairs
-homomorphism check.  Runs are derandomized and keep no example database,
-so every run draws the same examples.
+homomorphism check; the nonzero-product walk against all basis pairs, on
+the three setups and on shifted twisted and non-abelian supports.  Runs are
+derandomized and keep no example database, so every run draws the same
+examples.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from conftest import make_sym
+from conftest import make_sym, product_pos
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,7 @@ from flagiso import (
     shift_conjugate,
     subgroup_closure,
     transport,
+    trivial_cocycle,
     trivial_division,
     validate_cocycle,
     verify_witness,
@@ -182,8 +185,8 @@ def verify_witness_by_pairs(alg, alg2, w) -> WitnessReport:
                         else f"nonzero product {pair} maps to a zero product"
                     )
                 continue
-            s_exp, s_pos = alg.product_pos(p1, q)
-            t_exp, t_pos = alg2.product_pos(img_pos[p1], img_pos[q])
+            s_exp, s_pos = product_pos(alg, p1, q)
+            t_exp, t_pos = product_pos(alg2, img_pos[p1], img_pos[q])
             if t_pos != img_pos[s_pos]:
                 failures.append(f"product routing differs at {pair}")
                 continue
@@ -292,6 +295,36 @@ SHIFTED = [
     pauli(2, S4, ["1023", "0132"]),  # a Klein four-group that conjugation moves
     twisted_transposition(),
 ]
+
+
+FULL_S3 = GradedDivisionAlgebra(trivial_cocycle(Subgroup(S3, tuple(S3.elements()))))
+
+
+@st.composite
+def shifted_presentations(draw):
+    """A presentation over a shifted support: the Klein, Z2 x Z4 and Z3 x Z3
+    clock-and-shift divisions, the twisted transposition in S3, and all of
+    S3, where h_x h_y and h_y h_x differ."""
+    d = draw(st.sampled_from([SHIFTED[i] for i in (0, 1, 2, 5)] + [FULL_S3]))
+    d = shift_conjugate(d, draw(st.integers(0, d.group.size - 1)))
+    blocks = draw(shapes())
+    n = sum(blocks)
+    degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+@SETTINGS
+@given(st.one_of(pairs().map(lambda pair: pair[0]), shifted_presentations()))
+def test_nonzero_products_are_the_pair_by_pair_products(p):
+    """The cell walk yields every nonzero product, in the all-pairs order."""
+    alg = realize(p)
+    want = [
+        (p1, p2, *res)
+        for p1 in range(alg.dim)
+        for p2 in range(alg.dim)
+        if (res := product_pos(alg, p1, p2)) is not None
+    ]
+    assert list(alg.nonzero_products()) == want
 
 
 def assert_valid(cocycle):
