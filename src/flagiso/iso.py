@@ -372,9 +372,21 @@ def _coset_reps(support: Subgroup) -> list[int]:
 
 
 def _shift_search(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra):
-    """Yield (g, mu) for each shift g, ascending, with mu a corrector from D^g to D'."""
-    for g in d.group.elements():
-        mu = iso_division(shift_conjugate(d, g), d2)
+    """Yield (g, mu) for each shift g, ascending, with mu a corrector from D^g to D'.
+
+    The division question is solved once per distinct conjugation map
+    h -> g^-1 h g on the support, which is exact: that map alone fixes D^g
+    (its support and its transported cocycle), so shifts sharing it pose the
+    same system and get the same answer; over an abelian group there is one.
+    """
+    grp = d.group
+    members = d.support.members
+    solved: dict[tuple[int, ...], Corrector | None] = {}
+    for g in grp.elements():
+        key = tuple(grp.conj(h, g) for h in members)
+        if key not in solved:
+            solved[key] = iso_division(shift_conjugate(d, g), d2)
+        mu = solved[key]
         if mu is not None:
             yield g, mu
 
@@ -798,8 +810,14 @@ def classify(
         raise GroupMismatch("division part lives over a different group")
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
     n = shape.n
-    total = group.size**n
     limit = classify_budget(budget)
+    # |G|^n >= 2^(n*(b-1)) for b the bit length of |G|: past the budget's bit
+    # length, and past 64 bits, the count is refused without being built or
+    # printed (3^10000 has too many digits to print); below, a built count
+    # has fewer than twice as many bits
+    if n * (group.size.bit_length() - 1) >= max(64, limit.bit_length()):
+        raise BudgetExceeded(f"enumeration of {group.size}^{n} tuples exceeds budget {limit}")
+    total = group.size**n
     if total > limit:
         raise BudgetExceeded(
             f"enumeration of {group.size}^{n} = {total} tuples exceeds budget {limit}"

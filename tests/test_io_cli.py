@@ -482,7 +482,26 @@ def test_cli_classify_budget_exit(capsys):
     code = main(["classify", "--group", "abelian:4", "--blocks", "1,1", "--budget", "15"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "exceeds budget 15" in captured.err
+    assert captured.err == (
+        "validation error: enumeration of 4^2 = 16 tuples exceeds budget 15\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "group, blocks, power",
+    [("abelian:3", "10000", "3^10000"), ("abelian:2", "100000000", "2^100000000")],
+)
+def test_cli_classify_refuses_huge_counts_without_printing_them(
+    monkeypatch, capsys, group, blocks, power
+):
+    """A count past the integer-to-string limit is named by its power, and refused at once."""
+    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
+    code = main(["classify", "--group", group, "--blocks", blocks])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == (
+        f"validation error: enumeration of {power} tuples exceeds budget 100000\n"
+    )
 
 
 def test_cli_classify_env_budget(monkeypatch, capsys):

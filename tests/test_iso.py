@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import make_sym
 
 from flagiso import (
     EQUIVALENT,
@@ -17,11 +18,13 @@ from flagiso import (
     Subgroup,
     build_abelian,
     build_witness,
+    classify,
     compose_witness,
     equiv_elementary,
     invert_witness,
     is_corrector,
     iso_algebras,
+    iso_division,
     iso_pairs,
     make_presentation,
     pauli,
@@ -494,3 +497,39 @@ def test_each_presentation_is_realized_once_per_decision(monkeypatch):
         equiv_elementary, make_presentation(t, [1, 1], [0, 1]), make_presentation(t, [1, 1], [0, 3])
     )
     assert eq.kind == EQUIVALENT and n_eq == 2
+
+
+def test_each_conjugation_map_is_decided_once(monkeypatch):
+    """The shift search solves the division question once per distinct map
+    h -> g^-1 h g on the support, not once per shift."""
+    calls = []
+    monkeypatch.setattr(
+        "flagiso.iso.iso_division", lambda d, d2: calls.append(d) or iso_division(d, d2)
+    )
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, len(calls)
+
+    def conjugation_maps(d):
+        grp = d.group
+        return len({tuple(grp.conj(h, g) for h in d.support.members) for g in grp.elements()})
+
+    z3z6 = build_abelian([3, 6])
+    d = pauli(3, z3z6, ["(1,0)", "(0,2)"])
+    p, q = (make_presentation(d, [1, 1], degrees) for degrees in ([0, 1], [0, 0]))
+    no, n_no = count(iso_algebras, p, q)
+    assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == 18
+    assert n_no == 1  # abelian: every shift gives the same D^g
+
+    s3 = make_sym(3)[0]
+    sub = Subgroup(s3, (s3.identity, s3.elem_by_name("102").index))
+    t = GradedDivisionAlgebra(validate_cocycle(sub, 2, [[0, 0], [0, 1]]))
+    p, q = (make_presentation(t, [1, 1], degrees) for degrees in ([0, 1], [0, 0]))
+    no, n_no = count(iso_algebras, p, q)
+    assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == 6
+    assert n_no == conjugation_maps(t) == 3  # |S3 : C(H)| conjugates of {e, (01)}
+
+    for division in (d, t, trivial_division(s3)):
+        assert count(classify, division.group, [1], division)[1] == conjugation_maps(division)

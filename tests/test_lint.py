@@ -68,6 +68,30 @@ def test_validate_cocycle_is_called_only_on_outside_tables():
     assert found == ["cocycles.trivial_cocycle", "io.division_from_obj"]
 
 
+def references_by_function(path: Path, name: str) -> list[str]:
+    """The top-level definition (or ``<module>``) around each use of name."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(node, "name", "<module>")
+        found += [
+            owner
+            for ref in ast.walk(node)
+            if getattr(ref, "id", None) == name or getattr(ref, "attr", None) == name
+        ]
+    return sorted(found)
+
+
+def test_shifted_divisions_are_decided_only_in_the_shift_search():
+    iso = SRC / "iso.py"
+    # caller data is checked at one given shift; the search solves once per
+    # conjugation map; pairs compare division parts at the identity shift
+    assert references_by_function(iso, "shift_conjugate") == [
+        "_shift_search",
+        "_validate_witness_data",
+    ]
+    assert references_by_function(iso, "iso_division") == ["_shift_search", "iso_pairs"]
+
+
 def test_every_exported_name_resolves():
     missing = [
         f"{mod.__name__}.{name}"

@@ -12,7 +12,9 @@ against the all-pairs loop, on valid and corrupted witnesses; basis_of
 against a sort; every shifted or transported cocycle against
 validate_cocycle; every find_isomorphisms map against an all-pairs
 homomorphism check; the nonzero-product walk against all basis pairs, on
-the three setups and on shifted twisted and non-abelian supports.  Runs are
+the three setups and on shifted twisted and non-abelian supports; the shift
+search, which solves once per conjugation map, against the loop that solves
+once per shift, on those inputs and both Klein four-groups of S4.  Runs are
 derandomized and keep no example database, so every run draws the same
 examples.
 """
@@ -23,6 +25,7 @@ import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from conftest import make_sym, product_pos
 from hypothesis import given, settings
@@ -41,6 +44,7 @@ from flagiso import (
     equiv_elementary,
     find_isomorphisms,
     iso_algebras,
+    iso_division,
     make_presentation,
     pauli,
     realize,
@@ -54,6 +58,7 @@ from flagiso import (
 )
 from flagiso.algebras import basis_of
 from flagiso.cli import main
+from flagiso.iso import _shift_search
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
 KLEIN = build_abelian([2, 2])
@@ -92,9 +97,9 @@ def pairs(draw):
 
 
 @st.composite
-def rewrites(draw):
+def rewrites(draw, presentations=pairs().map(lambda pair: pair[0])):
     """A presentation and an isomorphic copy: shift g, in-block shuffle, coset moves."""
-    p, _ = draw(pairs())
+    p = draw(presentations)
     grp = p.group
     g = draw(st.integers(0, grp.size - 1))
     sigma = [i for block in p.shape.block_positions() for i in draw(st.permutations(block))]
@@ -325,6 +330,63 @@ def test_nonzero_products_are_the_pair_by_pair_products(p):
         if (res := product_pos(alg, p1, p2)) is not None
     ]
     assert list(alg.nonzero_products()) == want
+
+
+# -- the shift search against the per-shift loop ---------------------------------------
+
+
+def per_shift_search(d, d2):
+    """The reference loop: one division decision for every shift g."""
+    return [
+        (g, mu)
+        for g in d.group.elements()
+        if (mu := iso_division(shift_conjugate(d, g), d2)) is not None
+    ]
+
+
+@st.composite
+def klein_s4_presentations(draw):
+    """A presentation over the normal Klein four-group of S4 or over one that
+    conjugation moves, each with the clock-and-shift cocycle of degree 2."""
+    d = draw(st.sampled_from(SHIFTED[3:5]))
+    n = sum(blocks := draw(shapes(max_n=3)))
+    degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+@st.composite
+def shifted_targets(draw, presentations):
+    """A presentation and random degrees over its division part shifted by a drawn g."""
+    p = draw(presentations)
+    g = draw(st.integers(0, p.group.size - 1))
+    n = p.shape.n
+    degrees = draw(st.lists(st.integers(0, p.group.size - 1), min_size=n, max_size=n))
+    return p, make_presentation(shift_conjugate(p.division, g), p.shape, degrees)
+
+
+# same-division pairs, and pairs whose division parts differ by a shift, over
+# shifted twisted supports and both Klein four-groups of S4
+SEARCHED = st.one_of(shifted_presentations(), klein_s4_presentations())
+SEARCH_INPUTS = st.one_of(pairs(), rewrites(SEARCHED), shifted_targets(SEARCHED))
+
+
+@SETTINGS
+@given(SEARCH_INPUTS)
+def test_shift_search_matches_the_per_shift_loop(pair):
+    """One solve per conjugation map yields the shifts and correctors of one solve per shift."""
+    d, d2 = pair[0].division, pair[1].division
+    got = [(g, mu.order, mu.exps) for g, mu in _shift_search(d, d2)]
+    assert got == [(g, mu.order, mu.exps) for g, mu in per_shift_search(d, d2)]
+
+
+@SETTINGS
+@given(SEARCH_INPUTS)
+def test_iso_algebras_matches_the_per_shift_loop(pair):
+    """Verdicts, witnesses and certificates are those of the per-shift loop."""
+    got = iso_algebras(*pair)
+    with mock.patch("flagiso.iso._shift_search", per_shift_search):
+        want = iso_algebras(*pair)
+    assert got == want
 
 
 def assert_valid(cocycle):
