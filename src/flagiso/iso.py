@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .algebras import BasisElem, GradedAlgebra, basis_of, invariants, realize
@@ -805,31 +805,88 @@ def classify(
     division: GradedDivisionAlgebra,
     budget: int | None = None,
 ) -> Classification:
-    """Orbit representatives of all |G|^n degree tuples, by canonical form."""
+    """Orbit representatives of all |G|^n degree tuples, by coset configuration.
+
+    A tuple's class depends only on its configuration: per block, the
+    multiset of left cosets xH of its degrees (H the division support), up to
+    the admissible shifts g, which act on the cosets by xH -> xgH (they
+    normalize H, since D^g and D share a support).  The configurations are
+    walked once, in the lexicographic order of their blockwise-sorted coset
+    representatives, and each shift orbit is taken at its first member met,
+    which is its least, the canonical form of its tuples.  The orbit's tuples
+    are counted, not visited: |orbit| * prod_b multinomial(m_b; coset counts)
+    * |H|^n.  The budget still bounds |G|^n, counted as 2^n for a one-element
+    group, whose lone tuple still realizes an algebra of dimension n(n+1)/2
+    in enumerate_classes' membership cross-check.
+    """
     if division.group != group:
         raise GroupMismatch("division part lives over a different group")
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
     n = shape.n
     limit = classify_budget(budget)
-    # |G|^n >= 2^(n*(b-1)) for b the bit length of |G|: past the budget's bit
-    # length, and past 64 bits, the count is refused without being built or
-    # printed (3^10000 has too many digits to print); below, a built count
+    base = max(group.size, 2)
+    note = "" if group.size > 1 else " (a one-element group is budgeted as order 2)"
+    # base^n >= 2^(n*(b-1)) for b the bit length of base: past the budget's
+    # bit length, and past 64 bits, the count is refused without being built
+    # or printed (3^10000 has too many digits to print); below, a built count
     # has fewer than twice as many bits
-    if n * (group.size.bit_length() - 1) >= max(64, limit.bit_length()):
-        raise BudgetExceeded(f"enumeration of {group.size}^{n} tuples exceeds budget {limit}")
-    total = group.size**n
-    if total > limit:
+    if n * (base.bit_length() - 1) >= max(64, limit.bit_length()):
+        raise BudgetExceeded(f"enumeration of {base}^{n} tuples exceeds budget {limit}{note}")
+    if base**n > limit:
         raise BudgetExceeded(
-            f"enumeration of {group.size}^{n} = {total} tuples exceeds budget {limit}"
+            f"enumeration of {base}^{n} = {base**n} tuples exceeds budget {limit}{note}"
         )
     shifts = _admissible_shifts(division)
     rep = _coset_reps(division.support)
-    positions = shape.block_positions()
-    buckets: dict[tuple[int, ...], int] = {}
-    for tup in itertools.product(range(group.size), repeat=n):
-        key = _least_form(group, positions, tup, shifts, rep)
-        buckets[key] = buckets.get(key, 0) + 1
-    reps = tuple(sorted(buckets))
+    cosets = sorted(set(rep))
+    index = {r: i for i, r in enumerate(cosets)}
+    # the distinct actions of the admissible shifts on the coset indices; they
+    # form a group, so an orbit is the set of images of any one of its members
+    perms = {tuple(index[rep[group.mul(r, g)]] for r in cosets) for g in shifts}
+    # a configuration is one multiset index per block, numbered in mixed
+    # radix with the first block most significant, so numbers ascend with the
+    # flattened configurations; images[p][b][i] is what block b adds to the
+    # number of the image under perm p when it holds multiset i
+    multisets = [
+        list(itertools.combinations_with_replacement(range(len(cosets)), m)) for m in shape.blocks
+    ]
+    strides = [prod(len(ms) for ms in multisets[b + 1 :]) for b in range(len(multisets))]
+    numbers = [
+        {cs: stride * i for i, cs in enumerate(ms)} for ms, stride in zip(multisets, strides)
+    ]
+    images = [
+        [
+            [num[tuple(sorted(p[c] for c in cs))] for cs in ms]
+            for ms, num in zip(multisets, numbers)
+        ]
+        for p in perms
+    ]
+    weights = [[_multinomial(cs) for cs in ms] for ms in multisets]
+    per_tuple = len(division.support.members) ** n
+    seen = bytearray(prod(len(ms) for ms in multisets))
+    reps: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    for number, config in enumerate(_configurations(multisets)):
+        if seen[number]:
+            continue
+        orbit = {sum(col[i] for col, i in zip(row, config)) for row in images}
+        for member in orbit:
+            seen[member] = 1
+        reps.append(tuple(cosets[c] for ms, i in zip(multisets, config) for c in ms[i]))
+        sizes.append(len(orbit) * per_tuple * prod(w[i] for w, i in zip(weights, config)))
     return Classification(
-        group, shape, division, reps, tuple(buckets[r] for r in reps), total, tuple(shifts)
+        group, shape, division, tuple(reps), tuple(sizes), group.size**n, tuple(shifts)
     )
+
+
+def _configurations(multisets: list[list[tuple[int, ...]]]):
+    """Every choice of one multiset index per block, in lexicographic order."""
+    return itertools.product(*(range(len(ms)) for ms in multisets))
+
+
+def _multinomial(multiset: tuple[int, ...]) -> int:
+    """The number of orderings of a sorted multiset."""
+    count = factorial(len(multiset))
+    for _, run in itertools.groupby(multiset):
+        count //= factorial(len(list(run)))
+    return count

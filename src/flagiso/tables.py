@@ -1,10 +1,11 @@
 """Exhaustive class enumeration with self-verifying cross-checks.
 
-enumerate_classes canonicalizes every degree tuple and, inside the pair
-budget, replays the claimed class structure through the pairwise decision
-engine: distinct representatives must come back non-isomorphic and every
-tuple must come back isomorphic to its representative.  A disagreement is a
-bug, not an answer, and raises.
+enumerate_classes takes classify's table and, inside the pair budget,
+replays the claimed class structure through the pairwise decision engine:
+distinct representatives must come back non-isomorphic, and every degree
+tuple must come back isomorphic to the representative of its canonical form,
+with as many tuples reaching each representative as classify counted in its
+orbit.  A disagreement is a bug, not an answer, and raises.
 """
 
 from __future__ import annotations
@@ -63,14 +64,22 @@ def enumerate_classes(
         by_rep = {rep.degrees: rep for rep in reps}
         coset_rep = _coset_reps(division.support)
         positions = cls.shape.block_positions()
+        reached = dict.fromkeys(by_rep, 0)
         for tup in itertools.product(range(group.size), repeat=cls.shape.n):
             p = FlagPresentation(division, cls.shape, tup)
-            rep = by_rep[_least_form(group, positions, tup, cls.shifts, coset_rep)]
+            key = _least_form(group, positions, tup, cls.shifts, coset_rep)
+            reached[key] += 1
+            rep = by_rep[key]
             verdict = iso_algebras(p, rep)
             if verdict.kind != ISOMORPHIC:
                 raise AssertionError(
                     f"tuple {p.degree_names()} fails to reach its representative "
                     f"{rep.degree_names()}"
                 )
+        if tuple(reached.values()) != cls.orbit_sizes:
+            raise AssertionError(
+                f"orbit sizes {cls.orbit_sizes} disagree with the tuples reaching each "
+                f"representative {tuple(reached.values())}"
+            )
 
     return cls

@@ -3,24 +3,33 @@
 make_sym constructs symmetric groups straight from permutation composition, so
 group-layer tests can check Cayley-table arithmetic against an independent
 model.  count_classes_pairwise counts isomorphism classes with the pairwise
-engine alone, as an oracle for enumerate_classes.  product_pos and product
-multiply two basis elements straight from the structure constants, as the
-pair-by-pair oracle for GradedAlgebra.nonzero_products.  ACCEPTANCE_LINES collects
-the acceptance suite's per-criterion verdict lines; they are printed after the
-run, outside output capture.
+engine alone, as an oracle for enumerate_classes.  classify_by_tuples takes
+the canonical form of every one of the |G|^n degree tuples, as the oracle for
+classify's whole table; classes_by_burnside counts the classes by Burnside's
+lemma over the coset multisets, from the per-shift division loop and cosets
+built as sets, as an oracle for the count.  product_pos and product multiply
+two basis elements straight from the structure constants, as the
+pair-by-pair oracle for GradedAlgebra.nonzero_products.  ACCEPTANCE_LINES
+collects the acceptance suite's per-criterion verdict lines; they are printed
+after the run, outside output capture.
 """
 
 import itertools
+from math import prod
 
 from flagiso import (
     ISOMORPHIC,
     BasisElem,
     BlockShape,
+    Classification,
     FlagPresentation,
     GradedDivisionAlgebra,
     Group,
     iso_algebras,
+    iso_division,
+    shift_conjugate,
 )
+from flagiso.iso import _admissible_shifts, _coset_reps, _least_form
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -78,6 +87,64 @@ def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra
             if iso_algebras(a, b).kind == ISOMORPHIC:
                 parent[find(j)] = find(i)
     return len({find(i) for i in range(len(tuples))})
+
+
+def classify_by_tuples(group: Group, blocks, division: GradedDivisionAlgebra) -> Classification:
+    """classify's table the exhaustive way: bucket every degree tuple by its canonical form."""
+    shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
+    shifts = _admissible_shifts(division)
+    rep = _coset_reps(division.support)
+    positions = shape.block_positions()
+    buckets: dict[tuple[int, ...], int] = {}
+    for tup in itertools.product(range(group.size), repeat=shape.n):
+        key = _least_form(group, positions, tup, shifts, rep)
+        buckets[key] = buckets.get(key, 0) + 1
+    reps = tuple(sorted(buckets))
+    return Classification(
+        group,
+        shape,
+        division,
+        reps,
+        tuple(buckets[r] for r in reps),
+        group.size**shape.n,
+        tuple(shifts),
+    )
+
+
+def classes_by_burnside(group: Group, blocks, division: GradedDivisionAlgebra) -> int:
+    """The class count (1/|S|) * sum over g in S of prod_b fix_b(g), by Burnside's lemma.
+
+    S is the set of admissible shifts, found by one division decision per
+    shift; g acts on the left cosets of the support H by xH -> xgH, and
+    fix_b(g), the number of size-m_b coset multisets it fixes, is the
+    coefficient of x^m_b in the product over the cycles c of g of
+    1/(1 - x^|c|).
+    """
+    shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
+    members = division.support.members
+    cosets = {frozenset(group.mul(x, h) for h in members) for x in group.elements()}
+    shifts = [
+        g
+        for g in group.elements()
+        if iso_division(shift_conjugate(division, g), division) is not None
+    ]
+    top = max(shape.blocks)
+    fixed = 0
+    for g in shifts:
+        image = {c: frozenset(group.mul(x, g) for x in c) for c in cosets}
+        assert set(image.values()) == cosets, "an admissible shift must permute the cosets"
+        series = [1] + [0] * top  # prod over the cycles so far of 1/(1 - x^|c|), to x^top
+        left = set(cosets)
+        while left:
+            c, length = left.pop(), 1
+            while (c := image[c]) in left:
+                left.remove(c)
+                length += 1
+            for k in range(length, top + 1):
+                series[k] += series[k - length]
+        fixed += prod(series[m] for m in shape.blocks)
+    assert fixed % len(shifts) == 0
+    return fixed // len(shifts)
 
 
 def product_pos(alg, p1: int, p2: int):

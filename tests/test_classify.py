@@ -1,13 +1,15 @@
+import dataclasses
 import itertools
 
 import pytest
-from conftest import count_classes_pairwise
+from conftest import classes_by_burnside, classify_by_tuples, count_classes_pairwise, make_sym
 
 import flagiso.iso
 import flagiso.tables
 from flagiso import (
     BudgetExceeded,
     GradedDivisionAlgebra,
+    Group,
     GroupMismatch,
     InvalidInput,
     build_abelian,
@@ -76,6 +78,14 @@ def sign_division(grp, generator):
     return GradedDivisionAlgebra(validate_cocycle(sub, 2, [[0, 0], [0, 1]]))
 
 
+def named_division(grp, kind):
+    if kind == "trivial":
+        return trivial_division(grp)
+    if kind == "sign":
+        return sign_division(grp, 2)
+    return pauli(2, grp, [2, 1])
+
+
 # -- frozen class tables ------------------------------------------------------------
 
 
@@ -127,17 +137,87 @@ def test_full_support_division_gives_one_class():
 )
 def test_classify_matches_orbit_enumeration(factors, blocks, div_kind):
     grp = build_abelian(factors)
-    if div_kind == "trivial":
-        d = trivial_division(grp)
-    elif div_kind == "sign":
-        d = sign_division(grp, 2)
-    else:
-        d = pauli(2, grp, [2, 1])
+    d = named_division(grp, div_kind)
     want = orbits_by_brute(grp, blocks, d)
     cls = classify(grp, blocks, d)
     assert cls.count == len(want)
     assert sorted(cls.orbit_sizes) == sorted(len(o) for o in want)
     assert sum(cls.orbit_sizes) == cls.total == grp.size ** sum(blocks)
+    assert classes_by_burnside(grp, blocks, d) == len(want)
+
+
+# -- the tuple loop and Burnside's lemma as oracles ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "factors,blocks,div_kind,count",
+    [
+        ([2], (1, 1), "trivial", 2),
+        ([3], (1, 1), "trivial", 3),
+        ([4], (1, 1), "sign", 2),
+        ([2, 2], (1, 1), "pauli", 1),
+    ],
+)
+def test_burnside_counts_the_frozen_tables(factors, blocks, div_kind, count):
+    grp = build_abelian(factors)
+    assert classes_by_burnside(grp, blocks, named_division(grp, div_kind)) == count
+
+
+def workload_instances():
+    """The benchmark's classify workload: (group, blocks, division, golden class count)."""
+    s3, s4 = make_sym(3)[0], make_sym(4)[0]
+    z4, z6, z8 = build_abelian([4]), build_abelian([6]), build_abelian([8])
+    z24, z22 = build_abelian([2, 4]), build_abelian([2, 2])
+    pz24 = pauli(2, z24, ["(1,0)", "(0,2)"])
+    pz22 = pauli(2, z22, ["(1,0)", "(0,1)"])
+    triv = trivial_division
+    return [
+        (z4, (2, 2, 2), triv(z4), 252),
+        (s3, (1, 1, 1, 1, 1), triv(s3), 1296),
+        (z24, (1, 1, 1, 1), pz24, 8),
+        (z8, (2, 2), triv(z8), 164),
+        (s4, (1, 1), triv(s4), 24),
+        (z6, (1, 2), triv(z6), 21),
+        (s3, (1, 1, 1), triv(s3), 36),
+        (z22, (1, 1, 1), pz22, 1),
+        (z24, (1, 1), pz24, 2),
+        (z4, (1, 1, 1), triv(z4), 16),
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_classify_matches_both_oracles_on_the_workload_instances(case):
+    grp, blocks, d, count = workload_instances()[case]
+    cls = classify(grp, blocks, d)
+    want = classify_by_tuples(grp, blocks, d)
+    assert cls.representatives == want.representatives
+    assert cls.orbit_sizes == want.orbit_sizes
+    assert cls.total == want.total
+    assert cls.shifts == want.shifts
+    assert cls.count == classes_by_burnside(grp, blocks, d) == count
+
+
+def test_classify_visits_configurations_not_tuples(monkeypatch):
+    """Z2 x Z4 over a support of order 4, shape (1,1,1,1): 4096 tuples, 16 configurations."""
+    evaluated = []
+    least_form = flagiso.iso._least_form
+    configurations = flagiso.iso._configurations
+
+    def counted_least_form(grp, blocks, degrees, shifts, rep):
+        evaluated.append(tuple(degrees))
+        return least_form(grp, blocks, degrees, shifts, rep)
+
+    def counted_configurations(multisets):
+        for config in configurations(multisets):
+            evaluated.append(config)
+            yield config
+
+    monkeypatch.setattr(flagiso.iso, "_least_form", counted_least_form)
+    monkeypatch.setattr(flagiso.iso, "_configurations", counted_configurations)
+    grp = build_abelian([2, 4])
+    cls = classify(grp, (1, 1, 1, 1), pauli(2, grp, ["(1,0)", "(0,2)"]))
+    assert (cls.total, cls.count) == (4096, 8)
+    assert len(evaluated) <= 16
 
 
 # -- canonical form properties ----------------------------------------------------
@@ -203,6 +283,21 @@ def test_classify_budget_env_var(monkeypatch):
     assert ei.value.code == "invalid-budget"
 
 
+def test_classify_budgets_a_one_element_group_as_order_two(monkeypatch):
+    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
+    one = Group([[0]], ["e"])
+    d = trivial_division(one)
+    with pytest.raises(BudgetExceeded) as ei:
+        classify(one, (17,), d)
+    assert ei.value.code == "budget-exceeded"
+    assert str(ei.value) == (
+        "enumeration of 2^17 = 131072 tuples exceeds budget 100000"
+        " (a one-element group is budgeted as order 2)"
+    )
+    cls = classify(one, (16,), d)
+    assert (cls.representatives, cls.orbit_sizes, cls.total) == (((0,) * 16,), (1,), 1)
+
+
 # -- cross-checked enumeration ------------------------------------------------------
 
 
@@ -232,6 +327,18 @@ def test_enumerate_classes_solves_admissible_shifts_once(monkeypatch):
     assert cls.membership_checked  # the cross-check that reads the shifts ran
     assert cls.shifts == (0, 1, 2, 3)
     assert len(calls) == 1
+
+
+def test_enumerate_classes_catches_a_wrong_orbit_size(monkeypatch):
+    """Two wrong orbit sizes that cancel keep the sum; the per-class tally catches them."""
+    grp = build_abelian([3])
+    d = trivial_division(grp)
+    right = classify(grp, (1, 1), d)
+
+    wrong = dataclasses.replace(right, orbit_sizes=(2, 4, 3))
+    monkeypatch.setattr(flagiso.tables, "classify", lambda *args: wrong)
+    with pytest.raises(AssertionError, match="orbit sizes"):
+        enumerate_classes(grp, (1, 1), d)
 
 
 def test_enumerate_classes_respects_pair_budget(monkeypatch):

@@ -504,6 +504,20 @@ def test_cli_classify_refuses_huge_counts_without_printing_them(
     )
 
 
+def test_cli_classify_budgets_a_one_element_group_as_order_two(tmp_path, monkeypatch, capsys):
+    """Its lone tuple would realize an algebra of dimension 80200: refused at once."""
+    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps({"v": 1, "kind": "table", "table": [[0]], "names": ["e"]}))
+    code = main(["classify", "--group", str(path), "--blocks", "400"])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == (
+        "validation error: enumeration of 2^400 tuples exceeds budget 100000"
+        " (a one-element group is budgeted as order 2)\n"
+    )
+
+
 def test_cli_classify_env_budget(monkeypatch, capsys):
     monkeypatch.setenv("FLAGISO_BUDGET", "15")
     code = main(["classify", "--group", "abelian:4", "--blocks", "1,1"])

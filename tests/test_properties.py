@@ -14,9 +14,11 @@ validate_cocycle; every find_isomorphisms map against an all-pairs
 homomorphism check; the nonzero-product walk against all basis pairs, on
 the three setups and on shifted twisted and non-abelian supports; the shift
 search, which solves once per conjugation map, against the loop that solves
-once per shift, on those inputs and both Klein four-groups of S4.  Runs are
-derandomized and keep no example database, so every run draws the same
-examples.
+once per shift, on those inputs and both Klein four-groups of S4; classify,
+which counts coset configurations, against the loop that canonicalizes every
+degree tuple, and its class count against Burnside's lemma, on the same
+inputs.  Runs are derandomized and keep no example database, so every run
+draws the same examples.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from conftest import make_sym, product_pos
+from conftest import classes_by_burnside, classify_by_tuples, make_sym, product_pos
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +43,7 @@ from flagiso import (
     WitnessReport,
     build_abelian,
     canonical_form,
+    classify,
     equiv_elementary,
     find_isomorphisms,
     iso_algebras,
@@ -387,6 +390,33 @@ def test_iso_algebras_matches_the_per_shift_loop(pair):
     with mock.patch("flagiso.iso._shift_search", per_shift_search):
         want = iso_algebras(*pair)
     assert got == want
+
+
+# -- classify against the tuple loop and Burnside's lemma --------------------------------
+
+CLASSIFIED = st.one_of(
+    pairs().map(lambda pair: pair[0]), shifted_presentations(), klein_s4_presentations()
+)
+
+
+@SETTINGS
+@given(CLASSIFIED)
+def test_classify_matches_the_tuple_loop(p):
+    """Representatives, orbit sizes, total and shifts are the tuple loop's, field by field."""
+    got = classify(p.group, p.shape, p.division)
+    want = classify_by_tuples(p.group, p.shape, p.division)
+    assert got.representatives == want.representatives
+    assert got.orbit_sizes == want.orbit_sizes
+    assert got.total == want.total
+    assert got.shifts == want.shifts
+
+
+@SETTINGS
+@given(CLASSIFIED)
+def test_classify_counts_the_classes_burnside_counts(p):
+    assert classify(p.group, p.shape, p.division).count == classes_by_burnside(
+        p.group, p.shape, p.division
+    )
 
 
 def assert_valid(cocycle):
