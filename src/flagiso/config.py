@@ -15,7 +15,7 @@ import os
 from .errors import InvalidInput
 
 # groups above this order are refused before their table is built or checked;
-# the associativity check alone is cubic in the order
+# building and checking a table both take time quadratic in the order
 GROUP_ORDER_CAP = 256
 
 # backtracking search for group isomorphisms refuses domains above this order

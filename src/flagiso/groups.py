@@ -8,7 +8,9 @@ Names are display labels and take no part in equality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import GROUP_ORDER_CAP, ISO_SEARCH_CAP
@@ -154,24 +156,16 @@ def build_abelian(factors: Sequence[int]) -> Group:
         size *= f
     _check_order(size)
 
-    def decode(i: int) -> tuple[int, ...]:
-        coords = []
-        for f in reversed(factors):
-            coords.append(i % f)
-            i //= f
-        return tuple(reversed(coords))
-
-    def encode(coords: Sequence[int]) -> int:
-        i = 0
-        for c, f in zip(coords, factors):
-            i = i * f + c
-        return i
-
-    table = [
-        [encode([(x + y) % f for x, y, f in zip(decode(a), decode(b), factors)]) for b in range(size)]
-        for a in range(size)
-    ]
-    names = ["(" + ",".join(str(c) for c in decode(i)) + ")" for i in range(size)]
+    # append one factor at a time as the new fastest coordinate: element (a, x)
+    # of (Z_f1 x ... ) x Z_f has index a*f + x, so (a, x)(b, y) = (ab, x + y)
+    table = [[0]]
+    for f in factors:
+        table = [
+            [ab * f + (x + y) % f for ab in row_a for y in range(f)]
+            for row_a in table
+            for x in range(f)
+        ]
+    names = ["(" + ",".join(map(str, c)) + ")" for c in itertools.product(*map(range, factors))]
     return Group(table, names)
 
 
@@ -200,8 +194,8 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     for i, row in enumerate(tbl):
         if set(row) != full:
             raise InvalidInput(f"row {i} is not a permutation", code="non-latin")
-    for j in range(n):
-        if {tbl[i][j] for i in range(n)} != full:
+    for j, col in enumerate(zip(*tbl)):
+        if set(col) != full:
             raise InvalidInput(f"column {j} is not a permutation", code="non-latin")
     e = None
     for i in range(n):
@@ -210,15 +204,48 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
             break
     if e is None:
         raise InvalidInput("no two-sided identity", code="no-identity")
-    for a in range(n):
-        for b in range(n):
-            ab = tbl[a][b]
-            for c in range(n):
-                if tbl[ab][c] != tbl[a][tbl[b][c]]:
-                    raise InvalidInput(
-                        f"not associative at triple ({a},{b},{c})", code="non-associative"
-                    )
+    # Light's test: the s with (a*s)*c = a*(s*c) for all a, c are closed under
+    # products, and every element is a left-normed product e*s1*...*sk of the
+    # generators, so checking the generators checks the whole table
+    for s in _right_generators(tbl, e):
+        row_s = tbl[s]
+        # a_sc(row of a) is the tuple of a*(s*c) over all c: S is nonempty only when
+        # n >= 2, and itemgetter of two or more indices returns a tuple
+        a_sc = itemgetter(*row_s)
+        for a, row_a in enumerate(tbl):
+            row_as = tbl[row_a[s]]
+            if a_sc(row_a) != row_as:
+                c = next(c for c in range(n) if row_as[c] != row_a[row_s[c]])
+                raise InvalidInput(
+                    f"not associative at triple ({a},{s},{c})", code="non-associative"
+                )
     return e
+
+
+def _right_generators(tbl: tuple[tuple[int, ...], ...], e: int) -> list[int]:
+    """Greedy S whose left-normed products e*s1*...*sk reach every element.
+
+    Take the least element not yet reached and close the reached set under
+    right multiplication by S.  On a group each new generator at least doubles
+    the subgroup reached, so |S| <= log2|G|; on a loop S may grow to every element.
+    """
+    members = [e]
+    reached = {e}
+    gens: list[int] = []
+    for s in range(len(tbl)):
+        if s in reached:
+            continue
+        gens.append(s)
+        # members reached so far need only the new generator; each new one needs all
+        old, i = len(members), 0
+        while i < len(members):
+            for g in (s,) if i < old else gens:
+                x = tbl[members[i]][g]
+                if x not in reached:
+                    reached.add(x)
+                    members.append(x)
+            i += 1
+    return gens
 
 
 def _build_inverses(tbl: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:

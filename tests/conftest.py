@@ -9,7 +9,10 @@ classify's whole table; classes_by_burnside counts the classes by Burnside's
 lemma over the coset multisets, from the per-shift division loop and cosets
 built as sets, as an oracle for the count.  product_pos and product multiply
 two basis elements straight from the structure constants, as the
-pair-by-pair oracle for GradedAlgebra.nonzero_products.  ACCEPTANCE_LINES
+pair-by-pair oracle for GradedAlgebra.nonzero_products.
+associative_by_triples tests all |G|^3 triples, as the oracle for the table
+check, which runs Light's test on a generating set; NONASSOC_LOOP is a
+Latin square with identity that both reject.  ACCEPTANCE_LINES
 collects the acceptance suite's per-criterion verdict lines; they are printed
 after the run, outside output capture.
 """
@@ -60,6 +63,25 @@ def make_sym(n):
     table = [[idx[compose(p, q)] for q in perms] for p in perms]
     names = ["".join(str(x) for x in p) for p in perms]
     return Group(table, names), perms, idx
+
+
+# a Latin square with two-sided identity 0 that is not associative:
+# (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4
+NONASSOC_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
+def associative_by_triples(tbl) -> bool:
+    """(a*b)*c == a*(b*c) for every one of the |G|^3 triples."""
+    n = len(tbl)
+    return all(
+        tbl[tbl[a][b]][c] == tbl[a][tbl[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
 
 
 def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra) -> int:

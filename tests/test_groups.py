@@ -1,7 +1,8 @@
 import itertools
+from math import prod
 
 import pytest
-from conftest import compose, invert_perm, make_sym
+from conftest import NONASSOC_LOOP, compose, invert_perm, make_sym
 
 import flagiso.groups
 
@@ -44,17 +45,6 @@ def isos_by_bijections(g1, g2):
         ):
             out.append(dict(enumerate(perm)))
     return out
-
-
-# a Latin square with two-sided identity 0 that is not associative:
-# (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4
-NONASSOC_LOOP = [
-    [0, 1, 2, 3, 4],
-    [1, 0, 3, 4, 2],
-    [2, 3, 4, 0, 1],
-    [3, 4, 1, 2, 0],
-    [4, 2, 0, 1, 3],
-]
 
 
 # -- construction and validation ----------------------------------------------
@@ -114,7 +104,61 @@ def test_validate_table_rejects_non_associative():
     with pytest.raises(InvalidInput) as ei:
         validate_table(NONASSOC_LOOP)
     assert ei.value.code == "non-associative"
-    assert "triple" in str(ei.value)
+    assert str(ei.value) == "not associative at triple (1,1,2)"
+    t = NONASSOC_LOOP
+    assert t[t[1][1]][2] != t[1][t[1][2]]
+
+
+UP_TO_THE_CAP = [[256], [2] * 8, [4] * 4, [2, 4, 8], "S4", "S5"]
+
+
+@pytest.mark.parametrize("source", UP_TO_THE_CAP, ids=str)
+def test_table_check_generators_stay_logarithmic(source):
+    """Light's test costs |S|*|G|^2 lookups: |S| <= log2|G| keeps it off the cubic path."""
+    g = make_sym(int(source[1]))[0] if isinstance(source, str) else build_abelian(source)
+    gens = flagiso.groups._right_generators(g.table, g.identity)
+    assert len(gens) <= g.size.bit_length() - 1
+    reached, frontier = {g.identity}, [g.identity]
+    while frontier:
+        x = frontier.pop()
+        for y in (g.mul(x, s) for s in gens):
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == set(g.elements())
+
+
+def abelian_by_formula(factors):
+    """Z_f1 x ... x Z_fk entry by entry, decoding both coordinate vectors of each product."""
+
+    def decode(i):
+        coords = []
+        for f in reversed(factors):
+            coords.append(i % f)
+            i //= f
+        return tuple(reversed(coords))
+
+    def encode(coords):
+        i = 0
+        for c, f in zip(coords, factors):
+            i = i * f + c
+        return i
+
+    size = prod(factors)
+    table = [
+        [encode([(x + y) % f for x, y, f in zip(decode(a), decode(b), factors)]) for b in range(size)]
+        for a in range(size)
+    ]
+    names = ["(" + ",".join(str(c) for c in decode(i)) + ")" for i in range(size)]
+    return table, names
+
+
+@pytest.mark.parametrize("factors", [[2], [6], [2, 4], [3, 3], [2, 2, 2], [256], [4, 4, 4, 4]])
+def test_build_abelian_matches_the_coordinate_formula(factors):
+    table, names = abelian_by_formula(factors)
+    g = build_abelian(factors)
+    assert g.table == tuple(map(tuple, table))
+    assert g.names == tuple(names)
 
 
 def test_validate_table_bad_names():

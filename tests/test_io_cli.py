@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import NONASSOC_LOOP
 
 from flagiso import (
     ISOMORPHIC,
@@ -729,3 +731,23 @@ def test_cli_optimized_mode_matches_normal_mode(tmp_path):
         if verdict == ISOMORPHIC:
             assert normal[2:] == [(0, ["WITNESS_VALID"]), (0, ["WITNESS_INVALID"])]
         assert optimized == normal
+
+
+def test_cli_rejects_a_non_associative_table_group(tmp_path):
+    """A loop as a group file or inside a presentation exits 2, with and without -O."""
+    group = {"kind": "table", "table": NONASSOC_LOOP}
+    gpath = tmp_path / "loop.json"
+    gpath.write_text(json.dumps({"v": 1, **group}))
+    ppath = tmp_path / "loop_presentation.json"
+    presentation = {"division": {"kind": "trivial"}, "blocks": [1], "tuple": ["g0"]}
+    ppath.write_text(json.dumps({"v": 1, "group": group, **presentation}))
+    t = NONASSOC_LOOP
+    for args in (["classify", "--group", str(gpath), "--blocks", "1"], ["validate", str(ppath)]):
+        for optimize in (False, True):
+            res = run_cli(*args, optimize=optimize)
+            assert (res.returncode, res.stdout) == (2, ""), res.stderr
+            triple = re.fullmatch(
+                r"validation error: not associative at triple \((\d+),(\d+),(\d+)\)\n", res.stderr
+            )
+            a, b, c = map(int, triple.groups())
+            assert t[t[a][b]][c] != t[a][t[b][c]]

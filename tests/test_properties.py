@@ -17,7 +17,10 @@ search, which solves once per conjugation map, against the loop that solves
 once per shift, on those inputs and both Klein four-groups of S4; classify,
 which counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
-inputs.  Runs are derandomized and keep no example database, so every run
+inputs; validate_table, which checks associativity through a generating set,
+against the loop over all triples, on random loops of order 2 to 12, on
+relabeled group tables and on group tables with one 2x2 subsquare flipped.
+Runs are derandomized and keep no example database, so every run
 draws the same examples.
 """
 
@@ -25,11 +28,20 @@ import contextlib
 import io
 import itertools
 import json
+import random
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
-from conftest import classes_by_burnside, classify_by_tuples, make_sym, product_pos
+from conftest import (
+    associative_by_triples,
+    classes_by_burnside,
+    classify_by_tuples,
+    make_sym,
+    product_pos,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +50,7 @@ from flagiso import (
     ISOMORPHIC,
     GradedDivisionAlgebra,
     Group,
+    InvalidInput,
     IsoWitness,
     Subgroup,
     WitnessReport,
@@ -57,6 +70,7 @@ from flagiso import (
     trivial_cocycle,
     trivial_division,
     validate_cocycle,
+    validate_table,
     verify_witness,
 )
 from flagiso.algebras import basis_of
@@ -565,6 +579,99 @@ def equivalent_by_brute_force(p, q) -> bool:
 def test_equivalence_decision_matches_brute_force(pair):
     p, q = pair
     assert (equiv_elementary(p, q).kind == EQUIVALENT) == equivalent_by_brute_force(p, q)
+
+
+# -- table validation --------------------------------------------------------------------
+
+
+def random_latin_square(rng, n):
+    """Row by row: a Latin rectangle always extends by a row (Hall's theorem), so each
+    row is a perfect matching of columns to missing symbols, augmented in random order."""
+    rows = []
+    for _ in range(n):
+        missing = [sorted(set(range(n)) - {row[j] for row in rows}) for j in range(n)]
+        column_of = {}
+
+        def augment(j, seen):
+            for v in rng.sample(missing[j], len(missing[j])):
+                if v not in seen:
+                    seen.add(v)
+                    if v not in column_of or augment(column_of[v], seen):
+                        column_of[v] = j
+                        return True
+            return False
+
+        for j in rng.sample(range(n), n):
+            assert augment(j, set())
+        row = [0] * n
+        for v, j in column_of.items():
+            row[j] = v
+        rows.append(row)
+    return rows
+
+
+def random_loop(rng, n):
+    """A principal isotope of a random Latin square: x o y = u(x) * v(y), where u undoes
+    right multiplication by b and v undoes left multiplication by a, has identity a*b."""
+    sq = random_latin_square(rng, n)
+    a, b = rng.randrange(n), rng.randrange(n)
+    over_b = {sq[z][b]: z for z in range(n)}
+    under_a = {sq[a][z]: z for z in range(n)}
+    return [[sq[over_b[x]][under_a[y]] for y in range(n)] for x in range(n)]
+
+
+def relabeled(rng, table):
+    """The same operation on the elements renamed by a random permutation."""
+    pi = rng.sample(range(len(table)), len(table))
+    out = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            out[pi[x]][pi[y]] = pi[xy]
+    return out
+
+
+def intercalate_swapped(rng, table, e):
+    """table with one 2x2 subsquare off the identity's row and column flipped: still a
+    Latin square with identity e, and a loop whose failing triples are few."""
+    n = len(table)
+    for _ in range(400):
+        r1, r2, c1 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        c2 = table[r2].index(table[r1][c1])
+        if e not in (r1, r2, c1, c2) and r1 != r2 and table[r1][c2] == table[r2][c1]:
+            out = [list(row) for row in table]
+            out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+            out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+            return out
+    return None
+
+
+TABLE_GROUPS = [S3, S4, make_sym(5)[0]] + [
+    build_abelian(f) for f in ([2], [3], [4], [2, 2], [5], [6], [2, 4], [3, 3], [2, 2, 2], [12])
+]
+
+
+def test_validate_table_matches_the_triple_loop():
+    """Accept exactly the associative tables; every reported triple really fails."""
+    rng = random.Random(0)
+    tables = [random_loop(rng, n) for n in range(2, 13) for _ in range(30)]
+    for g in TABLE_GROUPS:
+        tables.append(relabeled(rng, g.table))
+        if g.size <= 24:
+            tables.append(intercalate_swapped(rng, g.table, g.identity))
+    answers = Counter()
+    for t in filter(None, tables):
+        associative = associative_by_triples(t)
+        try:
+            validate_table(t)
+        except InvalidInput as e:
+            assert e.code == "non-associative" and not associative
+            triple = re.fullmatch(r"not associative at triple \((\d+),(\d+),(\d+)\)", str(e))
+            a, b, c = map(int, triple.groups())
+            assert t[t[a][b]][c] != t[a][t[b][c]]
+        else:
+            assert associative
+        answers[associative] += 1
+    assert answers[True] >= len(TABLE_GROUPS) and answers[False] >= 100
 
 
 # -- malformed documents ------------------------------------------------------------------
