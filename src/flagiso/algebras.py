@@ -68,8 +68,8 @@ class GradedAlgebra:
         division = self.presentation.division
         members = division.support.members
         k = len(members)
-        pos_of = {h: x for x, h in enumerate(members)}
-        prod = [[pos_of[self.group.mul(a, b)] for b in members] for a in members]
+        index = division.support.index
+        prod = [[index[self.group.mul(a, b)] for b in members] for a in members]
         vals = division.cocycle.values
         base: dict[tuple[int, int], int] = {}  # cell -> offset, in basis order
         by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending

@@ -7,7 +7,7 @@ values, normalized so that sigma(e,h) = sigma(h,e) = 1 (exponent 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Mapping
 
@@ -39,14 +39,11 @@ class Cocycle:
     support: Subgroup
     order: int
     values: tuple[tuple[int, ...], ...]
-    _pos: dict[int, int] = field(compare=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._pos.update({h: i for i, h in enumerate(self.support.members)})
 
     def val(self, a: int, b: int) -> int:
         """Exponent of sigma(a, b); a, b are parent-group element indices."""
-        return self.values[self._pos[a]][self._pos[b]]
+        index = self.support.index
+        return self.values[index[a]][index[b]]
 
 
 def trivial_cocycle(support: Subgroup, order: int = 1) -> Cocycle:
@@ -118,7 +115,7 @@ class Corrector:
         return cls(support, order, tuple(get(h) for h in support.members))
 
     def exp_of(self, h: int) -> int:
-        return self.exps[self.support.position_of(h)]
+        return self.exps[self.support.index[h]]
 
 
 def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
@@ -202,10 +199,10 @@ def transport(sigma: Cocycle, alpha: Mapping[int, int], target: Subgroup) -> Coc
                     f"({gs.name_of(a)},{gs.name_of(b)})",
                     code="bad-isomorphism",
                 )
-    pos_t = {h: i for i, h in enumerate(target.members)}
+    index = target.index
     n = len(target.members)
     tbl = [[0] * n for _ in range(n)]
     for a in src.members:
         for b in src.members:
-            tbl[pos_t[alpha[a]]][pos_t[alpha[b]]] = sigma.val(a, b)
+            tbl[index[alpha[a]]][index[alpha[b]]] = sigma.val(a, b)
     return Cocycle(target, sigma.order, tuple(map(tuple, tbl)))

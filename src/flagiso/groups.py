@@ -9,7 +9,8 @@ Names are display labels and take no part in equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -43,9 +44,9 @@ class Group:
             raise InvalidInput(
                 f"expected {self.size} element names, got {len(names)}", code="bad-names"
             )
-        if len(set(names)) != self.size:
-            raise InvalidInput("element names must be distinct", code="bad-names")
         self.names = tuple(str(n) for n in names)
+        if len(set(self.names)) != self.size:
+            raise InvalidInput("element names must be distinct", code="bad-names")
         self._index_of_name = {n: i for i, n in enumerate(self.names)}
         self._inv = _build_inverses(tbl, self.identity)
 
@@ -113,10 +114,15 @@ class GroupElem:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of ``group``, stored as the sorted tuple of member indices."""
+    """A subgroup H of ``group``, stored as the sorted tuple of member indices.
+
+    ``index[h]`` is the position of member h in ``members``; ``coset_rep[x]``
+    is the least element of the left coset xH, for every x in the group.
+    """
 
     group: Group
     members: tuple[int, ...]
+    index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mem = tuple(sorted(set(self.members)))
@@ -124,19 +130,27 @@ class Subgroup:
         g = self.group
         if not mem or any(not 0 <= a < g.size for a in mem):
             raise InvalidInput("subgroup members out of range", code="bad-subgroup")
-        mset = set(mem)
-        if g.identity not in mset:
+        index = {h: i for i, h in enumerate(mem)}
+        object.__setattr__(self, "index", index)
+        if g.identity not in index:
             raise InvalidInput("subgroup must contain the identity", code="bad-subgroup")
         for a in mem:
             for b in mem:
-                if g.mul(a, b) not in mset:
+                if g.mul(a, b) not in index:
                     raise InvalidInput(
                         f"set not closed: {g.name_of(a)}*{g.name_of(b)} escapes",
                         code="bad-subgroup",
                     )
 
-    def position_of(self, a: int) -> int:
-        return self.members.index(a)
+    @cached_property
+    def coset_rep(self) -> tuple[int, ...]:
+        rep = [-1] * self.group.size
+        for x in self.group.elements():
+            if rep[x] < 0:
+                coset = left_coset(x, self)
+                for y in coset:
+                    rep[y] = coset[0]
+        return tuple(rep)
 
 
 # -- construction ------------------------------------------------------------
@@ -184,13 +198,14 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     n = len(tbl)
     if n == 0:
         raise InvalidInput("empty table", code="non-latin")
+    full = set(range(n))
     for row in tbl:
         if len(row) != n:
             raise InvalidInput("table is not square", code="non-latin")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
-    full = set(range(n))
+        # a row of plain ints inside range(n) passes at C speed; any other row
+        # is scanned entry by entry, to report the first bad one
+        if not (set(map(type, row)) <= {int} and full.issuperset(row)):
+            _check_entries(row, n)
     for i, row in enumerate(tbl):
         if set(row) != full:
             raise InvalidInput(f"row {i} is not a permutation", code="non-latin")
@@ -220,6 +235,14 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
                     f"not associative at triple ({a},{s},{c})", code="non-associative"
                 )
     return e
+
+
+def _check_entries(row: tuple[int, ...], n: int) -> None:
+    """Reject the first entry of row that is not an int in range(n); an int
+    subclass other than bool is accepted."""
+    for v in row:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+            raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
 
 
 def _right_generators(tbl: tuple[tuple[int, ...], ...], e: int) -> list[int]:

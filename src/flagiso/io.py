@@ -158,11 +158,10 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
             )
         # rows/columns of "values" follow the listed support order, not the
         # sorted member order the Subgroup ends up with
-        pos = {h: sub.position_of(h) for h in members}
         tbl = [[0] * n for _ in range(n)]
         for i, a in enumerate(members):
             for j, b in enumerate(members):
-                tbl[pos[a]][pos[b]] = _int(values[i][j], "twisted values must be integers")
+                tbl[sub.index[a]][sub.index[b]] = _int(values[i][j], "twisted values must be integers")
         return GradedDivisionAlgebra(validate_cocycle(sub, order, tbl))
     raise InvalidInput(f"unknown division kind {kind!r}", code="bad-schema")
 
@@ -268,7 +267,7 @@ def witness_from_obj(
         raise InvalidInput(f"{where}: h must list {n} correctors", code="invalid-witness-data")
     message = f"{where}: h must list element names"
     correctors = tuple(_elem(grp, x, message, "invalid-witness-data") for x in h_raw)
-    sup = set(source.division.support.members)
+    sup = source.division.support.index
     if any(h not in sup for h in correctors):
         raise InvalidInput(
             f"{where}: correctors must lie in the division support", code="invalid-witness-data"

@@ -23,7 +23,7 @@ from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
 from .errors import BudgetExceeded, GroupMismatch, InvalidInput, UnsupportedInput
-from .groups import Group, Subgroup, left_coset
+from .groups import Group, Subgroup
 from .presentations import BlockShape, FlagPresentation, make_presentation
 
 __all__ = [
@@ -132,7 +132,7 @@ def _validate_witness_data(
         raise InvalidInput(
             "invalid witness data: sigma does not preserve blocks", code="invalid-witness-data"
         )
-    sup = set(p.division.support.members)
+    sup = p.division.support.index
     if len(correctors) != n or any(h not in sup for h in correctors):
         raise InvalidInput(
             "invalid witness data: correctors must lie in the division support",
@@ -311,6 +311,8 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
 
 def invert_witness(w: IsoWitness) -> IsoWitness:
     """Witness for the inverse isomorphism, built from inverted data."""
+    # a loaded witness carries its data unchecked: check it before computing with it
+    _validate_witness_data(w.source, w.target, w.shift, w.sigma, w.correctors, w.mu)
     p, p2 = w.source, w.target
     grp = p.group
     g = w.shift
@@ -333,6 +335,8 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
     """Witness for the composite isomorphism source(w1) -> target(w2)."""
     if w1.target != w2.source:
         raise InvalidInput("witnesses do not compose: endpoints differ", code="invalid-witness-data")
+    for w in (w1, w2):
+        _validate_witness_data(w.source, w.target, w.shift, w.sigma, w.correctors, w.mu)
     p = w1.source
     grp = p.group
     n = p.shape.n
@@ -360,17 +364,6 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
 # -- isomorphism decisions -----------------------------------------------------
 
 
-def _coset_reps(support: Subgroup) -> list[int]:
-    """rep[x] = the least element of the left coset x*H, for every x in G."""
-    rep = [-1] * support.group.size
-    for x in support.group.elements():
-        if rep[x] < 0:
-            coset = left_coset(x, support)
-            for y in coset:
-                rep[y] = coset[0]
-    return rep
-
-
 def _shift_search(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra):
     """Yield (g, mu) for each shift g, ascending, with mu a corrector from D^g to D'.
 
@@ -392,7 +385,7 @@ def _shift_search(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra):
 
 
 def _witness_at(
-    p: FlagPresentation, p2: FlagPresentation, g: int, mu: Corrector, rep: list[int]
+    p: FlagPresentation, p2: FlagPresentation, g: int, mu: Corrector
 ) -> IsoWitness | None:
     """The witness at shift g, or None when the blockwise left-coset multisets differ.
 
@@ -406,6 +399,7 @@ def _witness_at(
     solve on D^g and D' (equal supports).  verify_witness checks the map.
     """
     grp = p.group
+    rep = p.division.support.coset_rep
     ginv = grp.inv(g)
     src = [rep[d] for d in p.degrees]
     tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
@@ -460,7 +454,7 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 detail="pair isomorphism admits no shift; division parts are not isomorphic",
             ),
         )
-    w = _witness_at(flat, flat2, grp.identity, mu, _coset_reps(p.division.support))
+    w = _witness_at(flat, flat2, grp.identity, mu)
     if w is None:
         return Verdict(
             NOT_ISOMORPHIC,
@@ -491,10 +485,8 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 f"block shapes differ: {p.shape.blocks} vs {p2.shape.blocks}"
             ),
         )
-    support = p.division.support
-    rep = _coset_reps(support)
     for g, mu in _shift_search(p.division, p2.division):
-        w = _witness_at(p, p2, g, mu, rep)
+        w = _witness_at(p, p2, g, mu)
         if w is not None:
             return _checked_isomorphic(p, p2, w)
 
@@ -509,7 +501,7 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
             shifts_tried=grp.size,
             detail=(
                 f"searched all {grp.size} shifts with blockwise coset matching "
-                f"over a support of size {len(support.members)}"
+                f"over a support of size {len(p.division.support.members)}"
             ),
             invariant_mismatch=mismatch,
         ),
@@ -575,7 +567,7 @@ def equiv_check(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 
 def _class_profiles(p: FlagPresentation) -> dict[int, tuple[int, ...]]:
     """Per distinct left coset of the support, its count in each block."""
-    rep = _coset_reps(p.division.support)
+    rep = p.division.support.coset_rep
     reps = [rep[d] for d in p.degrees]
     blocks = p.shape.block_positions()
     out: dict[int, tuple[int, ...]] = {}
@@ -781,18 +773,17 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     return [g for g, _ in _shift_search(division, division)]
 
 
-def canonical_form(p: FlagPresentation, shifts: Sequence[int] | None = None) -> tuple[int, ...]:
+def canonical_form(p: FlagPresentation) -> tuple[int, ...]:
     """Lexicographically minimal tuple over shift, block permutation, coset correction."""
-    if shifts is None:
-        shifts = _admissible_shifts(p.division)
-    rep = _coset_reps(p.division.support)
-    return _least_form(p.group, p.shape.block_positions(), p.degrees, shifts, rep)
+    shifts = _admissible_shifts(p.division)
+    return _least_form(p.division.support, p.shape.block_positions(), p.degrees, shifts)
 
 
 def _least_form(
-    grp: Group, blocks: list[range], degrees: Sequence[int], shifts: Sequence[int], rep: list[int]
+    support: Subgroup, blocks: list[range], degrees: Sequence[int], shifts: Sequence[int]
 ) -> tuple[int, ...]:
     """Over the shifts g, the least blockwise-sorted tuple of coset reps of d*g."""
+    grp, rep = support.group, support.coset_rep
     return min(
         tuple(x for blk in blocks for x in sorted(rep[grp.mul(degrees[i], g)] for i in blk))
         for g in shifts
@@ -837,7 +828,7 @@ def classify(
             f"enumeration of {base}^{n} = {base**n} tuples exceeds budget {limit}{note}"
         )
     shifts = _admissible_shifts(division)
-    rep = _coset_reps(division.support)
+    rep = division.support.coset_rep
     cosets = sorted(set(rep))
     index = {r: i for i, r in enumerate(cosets)}
     # the distinct actions of the admissible shifts on the coset indices; they

@@ -29,7 +29,10 @@ class BlockShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        blocks = tuple(self.blocks)
+        if any(not isinstance(b, int) or isinstance(b, bool) for b in blocks):
+            raise InvalidInput(f"block sizes must be integers, got {blocks}", code="bad-blocks")
+        object.__setattr__(self, "blocks", tuple(map(int, blocks)))
         if not self.blocks or any(b < 1 for b in self.blocks):
             raise InvalidInput(f"block sizes must be positive, got {self.blocks}", code="bad-blocks")
 

@@ -19,7 +19,6 @@ from .iso import (
     ISOMORPHIC,
     NOT_ISOMORPHIC,
     Classification,
-    _coset_reps,
     _least_form,
     classify,
     iso_algebras,
@@ -62,12 +61,11 @@ def enumerate_classes(
     cls.membership_checked = cls.total <= DEFAULT_PAIR_BUDGET
     if cls.membership_checked:
         by_rep = {rep.degrees: rep for rep in reps}
-        coset_rep = _coset_reps(division.support)
         positions = cls.shape.block_positions()
         reached = dict.fromkeys(by_rep, 0)
         for tup in itertools.product(range(group.size), repeat=cls.shape.n):
             p = FlagPresentation(division, cls.shape, tup)
-            key = _least_form(group, positions, tup, cls.shifts, coset_rep)
+            key = _least_form(division.support, positions, tup, cls.shifts)
             reached[key] += 1
             rep = by_rep[key]
             verdict = iso_algebras(p, rep)

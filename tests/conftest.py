@@ -32,7 +32,7 @@ from flagiso import (
     iso_division,
     shift_conjugate,
 )
-from flagiso.iso import _admissible_shifts, _coset_reps, _least_form
+from flagiso.iso import _admissible_shifts, _least_form
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -115,11 +115,10 @@ def classify_by_tuples(group: Group, blocks, division: GradedDivisionAlgebra) ->
     """classify's table the exhaustive way: bucket every degree tuple by its canonical form."""
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
     shifts = _admissible_shifts(division)
-    rep = _coset_reps(division.support)
     positions = shape.block_positions()
     buckets: dict[tuple[int, ...], int] = {}
     for tup in itertools.product(range(group.size), repeat=shape.n):
-        key = _least_form(group, positions, tup, shifts, rep)
+        key = _least_form(division.support, positions, tup, shifts)
         buckets[key] = buckets.get(key, 0) + 1
     reps = tuple(sorted(buckets))
     return Classification(

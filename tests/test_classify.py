@@ -203,9 +203,9 @@ def test_classify_visits_configurations_not_tuples(monkeypatch):
     least_form = flagiso.iso._least_form
     configurations = flagiso.iso._configurations
 
-    def counted_least_form(grp, blocks, degrees, shifts, rep):
+    def counted_least_form(support, blocks, degrees, shifts):
         evaluated.append(tuple(degrees))
-        return least_form(grp, blocks, degrees, shifts, rep)
+        return least_form(support, blocks, degrees, shifts)
 
     def counted_configurations(multisets):
         for config in configurations(multisets):

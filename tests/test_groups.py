@@ -166,6 +166,10 @@ def test_validate_table_bad_names():
         validate_table([[0, 1], [1, 0]], names=["x"])
     with pytest.raises(InvalidInput):
         validate_table([[0, 1], [1, 0]], names=["x", "x"])
+    # names are compared as the strings they become
+    with pytest.raises(InvalidInput) as ei:
+        Group([[0, 1], [1, 0]], [1, "1"])
+    assert (ei.value.code, str(ei.value)) == ("bad-names", "element names must be distinct")
 
 
 # -- arithmetic -----------------------------------------------------------------
@@ -246,6 +250,52 @@ def test_table_entries_must_not_be_booleans():
     assert ei.value.code == "non-latin"
 
 
+def z256_with(*edits):
+    """The Z256 table with (row, column, value) entries overwritten."""
+    table = [list(row) for row in build_abelian([256]).table]
+    for i, j, v in edits:
+        table[i][j] = v
+    return table
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([(0, 1, True)], "table entry True out of range"),
+        ([(3, 5, 2.0)], "table entry 2.0 out of range"),
+        ([(7, 0, [1])], "table entry [1] out of range"),
+        ([(255, 255, 256)], "table entry 256 out of range"),
+        ([(255, 0, -1)], "table entry -1 out of range"),
+        # row-major order: the earlier row wins, then the earlier column
+        ([(9, 4, 1.5), (8, 200, 300)], "table entry 300 out of range"),
+        ([(8, 4, 1.5), (8, 200, 300)], "table entry 1.5 out of range"),
+    ],
+)
+def test_table_range_check_scans_only_failing_rows(monkeypatch, edits, message):
+    scanned = []
+    check_entries = flagiso.groups._check_entries
+
+    def counted(row, n):
+        scanned.append(row)
+        return check_entries(row, n)
+
+    monkeypatch.setattr(flagiso.groups, "_check_entries", counted)
+    assert validate_table(build_abelian([256]).table).size == 256
+    assert scanned == []
+    with pytest.raises(InvalidInput) as ei:
+        validate_table(z256_with(*edits))
+    assert (ei.value.code, str(ei.value)) == ("non-latin", message)
+    assert len(scanned) == 1
+
+
+def test_table_entries_may_be_int_subclasses():
+    class Label(int):
+        pass
+
+    g = validate_table([[Label(0), Label(1)], [Label(1), Label(0)]])
+    assert g.identity == 0 and g.mul(1, 1) == 0
+
+
 # -- subgroups -------------------------------------------------------------------
 
 
@@ -265,7 +315,7 @@ def test_subgroup_validation():
     sub = Subgroup(g, (2, 0))
     assert sub.members == (0, 2)
     assert 2 in sub.members and 1 not in sub.members
-    assert sub.position_of(2) == 1
+    assert sub.index == {0: 0, 2: 1}
 
 
 def test_left_coset_z4():
@@ -274,6 +324,7 @@ def test_left_coset_z4():
     assert left_coset(0, h) == (0, 2)
     assert left_coset(1, h) == (1, 3)
     assert left_coset(3, h) == (1, 3)  # same coset, same canonical rep 1
+    assert h.coset_rep == (0, 1, 0, 1)
 
 
 # -- isomorphism search ------------------------------------------------------------

@@ -6,20 +6,25 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import NONASSOC_LOOP
+from conftest import NONASSOC_LOOP, make_sym
 
 from flagiso import (
     ISOMORPHIC,
+    GradedDivisionAlgebra,
     GradingReport,
     GroupMismatch,
     InvalidInput,
     Subgroup,
     build_abelian,
     build_witness,
+    compose_witness,
+    invert_witness,
     iso_algebras,
     make_presentation,
     pauli,
     realize,
+    subgroup_closure,
+    trivial_cocycle,
     trivial_division,
     validate_cocycle,
     verify_witness,
@@ -273,6 +278,28 @@ def test_shift_field_is_provenance_not_semantics():
     with pytest.raises(InvalidInput) as ei:
         witness_from_obj(obj, p, q)
     assert "unknown element name" in str(ei.value)
+
+
+def test_invert_and_compose_check_loaded_witness_data():
+    # over S3 with support <(1,0,2)>, a loaded g that breaks the tuple relation
+    # must be refused before invert or compose computes with it
+    grp, _, idx = make_sym(3)
+    d = GradedDivisionAlgebra(trivial_cocycle(subgroup_closure(grp, [idx[(1, 0, 2)]])))
+    p = make_presentation(d, (1, 1), ["012", "120"])
+    w = iso_algebras(p, p).witness
+    obj = witness_to_obj(w)
+    assert verify_witness(realize(p), realize(p), invert_witness(witness_from_obj(obj, p, p))).ok
+    obj["g"] = "021"
+    back = witness_from_obj(obj, p, p)
+    for run in (
+        lambda: invert_witness(back),
+        lambda: compose_witness(back, w),
+        lambda: compose_witness(w, back),
+    ):
+        with pytest.raises(InvalidInput) as ei:
+            run()
+        assert ei.value.code == "invalid-witness-data"
+        assert "tuple relation fails at position 1" in str(ei.value)
 
 
 # -- command line ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ exactly what its library modules export (``io`` and ``cli`` stay namespaced).
 Each fact is proved once: ``validate_cocycle`` checks only tables that come
 from outside (the twisted loader and ``trivial_cocycle``); cocycles derived
 from checked ones (``transport``, ``pauli``) are built without a re-check.
+Support lookups have one owner: a ``Subgroup`` builds its member index and
+its coset table, and every other module reads them instead of rebuilding.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
 """
@@ -90,6 +92,28 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
         "_validate_witness_data",
     ]
     assert references_by_function(iso, "iso_division") == ["_shift_search", "iso_pairs"]
+
+
+def test_coset_tables_are_built_only_by_subgroup():
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner in references_by_function(path, "left_coset")
+    ]
+    assert found == ["groups.Subgroup"]
+
+
+def test_support_positions_come_from_the_member_index():
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "index"
+        and getattr(node.func.value, "attr", getattr(node.func.value, "id", None)) == "members"
+    )
+    assert sorted(SRC.glob("*.py")), "library sources not found"
+    assert found == [], f"members.index calls in the library: {found}"
 
 
 def test_every_exported_name_resolves():

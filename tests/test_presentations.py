@@ -4,7 +4,6 @@ from flagiso import (
     BlockShape,
     InvalidInput,
     build_abelian,
-    canonical_form,
     make_presentation,
     pauli,
     shift_presentation,
@@ -12,6 +11,7 @@ from flagiso import (
     trivial_division,
     validate_cocycle,
 )
+from flagiso.iso import _least_form
 
 
 def test_block_shape_basics():
@@ -29,6 +29,14 @@ def test_block_shape_rejects_nonpositive(bad):
     with pytest.raises(InvalidInput) as ei:
         BlockShape(bad)
     assert ei.value.code == "bad-blocks"
+
+
+@pytest.mark.parametrize("bad", [(2.5,), (1, 2.0), (True, 1), ("2",)])
+def test_block_shape_rejects_non_integers(bad):
+    with pytest.raises(InvalidInput) as ei:
+        BlockShape(bad)
+    assert ei.value.code == "bad-blocks"
+    assert str(ei.value) == f"block sizes must be integers, got {bad}"
 
 
 def test_make_presentation():
@@ -85,7 +93,7 @@ def coset_signature(p):
 
     This is canonical_form restricted to the identity shift.
     """
-    return canonical_form(p, [p.group.identity])
+    return _least_form(p.division.support, p.shape.block_positions(), p.degrees, [p.group.identity])
 
 
 def test_coset_signature_z4():
