@@ -118,6 +118,8 @@ class Subgroup:
 
     ``index[h]`` is the position of member h in ``members``; ``coset_rep[x]``
     is the least element of the left coset xH, for every x in the group.
+    Every cocycle and corrector on this support reads ``index``, so it must
+    never be written to.
     """
 
     group: Group
@@ -198,14 +200,13 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     n = len(tbl)
     if n == 0:
         raise InvalidInput("empty table", code="non-latin")
-    full = set(range(n))
     for row in tbl:
         if len(row) != n:
             raise InvalidInput("table is not square", code="non-latin")
-        # a row of plain ints inside range(n) passes at C speed; any other row
-        # is scanned entry by entry, to report the first bad one
-        if not (set(map(type, row)) <= {int} and full.issuperset(row)):
-            _check_entries(row, n)
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
+    full = set(range(n))
     for i, row in enumerate(tbl):
         if set(row) != full:
             raise InvalidInput(f"row {i} is not a permutation", code="non-latin")
@@ -235,14 +236,6 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
                     f"not associative at triple ({a},{s},{c})", code="non-associative"
                 )
     return e
-
-
-def _check_entries(row: tuple[int, ...], n: int) -> None:
-    """Reject the first entry of row that is not an int in range(n); an int
-    subclass other than bool is accepted."""
-    for v in row:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-            raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
 
 
 def _right_generators(tbl: tuple[tuple[int, ...], ...], e: int) -> list[int]:

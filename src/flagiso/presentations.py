@@ -32,6 +32,7 @@ class BlockShape:
         blocks = tuple(self.blocks)
         if any(not isinstance(b, int) or isinstance(b, bool) for b in blocks):
             raise InvalidInput(f"block sizes must be integers, got {blocks}", code="bad-blocks")
+        # every size is an int already; int() only turns subclasses such as IntEnum plain
         object.__setattr__(self, "blocks", tuple(map(int, blocks)))
         if not self.blocks or any(b < 1 for b in self.blocks):
             raise InvalidInput(f"block sizes must be positive, got {self.blocks}", code="bad-blocks")

@@ -250,44 +250,6 @@ def test_table_entries_must_not_be_booleans():
     assert ei.value.code == "non-latin"
 
 
-def z256_with(*edits):
-    """The Z256 table with (row, column, value) entries overwritten."""
-    table = [list(row) for row in build_abelian([256]).table]
-    for i, j, v in edits:
-        table[i][j] = v
-    return table
-
-
-@pytest.mark.parametrize(
-    "edits, message",
-    [
-        ([(0, 1, True)], "table entry True out of range"),
-        ([(3, 5, 2.0)], "table entry 2.0 out of range"),
-        ([(7, 0, [1])], "table entry [1] out of range"),
-        ([(255, 255, 256)], "table entry 256 out of range"),
-        ([(255, 0, -1)], "table entry -1 out of range"),
-        # row-major order: the earlier row wins, then the earlier column
-        ([(9, 4, 1.5), (8, 200, 300)], "table entry 300 out of range"),
-        ([(8, 4, 1.5), (8, 200, 300)], "table entry 1.5 out of range"),
-    ],
-)
-def test_table_range_check_scans_only_failing_rows(monkeypatch, edits, message):
-    scanned = []
-    check_entries = flagiso.groups._check_entries
-
-    def counted(row, n):
-        scanned.append(row)
-        return check_entries(row, n)
-
-    monkeypatch.setattr(flagiso.groups, "_check_entries", counted)
-    assert validate_table(build_abelian([256]).table).size == 256
-    assert scanned == []
-    with pytest.raises(InvalidInput) as ei:
-        validate_table(z256_with(*edits))
-    assert (ei.value.code, str(ei.value)) == ("non-latin", message)
-    assert len(scanned) == 1
-
-
 def test_table_entries_may_be_int_subclasses():
     class Label(int):
         pass
