@@ -73,10 +73,9 @@ class GradedAlgebra:
         vals = division.cocycle.values
         base: dict[tuple[int, int], int] = {}  # cell -> offset, in basis order
         by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
-        for off in range(0, self.dim, k):
-            b = self.basis[off]
-            base[b.row, b.col] = off
-            by_row.setdefault(b.row, []).append((b.col, off))
+        for c, (i, j, _) in enumerate(self.presentation.shape.cells()):
+            base[i, j] = c * k
+            by_row.setdefault(i, []).append((j, c * k))
         for (i, j), off1 in base.items():
             right = [(off2, base[i, l]) for l, off2 in by_row[j]]
             for x in range(k):
@@ -91,16 +90,8 @@ def basis_of(p: FlagPresentation) -> list[BasisElem]:
 
     Ordered by (row block, column block, row, column, support position).
     """
-    blocks = p.shape.block_positions()
     members = p.division.support.members
-    return [
-        BasisElem(i, j, h)
-        for a, rows in enumerate(blocks)
-        for cols in blocks[a:]
-        for i in rows
-        for j in cols
-        for h in members
-    ]
+    return [BasisElem(i, j, h) for i, j, _ in p.shape.cells() for h in members]
 
 
 def realize(p: FlagPresentation) -> GradedAlgebra:
@@ -158,15 +149,19 @@ class GradedInvariants:
 
 
 def invariants(alg: GradedAlgebra) -> GradedInvariants:
-    shape = alg.presentation.shape
-    block_of = [shape.block_of(i) for i in range(shape.n)]
-    dims = Counter(alg.degree)
-    radical = []
-    for c in range(1, shape.s):
-        sub = Counter(
-            alg.degree[pos]
-            for pos, b in enumerate(alg.basis)
-            if block_of[b.col] - block_of[b.row] >= c
-        )
-        radical.append((c, tuple(sorted(sub.items()))))
-    return GradedInvariants(alg.dim, tuple(sorted(dims.items())), tuple(radical))
+    """The invariants of alg, counted from its presentation's cells."""
+    return _cell_invariants(alg.presentation)
+
+
+def _cell_invariants(p: FlagPresentation) -> GradedInvariants:
+    """The invariants of p's algebra, read from its cells without realizing it:
+    cell (i,j) holds the degrees g_i h g_j^-1 for h in supp D."""
+    grp = p.group
+    members = p.division.support.members
+    by_gap = [[] for _ in range(p.shape.s)]  # the cells' degrees, by block gap
+    for i, j, gap in p.shape.cells():
+        gi, gj_inv = p.degrees[i], grp.inv(p.degrees[j])
+        by_gap[gap] += [grp.mul(grp.mul(gi, h), gj_inv) for h in members]
+    # dims[c] is the degree profile of J^c, the cells of gap >= c; J^0 is the algebra
+    dims = [tuple(sorted(Counter(sum(by_gap[c:], [])).items())) for c in range(p.shape.s)]
+    return GradedInvariants(sum(map(len, by_gap)), dims[0], tuple(enumerate(dims))[1:])

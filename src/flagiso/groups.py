@@ -127,6 +127,9 @@ class Subgroup:
     index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for a in self.members:
+            if not isinstance(a, int) or isinstance(a, bool):
+                raise InvalidInput(f"cannot interpret {a!r} as a group element", code="bad-element")
         mem = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", mem)
         g = self.group
@@ -170,6 +173,8 @@ def build_abelian(factors: Sequence[int]) -> Group:
     size = 1
     for f in factors:
         size *= f
+        if size.bit_length() > 64:  # far past the cap: a longer product only costs time
+            break
     _check_order(size)
 
     # append one factor at a time as the new fastest coordinate: element (a, x)
@@ -191,8 +196,10 @@ def validate_table(table: Sequence[Sequence[int]], names: Sequence[str] | None =
 
 
 def _check_order(size: int) -> None:
+    """Refuse an order past the cap; an order wider than 64 bits is not printed."""
     if size > GROUP_ORDER_CAP:
-        raise BudgetExceeded(f"group order {size} exceeds the cap of {GROUP_ORDER_CAP}")
+        shown = size if size.bit_length() <= 64 else "of more than 64 bits"
+        raise BudgetExceeded(f"group order {shown} exceeds the cap of {GROUP_ORDER_CAP}")
 
 
 def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import factorial, lcm, prod
 from typing import Sequence
 
-from .algebras import BasisElem, GradedAlgebra, basis_of, invariants, realize
+from .algebras import BasisElem, GradedAlgebra, _cell_invariants, basis_of, realize
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
@@ -490,8 +490,7 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
         if w is not None:
             return _checked_isomorphic(p, p2, w)
 
-    inv1 = invariants(realize(p))
-    inv2 = invariants(realize(p2))
+    inv1, inv2 = _cell_invariants(p), _cell_invariants(p2)
     mismatch = None
     if inv1 != inv2:
         mismatch = InvariantMismatch(_separate(grp, inv1, inv2))
@@ -613,15 +612,7 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
             reason="blockwise multiplicity profiles of the degree values differ",
         )
 
-    block_of = [p.shape.block_of(i) for i in range(n)]
-    pairs = sorted(
-        {
-            (p.degrees[i], p.degrees[j])
-            for i in range(n)
-            for j in range(n)
-            if block_of[i] <= block_of[j]
-        }
-    )
+    pairs = sorted({(p.degrees[i], p.degrees[j]) for i, j, _ in p.shape.cells()})
 
     def components(lam: dict[int, int]) -> dict[int, int] | None:
         """u -> w over the assigned pairs, or None unless it is a bijection."""

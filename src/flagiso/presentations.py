@@ -61,6 +61,18 @@ class BlockShape:
             start += m
         return out
 
+    def cells(self) -> list[tuple[int, int, int]]:
+        """(i, j, block(j) - block(i)) for each position pair with block(i) <= block(j),
+        ordered by (row block, column block, i, j): the cell layout of every basis."""
+        blocks = self.block_positions()
+        return [
+            (i, j, b - a)
+            for a, rows in enumerate(blocks)
+            for b in range(a, len(blocks))
+            for i in rows
+            for j in blocks[b]
+        ]
+
 
 @dataclass(frozen=True)
 class FlagPresentation:

@@ -10,6 +10,8 @@ lemma over the coset multisets, from the per-shift division loop and cosets
 built as sets, as an oracle for the count.  product_pos and product multiply
 two basis elements straight from the structure constants, as the
 pair-by-pair oracle for GradedAlgebra.nonzero_products.
+invariants_by_basis reads the graded and radical dimensions off a realized
+basis, as the oracle for invariants, which reads them off the cells.
 associative_by_triples tests all |G|^3 triples, as the oracle for the table
 check, which runs Light's test on a generating set; NONASSOC_LOOP is a
 Latin square with identity that both reject.  ACCEPTANCE_LINES
@@ -18,6 +20,7 @@ after the run, outside output capture.
 """
 
 import itertools
+from collections import Counter
 from math import prod
 
 from flagiso import (
@@ -27,6 +30,7 @@ from flagiso import (
     Classification,
     FlagPresentation,
     GradedDivisionAlgebra,
+    GradedInvariants,
     Group,
     iso_algebras,
     iso_division,
@@ -185,3 +189,19 @@ def product(alg, b1, b2):
         return None
     exp, pos = res
     return exp, alg.basis[pos]
+
+
+def invariants_by_basis(alg) -> GradedInvariants:
+    """Graded dimensions, and those of each J^c, counted over the realized basis."""
+    shape = alg.presentation.shape
+    block_of = [shape.block_of(i) for i in range(shape.n)]
+    dims = Counter(alg.degree)
+    radical = []
+    for c in range(1, shape.s):
+        sub = Counter(
+            alg.degree[pos]
+            for pos, b in enumerate(alg.basis)
+            if block_of[b.col] - block_of[b.row] >= c
+        )
+        radical.append((c, tuple(sorted(sub.items()))))
+    return GradedInvariants(alg.dim, tuple(sorted(dims.items())), tuple(radical))

@@ -234,6 +234,13 @@ def test_group_order_cap_refuses_before_construction(monkeypatch):
     with pytest.raises(BudgetExceeded) as ei:
         build_abelian([16, 17])  # order 272
     assert ei.value.code == "budget-exceeded"
+    # an order of up to 64 bits is printed in full, a wider one is not
+    with pytest.raises(BudgetExceeded, match="^group order 1024 exceeds"):
+        build_abelian([2] * 10)
+    with pytest.raises(BudgetExceeded, match=f"^group order {2**64 - 1} exceeds"):
+        build_abelian([3, 5, 17, 257, 641, 65537, 6700417])
+    with pytest.raises(BudgetExceeded, match="^group order of more than 64 bits exceeds"):
+        build_abelian([2] * 64 + [3])
     # refused before the table is checked: this one is not even a Latin square
     with pytest.raises(BudgetExceeded):
         Group([[0] * 257] * 257)
@@ -278,6 +285,15 @@ def test_subgroup_validation():
     assert sub.members == (0, 2)
     assert 2 in sub.members and 1 not in sub.members
     assert sub.index == {0: 0, 2: 1}
+
+
+@pytest.mark.parametrize(
+    "order, member", [(4, 2.0), (4, "a"), (4, None), (4, [2]), (2, True)], ids=repr
+)
+def test_subgroup_members_must_be_element_indices(order, member):
+    with pytest.raises(InvalidInput, match="as a group element") as err:
+        Subgroup(build_abelian([order]), (0, member))
+    assert err.value.code == "bad-element"
 
 
 def test_left_coset_z4():

@@ -710,6 +710,28 @@ def test_cli_refuses_groups_above_the_order_cap(capsys):
     assert "group order 272 exceeds the cap of 256" in captured.err
 
 
+@pytest.mark.parametrize("command", ["validate", "classify"])
+def test_cli_refuses_long_abelian_factor_lists_without_printing_the_order(
+    tmp_path, capsys, command
+):
+    """2^20000 has too many digits to print; the order is refused, not formatted."""
+    factors = [2] * 20_000
+    if command == "validate":
+        doc = {"v": 1, "group": {"kind": "abelian", "factors": factors},
+               "division": {"kind": "trivial"}, "blocks": [1], "tuple": ["(0)"]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        args = ["validate", str(path)]
+    else:
+        args = ["classify", "--group", "abelian:" + ",".join(map(str, factors)), "--blocks", "1"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "validation error: group order of more than 64 bits exceeds the cap of 256\n"
+    )
+
+
 def test_cli_pauli_fixture_round(capsys):
     code = main(["iso", fx("klein_pauli.json"), fx("klein_pauli_shifted.json")])
     out = capsys.readouterr().out.splitlines()

@@ -468,7 +468,8 @@ def test_engine_witnesses_are_not_revalidated(monkeypatch):
 
 
 def test_each_presentation_is_realized_once_per_decision(monkeypatch):
-    """A decision realizes each side once; building a witness realizes nothing."""
+    """A YES realizes each side once, to certify it; a NO and building a witness
+    realize nothing."""
     calls = []
     monkeypatch.setattr("flagiso.iso.realize", lambda p: calls.append(p) or realize(p))
 
@@ -484,7 +485,7 @@ def test_each_presentation_is_realized_once_per_decision(monkeypatch):
     yes, n_yes = count(iso_algebras, p, q)
     assert yes.kind == ISOMORPHIC and n_yes == 2
     no, n_no = count(iso_algebras, p, make_presentation(d, [1, 1], [0, 0]))
-    assert no.kind == NOT_ISOMORPHIC and n_no == 2
+    assert no.kind == NOT_ISOMORPHIC and no.certificate.invariant_mismatch and n_no == 0
     w = yes.witness
     assert count(build_witness, p, q, w.shift, w.sigma, w.correctors, w.mu)[1] == 0
     inv, n_inv = count(invert_witness, w)

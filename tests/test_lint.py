@@ -11,6 +11,7 @@ from outside (the twisted loader and ``trivial_cocycle``); cocycles derived
 from checked ones (``transport``, ``pauli``) are built without a re-check.
 Support lookups have one owner: a ``Subgroup`` builds its member index and
 its coset table, and every other module reads them instead of rebuilding.
+The decision engine realizes algebras only to certify a YES.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
 """
@@ -92,6 +93,15 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
         "_validate_witness_data",
     ]
     assert references_by_function(iso, "iso_division") == ["_shift_search", "iso_pairs"]
+
+
+def test_decisions_realize_only_to_certify():
+    # a YES is certified on both realized algebras; a NO reads its invariants
+    # off the presentations' cells
+    assert set(references_by_function(SRC / "iso.py", "realize")) == {
+        "_checked_isomorphic",
+        "equiv_elementary",
+    }
 
 
 def test_coset_tables_are_built_only_by_subgroup():

@@ -9,7 +9,9 @@ Loaders: every fixture, its saved form and one fixture witness with one
 field replaced by a random JSON value or deleted, run through the CLI.
 Oracles for checks the library proves instead of re-running: verify_witness
 against the all-pairs loop, on valid and corrupted witnesses; basis_of
-against a sort; every shifted or transported cocycle against
+against a sort, and the cells of its shape against a filter; invariants,
+read off the cells, against the count over the realized basis, on the three
+setups, shifted supports and both Klein four-groups of S4; every shifted or transported cocycle against
 validate_cocycle; every find_isomorphisms map against an all-pairs
 homomorphism check; the nonzero-product walk against all basis pairs, on
 the three setups and on shifted twisted and non-abelian supports; the shift
@@ -39,6 +41,7 @@ from conftest import (
     associative_by_triples,
     classes_by_burnside,
     classify_by_tuples,
+    invariants_by_basis,
     make_sym,
     product_pos,
 )
@@ -59,6 +62,7 @@ from flagiso import (
     classify,
     equiv_elementary,
     find_isomorphisms,
+    invariants,
     iso_algebras,
     iso_division,
     make_presentation,
@@ -295,6 +299,10 @@ def test_basis_order_is_the_sorted_order(pair):
         key=lambda b: (shape.block_of(b[0]), shape.block_of(b[1]), b[0], b[1], members.index(b[2])),
     )
     assert [tuple(b) for b in basis_of(p)] == want
+    assert [(i, j) for i, j, _ in shape.cells()] == sorted(
+        cells, key=lambda c: (shape.block_of(c[0]), shape.block_of(c[1]), *c)
+    )
+    assert all(gap == shape.block_of(j) - shape.block_of(i) for i, j, gap in shape.cells())
 
 
 # -- derived cocycles and group isomorphisms --------------------------------------------
@@ -406,7 +414,7 @@ def test_iso_algebras_matches_the_per_shift_loop(pair):
     assert got == want
 
 
-# -- classify against the tuple loop and Burnside's lemma --------------------------------
+# -- classify against the tuple loop and Burnside's lemma, invariants against the basis
 
 CLASSIFIED = st.one_of(
     pairs().map(lambda pair: pair[0]), shifted_presentations(), klein_s4_presentations()
@@ -431,6 +439,13 @@ def test_classify_counts_the_classes_burnside_counts(p):
     assert classify(p.group, p.shape, p.division).count == classes_by_burnside(
         p.group, p.shape, p.division
     )
+
+
+@SETTINGS
+@given(CLASSIFIED)
+def test_invariants_match_the_count_over_the_basis(p):
+    alg = realize(p)
+    assert invariants(alg) == invariants_by_basis(alg)
 
 
 def assert_valid(cocycle):
