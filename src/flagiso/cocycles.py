@@ -8,6 +8,7 @@ values, normalized so that sigma(e,h) = sigma(h,e) = 1 (exponent 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Mapping
 
@@ -132,16 +133,30 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
-    grp = sub.group
-    members = sub.members
     L = lcm(sigma.order, tau.order)
     ks, kt = L // sigma.order, L // tau.order
-    e = grp.identity
-    unknowns = [h for h in members if h != e]
-    col = {h: i for i, h in enumerate(unknowns)}
+    rows, pos = _coboundary_rows(sub)
+    sv, tv = sigma.values, tau.values
+    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
+    # the rows are the corrector law on non-identity pairs (pairs with e hold by
+    # normalization), and solve_congruences checks its solution against them
+    sol = solve_congruences(rows, rhs, L)
+    if sol is None:
+        return None
+    sol.insert(sub.index[sub.group.identity], 0)
+    return Corrector(sub, L, tuple(sol))
 
-    rows: list[list[int]] = []
-    rhs: list[int] = []
+
+@lru_cache(maxsize=64)
+def _coboundary_rows(sub: Subgroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The coefficients of u(a) + u(b) - u(ab) over the non-identity pairs (a, b)
+    of ``sub``, one column per non-identity member, and the support positions of
+    those members.  They depend on the support alone, so each is built once."""
+    grp = sub.group
+    e = grp.identity
+    unknowns = [h for h in sub.members if h != e]
+    col = {h: i for i, h in enumerate(unknowns)}
+    rows = []
     for a in unknowns:
         for b in unknowns:
             coeff = [0] * len(unknowns)
@@ -150,16 +165,8 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
             ab = grp.mul(a, b)
             if ab != e:
                 coeff[col[ab]] -= 1
-            rows.append(coeff)
-            rhs.append(ks * sigma.val(a, b) - kt * tau.val(a, b))
-    # the rows are the corrector law on non-identity pairs (pairs with e hold by
-    # normalization), and solve_congruences checks its solution against them
-    sol = solve_congruences(rows, rhs, L)
-    if sol is None:
-        return None
-    exps = {e: 0}
-    exps.update({h: sol[col[h]] for h in unknowns})
-    return Corrector.from_map(sub, L, exps)
+            rows.append(tuple(coeff))
+    return tuple(rows), tuple(sub.index[h] for h in unknowns)
 
 
 def is_corrector(mu: Corrector, sigma: Cocycle, tau: Cocycle) -> bool:

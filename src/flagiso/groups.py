@@ -49,6 +49,7 @@ class Group:
             raise InvalidInput("element names must be distinct", code="bad-names")
         self._index_of_name = {n: i for i, n in enumerate(self.names)}
         self._inv = _build_inverses(tbl, self.identity)
+        self._hash = hash(tbl)  # a Group is never changed, and hashing the table is O(|G|^2)
 
     # -- arithmetic on element indices -------------------------------------
 
@@ -98,7 +99,7 @@ class Group:
         return isinstance(other, Group) and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Group(order={self.size})"
@@ -168,8 +169,18 @@ def build_abelian(factors: Sequence[int]) -> Group:
     coordinate varying fastest.
     """
     factors = list(factors)
-    if not factors or any(f < 2 for f in factors):
-        raise InvalidInput(f"every factor must be at least 2, got {factors}", code="invalid-input")
+    if not factors:
+        raise InvalidInput("every factor must be at least 2, got []", code="invalid-input")
+    for pos, f in enumerate(factors):
+        if not isinstance(f, int) or isinstance(f, bool):
+            need = "be an integer"
+        elif f < 2:
+            need = "be at least 2"
+        else:
+            continue
+        # a long list is not echoed: its first bad factor and the count say enough
+        got = factors if len(factors) <= 16 else f"{f!r} at position {pos} of {len(factors)}"
+        raise InvalidInput(f"every factor must {need}, got {got}", code="invalid-input")
     size = 1
     for f in factors:
         size *= f

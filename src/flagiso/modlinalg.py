@@ -3,14 +3,29 @@
 solve_congruences reduces A x = b (mod L) to diagonal form with tracked column
 operations, solves each scalar congruence d*y = c (mod L) by gcd, and maps the
 solution back.  All arithmetic is on Python ints; nothing is approximate.
+
+Every pivot choice and every row and column operation depends on A and L
+alone, never on b.  So each (A, L) is diagonalized once: the row operations
+are logged as they act on b, and a later solve with the same matrix replays
+the log on its own right-hand side.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 __all__ = ["solve_congruences"]
+
+
+class _Diagonal(NamedTuple):
+    """A diagonalized system: U A V = diag(d_0..d_{rank-1}, 0, ...) mod L."""
+
+    ops: tuple[tuple[int, int, int | None], ...]  # (i, k, q): b_i -= q b_k; q None: swap
+    steps: tuple[tuple[int, int, int], ...]  # (gcd(d_i, L), (d_i/g)^-1 mod L/g, L/g) by pivot
+    v: tuple[tuple[int, ...], ...]  # the column transform V
 
 
 def solve_congruences(
@@ -32,28 +47,62 @@ def solve_congruences(
     if modulus == 1:
         return [0] * ncols
     L = modulus
-    A = [[v % L for v in row] for row in a]
+    diag = _diagonalize(tuple(map(tuple, a)), L)
+
     b = [v % L for v in rhs]
+    for i, k, q in diag.ops:
+        if q is None:
+            b[i], b[k] = b[k], b[i]
+        else:
+            b[i] = (b[i] - q * b[k]) % L
+    # diagonal solve: d_i y_i = b_i for each pivot, and 0 = b_i on every other row
+    rank = len(diag.steps)
+    if any(b[rank:]):
+        return None
+    y = []
+    for c, (g, inv, Lg) in zip(b, diag.steps):
+        if c % g:
+            return None
+        y.append((c // g) * inv % Lg)
+
+    x = [sum(map(mul, row, y)) % L for row in diag.v]
+    for row, want in zip(a, rhs):  # exactness check against the original system
+        if sum(map(mul, row, x)) % L != want % L:
+            raise AssertionError("internal solver error: solution fails the original system")
+    return x
+
+
+@lru_cache(maxsize=64)
+def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
+    """Diagonalize A mod L (L >= 2) by row and column operations, logging the row ones.
+
+    Pivot k is the least nonzero entry of the untouched block, the first one in
+    row-major order on ties; its row and column are then cleared by Euclid steps.
+    Rows and columns before k are zero off the diagonal throughout, so every
+    scan starts past k and no operation needs to touch them in A.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    A = [[v % L for v in row] for row in a]
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    ops: list[tuple[int, int, int | None]] = []
 
     def row_sub(i: int, q: int, k: int) -> None:
-        Ai, Ak = A[i], A[k]
-        for j in range(ncols):
-            Ai[j] = (Ai[j] - q * Ak[j]) % L
-        b[i] = (b[i] - q * b[k]) % L
+        A[i] = [(x - q * y) % L for x, y in zip(A[i], A[k])]
+        ops.append((i, k, q))
 
     def col_sub(j: int, q: int, k: int) -> None:
-        for row in A:
+        for row in A[k:]:
             row[j] = (row[j] - q * row[k]) % L
         for row in V:
             row[j] = (row[j] - q * row[k]) % L
 
     def swap_rows(i: int, k: int) -> None:
         A[i], A[k] = A[k], A[i]
-        b[i], b[k] = b[k], b[i]
+        ops.append((i, k, None))
 
     def swap_cols(j: int, k: int) -> None:
-        for row in A:
+        for row in A[k:]:
             row[j], row[k] = row[k], row[j]
         for row in V:
             row[j], row[k] = row[k], row[j]
@@ -61,49 +110,47 @@ def solve_congruences(
     rank_bound = min(nrows, ncols)
     k = 0
     while k < rank_bound:
-        pivot = None
+        pivot, least = None, L
         for i in range(k, nrows):
-            for j in range(k, ncols):
-                v = A[i][j]
-                if v and (pivot is None or v < A[pivot[0]][pivot[1]]):
-                    pivot = (i, j)
+            nonzero = [v for v in A[i][k:] if v]
+            if nonzero and (m := min(nonzero)) < least:
+                pivot, least = (i, A[i].index(m, k)), m
+                if m == 1:  # nothing later is smaller
+                    break
         if pivot is None:
             break
-        if pivot != (k, k):
+        if pivot[0] != k:
             swap_rows(pivot[0], k)
+        if pivot[1] != k:
             swap_cols(pivot[1], k)
+        # rows k+1..off-1 are clear in column k and later row operations keep
+        # them so: the scan resumes at `off` until a column swap brings a new column k
+        off = k + 1
         while True:
             p = A[k][k]
-            off = next((i for i in range(nrows) if i != k and A[i][k]), None)
-            if off is not None:
-                row_sub(off, A[off][k] // p, k)
+            while off < nrows and not A[off][k]:
+                off += 1
+            if off < nrows:
+                q = A[off][k] // p
+                if q:
+                    row_sub(off, q, k)
                 if A[off][k]:  # remainder became the new, smaller pivot
                     swap_rows(off, k)
                 continue
-            off = next((j for j in range(ncols) if j != k and A[k][j]), None)
-            if off is not None:
-                col_sub(off, A[k][off] // p, k)
-                if A[k][off]:
-                    swap_cols(off, k)
+            j = next((j for j in range(k + 1, ncols) if A[k][j]), None)
+            if j is not None:
+                col_sub(j, A[k][j] // p, k)
+                if A[k][j]:
+                    swap_cols(j, k)
+                    off = k + 1
                 continue
             break
         k += 1
 
-    # diagonal solve: A is now diag(d_0..d_{k-1}) with everything else zero
-    y = [0] * ncols
-    for i in range(nrows):
-        d = A[i][i] if i < ncols else 0
-        c = b[i]
+    steps = []
+    for i in range(k):
+        d = A[i][i]
         g = gcd(d, L)
-        if c % g:
-            return None
-        if d and i < ncols:
-            Lg = L // g
-            y[i] = (c // g) * pow((d // g) % Lg, -1, Lg) % Lg if Lg > 1 else 0
-
-    x = [sum(V[i][j] * y[j] for j in range(ncols)) % L for i in range(ncols)]
-    for row, want in zip(a, rhs):  # exactness check against the original system
-        got = sum(v * xi for v, xi in zip(row, x)) % L
-        if got != want % L:
-            raise AssertionError("internal solver error: solution fails the original system")
-    return x
+        Lg = L // g
+        steps.append((g, pow(d // g, -1, Lg) if Lg > 1 else 0, Lg))
+    return _Diagonal(tuple(ops), tuple(steps), tuple(map(tuple, V)))

@@ -8,6 +8,7 @@ endomorphisms that every decision procedure here operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .division import GradedDivisionAlgebra, _as_index, shift_conjugate
@@ -61,17 +62,21 @@ class BlockShape:
             start += m
         return out
 
-    def cells(self) -> list[tuple[int, int, int]]:
+    def cells(self) -> tuple[tuple[int, int, int], ...]:
         """(i, j, block(j) - block(i)) for each position pair with block(i) <= block(j),
         ordered by (row block, column block, i, j): the cell layout of every basis."""
+        return self._cells
+
+    @cached_property
+    def _cells(self) -> tuple[tuple[int, int, int], ...]:
         blocks = self.block_positions()
-        return [
+        return tuple(
             (i, j, b - a)
             for a, rows in enumerate(blocks)
             for b in range(a, len(blocks))
             for i in rows
             for j in blocks[b]
-        ]
+        )
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,18 @@ invariants_by_basis reads the graded and radical dimensions off a realized
 basis, as the oracle for invariants, which reads them off the cells.
 associative_by_triples tests all |G|^3 triples, as the oracle for the table
 check, which runs Light's test on a generating set; NONASSOC_LOOP is a
-Latin square with identity that both reject.  ACCEPTANCE_LINES
+Latin square with identity that both reject.  solve_congruences_by_elimination
+eliminates every system from scratch, as the oracle for solve_congruences,
+which diagonalizes each matrix once and replays it per right-hand side;
+cohomologous_by_elimination builds the corrector system afresh and solves it
+that way, as the oracle for cohomologous.  ACCEPTANCE_LINES
 collects the acceptance suite's per-criterion verdict lines; they are printed
 after the run, outside output capture.
 """
 
 import itertools
 from collections import Counter
-from math import prod
+from math import gcd, lcm, prod
 
 from flagiso import (
     ISOMORPHIC,
@@ -205,3 +209,124 @@ def invariants_by_basis(alg) -> GradedInvariants:
         )
         radical.append((c, tuple(sorted(sub.items()))))
     return GradedInvariants(alg.dim, tuple(sorted(dims.items())), tuple(radical))
+
+
+def solve_congruences_by_elimination(a, rhs, modulus):
+    """One solution x of A x = rhs (mod modulus), or None, by eliminating from scratch.
+
+    Every pivot scan restarts at row and column 0, and b is carried through the
+    elimination itself instead of replaying a logged diagonalization.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    if any(len(row) != ncols for row in a):
+        raise ValueError("ragged matrix")
+    if len(rhs) != nrows:
+        raise ValueError("rhs length mismatch")
+    if modulus == 1:
+        return [0] * ncols
+    L = modulus
+    A = [[v % L for v in row] for row in a]
+    b = [v % L for v in rhs]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_sub(i: int, q: int, k: int) -> None:
+        Ai, Ak = A[i], A[k]
+        for j in range(ncols):
+            Ai[j] = (Ai[j] - q * Ak[j]) % L
+        b[i] = (b[i] - q * b[k]) % L
+
+    def col_sub(j: int, q: int, k: int) -> None:
+        for row in A:
+            row[j] = (row[j] - q * row[k]) % L
+        for row in V:
+            row[j] = (row[j] - q * row[k]) % L
+
+    def swap_rows(i: int, k: int) -> None:
+        A[i], A[k] = A[k], A[i]
+        b[i], b[k] = b[k], b[i]
+
+    def swap_cols(j: int, k: int) -> None:
+        for row in A:
+            row[j], row[k] = row[k], row[j]
+        for row in V:
+            row[j], row[k] = row[k], row[j]
+
+    rank_bound = min(nrows, ncols)
+    k = 0
+    while k < rank_bound:
+        pivot = None
+        for i in range(k, nrows):
+            for j in range(k, ncols):
+                v = A[i][j]
+                if v and (pivot is None or v < A[pivot[0]][pivot[1]]):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot != (k, k):
+            swap_rows(pivot[0], k)
+            swap_cols(pivot[1], k)
+        while True:
+            p = A[k][k]
+            off = next((i for i in range(nrows) if i != k and A[i][k]), None)
+            if off is not None:
+                row_sub(off, A[off][k] // p, k)
+                if A[off][k]:  # remainder became the new, smaller pivot
+                    swap_rows(off, k)
+                continue
+            off = next((j for j in range(ncols) if j != k and A[k][j]), None)
+            if off is not None:
+                col_sub(off, A[k][off] // p, k)
+                if A[k][off]:
+                    swap_cols(off, k)
+                continue
+            break
+        k += 1
+
+    # diagonal solve: A is now diag(d_0..d_{k-1}) with everything else zero
+    y = [0] * ncols
+    for i in range(nrows):
+        d = A[i][i] if i < ncols else 0
+        c = b[i]
+        g = gcd(d, L)
+        if c % g:
+            return None
+        if d and i < ncols:
+            Lg = L // g
+            y[i] = (c // g) * pow((d // g) % Lg, -1, Lg) % Lg if Lg > 1 else 0
+
+    x = [sum(V[i][j] * y[j] for j in range(ncols)) % L for i in range(ncols)]
+    for row, want in zip(a, rhs):  # exactness check against the original system
+        got = sum(v * xi for v, xi in zip(row, x)) % L
+        if got != want % L:
+            raise AssertionError("internal solver error: solution fails the original system")
+    return x
+
+
+def cohomologous_by_elimination(sigma, tau):
+    """Corrector exponents by support position, or None: the corrector law on the
+    non-identity pairs, built afresh and solved by solve_congruences_by_elimination."""
+    sub = sigma.support
+    grp = sub.group
+    L = lcm(sigma.order, tau.order)
+    ks, kt = L // sigma.order, L // tau.order
+    e = grp.identity
+    unknowns = [h for h in sub.members if h != e]
+    col = {h: i for i, h in enumerate(unknowns)}
+    rows, rhs = [], []
+    for a in unknowns:
+        for b in unknowns:
+            coeff = [0] * len(unknowns)
+            coeff[col[a]] += 1
+            coeff[col[b]] += 1
+            ab = grp.mul(a, b)
+            if ab != e:
+                coeff[col[ab]] -= 1
+            rows.append(coeff)
+            rhs.append(ks * sigma.val(a, b) - kt * tau.val(a, b))
+    sol = solve_congruences_by_elimination(rows, rhs, L)
+    if sol is None:
+        return None
+    return tuple(0 if h == e else sol[col[h]] for h in sub.members)

@@ -4,6 +4,7 @@ from math import prod
 import pytest
 from conftest import NONASSOC_LOOP, compose, invert_perm, make_sym
 
+import flagiso.cocycles
 import flagiso.groups
 
 from flagiso import (
@@ -74,6 +75,28 @@ def test_build_abelian_rejects_small_factors(bad):
     with pytest.raises(InvalidInput) as ei:
         build_abelian(bad)
     assert ei.value.code == "invalid-input"
+    assert str(ei.value) == f"every factor must be at least 2, got {bad}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["a"], "every factor must be an integer, got ['a']"),
+        ([2.5], "every factor must be an integer, got [2.5]"),
+        ([True, 3], "every factor must be an integer, got [True, 3]"),
+        ([2, None], "every factor must be an integer, got [2, None]"),
+        ([2] * 15 + [1], f"every factor must be at least 2, got {[2] * 15 + [1]}"),
+        ([2] * 16 + [1], "every factor must be at least 2, got 1 at position 16 of 17"),
+        ([2] * 20 + ["x"] + [1], "every factor must be an integer, got 'x' at position 20 of 22"),
+        ([2] * 400_000 + [1], "every factor must be at least 2, got 1 at position 400000 of 400001"),
+    ],
+)
+def test_build_abelian_rejects_hostile_factors(bad, message):
+    """Non-integers and bools are refused as such; a list longer than 16 is not echoed."""
+    with pytest.raises(InvalidInput) as ei:
+        build_abelian(bad)
+    assert ei.value.code == "invalid-input"
+    assert str(ei.value) == message
 
 
 def test_validate_table_order_one():
@@ -212,6 +235,20 @@ def test_group_equality_is_table_equality():
     assert z2 == same  # names are labels only
     assert hash(z2) == hash(same)
     assert z2 != validate_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def test_equal_groups_share_one_coboundary_system():
+    """The hash, computed once, is the table's; equal supports of equal groups from
+    different sources hit one entry of the cache that cohomologous reads its rows from."""
+    z3sq = build_abelian([3, 3])
+    same = validate_table([list(row) for row in z3sq.table])
+    assert same is not z3sq and hash(same) == hash(z3sq) == hash(z3sq.table)
+    rows = flagiso.cocycles._coboundary_rows
+    rows.cache_clear()
+    first = rows(Subgroup(z3sq, tuple(z3sq.elements())))
+    again = rows(Subgroup(same, tuple(same.elements())))
+    assert again is first
+    assert rows.cache_info().hits == 1 and rows.cache_info().currsize == 1
 
 
 def test_group_elem_ops_and_mismatch():

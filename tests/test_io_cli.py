@@ -732,6 +732,35 @@ def test_cli_refuses_long_abelian_factor_lists_without_printing_the_order(
     )
 
 
+LONG_FACTORS = [2] * 400_000 + [1]
+BAD_FACTORS = [
+    ("validate", LONG_FACTORS, "every factor must be at least 2, got 1 at position 400000 of 400001"),
+    ("classify", LONG_FACTORS, "every factor must be at least 2, got 1 at position 400000 of 400001"),
+    ("validate", [2, 1], "every factor must be at least 2, got [2, 1]"),
+    ("classify", [2, 1], "every factor must be at least 2, got [2, 1]"),
+    ("validate", [True, 3], "abelian factors must be a list of integers"),
+    ("validate", [2.5], "abelian factors must be a list of integers"),
+    ("validate", ["a"], "abelian factors must be a list of integers"),
+]
+
+
+@pytest.mark.parametrize("command, factors, message", BAD_FACTORS)
+def test_cli_names_one_bad_abelian_factor(tmp_path, capsys, command, factors, message):
+    """A bad factor exits 2 with one short line, however long the list."""
+    if command == "validate":
+        doc = {"v": 1, "group": {"kind": "abelian", "factors": factors},
+               "division": {"kind": "trivial"}, "blocks": [1], "tuple": ["(0)"]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        args = ["validate", str(path)]
+    else:
+        args = ["classify", "--group", "abelian:" + ",".join(map(str, factors)), "--blocks", "1"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"validation error: {message}\n"
+
+
 def test_cli_pauli_fixture_round(capsys):
     code = main(["iso", fx("klein_pauli.json"), fx("klein_pauli_shifted.json")])
     out = capsys.readouterr().out.splitlines()

@@ -2,7 +2,12 @@ import itertools
 import random
 
 import pytest
+from conftest import solve_congruences_by_elimination
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flagiso.cocycles
+import flagiso.modlinalg
 from flagiso import solve_congruences
 
 # -- oracle ------------------------------------------------------------------
@@ -101,3 +106,74 @@ def test_rhs_length_mismatch_rejected():
 def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
         solve_congruences([[1]], [0], 0)
+
+
+# -- the memoized diagonalization against elimination from scratch -----------------
+
+
+@st.composite
+def systems(draw):
+    """A matrix with 0-12 rows, 0-8 columns and entries of either sign, a modulus
+    of 1-12, and three right-hand sides: zero, one in the image, one at random."""
+    modulus = draw(st.integers(1, 12))
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 8)) if nrows else 0
+    entry = st.integers(-2 * modulus, 2 * modulus)
+    a = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    image = [sum(c * x for c, x in zip(row, x0)) for row in a]
+    noise = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return a, [[0] * nrows, image, noise], modulus
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(systems())
+def test_memoized_solves_match_elimination_from_scratch(system):
+    """The first solve diagonalizes, later ones replay it: both give the oracle's x."""
+    a, rhss, modulus = system
+    flagiso.modlinalg._diagonalize.cache_clear()
+    for repeat in range(2):
+        for rhs in rhss:
+            want = solve_congruences_by_elimination(a, rhs, modulus)
+            assert solve_congruences(a, rhs, modulus) == want, (repeat, a, rhs, modulus)
+
+
+def test_memo_keeps_copies_of_the_matrix():
+    a = [[2, 4, 1], [6, 3, 0], [1, 1, 1]]
+    rhs = [1, 2, 3]
+    assert solve_congruences(a, rhs, 8) == solve_congruences_by_elimination(a, rhs, 8)
+    a[0][2] = 0
+    a[1][:] = [4, 4, 4]
+    assert solve_congruences(a, rhs, 8) == solve_congruences_by_elimination(a, rhs, 8)
+
+
+def test_returned_solutions_are_fresh_lists():
+    a, rhs = [[1, 2], [3, 5]], [4, 1]
+    first = solve_congruences(a, rhs, 7)
+    want = list(first)
+    first[:] = [6, 6]
+    assert solve_congruences(a, rhs, 7) == want
+    assert solve_congruences(a, rhs, 7) is not solve_congruences(a, rhs, 7)
+
+
+def test_exactness_check_guards_memo_hits(monkeypatch):
+    """A corrupted diagonalization from the memo is caught, not returned."""
+    a, rhs = [[1, 1], [0, 1]], [1, 1]
+    assert solve_congruences(a, rhs, 5) == [0, 1]
+    diagonalize = flagiso.modlinalg._diagonalize
+    hits = diagonalize.cache_info().hits
+
+    def corrupted(key, modulus):
+        diag = diagonalize(key, modulus)
+        return diag._replace(v=tuple((0,) * len(row) for row in diag.v))
+
+    monkeypatch.setattr(flagiso.modlinalg, "_diagonalize", corrupted)
+    with pytest.raises(AssertionError, match="^internal solver error"):
+        solve_congruences(a, rhs, 5)
+    assert diagonalize.cache_info().hits == hits + 1
+
+
+def test_memos_are_bounded():
+    for cache in (flagiso.modlinalg._diagonalize, flagiso.cocycles._coboundary_rows):
+        assert cache.cache_info().maxsize is not None

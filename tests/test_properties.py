@@ -16,12 +16,14 @@ validate_cocycle; every find_isomorphisms map against an all-pairs
 homomorphism check; the nonzero-product walk against all basis pairs, on
 the three setups and on shifted twisted and non-abelian supports; the shift
 search, which solves once per conjugation map, against the loop that solves
-once per shift, on those inputs and both Klein four-groups of S4; classify,
-which counts coset configurations, against the loop that canonicalizes every
-degree tuple, and its class count against Burnside's lemma, on the same
-inputs; validate_table, which checks associativity through a generating set,
-against the loop over all triples, on random loops of order 2 to 12, on
-relabeled group tables and on group tables with one 2x2 subsquare flipped.
+once per shift, on those inputs and both Klein four-groups of S4, and each
+corrector it solves for against the system built afresh and eliminated from
+scratch; classify, which counts coset configurations, against the loop that
+canonicalizes every degree tuple, and its class count against Burnside's
+lemma, on the same inputs; validate_table, which checks associativity
+through a generating set, against the loop over all triples, on random loops
+of order 2 to 12, on relabeled group tables and on group tables with one 2x2
+subsquare flipped.
 Runs are derandomized and keep no example database, so every run
 draws the same examples.
 """
@@ -41,6 +43,7 @@ from conftest import (
     associative_by_triples,
     classes_by_burnside,
     classify_by_tuples,
+    cohomologous_by_elimination,
     invariants_by_basis,
     make_sym,
     product_pos,
@@ -51,6 +54,7 @@ from hypothesis import strategies as st
 from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
+    BlockShape,
     GradedDivisionAlgebra,
     Group,
     InvalidInput,
@@ -60,6 +64,7 @@ from flagiso import (
     build_abelian,
     canonical_form,
     classify,
+    cohomologous,
     equiv_elementary,
     find_isomorphisms,
     invariants,
@@ -303,6 +308,9 @@ def test_basis_order_is_the_sorted_order(pair):
         cells, key=lambda c: (shape.block_of(c[0]), shape.block_of(c[1]), *c)
     )
     assert all(gap == shape.block_of(j) - shape.block_of(i) for i, j, gap in shape.cells())
+    # built once per shape, as a tuple no caller can reorder
+    assert isinstance(shape.cells(), tuple) and shape.cells() is shape.cells()
+    assert BlockShape(shape.blocks).cells() == shape.cells()
 
 
 # -- derived cocycles and group isomorphisms --------------------------------------------
@@ -412,6 +420,21 @@ def test_iso_algebras_matches_the_per_shift_loop(pair):
     with mock.patch("flagiso.iso._shift_search", per_shift_search):
         want = iso_algebras(*pair)
     assert got == want
+
+
+@SETTINGS
+@given(SEARCH_INPUTS)
+def test_cohomologous_matches_the_solve_by_elimination(pair):
+    """Each cocycle the shift search compares: the corrector from the cached rows and
+    the memoized solve is the one from rows built afresh and eliminated from scratch."""
+    d, d2 = pair[0].division, pair[1].division
+    for g in d.group.elements():
+        sigma = shift_conjugate(d, g).cocycle
+        if sigma.support != d2.support:
+            continue
+        for s, t in ((sigma, d2.cocycle), (d2.cocycle, sigma), (sigma, sigma)):
+            mu = cohomologous(s, t)
+            assert (None if mu is None else mu.exps) == cohomologous_by_elimination(s, t)
 
 
 # -- classify against the tuple loop and Burnside's lemma, invariants against the basis
