@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .groups import Group
 from .presentations import FlagPresentation
@@ -57,9 +57,32 @@ class GradedAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def nonzero_products(self):
+    def generators(self) -> list[int]:
+        """Basis positions of a generating set S of the algebra, ascending.
+
+        S is (i,i+1,e) for consecutive positions, (i+1,i,e) within a block,
+        (i,i,e) for a singleton block, and (f,f,x) for the first position f of
+        each block and x in a generating set of the support H.  Every basis
+        element is a product of elements of S, up to a root of unity (the
+        cocycle is normalized, so products with e carry none):
+        (i,i+1,e)(i+1,i,e) = (i,i,e) and (i+1,i,e)(i,i+1,e) = (i+1,i+1,e)
+        reach the units of the blocks of size >= 2; chains of (i,i+1,e), or of
+        (i+1,i,e) within a block, reach (i,j,e) for every cell with i != j;
+        words in the (f,f,x) reach (f,f,h) for every h in the finite group H;
+        and (i,j,h) = (i,f,e)(f,f,h)(f,j,e) with f the first position of i's
+        block.
+        """
+        support = self.presentation.division.support
+        k = len(support.members)
+        e = support.index[self.group.identity]
+        units, heads = self.presentation.shape.generator_cells()
+        xs = [support.index[x] for x in support.generators]
+        return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
+
+    def nonzero_products(self, lefts: Iterable[int] | None = None):
         """Yield (p1, p2, scalar exponent, position) for each nonzero basis product,
-        ascending in p1 and then in p2.
+        ascending in p1 and then in p2; with lefts, a collection of basis
+        positions, only the products whose left factor p1 is one of them.
 
         (i,j,h_x)*(j,l,h_y) = sigma(h_x,h_y) (i,l,h_x h_y), and each cell (i,j)
         holds one copy of the support at a base offset, so the walk runs over
@@ -71,14 +94,24 @@ class GradedAlgebra:
         index = division.support.index
         prod = [[index[self.group.mul(a, b)] for b in members] for a in members]
         vals = division.cocycle.values
+        cells = self.presentation.shape.cells()
         base: dict[tuple[int, int], int] = {}  # cell -> offset, in basis order
         by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
-        for c, (i, j, _) in enumerate(self.presentation.shape.cells()):
+        for c, (i, j, _) in enumerate(cells):
             base[i, j] = c * k
             by_row.setdefault(i, []).append((j, c * k))
-        for (i, j), off1 in base.items():
+        if lefts is None:
+            rows = [(c, range(k)) for c in range(len(cells))]
+        else:
+            by_cell: dict[int, list[int]] = {}  # cell -> support positions of its left factors
+            for p1 in sorted(lefts):
+                by_cell.setdefault(p1 // k, []).append(p1 % k)
+            rows = by_cell.items()
+        for c, xs in rows:
+            i, j, _ = cells[c]
+            off1 = c * k
             right = [(off2, base[i, l]) for l, off2 in by_row[j]]
-            for x in range(k):
+            for x in xs:
                 p1, px, vx = off1 + x, prod[x], vals[x]
                 for off2, off3 in right:
                     for y in range(k):

@@ -118,7 +118,8 @@ class Subgroup:
     """A subgroup H of ``group``, stored as the sorted tuple of member indices.
 
     ``index[h]`` is the position of member h in ``members``; ``coset_rep[x]``
-    is the least element of the left coset xH, for every x in the group.
+    is the least element of the left coset xH, for every x in the group;
+    ``generators`` generate H.
     Every cocycle and corrector on this support reads ``index``, so it must
     never be written to.
     """
@@ -147,6 +148,11 @@ class Subgroup:
                         f"set not closed: {g.name_of(a)}*{g.name_of(b)} escapes",
                         code="bad-subgroup",
                     )
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of H, without the identity (empty for the trivial subgroup)."""
+        return tuple(_generators(self.members, self.group))
 
     @cached_property
     def coset_rep(self) -> tuple[int, ...]:

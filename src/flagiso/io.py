@@ -44,6 +44,14 @@ def load_json_file(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidInput(f"parse error: {path}: {e}", code="parse-error") from None
+    except ValueError:
+        # json's one other ValueError: an integer literal past the interpreter's
+        # limit on digits converted to int; the number itself is not echoed
+        raise InvalidInput(
+            f"parse error: {path}: integer literal with too many digits", code="parse-error"
+        ) from None
+    except RecursionError:
+        raise InvalidInput(f"parse error: {path}: nesting too deep", code="parse-error") from None
 
 
 def _require(obj: Any, key: str, where: str) -> Any:

@@ -420,6 +420,52 @@ def test_cli_corrupted_witness_is_a_decision_not_an_error(tmp_path, capsys):
     assert any("scalar mismatch" in line for line in out[2:])
 
 
+# verify-witness on the klein_pauli fixture pair's witness with one corruption,
+# as printed when the scalar step walked every nonzero product
+INVALID_REPORTS = {
+    "scalar": """\
+WITNESS_INVALID
+checked 144 basis pairs
+scalar mismatch at (0, 0, 1) * (0, 0, 2): exponent 1 != 0 (mod 2)
+scalar mismatch at (0, 0, 1) * (0, 0, 3): exponent 0 != 1 (mod 2)
+scalar mismatch at (0, 0, 2) * (0, 0, 1): exponent 0 != 1 (mod 2)
+scalar mismatch at (0, 0, 2) * (0, 0, 3): exponent 0 != 1 (mod 2)
+scalar mismatch at (0, 0, 3) * (0, 0, 1): exponent 1 != 0 (mod 2)
+... and 5 more failures
+""",
+    "swapped to": """\
+WITNESS_INVALID
+checked 144 basis pairs
+nonzero product (0, 0, 0) * (0, 0, 0) maps to a zero product
+nonzero product (0, 0, 0) * (0, 0, 1) maps to a zero product
+nonzero product (0, 0, 0) * (0, 0, 2) maps to a zero product
+nonzero product (0, 0, 0) * (0, 0, 3) maps to a zero product
+nonzero product (0, 0, 0) * (0, 1, 0) maps to a zero product
+... and 4 more failures
+""",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(INVALID_REPORTS))
+def test_cli_invalid_witness_reports_match_the_goldens(tmp_path, capsys, corruption):
+    """An invalid report names every failing pair, byte for byte, although a valid
+    witness has its scalars checked on generator products only."""
+    a, b = fx("klein_pauli.json"), fx("klein_pauli_shifted.json")
+    wpath = tmp_path / "w.json"
+    assert main(["iso", a, b, "--witness", str(wpath)]) == 0
+    obj = json.loads(wpath.read_text())
+    entries = obj["map"]
+    if corruption == "scalar":
+        entries[3]["scalar_exp"] = (entries[3]["scalar_exp"] + 1) % 2
+    else:
+        entries[0]["to"], entries[6]["to"] = entries[6]["to"], entries[0]["to"]
+    wpath.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["verify-witness", a, b, str(wpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, INVALID_REPORTS[corruption], "")
+
+
 def test_cli_structurally_broken_witness_exits_2(tmp_path, capsys):
     wpath = str(tmp_path / "w.json")
     main(["iso", fx("z2_ea.json"), fx("z2_ae.json"), "--witness", wpath])
@@ -569,6 +615,52 @@ def test_cli_file_and_parse_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("parse error:")
+
+
+def hostile_json_commands(tmp_path, literal):
+    """argv for validate, dims, verify-witness and classify --division, each
+    reading one file that holds literal as the value of an integer field."""
+
+    def write(name, obj, key):
+        path = tmp_path / name
+        path.write_text(json.dumps({**obj, key: 0}).replace(f'"{key}": 0', f'"{key}": {literal}'))
+        return str(path)
+
+    a, b = fx("klein_pauli.json"), fx("klein_pauli_shifted.json")
+    assert main(["iso", a, b, "--witness", str(tmp_path / "w.json")]) == 0
+    witness = json.loads((tmp_path / "w.json").read_text())
+    pres = write("p.json", json.loads((FIXTURES / "z2_ea.json").read_text()), "v")
+    division = {"v": 1, "kind": "twisted", "support": ["(0)"], "values": [[0]]}
+    return [
+        ["validate", pres],
+        ["dims", pres],
+        ["verify-witness", a, b, write("w2.json", witness, "root_order")],
+        ["classify", "--group", "abelian:2", "--blocks", "1,1",
+         "--division", write("d.json", division, "root_order")],
+    ]
+
+
+@pytest.mark.parametrize(
+    "literal, reason",
+    [
+        ("7" * 5000, "integer literal with too many digits"),  # the int limit is 4,300 digits
+        ("[" * 100_000 + "]" * 100_000, "nesting too deep"),
+    ],
+    ids=["5000-digit integer", "100000-deep list"],
+)
+def test_cli_refuses_oversized_json_literals_with_exit_2(tmp_path, capsys, literal, reason):
+    """json.loads raises a plain ValueError for an integer past the digit limit and
+    a RecursionError for deep nesting; both are parse errors, with and without
+    python -O, and the literal is not echoed."""
+    commands = hostile_json_commands(tmp_path, literal)
+    capsys.readouterr()
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        want = (2, "", f"parse error: {argv[-1]}: {reason}\n")
+        assert (code, captured.out, captured.err) == want
+        res = run_cli(*argv, optimize=True)
+        assert (res.returncode, res.stdout, res.stderr) == want
 
 
 def test_cli_bad_arguments(capsys):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from conftest import make_sym
@@ -9,6 +10,7 @@ from flagiso import (
     NOT_ISOMORPHIC,
     BasisElem,
     Corrector,
+    GradedAlgebra,
     GradedDivisionAlgebra,
     GroupMismatch,
     InvalidInput,
@@ -349,6 +351,48 @@ def test_verify_rejects_non_embedding_scalar_order():
     report = verify_witness(realize(p), realize(p), bad)
     assert not report.ok
     assert "does not embed" in report.failures[0]
+
+
+def walked_products(alg, alg2, w):
+    """verify_witness's report, and the number of basis products its walks yielded."""
+    walk = GradedAlgebra.nonzero_products
+    walked = 0
+
+    def counting(self, lefts=None):
+        nonlocal walked
+        for product in walk(self, lefts):
+            walked += 1
+            yield product
+
+    with mock.patch.object(GradedAlgebra, "nonzero_products", counting):
+        report = verify_witness(alg, alg2, w)
+    return report, walked
+
+
+@pytest.mark.parametrize(
+    "division, blocks, dim, generator_products, all_products",
+    [
+        (lambda: pauli(2, build_abelian([2, 4]), ["(1,0)", "(0,2)"]), (2, 2, 2), 96, 216, 1280),
+        (lambda: trivial_division(make_sym(4)[0]), (4, 4), 48, 76, 256),
+    ],
+    ids=["Z2xZ4 pauli (2,2,2)", "S4 trivial (4,4)"],
+)
+def test_a_valid_witness_checks_scalars_on_generator_products_only(
+    division, blocks, dim, generator_products, all_products
+):
+    """A YES walks the products s*b with s a generator, not every nonzero product,
+    and its report still covers all dim^2 basis pairs."""
+    rng = random.Random(7)
+    d = division()
+    p = make_presentation(d, blocks, [rng.randrange(d.group.size) for _ in range(sum(blocks))])
+    q = random_transform(rng, p)
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    report, walked = walked_products(alg, alg2, w)
+    assert alg.dim == dim
+    assert report.ok and report.checked_pairs == dim**2
+    assert sum(1 for _ in alg.nonzero_products()) == all_products
+    assert walked == generator_products < all_products
 
 
 # -- scalar ambiguity ------------------------------------------------------------

@@ -8,22 +8,25 @@ n <= 5, against a brute-force search over block-preserving permutations.
 Loaders: every fixture, its saved form and one fixture witness with one
 field replaced by a random JSON value or deleted, run through the CLI.
 Oracles for checks the library proves instead of re-running: verify_witness
-against the all-pairs loop, on valid and corrupted witnesses; basis_of
-against a sort, and the cells of its shape against a filter; invariants,
-read off the cells, against the count over the realized basis, on the three
-setups, shifted supports and both Klein four-groups of S4; every shifted or transported cocycle against
-validate_cocycle; every find_isomorphisms map against an all-pairs
-homomorphism check; the nonzero-product walk against all basis pairs, on
-the three setups and on shifted twisted and non-abelian supports; the shift
-search, which solves once per conjugation map, against the loop that solves
-once per shift, on those inputs and both Klein four-groups of S4, and each
-corrector it solves for against the system built afresh and eliminated from
-scratch; classify, which counts coset configurations, against the loop that
-canonicalizes every degree tuple, and its class count against Burnside's
-lemma, on the same inputs; validate_table, which checks associativity
-through a generating set, against the loop over all triples, on random loops
-of order 2 to 12, on relabeled group tables and on group tables with one 2x2
-subsquare flipped.
+against the all-pairs loop, on valid and corrupted witnesses, also with its
+scalars checked on generator products alone; the premise of that check, that
+products of the generators reach every basis element, on the three setups,
+shifted supports and both Klein four-groups of S4; basis_of against a sort,
+and the cells of its shape against a filter; invariants, read off the cells,
+against the count over the realized basis, on the three setups, shifted
+supports and both Klein four-groups of S4; every shifted or transported
+cocycle against validate_cocycle; every find_isomorphisms map against an
+all-pairs homomorphism check; the nonzero-product walk, in full and from the
+generators, against all basis pairs, on the three setups and on shifted
+twisted and non-abelian supports; the shift search, which solves once per
+conjugation map, against the loop that solves once per shift, on those
+inputs and both Klein four-groups of S4, and each corrector it solves for
+against the system built afresh and eliminated from scratch; classify, which
+counts coset configurations, against the loop that canonicalizes every
+degree tuple, and its class count against Burnside's lemma, on the same
+inputs; validate_table, which checks associativity through a generating set,
+against the loop over all triples, on random loops of order 2 to 12, on
+relabeled group tables and on group tables with one 2x2 subsquare flipped.
 Runs are derandomized and keep no example database, so every run
 draws the same examples.
 """
@@ -48,13 +51,14 @@ from conftest import (
     make_sym,
     product_pos,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
     BlockShape,
+    GradedAlgebra,
     GradedDivisionAlgebra,
     Group,
     InvalidInput,
@@ -288,6 +292,28 @@ def test_verify_witness_agrees_with_the_all_pairs_loop(case):
         assert got.failures == want.failures
 
 
+def generators_only(nonzero_products):
+    """nonzero_products with the full walk replaced by the generator pass."""
+
+    def walk(alg, lefts=None):
+        return nonzero_products(alg, alg.generators() if lefts is None else lefts)
+
+    return walk
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(witnesses())
+def test_the_generator_pass_alone_decides_like_the_all_pairs_loop(case):
+    """Scalars checked on generators x basis, with no rerun over every nonzero
+    product, reject exactly the witnesses the all-pairs loop rejects."""
+    alg, alg2, w = case
+    with mock.patch.object(
+        GradedAlgebra, "nonzero_products", generators_only(GradedAlgebra.nonzero_products)
+    ):
+        got = verify_witness(alg, alg2, w)
+    assert got.ok == verify_witness_by_pairs(alg, alg2, w).ok
+
+
 @SETTINGS
 @given(pairs())
 def test_basis_order_is_the_sorted_order(pair):
@@ -354,7 +380,8 @@ def shifted_presentations(draw):
 @SETTINGS
 @given(st.one_of(pairs().map(lambda pair: pair[0]), shifted_presentations()))
 def test_nonzero_products_are_the_pair_by_pair_products(p):
-    """The cell walk yields every nonzero product, in the all-pairs order."""
+    """The cell walk yields every nonzero product, in the all-pairs order, and
+    given left factors, the products with those on the left."""
     alg = realize(p)
     want = [
         (p1, p2, *res)
@@ -363,6 +390,8 @@ def test_nonzero_products_are_the_pair_by_pair_products(p):
         if (res := product_pos(alg, p1, p2)) is not None
     ]
     assert list(alg.nonzero_products()) == want
+    lefts = set(alg.generators())
+    assert list(alg.nonzero_products(lefts)) == [t for t in want if t[0] in lefts]
 
 
 # -- the shift search against the per-shift loop ---------------------------------------
@@ -385,6 +414,38 @@ def klein_s4_presentations(draw):
     n = sum(blocks := draw(shapes(max_n=3)))
     degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
     return make_presentation(d, blocks, degrees)
+
+
+def reached_by_generators(alg) -> set[int]:
+    """The basis positions of the products s1*s2*...*sk (k >= 1) of generators."""
+    gens = alg.generators()
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        w = frontier.pop()
+        for s in gens:
+            res = product_pos(alg, s, w)
+            if res is not None and res[1] not in reached:
+                reached.add(res[1])
+                frontier.append(res[1])
+    return reached
+
+
+@SETTINGS
+# a singleton block over a trivial support in a non-abelian group, and S3 as the support
+@example(make_presentation(trivial_division(S3), (1, 2), [0, 1, 2]))
+@example(make_presentation(FULL_S3, (2, 1, 1), [0, 3, 5, 1]))
+@given(
+    st.one_of(
+        pairs().map(lambda pair: pair[0]), shifted_presentations(), klein_s4_presentations()
+    )
+)
+def test_generators_reach_the_whole_basis(p):
+    """The premise of verify_witness's induction: up to a root of unity, every
+    basis element is a product of elements of the generating set."""
+    alg = realize(p)
+    gens = alg.generators()
+    assert gens == sorted(set(gens))
+    assert reached_by_generators(alg) == set(range(alg.dim))
 
 
 @st.composite
