@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import lru_cache
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
-from .groups import Group
-from .presentations import FlagPresentation
+from .groups import Group, Subgroup
+from .presentations import BlockShape, FlagPresentation
 
 __all__ = [
     "BasisElem",
@@ -38,7 +40,12 @@ class BasisElem(NamedTuple):
 
 @dataclass
 class GradedAlgebra:
-    """A realized presentation; treat as immutable after construction."""
+    """A realized presentation; treat as immutable after construction.
+
+    ``basis`` and ``index`` depend only on the block shape and the division
+    support, and every algebra with the same shape and support shares one
+    copy of them, so ``index`` must never be written to.
+    """
 
     presentation: FlagPresentation
     basis: tuple[BasisElem, ...]
@@ -89,16 +96,14 @@ class GradedAlgebra:
         cells i <= j <= l with one product table over support positions.
         """
         division = self.presentation.division
-        members = division.support.members
-        k = len(members)
-        index = division.support.index
-        prod = [[index[self.group.mul(a, b)] for b in members] for a in members]
+        shape = self.presentation.shape
+        k = len(division.support.members)
+        prod = division.support.mul_table
         vals = division.cocycle.values
-        cells = self.presentation.shape.cells()
-        base: dict[tuple[int, int], int] = {}  # cell -> offset, in basis order
+        cells = shape.cells()
+        number = shape.cell_number
         by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
         for c, (i, j, _) in enumerate(cells):
-            base[i, j] = c * k
             by_row.setdefault(i, []).append((j, c * k))
         if lefts is None:
             rows = [(c, range(k)) for c in range(len(cells))]
@@ -110,7 +115,7 @@ class GradedAlgebra:
         for c, xs in rows:
             i, j, _ = cells[c]
             off1 = c * k
-            right = [(off2, base[i, l]) for l, off2 in by_row[j]]
+            right = [(off2, number[i, l] * k) for l, off2 in by_row[j]]
             for x in xs:
                 p1, px, vx = off1 + x, prod[x], vals[x]
                 for off2, off3 in right:
@@ -118,26 +123,45 @@ class GradedAlgebra:
                         yield p1, off2 + y, vx[y], off3 + px[y]
 
 
-def basis_of(p: FlagPresentation) -> list[BasisElem]:
+def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
     """The basis of p's algebra, in the order every realization and witness uses.
 
-    Ordered by (row block, column block, row, column, support position).
+    Ordered by (row block, column block, row, column, support position): cell
+    number c of the shape holds its support position x at c * |H| + x.
     """
+    return _layout(p.shape, p.division.support)[0]
+
+
+@lru_cache(maxsize=64)
+def _layout(
+    shape: BlockShape, support: Subgroup
+) -> tuple[tuple[BasisElem, ...], dict[BasisElem, int]]:
+    """The basis of every algebra of this shape over this support, and its
+    index.  They do not depend on the degree tuple, so each is built once and
+    shared: the index must never be written to."""
+    basis = tuple(BasisElem(i, j, h) for i, j, _ in shape.cells() for h in support.members)
+    return basis, {b: k for k, b in enumerate(basis)}
+
+
+def _cell_degrees(p: FlagPresentation) -> Iterator[list[int]]:
+    """The degrees g_i h g_j^-1, h in supp D by support position, of each cell
+    (i, j) of p's shape in cells() order."""
+    grp = p.group
+    tbl = grp.table
     members = p.division.support.members
-    return [BasisElem(i, j, h) for i, j, _ in p.shape.cells() for h in members]
+    for i, j, _ in p.shape.cells():
+        gi, gj_inv = tbl[p.degrees[i]], grp.inv(p.degrees[j])
+        yield [tbl[gi[h]][gj_inv] for h in members]
 
 
 def realize(p: FlagPresentation) -> GradedAlgebra:
-    """Build the graded algebra of p: basis, degrees and index.
+    """Build the graded algebra of p: the shared basis and index of its shape
+    and support, and its degrees.
 
     Construction only; check_grading is the separate check of the grading law.
     """
-    grp = p.group
-    elems = basis_of(p)
-    degs = tuple(
-        grp.mul(grp.mul(p.degrees[b.row], b.sup), grp.inv(p.degrees[b.col])) for b in elems
-    )
-    return GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
+    basis, index = _layout(p.shape, p.division.support)
+    return GradedAlgebra(p, basis, tuple(chain.from_iterable(_cell_degrees(p))), index)
 
 
 @dataclass(frozen=True)
@@ -189,12 +213,9 @@ def invariants(alg: GradedAlgebra) -> GradedInvariants:
 def _cell_invariants(p: FlagPresentation) -> GradedInvariants:
     """The invariants of p's algebra, read from its cells without realizing it:
     cell (i,j) holds the degrees g_i h g_j^-1 for h in supp D."""
-    grp = p.group
-    members = p.division.support.members
     by_gap = [[] for _ in range(p.shape.s)]  # the cells' degrees, by block gap
-    for i, j, gap in p.shape.cells():
-        gi, gj_inv = p.degrees[i], grp.inv(p.degrees[j])
-        by_gap[gap] += [grp.mul(grp.mul(gi, h), gj_inv) for h in members]
+    for (_, _, gap), degrees in zip(p.shape.cells(), _cell_degrees(p)):
+        by_gap[gap] += degrees
     # dims[c] is the degree profile of J^c, the cells of gap >= c; J^0 is the algebra
     dims = [tuple(sorted(Counter(sum(by_gap[c:], [])).items())) for c in range(p.shape.s)]
     return GradedInvariants(sum(map(len, by_gap)), dims[0], tuple(enumerate(dims))[1:])

@@ -237,13 +237,21 @@ def cmd_classify(args) -> int:
 # -- argument parsing helpers ----------------------------------------------------
 
 
+def _shown(value: str, limit: int = 64) -> str:
+    """value's repr, or past limit characters the repr of its first limit
+    characters and its length: an oversized value is not echoed whole."""
+    if len(value) <= limit:
+        return repr(value)
+    return f"{value[:limit]!r}... ({len(value)} characters)"
+
+
 def _parse_group_arg(value: str) -> Group:
     if value.startswith("abelian:"):
         spec = value[len("abelian:") :]
         try:
             factors = [int(tok) for tok in spec.split(",")]
         except ValueError:
-            raise FlagisoError(f"cannot parse abelian factors from {value!r}") from None
+            raise FlagisoError(f"cannot parse abelian factors from {_shown(value)}") from None
         return build_abelian(factors)
     return io.load_group_file(value)
 
@@ -252,7 +260,7 @@ def _parse_blocks(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in value.split(","))
     except ValueError:
-        raise FlagisoError(f"cannot parse block sizes from {value!r}") from None
+        raise FlagisoError(f"cannot parse block sizes from {_shown(value)}") from None
 
 
 def _split_element_names(text: str) -> list[str]:
@@ -280,16 +288,16 @@ def _parse_division_arg(value: str, group: Group):
         parts = value.split(":")
         if len(parts) != 3:
             raise FlagisoError(
-                f'cannot parse {value!r}; expected "pauli:t:u-name,v-name"'
+                f'cannot parse {_shown(value)}; expected "pauli:t:u-name,v-name"'
             )
         try:
             t = int(parts[1])
         except ValueError:
-            raise FlagisoError(f"pauli order {parts[1]!r} is not an integer") from None
+            raise FlagisoError(f"pauli order {_shown(parts[1])} is not an integer") from None
         names = _split_element_names(parts[2])
         if len(names) != 2:
             raise FlagisoError(
-                f'cannot parse {value!r}; expected "pauli:t:u-name,v-name"'
+                f'cannot parse {_shown(value)}; expected "pauli:t:u-name,v-name"'
             )
         return pauli(t, group, (names[0], names[1]))
     obj = io.load_json_file(value)

@@ -119,7 +119,8 @@ class Subgroup:
 
     ``index[h]`` is the position of member h in ``members``; ``coset_rep[x]``
     is the least element of the left coset xH, for every x in the group;
-    ``generators`` generate H.
+    ``mul_table[x][y]`` is the position of the product of the members at
+    positions x and y; ``generators`` generate H.
     Every cocycle and corrector on this support reads ``index``, so it must
     never be written to.
     """
@@ -153,6 +154,11 @@ class Subgroup:
     def generators(self) -> tuple[int, ...]:
         """A generating set of H, without the identity (empty for the trivial subgroup)."""
         return tuple(_generators(self.members, self.group))
+
+    @cached_property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        tbl, index = self.group.table, self.index
+        return tuple(tuple(index[tbl[a][b]] for b in self.members) for a in self.members)
 
     @cached_property
     def coset_rep(self) -> tuple[int, ...]:

@@ -178,6 +178,9 @@ def _derive_mapping(
     With a_k = g^-1 h_k^-1 g and c = g^-1 h g, basis element (k,l,h) goes to
     (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
     mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1).
+    The image's support element and scalar depend on (a_k, a_l, h) alone, so
+    one table over h is built per pair (a_k, a_l) met, and each cell reads
+    its images from the target basis through that table.
     """
     grp = p.group
     n = p.shape.n
@@ -185,24 +188,44 @@ def _derive_mapping(
     order = lcm(p.division.order, m2, mu.order)
     k2 = order // m2
     km = order // mu.order
-    coc2 = p2.division.cocycle
+    sup2 = p2.division.support
+    index2 = sup2.index
+    mul2 = sup2.mul_table
+    vals2 = p2.division.cocycle.values
     inv_sigma = [0] * n
     for i, s in enumerate(sigma):
         inv_sigma[s] = i
-    a_of = [grp.conj(grp.inv(h), shift) for h in correctors]
-    ainv_of = [grp.inv(a) for a in a_of]
+    # a_k, c and their inverses are members of the target support, by position there
+    a_of = [index2[grp.conj(grp.inv(h), shift)] for h in correctors]
+    conj = [grp.conj(h, shift) for h in p.division.support.members]
+    c_of = [index2[c] for c in conj]
+    mu_of = [km * mu.exp_of(c) for c in conj]
+
+    def images(a: int, b: int) -> list[tuple[int, int]]:
+        """For a_k and a_l at target support positions a and b: the position of
+        a_k c a_l^-1 and the scalar exponent, for each h by source position."""
+        binv = index2[grp.inv(sup2.members[b])]
+        row, va, back = mul2[a], vals2[a], vals2[b][binv]
+        out = []
+        for c, m in zip(c_of, mu_of):
+            ac = row[c]
+            out.append((mul2[ac][binv], (m + k2 * (va[c] + vals2[ac][binv] - back)) % order))
+        return out
+
+    source = basis_of(p)
+    target = basis_of(p2)
+    number = p.shape.cell_number
+    k = len(c_of)
+    tables: dict[tuple[int, int], list[tuple[int, int]]] = {}
     mapping: dict[BasisElem, tuple[BasisElem, int]] = {}
-    for b in basis_of(p):
-        k, l, h = b
-        c = grp.conj(h, shift)
-        a = a_of[k]
-        binv = ainv_of[l]
-        ac = grp.mul(a, c)
-        exp = km * mu.exp_of(c) + k2 * (
-            coc2.val(a, c) + coc2.val(ac, binv) - coc2.val(a_of[l], binv)
-        )
-        target = BasisElem(inv_sigma[k], inv_sigma[l], grp.mul(ac, binv))
-        mapping[b] = (target, exp % order)
+    for cell, (i, j, _) in enumerate(p.shape.cells()):
+        key = (a_of[i], a_of[j])
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = images(*key)
+        off = number[inv_sigma[i], inv_sigma[j]] * k
+        for b, (y, exp) in zip(source[cell * k : cell * k + k], table):
+            mapping[b] = (target[off + y], exp)
     return mapping, order
 
 
@@ -835,7 +858,8 @@ def classify(
     # or printed (3^10000 has too many digits to print); below, a built count
     # has fewer than twice as many bits
     if n * (base.bit_length() - 1) >= max(64, limit.bit_length()):
-        raise BudgetExceeded(f"enumeration of {base}^{n} tuples exceeds budget {limit}{note}")
+        power = f"{base}^{n}" if n.bit_length() <= 64 else f"{base}^n, n of more than 64 bits,"
+        raise BudgetExceeded(f"enumeration of {power} tuples exceeds budget {limit}{note}")
     if base**n > limit:
         raise BudgetExceeded(
             f"enumeration of {base}^{n} = {base**n} tuples exceeds budget {limit}{note}"

@@ -90,8 +90,14 @@ class BlockShape:
         return self._generator_cells
 
     @cached_property
+    def cell_number(self) -> dict[tuple[int, int], int]:
+        """(i, j) -> the index of cell (i, j) in cells(); shared by every caller,
+        so it must never be written to."""
+        return {(i, j): c for c, (i, j, _) in enumerate(self._cells)}
+
+    @cached_property
     def _generator_cells(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        number = {(i, j): c for c, (i, j, _) in enumerate(self._cells)}
+        number = self.cell_number
         heads = [block.start for block in self.block_positions()]
         units = [number[f, f] for f, m in zip(heads, self.blocks) if m == 1]
         for i in range(self.n - 1):

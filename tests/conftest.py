@@ -12,6 +12,10 @@ two basis elements straight from the structure constants, as the
 pair-by-pair oracle for GradedAlgebra.nonzero_products.
 invariants_by_basis reads the graded and radical dimensions off a realized
 basis, as the oracle for invariants, which reads them off the cells.
+realize_by_basis builds a fresh basis, degree by degree, and its index, as
+the oracle for realize, which shares one basis and index per shape and
+support; derive_mapping_by_basis computes a witness's map one basis element
+at a time, as the oracle for the map derived one cell at a time.
 associative_by_triples tests all |G|^3 triples, as the oracle for the table
 check, which runs Light's test on a generating set; NONASSOC_LOOP is a
 Latin square with identity that both reject.  solve_congruences_by_elimination
@@ -33,6 +37,7 @@ from flagiso import (
     BlockShape,
     Classification,
     FlagPresentation,
+    GradedAlgebra,
     GradedDivisionAlgebra,
     GradedInvariants,
     Group,
@@ -209,6 +214,51 @@ def invariants_by_basis(alg) -> GradedInvariants:
         )
         radical.append((c, tuple(sorted(sub.items()))))
     return GradedInvariants(alg.dim, tuple(sorted(dims.items())), tuple(radical))
+
+
+def realize_by_basis(p) -> GradedAlgebra:
+    """p's algebra with a basis, degrees and index all built afresh, one basis
+    element at a time."""
+    grp = p.group
+    members = p.division.support.members
+    elems = [BasisElem(i, j, h) for i, j, _ in p.shape.cells() for h in members]
+    degs = tuple(
+        grp.mul(grp.mul(p.degrees[b.row], b.sup), grp.inv(p.degrees[b.col])) for b in elems
+    )
+    return GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
+
+
+def derive_mapping_by_basis(p, p2, shift, sigma, correctors, mu):
+    """(mapping, scalar order) of the witness data, one basis element at a time:
+    (k,l,h) goes to (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
+    mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1),
+    with a_k = g^-1 h_k^-1 g and c = g^-1 h g."""
+    grp = p.group
+    n = p.shape.n
+    m2 = p2.division.order
+    order = lcm(p.division.order, m2, mu.order)
+    k2 = order // m2
+    km = order // mu.order
+    coc2 = p2.division.cocycle
+    inv_sigma = [0] * n
+    for i, s in enumerate(sigma):
+        inv_sigma[s] = i
+    a_of = [grp.conj(grp.inv(h), shift) for h in correctors]
+    ainv_of = [grp.inv(a) for a in a_of]
+    mapping = {}
+    for i, j, _ in p.shape.cells():
+        for h in p.division.support.members:
+            b = BasisElem(i, j, h)
+            c = grp.conj(h, shift)
+            a = a_of[i]
+            binv = ainv_of[j]
+            ac = grp.mul(a, c)
+            exp = km * mu.exp_of(c) + k2 * (
+                coc2.val(a, c) + coc2.val(ac, binv) - coc2.val(a_of[j], binv)
+            )
+            target = BasisElem(inv_sigma[i], inv_sigma[j], grp.mul(ac, binv))
+            mapping[b] = (target, exp % order)
+    return mapping, order
 
 
 def solve_congruences_by_elimination(a, rhs, modulus):

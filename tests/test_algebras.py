@@ -1,9 +1,10 @@
 import pytest
-from conftest import make_sym, product
+from conftest import make_sym, product, realize_by_basis
 
 from flagiso import (
     BasisElem,
     GradedAlgebra,
+    GradedDivisionAlgebra,
     build_abelian,
     check_grading,
     invariants,
@@ -11,6 +12,8 @@ from flagiso import (
     pauli,
     realize,
     shift_presentation,
+    subgroup_closure,
+    trivial_cocycle,
     trivial_division,
 )
 
@@ -260,3 +263,43 @@ def test_invariants_stable_under_support_translation():
     a = realize(make_presentation(d, [1, 1], [0, 1]))
     b = realize(make_presentation(d, [1, 1], [2, 1]))  # 0*2 stays in the coset 0H
     assert invariants(a) == invariants(b)
+
+
+# -- the shared layout of a shape and support ------------------------------------
+
+
+def test_algebras_of_one_shape_and_support_share_basis_and_index():
+    """The basis and index depend on the shape and support alone: every degree
+    tuple on them, and the shifted copy over an equal support, reads one copy."""
+    grp = build_abelian([2, 4])
+    d = pauli(2, grp, ["(1,0)", "(0,2)"])
+    p = make_presentation(d, [2, 1], ["(0,0)", "(1,3)", "(0,1)"])
+    q = make_presentation(d, [2, 1], ["(1,1)", "(0,0)", "(0,0)"])
+    shifted = shift_presentation(p, "(0,1)")  # abelian: a new support object, equal to d's
+    a, b, c = realize(p), realize(q), realize(shifted)
+    assert shifted.division.support is not d.support
+    assert a.index is b.index is c.index and a.basis is b.basis is c.basis
+    assert a.degree != b.degree
+    want = realize_by_basis(p)
+    assert (a.basis, a.degree, a.index) == (want.basis, want.degree, want.index)
+
+
+def test_other_shapes_and_supports_get_their_own_layouts():
+    """A different support or shape gets a separate basis and index, each with
+    the contents of a basis built afresh."""
+    grp = build_abelian([4])
+    trivial = trivial_division(grp)
+    half = GradedDivisionAlgebra(trivial_cocycle(subgroup_closure(grp, [2]), 1))
+    base = make_presentation(trivial, [1, 1], [0, 1])
+    others = [
+        make_presentation(half, [1, 1], [0, 1]),  # another support
+        make_presentation(trivial, [2], [0, 1]),  # another shape, same n
+        make_presentation(trivial, [1, 2], [0, 1, 3]),
+    ]
+    algs = [realize(p) for p in [base, *others]]
+    for i, alg in enumerate(algs):
+        want = realize_by_basis(alg.presentation)
+        assert list(alg.index.items()) == list(want.index.items())
+        assert (alg.basis, alg.degree) == (want.basis, want.degree)
+        for other in algs[i + 1 :]:
+            assert alg.index is not other.index and alg.basis is not other.basis

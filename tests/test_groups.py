@@ -342,6 +342,19 @@ def test_left_coset_z4():
     assert h.coset_rep == (0, 1, 0, 1)
 
 
+def test_subgroup_mul_table_multiplies_by_position():
+    """mul_table[x][y] is the position of the product of members x and y, on a
+    non-abelian support where the order of the factors matters."""
+    g, perms, idx = make_sym(3)
+    sub = Subgroup(g, tuple(g.elements()))
+    members = sub.members
+    assert sub.mul_table == tuple(
+        tuple(members.index(idx[compose(perms[a], perms[b])]) for b in members) for a in members
+    )
+    assert sub.mul_table is sub.mul_table
+    assert Subgroup(build_abelian([4]), (0, 2)).mul_table == ((0, 1), (1, 0))
+
+
 # -- isomorphism search ------------------------------------------------------------
 
 

@@ -579,6 +579,20 @@ def test_cli_classify_refuses_huge_counts_without_printing_them(
     )
 
 
+def test_cli_classify_refuses_a_count_with_a_huge_exponent_without_printing_it(
+    monkeypatch, capsys
+):
+    """A 4,000-digit block size parses; the refusal names neither it nor the count."""
+    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
+    code = main(["classify", "--group", "abelian:2", "--blocks", "7" * 4000])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.err == (
+        "validation error: enumeration of 2^n, n of more than 64 bits, tuples exceeds budget"
+        " 100000\n"
+    )
+
+
 def test_cli_classify_budgets_a_one_element_group_as_order_two(tmp_path, monkeypatch, capsys):
     """Its lone tuple would realize an algebra of dimension 80200: refused at once."""
     monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
@@ -851,6 +865,64 @@ def test_cli_names_one_bad_abelian_factor(tmp_path, capsys, command, factors, me
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"validation error: {message}\n"
+
+
+HUGE = "7" * 5000  # past the 4,300-digit limit of int()
+
+
+@pytest.mark.parametrize(
+    "args, start",
+    [
+        (
+            ["--group", "abelian:" + HUGE, "--blocks", "1"],
+            "cannot parse abelian factors from 'abelian:7",
+        ),
+        (["--group", "abelian:2", "--blocks", HUGE], "cannot parse block sizes from '7"),
+        (
+            ["--group", "abelian:2,2", "--blocks", "1", "--division", f"pauli:{HUGE}:(1,0),(0,1)"],
+            "pauli order '7",
+        ),
+    ],
+    ids=["group", "blocks", "division"],
+)
+def test_cli_shortens_oversized_values_in_messages(capsys, args, start):
+    """A 5,000-digit value is echoed as a prefix and its length, on one short line."""
+    code = main(["classify", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"validation error: {start}")
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+    assert "characters)" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--group", "abelian:x", "--blocks", "1"],
+            "cannot parse abelian factors from 'abelian:x'",
+        ),
+        (["--group", "abelian:2", "--blocks", "zero"], "cannot parse block sizes from 'zero'"),
+        (
+            ["--group", "abelian:2", "--blocks", "1", "--division", "pauli:x"],
+            '''cannot parse 'pauli:x'; expected "pauli:t:u-name,v-name"''',
+        ),
+        (
+            ["--group", "abelian:2", "--blocks", "1", "--division", "pauli:x:(0),(1)"],
+            "pauli order 'x' is not an integer",
+        ),
+        # 64 characters are still echoed whole
+        (
+            ["--group", "abelian:2", "--blocks", "x" * 64],
+            f"cannot parse block sizes from {'x' * 64!r}",
+        ),
+    ],
+    ids=["group", "blocks", "division", "pauli-order", "64-characters"],
+)
+def test_cli_echoes_short_values_whole(capsys, args, message):
+    code = main(["classify", *args])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, f"validation error: {message}\n")
 
 
 def test_cli_pauli_fixture_round(capsys):

@@ -14,7 +14,11 @@ products of the generators reach every basis element, on the three setups,
 shifted supports and both Klein four-groups of S4; basis_of against a sort,
 and the cells of its shape against a filter; invariants, read off the cells,
 against the count over the realized basis, on the three setups, shifted
-supports and both Klein four-groups of S4; every shifted or transported
+supports and both Klein four-groups of S4; realize, which shares one basis
+and index per shape and support, and the witness map, derived one cell at a
+time, against their per-basis-element builds, on the same inputs, for engine
+witnesses and for random valid witness data with twisted targets and mixed
+correctors; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
@@ -47,9 +51,11 @@ from conftest import (
     classes_by_burnside,
     classify_by_tuples,
     cohomologous_by_elimination,
+    derive_mapping_by_basis,
     invariants_by_basis,
     make_sym,
     product_pos,
+    realize_by_basis,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,6 +64,7 @@ from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
     BlockShape,
+    Corrector,
     GradedAlgebra,
     GradedDivisionAlgebra,
     Group,
@@ -66,6 +73,7 @@ from flagiso import (
     Subgroup,
     WitnessReport,
     build_abelian,
+    build_witness,
     canonical_form,
     classify,
     cohomologous,
@@ -337,6 +345,11 @@ def test_basis_order_is_the_sorted_order(pair):
     # built once per shape, as a tuple no caller can reorder
     assert isinstance(shape.cells(), tuple) and shape.cells() is shape.cells()
     assert BlockShape(shape.blocks).cells() == shape.cells()
+    # cell_number inverts cells(), and it too is built once per shape
+    assert list(shape.cell_number.items()) == [
+        ((i, j), c) for c, (i, j, _) in enumerate(shape.cells())
+    ]
+    assert shape.cell_number is shape.cell_number
 
 
 # -- derived cocycles and group isomorphisms --------------------------------------------
@@ -530,6 +543,73 @@ def test_classify_counts_the_classes_burnside_counts(p):
 def test_invariants_match_the_count_over_the_basis(p):
     alg = realize(p)
     assert invariants(alg) == invariants_by_basis(alg)
+
+
+# -- realize and the witness map against their per-basis-element builds --------------
+
+
+@SETTINGS
+@given(CLASSIFIED)
+def test_realize_matches_the_per_basis_element_build(p):
+    """The shared layout and the per-cell degrees give realize_by_basis's
+    basis, degrees and index, in its order."""
+    got, want = realize(p), realize_by_basis(p)
+    assert (got.basis, got.degree) == (want.basis, want.degree)
+    assert list(got.index.items()) == list(want.index.items())
+
+
+@st.composite
+def witness_data(draw, presentations=CLASSIFIED):
+    """Valid witness data drawn at random: p, a shift g, a block-preserving
+    sigma and correctors in H drawn per position, and a target over D^g
+    twisted by the coboundary of a random u: H^g -> mu_L, which mu = 1/u
+    undoes; the target's degrees follow from the tuple relation."""
+    p = draw(presentations)
+    grp = p.group
+    g = draw(st.integers(0, grp.size - 1))
+    sigma = tuple(i for block in p.shape.block_positions() for i in draw(st.permutations(block)))
+    members = p.division.support.members
+    correctors = tuple(draw(st.sampled_from(members)) for _ in range(p.shape.n))
+    shifted = shift_conjugate(p.division, g)
+    sup = shifted.support
+    order = shifted.order * draw(st.sampled_from([1, 2, 3]))
+    scale = order // shifted.order
+    u = [0 if h == grp.identity else draw(st.integers(0, order - 1)) for h in sup.members]
+    twisted = [
+        [
+            scale * shifted.cocycle.values[x][y] + u[x] + u[y] - u[sup.index[grp.mul(a, b)]]
+            for y, b in enumerate(sup.members)
+        ]
+        for x, a in enumerate(sup.members)
+    ]
+    target = GradedDivisionAlgebra(validate_cocycle(sup, order, twisted))
+    degrees = [grp.mul(grp.mul(p.degrees[k], correctors[k]), g) for k in sigma]
+    p2 = make_presentation(target, p.shape, degrees)
+    return p, p2, g, sigma, correctors, Corrector(sup, order, tuple(-x for x in u))
+
+
+@SETTINGS
+@given(witness_data())
+def test_build_witness_matches_the_per_basis_element_map(data):
+    """On random valid data over twisted, shifted and non-abelian supports with
+    mixed correctors, the per-cell map is derive_mapping_by_basis's, item by
+    item, and it certifies."""
+    p, p2, *rest = data
+    w = build_witness(p, p2, *rest)
+    mapping, order = derive_mapping_by_basis(p, p2, *rest)
+    assert w.scalar_order == order
+    assert list(w.mapping.items()) == list(mapping.items())
+    assert verify_witness(realize(p), realize(p2), w).ok
+
+
+@SETTINGS
+@given(rewrites(CLASSIFIED))
+def test_engine_witnesses_match_the_per_basis_element_map(pair):
+    p, q = pair
+    w = iso_algebras(p, q).witness
+    mapping, order = derive_mapping_by_basis(p, q, w.shift, w.sigma, w.correctors, w.mu)
+    assert w.scalar_order == order
+    assert list(w.mapping.items()) == list(mapping.items())
 
 
 def assert_valid(cocycle):
