@@ -7,6 +7,8 @@ else escaping to the CLI is a bug and maps to exit status 1.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 __all__ = [
     "FlagisoError",
     "InvalidInput",
@@ -49,3 +51,15 @@ class UnsupportedInput(InvalidInput):
     """Structurally valid input outside the supported fragment."""
 
     code = "unsupported-input"
+
+
+def _listed(values: Sequence[object], pos: int, limit: int = 64) -> str:
+    """values as a refusal shows them.  More than 16 entries, or an entry whose
+    repr passes limit characters, are not echoed whole: the entry at pos, its
+    repr cut to limit characters and a length, and the count say enough."""
+    if len(values) <= 16 and all(len(repr(v)) <= limit for v in values):
+        return str(values)
+    shown = repr(values[pos])
+    if len(shown) > limit:
+        shown = f"{shown[:limit]}... ({len(shown)} characters)"
+    return f"{shown} at position {pos} of {len(values)}"

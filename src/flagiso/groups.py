@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import GROUP_ORDER_CAP, ISO_SEARCH_CAP
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, _listed
 
 __all__ = [
     "Group",
@@ -153,7 +153,9 @@ class Subgroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating set of H, without the identity (empty for the trivial subgroup)."""
-        return tuple(_generators(self.members, self.group))
+        g = self.group
+        by_order = sorted(self.members, key=lambda a: -g.order_of(a))
+        return tuple(_closure(g.table, g.identity, by_order)[0])
 
     @cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
@@ -190,9 +192,9 @@ def build_abelian(factors: Sequence[int]) -> Group:
             need = "be at least 2"
         else:
             continue
-        # a long list is not echoed: its first bad factor and the count say enough
-        got = factors if len(factors) <= 16 else f"{f!r} at position {pos} of {len(factors)}"
-        raise InvalidInput(f"every factor must {need}, got {got}", code="invalid-input")
+        raise InvalidInput(
+            f"every factor must {need}, got {_listed(factors, pos)}", code="invalid-input"
+        )
     size = 1
     for f in factors:
         size *= f
@@ -253,7 +255,7 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     # Light's test: the s with (a*s)*c = a*(s*c) for all a, c are closed under
     # products, and every element is a left-normed product e*s1*...*sk of the
     # generators, so checking the generators checks the whole table
-    for s in _right_generators(tbl, e):
+    for s in _closure(tbl, e, range(n))[0]:
         row_s = tbl[s]
         # a_sc(row of a) is the tuple of a*(s*c) over all c: S is nonempty only when
         # n >= 2, and itemgetter of two or more indices returns a tuple
@@ -268,17 +270,22 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     return e
 
 
-def _right_generators(tbl: tuple[tuple[int, ...], ...], e: int) -> list[int]:
-    """Greedy S whose left-normed products e*s1*...*sk reach every element.
+def _closure(
+    tbl: tuple[tuple[int, ...], ...], e: int, candidates: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Greedy generators S drawn from candidates, and the members e*s1*...*sk they reach.
 
-    Take the least element not yet reached and close the reached set under
-    right multiplication by S.  On a group each new generator at least doubles
-    the subgroup reached, so |S| <= log2|G|; on a loop S may grow to every element.
+    Take each candidate not yet reached as a new generator and close the
+    reached set under right multiplication by S.  Members come in the order
+    first reached, so each one after e is x*s for an earlier member x and some
+    s in S.  In a finite group the members are the subgroup S generates and
+    each new generator at least doubles it, so |S| <= log2|G|; on a loop S may
+    grow to every candidate.
     """
     members = [e]
     reached = {e}
     gens: list[int] = []
-    for s in range(len(tbl)):
+    for s in candidates:
         if s in reached:
             continue
         gens.append(s)
@@ -291,7 +298,7 @@ def _right_generators(tbl: tuple[tuple[int, ...], ...], e: int) -> list[int]:
                     reached.add(x)
                     members.append(x)
             i += 1
-    return gens
+    return gens, members
 
 
 def _build_inverses(tbl: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]:
@@ -306,23 +313,14 @@ def _build_inverses(tbl: tuple[tuple[int, ...], ...], e: int) -> tuple[int, ...]
 
 def subgroup_closure(group: Group, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the seed elements."""
-    members = {group.identity}
-    frontier = list(members)
+    seed = list(seed)
     for a in seed:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise InvalidInput(f"cannot interpret {a!r} as a group element", code="bad-element")
         if not 0 <= a < group.size:
             raise InvalidInput(f"element index {a} out of range", code="bad-element")
-        if a not in members:
-            members.add(a)
-            frontier.append(a)
-    # in a finite group, closure under products already yields a subgroup
-    while frontier:
-        a = frontier.pop()
-        for b in list(members):
-            for c in (group.mul(a, b), group.mul(b, a)):
-                if c not in members:
-                    members.add(c)
-                    frontier.append(c)
-    return Subgroup(group, tuple(members))
+    # in a finite group, the right products of the seed already form the subgroup
+    return Subgroup(group, tuple(_closure(group.table, group.identity, seed)[1]))
 
 
 def left_coset(g: int, sub: Subgroup) -> tuple[int, ...]:
@@ -341,7 +339,7 @@ def _as_carrier(x: Group | Subgroup) -> tuple[tuple[int, ...], Group]:
 
 
 def find_isomorphisms(h1: Group | Subgroup, h2: Group | Subgroup) -> list[dict[int, int]]:
-    """All group isomorphisms h1 -> h2 as element-index maps, generator backtracking.
+    """All group isomorphisms h1 -> h2 as element-index maps, over the images of generators.
 
     Accepts plain groups or subgroups (maps are between parent-group indices in
     the latter case).  Returns [] when none exist; results are deterministic.
@@ -357,62 +355,23 @@ def find_isomorphisms(h1: Group | Subgroup, h2: Group | Subgroup) -> list[dict[i
     if sorted(order1.values()) != sorted(order2.values()):
         return []
 
-    gens = _generators(elems1, g1)
     by_order: dict[int, list[int]] = {}
     for a in elems2:
         by_order.setdefault(order2[a], []).append(a)
+    gens, members = _closure(g1.table, g1.identity, sorted(elems1, key=lambda a: -order1[a]))
+    t1, t2 = g1.table, g2.table
 
     found: list[dict[int, int]] = []
-
-    def extend(images: list[int]) -> None:
-        k = len(images)
-        if k < len(gens):
-            for cand in by_order.get(order1[gens[k]], []):
-                extend(images + [cand])
-            return
-        f = _close_homomorphism(elems1, g1, g2, gens, images)
-        # the closure checked f(x*gen) = f(x)*f(gen) for every x and generator,
-        # so f is a homomorphism into h2; injective, it is an isomorphism
-        if f is not None and len(set(f.values())) == len(elems2):
-            found.append(f)
-
-    extend([])
+    for images in itertools.product(*(by_order.get(order1[s], []) for s in gens)):
+        # each member after the identity is x*s for an earlier member x, so one
+        # pass over the members extends f by f(x*s) = f(x)*f(s), and checks it
+        steps = tuple(zip(gens, images))
+        f = {g1.identity: g2.identity}
+        if all(
+            f.setdefault(t1[x][s], y := t2[f[x]][img]) == y for x in members for s, img in steps
+        ):
+            # f(x*s) = f(x)*f(s) for every member x and generator s, so f is a
+            # homomorphism into h2; injective, it is an isomorphism
+            if len(set(f.values())) == len(elems2):
+                found.append(f)
     return found
-
-
-def _generators(elems: tuple[int, ...], g: Group) -> list[int]:
-    gens: list[int] = []
-    span = {g.identity}
-    for a in sorted(elems, key=lambda x: -g.order_of(x)):
-        if a not in span:
-            gens.append(a)
-            span = set(subgroup_closure(g, gens).members)
-            if len(span) == len(elems):
-                break
-    return gens
-
-
-def _close_homomorphism(
-    elems1: tuple[int, ...],
-    g1: Group,
-    g2: Group,
-    gens: list[int],
-    images: list[int],
-) -> dict[int, int] | None:
-    """Extend generator images to the span by BFS; None on any inconsistency."""
-    f = {g1.identity: g2.identity}
-    frontier = [g1.identity]
-    while frontier:
-        x = frontier.pop()
-        for gen, img in zip(gens, images):
-            y = g1.mul(x, gen)
-            fy = g2.mul(f[x], img)
-            if y in f:
-                if f[y] != fy:
-                    return None
-            else:
-                f[y] = fy
-                frontier.append(y)
-    if len(f) != len(elems1):
-        return None
-    return f

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .division import GradedDivisionAlgebra, _as_index, shift_conjugate
-from .errors import InvalidInput
+from .errors import InvalidInput, _listed
 from .groups import Group
 
 __all__ = [
@@ -31,12 +31,19 @@ class BlockShape:
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        if any(not isinstance(b, int) or isinstance(b, bool) for b in blocks):
-            raise InvalidInput(f"block sizes must be integers, got {blocks}", code="bad-blocks")
+        for pos, b in enumerate(blocks):
+            if not isinstance(b, int) or isinstance(b, bool):
+                raise InvalidInput(
+                    f"block sizes must be integers, got {_listed(blocks, pos)}", code="bad-blocks"
+                )
         # every size is an int already; int() only turns subclasses such as IntEnum plain
-        object.__setattr__(self, "blocks", tuple(map(int, blocks)))
-        if not self.blocks or any(b < 1 for b in self.blocks):
-            raise InvalidInput(f"block sizes must be positive, got {self.blocks}", code="bad-blocks")
+        blocks = tuple(map(int, blocks))
+        object.__setattr__(self, "blocks", blocks)
+        pos = next((pos for pos, b in enumerate(blocks) if b < 1), 0)
+        if not blocks or blocks[pos] < 1:
+            raise InvalidInput(
+                f"block sizes must be positive, got {_listed(blocks, pos)}", code="bad-blocks"
+            )
 
     @property
     def n(self) -> int:

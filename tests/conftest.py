@@ -18,7 +18,12 @@ support; derive_mapping_by_basis computes a witness's map one basis element
 at a time, as the oracle for the map derived one cell at a time.
 associative_by_triples tests all |G|^3 triples, as the oracle for the table
 check, which runs Light's test on a generating set; NONASSOC_LOOP is a
-Latin square with identity that both reject.  solve_congruences_by_elimination
+Latin square with identity that both reject.  closure_by_products closes a
+seed under products on both sides, generators_by_rebuilding rebuilds that
+closure after every generator it takes, and isomorphisms_by_closing extends
+each tuple of generator images by its own depth-first closure: the oracles
+for the one greedy closure walk behind subgroup_closure, Subgroup.generators
+and find_isomorphisms.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and replays it per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
@@ -41,6 +46,7 @@ from flagiso import (
     GradedDivisionAlgebra,
     GradedInvariants,
     Group,
+    Subgroup,
     iso_algebras,
     iso_division,
     shift_conjugate,
@@ -95,6 +101,71 @@ def associative_by_triples(tbl) -> bool:
     return all(
         tbl[tbl[a][b]][c] == tbl[a][tbl[b][c]] for a in range(n) for b in range(n) for c in range(n)
     )
+
+
+def closure_by_products(group: Group, seed) -> tuple[int, ...]:
+    """The subgroup generated by seed, sorted: the seed closed under products on both sides."""
+    members = {group.identity, *seed}
+    frontier = list(members)
+    while frontier:
+        a = frontier.pop()
+        for b in list(members):
+            for c in (group.mul(a, b), group.mul(b, a)):
+                if c not in members:
+                    members.add(c)
+                    frontier.append(c)
+    return tuple(sorted(members))
+
+
+def generators_by_rebuilding(elems, group: Group) -> list[int]:
+    """Elements by descending order (stable), each taken while outside the span
+    of those taken before, the span rebuilt from scratch after each one."""
+    gens: list[int] = []
+    span = {group.identity}
+    for a in sorted(elems, key=lambda x: -group.order_of(x)):
+        if a not in span:
+            gens.append(a)
+            span = set(closure_by_products(group, gens))
+    return gens
+
+
+def isomorphisms_by_closing(h1, h2) -> list[dict[int, int]]:
+    """Every isomorphism h1 -> h2, in find_isomorphisms' order: generator images
+    tried depth first, each tuple extended to a map by a depth-first closure."""
+    elems1, g1 = (h1.members, h1.group) if isinstance(h1, Subgroup) else (tuple(h1.elements()), h1)
+    elems2, g2 = (h2.members, h2.group) if isinstance(h2, Subgroup) else (tuple(h2.elements()), h2)
+    order1 = {a: g1.order_of(a) for a in elems1}
+    order2 = {a: g2.order_of(a) for a in elems2}
+    if sorted(order1.values()) != sorted(order2.values()):
+        return []
+    gens = generators_by_rebuilding(elems1, g1)
+    by_order: dict[int, list[int]] = {}
+    for a in elems2:
+        by_order.setdefault(order2[a], []).append(a)
+
+    found = []
+
+    def extend(images):
+        if len(images) < len(gens):
+            for cand in by_order.get(order1[gens[len(images)]], []):
+                extend(images + [cand])
+            return
+        f = {g1.identity: g2.identity}
+        frontier = [g1.identity]
+        while frontier:
+            x = frontier.pop()
+            for gen, img in zip(gens, images):
+                y, fy = g1.mul(x, gen), g2.mul(f[x], img)
+                if y not in f:
+                    f[y] = fy
+                    frontier.append(y)
+                elif f[y] != fy:
+                    return
+        if len(f) == len(elems1) and len(set(f.values())) == len(elems2):
+            found.append(f)
+
+    extend([])
+    return found
 
 
 def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra) -> int:

@@ -89,10 +89,16 @@ def test_build_abelian_rejects_small_factors(bad):
         ([2] * 16 + [1], "every factor must be at least 2, got 1 at position 16 of 17"),
         ([2] * 20 + ["x"] + [1], "every factor must be an integer, got 'x' at position 20 of 22"),
         ([2] * 400_000 + [1], "every factor must be at least 2, got 1 at position 400000 of 400001"),
+        ([10**100, 1], "every factor must be at least 2, got 1 at position 1 of 2"),
+        (
+            ["x" * 65],
+            f"every factor must be an integer, got '{'x' * 63}... (67 characters) at position 0 of 1",
+        ),
     ],
 )
 def test_build_abelian_rejects_hostile_factors(bad, message):
-    """Non-integers and bools are refused as such; a list longer than 16 is not echoed."""
+    """Non-integers and bools are refused as such; a list longer than 16, or with
+    an entry whose repr passes 64 characters, is not echoed whole."""
     with pytest.raises(InvalidInput) as ei:
         build_abelian(bad)
     assert ei.value.code == "invalid-input"
@@ -139,7 +145,7 @@ UP_TO_THE_CAP = [[256], [2] * 8, [4] * 4, [2, 4, 8], "S4", "S5"]
 def test_table_check_generators_stay_logarithmic(source):
     """Light's test costs |S|*|G|^2 lookups: |S| <= log2|G| keeps it off the cubic path."""
     g = make_sym(int(source[1]))[0] if isinstance(source, str) else build_abelian(source)
-    gens = flagiso.groups._right_generators(g.table, g.identity)
+    gens = flagiso.groups._closure(g.table, g.identity, g.elements())[0]
     assert len(gens) <= g.size.bit_length() - 1
     reached, frontier = {g.identity}, [g.identity]
     while frontier:
@@ -310,6 +316,31 @@ def test_subgroup_closure_klein():
     assert subgroup_closure(g, [1]).members == (0, 1)
     assert subgroup_closure(g, [1, 2]).members == (0, 1, 2, 3)
     assert subgroup_closure(g, []).members == (g.identity,)
+
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ([2.0], "cannot interpret 2.0 as a group element"),
+        (["a"], "cannot interpret 'a' as a group element"),
+        ([None], "cannot interpret None as a group element"),
+        ([1, 2.0], "cannot interpret 2.0 as a group element"),
+        ([True], "cannot interpret True as a group element"),
+        ([4], "element index 4 out of range"),
+        ([1, -1], "element index -1 out of range"),
+    ],
+)
+def test_subgroup_closure_checks_every_seed(seed, message):
+    with pytest.raises(InvalidInput) as ei:
+        subgroup_closure(build_abelian([4]), seed)
+    assert ei.value.code == "bad-element"
+    assert str(ei.value) == message
+
+
+def test_subgroup_closure_takes_any_iterable():
+    g = build_abelian([4])
+    assert subgroup_closure(g, iter([2, 2])).members == (0, 2)
 
 
 def test_subgroup_validation():

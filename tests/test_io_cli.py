@@ -895,6 +895,39 @@ def test_cli_shortens_oversized_values_in_messages(capsys, args, start):
     assert "characters)" in captured.err
 
 
+DIGITS = "9" * 4000  # within int()'s limit: the value parses and is refused afterwards
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--group", "abelian:2", "--blocks", DIGITS + ",0"],
+            "block sizes must be positive, got 0 at position 1 of 2",
+        ),
+        (
+            ["--group", "abelian:2", "--blocks", "-" + DIGITS],
+            f"block sizes must be positive, got -{DIGITS[:63]}... (4001 characters) at position 0 of 1",
+        ),
+        (
+            ["--group", f"abelian:{DIGITS},1", "--blocks", "1"],
+            "every factor must be at least 2, got 1 at position 1 of 2",
+        ),
+        (
+            ["--group", "abelian:2", "--blocks", ",".join(["1"] * 20_000 + ["0"])],
+            "block sizes must be positive, got 0 at position 20000 of 20001",
+        ),
+    ],
+    ids=["huge-block", "huge-negative-block", "huge-factor", "long-blocks"],
+)
+def test_cli_names_one_bad_entry_of_an_oversized_list(capsys, args, message):
+    """A list with a huge entry, or of more than 16 entries, is not echoed whole."""
+    code = main(["classify", *args])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, f"validation error: {message}\n")
+    assert len(captured.err.encode()) < 300
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -11,6 +11,8 @@ from outside (the twisted loader and ``trivial_cocycle``); cocycles derived
 from checked ones (``transport``, ``pauli``) are built without a re-check.
 Support lookups have one owner: a ``Subgroup`` builds its member index and
 its coset table, and every other module reads them instead of rebuilding.
+One greedy closure walk owns "the subgroup generated by S": Light's test,
+generating sets, subgroup closure and homomorphism extension all use it.
 The decision engine realizes algebras only to certify a YES.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
@@ -22,6 +24,7 @@ import importlib.util
 from pathlib import Path
 
 import flagiso
+import flagiso.groups
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flagiso"
@@ -111,6 +114,22 @@ def test_coset_tables_are_built_only_by_subgroup():
         for owner in references_by_function(path, "left_coset")
     ]
     assert found == ["groups.Subgroup"]
+
+
+def test_one_closure_walk_owns_generated_subgroups():
+    found = [
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner in references_by_function(path, "_closure")
+    ]
+    assert found == [
+        "groups.Subgroup",
+        "groups._check_table",
+        "groups.find_isomorphisms",
+        "groups.subgroup_closure",
+    ]
+    replaced = ("_right_generators", "_generators", "_close_homomorphism")
+    assert [name for name in replaced if hasattr(flagiso.groups, name)] == []
 
 
 def test_support_positions_come_from_the_member_index():

@@ -39,6 +39,26 @@ def test_block_shape_rejects_non_integers(bad):
     assert str(ei.value) == f"block sizes must be integers, got {bad}"
 
 
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((10**100, 0), "block sizes must be positive, got 0 at position 1 of 2"),
+        (
+            (1, "x" * 100),
+            f"block sizes must be integers, got '{'x' * 63}... (102 characters) at position 1 of 2",
+        ),
+        ((1,) * 16 + (0,), "block sizes must be positive, got 0 at position 16 of 17"),
+        ((1,) * 15 + (0,), f"block sizes must be positive, got {(1,) * 15 + (0,)}"),
+    ],
+)
+def test_block_shape_names_one_bad_entry_of_an_oversized_list(bad, message):
+    with pytest.raises(InvalidInput) as ei:
+        BlockShape(bad)
+    assert ei.value.code == "bad-blocks"
+    assert str(ei.value) == message
+
+
 def test_make_presentation():
     grp = build_abelian([2])
     p = make_presentation(trivial_division(grp), [1, 1], ["(0)", "(1)"])

@@ -30,7 +30,10 @@ counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
 inputs; validate_table, which checks associativity through a generating set,
 against the loop over all triples, on random loops of order 2 to 12, on
-relabeled group tables and on group tables with one 2x2 subsquare flipped.
+relabeled group tables and on group tables with one 2x2 subsquare flipped;
+the one greedy closure walk against the oracles it replaced, on every
+subgroup of the abelian groups of order <= 16, S3 and S4: each generating
+set, the closure of random seeds and each list of isomorphisms, in order.
 Runs are derandomized and keep no example database, so every run
 draws the same examples.
 """
@@ -50,9 +53,12 @@ from conftest import (
     associative_by_triples,
     classes_by_burnside,
     classify_by_tuples,
+    closure_by_products,
     cohomologous_by_elimination,
     derive_mapping_by_basis,
+    generators_by_rebuilding,
     invariants_by_basis,
+    isomorphisms_by_closing,
     make_sym,
     product_pos,
     realize_by_basis,
@@ -96,6 +102,7 @@ from flagiso import (
 )
 from flagiso.algebras import basis_of
 from flagiso.cli import main
+from flagiso.config import ISO_SEARCH_CAP
 from flagiso.iso import _shift_search
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
@@ -702,6 +709,53 @@ def test_every_found_map_is_a_homomorphism():
         assert len(maps) == automorphisms
         assert len({tuple(sorted(f.items())) for f in maps}) == automorphisms
         assert all(is_isomorphism(f, h, h) for f in maps)
+
+
+# one group per isomorphism class of abelian groups of order <= 16
+ABELIAN_UP_TO_16 = [
+    build_abelian(f)
+    for f in (
+        [2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4], [2, 2, 2], [9], [3, 3], [10],
+        [11], [12], [2, 6], [13], [14], [15], [16], [2, 8], [4, 4], [2, 2, 4], [2, 2, 2, 2],
+    )
+]
+
+
+def subgroups_by_closure(group):
+    """Every subgroup of group, as sorted member tuples: from the trivial one,
+    close each subgroup found with one more element."""
+    found = {(group.identity,)}
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for x in group.elements():
+            if x not in h and (k := closure_by_products(group, (*h, x))) not in found:
+                found.add(k)
+                frontier.append(k)
+    return sorted(found)
+
+
+def test_closure_walk_matches_the_oracles_on_every_subgroup():
+    """Generating sets, closures of random seeds and isomorphism lists, in
+    order (equiv_division takes the first map), against the oracles."""
+    rng = random.Random(15)
+    groups = [*ABELIAN_UP_TO_16, S3, S4]
+    for group in groups:
+        subs = [Subgroup(group, members) for members in subgroups_by_closure(group)]
+        for i, h in enumerate(subs):
+            assert list(h.generators) == generators_by_rebuilding(h.members, group)
+            if len(h.members) > ISO_SEARCH_CAP:
+                continue
+            # each subgroup to itself and to the next one of its order
+            k = next(k for k in subs[i + 1 :] + subs if len(k.members) == len(h.members))
+            for other in [h] if k == h else [h, k]:
+                assert find_isomorphisms(h, other) == isomorphisms_by_closing(h, other)
+        for _ in range(20):
+            seed = rng.choices(range(group.size), k=rng.randint(0, 3))
+            assert subgroup_closure(group, seed).members == closure_by_products(group, seed)
+    for g1, g2 in itertools.permutations(groups, 2):
+        if g1.size == g2.size:
+            assert find_isomorphisms(g1, g2) == isomorphisms_by_closing(g1, g2)
 
 
 # -- equivalence of elementary gradings ------------------------------------------------
