@@ -53,13 +53,31 @@ class UnsupportedInput(InvalidInput):
     code = "unsupported-input"
 
 
+def _repr(value: object) -> str | None:
+    """repr(value), or None where repr refuses: an int past the interpreter's
+    limit on digits (4,300 by default), or a container holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        return None
+
+
 def _listed(values: Sequence[object], pos: int, limit: int = 64) -> str:
     """values as a refusal shows them.  More than 16 entries, or an entry whose
-    repr passes limit characters, are not echoed whole: the entry at pos, its
-    repr cut to limit characters and a length, and the count say enough."""
-    if len(values) <= 16 and all(len(repr(v)) <= limit for v in values):
-        return str(values)
-    shown = repr(values[pos])
-    if len(shown) > limit:
+    repr passes limit characters or cannot be made, are not echoed whole: the
+    entry at pos, its repr cut to limit characters and a length (an int without
+    a repr by its bit length), and the count say enough."""
+    if len(values) <= 16:
+        reprs = [_repr(v) for v in values]
+        if all(r is not None and len(r) <= limit for r in reprs):
+            return str(values)
+    value = values[pos]
+    shown = _repr(value)
+    if shown is None and isinstance(value, int):
+        sign = "a negative" if value < 0 else "an"
+        shown = f"{sign} int of {value.bit_length()} bits"
+    elif shown is None:
+        shown = f"a {type(value).__name__} too long to show"
+    elif len(shown) > limit:
         shown = f"{shown[:limit]}... ({len(shown)} characters)"
     return f"{shown} at position {pos} of {len(values)}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import factorial, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebras import BasisElem, GradedAlgebra, _cell_invariants, basis_of, realize
 from .cocycles import Corrector, is_corrector
@@ -68,7 +68,8 @@ class InvariantMismatch:
 
 @dataclass(frozen=True)
 class SearchExhausted:
-    """The complete criterion search failed; records what was searched."""
+    """The complete criterion search failed.  shifts_tried counts the per-shift
+    records read: all of G for iso_algebras, the identity alone for iso_pairs."""
 
     shifts_tried: int
     detail: str
@@ -124,7 +125,7 @@ def _validate_witness_data(
     n = p.shape.n
     if not 0 <= shift < grp.size:
         raise InvalidInput("invalid witness data: shift out of range", code="invalid-witness-data")
-    if sorted(sigma) != list(range(n)):
+    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(n)):
         raise InvalidInput(
             "invalid witness data: sigma is not a permutation", code="invalid-witness-data"
         )
@@ -409,34 +410,58 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
 # -- isomorphism decisions -----------------------------------------------------
 
 
-def _shift_search(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra):
-    """Yield (g, mu) for each shift g, ascending, with mu a corrector from D^g to D'.
+class _Shift(NamedTuple):
+    """The decision at one shift g.  mu is a corrector from D^g to D', or None;
+    sigma pairs target positions with source positions blockwise by left coset
+    of the support, or is None when mu is None or the coset multisets differ."""
+
+    g: int
+    mu: Corrector | None
+    sigma: tuple[int, ...] | None
+
+
+def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
+    """Yield one _Shift per shift g, failures included: over shifts, or all of G ascending.
 
     The division question is solved once per distinct conjugation map
     h -> g^-1 h g on the support, which is exact: that map alone fixes D^g
     (its support and its transported cocycle), so shifts sharing it pose the
     same system and get the same answer; over an abelian group there is one.
+    Where it succeeds, source degrees and target degrees shifted by g^-1 are
+    paired blockwise by coset representative, ascending target positions
+    with ascending source positions within a class; the source side does not
+    depend on g, so it is sorted once.
     """
-    grp = d.group
-    members = d.support.members
+    grp = p.group
+    members = p.division.support.members
+    rep = p.division.support.coset_rep
+    src = [rep[d] for d in p.degrees]
+    blocks = [(b, sorted(b, key=src.__getitem__)) for b in p.shape.block_positions()]
     solved: dict[tuple[int, ...], Corrector | None] = {}
-    for g in grp.elements():
+    for g in grp.elements() if shifts is None else shifts:
         key = tuple(grp.conj(h, g) for h in members)
         if key not in solved:
-            solved[key] = iso_division(shift_conjugate(d, g), d2)
+            solved[key] = iso_division(shift_conjugate(p.division, g), p2.division)
         mu = solved[key]
-        if mu is not None:
-            yield g, mu
+        if mu is None:
+            yield _Shift(g, None, None)
+            continue
+        ginv = grp.inv(g)
+        tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
+        sigma = [0] * p.shape.n
+        for block, src_ids in blocks:
+            tgt_ids = sorted(block, key=tgt.__getitem__)  # stable: ascending within a class
+            if any(src[s] != tgt[t] for s, t in zip(src_ids, tgt_ids)):
+                yield _Shift(g, mu, None)
+                break
+            for t_i, s_i in zip(tgt_ids, src_ids):
+                sigma[t_i] = s_i
+        else:
+            yield _Shift(g, mu, tuple(sigma))
 
 
-def _witness_at(
-    p: FlagPresentation, p2: FlagPresentation, g: int, mu: Corrector
-) -> IsoWitness | None:
-    """The witness at shift g, or None when the blockwise left-coset multisets differ.
-
-    Source degrees and target degrees shifted by g^-1 are paired blockwise by
-    coset representative; within a coset class, ascending target positions
-    pair with ascending source positions, which makes sigma deterministic.
+def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verdict:
+    """The verified ISOMORPHIC verdict at a shift whose record has sigma set.
 
     The data holds by construction, so build_witness's checks are not rerun:
     sigma preserves blocks, each corrector lies in H (paired degrees share a
@@ -444,27 +469,14 @@ def _witness_at(
     solve on D^g and D' (equal supports).  verify_witness checks the map.
     """
     grp = p.group
-    rep = p.division.support.coset_rep
+    g, mu, sigma = found
     ginv = grp.inv(g)
-    src = [rep[d] for d in p.degrees]
-    tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
-    sigma = [0] * p.shape.n
-    for block in p.shape.block_positions():
-        src_ids = sorted(block, key=src.__getitem__)  # stable: ascending within a class
-        tgt_ids = sorted(block, key=tgt.__getitem__)
-        if [src[i] for i in src_ids] != [tgt[i] for i in tgt_ids]:
-            return None
-        for t_i, s_i in zip(tgt_ids, src_ids):
-            sigma[t_i] = s_i
     corr = [0] * p.shape.n
     for i, k in enumerate(sigma):
         corr[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
-    sigma, corr = tuple(sigma), tuple(corr)
+    corr = tuple(corr)
     mapping, order = _derive_mapping(p, p2, g, sigma, corr, mu)
-    return IsoWitness(p, p2, g, sigma, corr, mu, order, mapping)
-
-
-def _checked_isomorphic(p: FlagPresentation, p2: FlagPresentation, w: IsoWitness) -> Verdict:
+    w = IsoWitness(p, p2, g, sigma, corr, mu, order, mapping)
     report = verify_witness(realize(p), realize(p2), w)
     if not report.ok:
         raise AssertionError(
@@ -481,7 +493,6 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     """
     if p.group != p2.group:
         raise GroupMismatch("pairs are graded by different groups")
-    grp = p.group
     n, n2 = len(p.degrees), len(p2.degrees)
     if n != n2:
         return Verdict(
@@ -490,25 +501,14 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
         )
     flat = make_presentation(p.division, (n,), p.degrees)
     flat2 = make_presentation(p2.division, (n,), p2.degrees)
-    mu = iso_division(p.division, p2.division)
-    if mu is None:
-        return Verdict(
-            NOT_ISOMORPHIC,
-            certificate=SearchExhausted(
-                shifts_tried=1,
-                detail="pair isomorphism admits no shift; division parts are not isomorphic",
-            ),
-        )
-    w = _witness_at(flat, flat2, grp.identity, mu)
-    if w is None:
-        return Verdict(
-            NOT_ISOMORPHIC,
-            certificate=SearchExhausted(
-                shifts_tried=1,
-                detail="full-tuple left-coset multisets differ",
-            ),
-        )
-    return _checked_isomorphic(flat, flat2, w)
+    found = next(_shift_outcomes(flat, flat2, (p.group.identity,)))
+    if found.mu is None:
+        detail = "pair isomorphism admits no shift; division parts are not isomorphic"
+    elif found.sigma is None:
+        detail = "full-tuple left-coset multisets differ"
+    else:
+        return _certified(flat, flat2, found)
+    return Verdict(NOT_ISOMORPHIC, certificate=SearchExhausted(shifts_tried=1, detail=detail))
 
 
 def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
@@ -530,10 +530,10 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 f"block shapes differ: {p.shape.blocks} vs {p2.shape.blocks}"
             ),
         )
-    for g, mu in _shift_search(p.division, p2.division):
-        w = _witness_at(p, p2, g, mu)
-        if w is not None:
-            return _checked_isomorphic(p, p2, w)
+    tried = 0
+    for tried, found in enumerate(_shift_outcomes(p, p2), 1):
+        if found.sigma is not None:
+            return _certified(p, p2, found)
 
     inv1, inv2 = _cell_invariants(p), _cell_invariants(p2)
     mismatch = None
@@ -542,9 +542,9 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     return Verdict(
         NOT_ISOMORPHIC,
         certificate=SearchExhausted(
-            shifts_tried=grp.size,
+            shifts_tried=tried,
             detail=(
-                f"searched all {grp.size} shifts with blockwise coset matching "
+                f"searched all {tried} shifts with blockwise coset matching "
                 f"over a support of size {len(p.division.support.members)}"
             ),
             invariant_mismatch=mismatch,
@@ -803,10 +803,13 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     """Shifts g whose conjugate-shifted division part is isomorphic to the original.
 
     These are exactly the shifts available when deciding isomorphism between
-    two presentations sharing the division part; for abelian groups or trivial
-    cocycles this is all of G.
+    two presentations sharing the division part, read off the shift records
+    of the one-position presentation (D, (1,), (e,)).  They are all of G when
+    G is abelian; in general they lie in the normalizer N_G(H) of the support
+    H, and are all of N_G(H) when the cocycle is trivial.
     """
-    return [g for g, _ in _shift_search(division, division)]
+    q = make_presentation(division, (1,), (division.group.identity,))
+    return [found.g for found in _shift_outcomes(q, q) if found.mu is not None]
 
 
 def canonical_form(p: FlagPresentation) -> tuple[int, ...]:

@@ -259,6 +259,20 @@ def test_build_witness_rejects_bad_sigma():
     assert "permutation" in str(ei.value)
 
 
+@pytest.mark.parametrize("sigma", [(True, 0), (1.0, 0), (0, "a"), (1, None)])
+def test_build_witness_rejects_non_int_sigma(sigma):
+    """Only plain ints are positions: (True, 0) would pass as the valid (1, 0)."""
+    d = trivial_division(build_abelian([2]))
+    p = make_presentation(d, [2], [0, 1])
+    q = make_presentation(d, [2], [1, 0])
+    w = iso_algebras(p, q).witness
+    assert w.sigma == (1, 0)
+    with pytest.raises(InvalidInput) as ei:
+        build_witness(p, q, w.shift, sigma, w.correctors, w.mu)
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == "invalid witness data: sigma is not a permutation"
+
+
 def test_build_witness_rejects_block_violating_sigma():
     grp = build_abelian([2])
     d = trivial_division(grp)

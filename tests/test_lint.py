@@ -13,6 +13,7 @@ Support lookups have one owner: a ``Subgroup`` builds its member index and
 its coset table, and every other module reads them instead of rebuilding.
 One greedy closure walk owns "the subgroup generated by S": Light's test,
 generating sets, subgroup closure and homomorphism extension all use it.
+One per-shift record owns each shift's decision in the isomorphism engine.
 The decision engine realizes algebras only to certify a YES.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import flagiso
 import flagiso.groups
+import flagiso.iso
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "flagiso"
@@ -89,20 +91,28 @@ def references_by_function(path: Path, name: str) -> list[str]:
 
 def test_shifted_divisions_are_decided_only_in_the_shift_search():
     iso = SRC / "iso.py"
-    # caller data is checked at one given shift; the search solves once per
-    # conjugation map; pairs compare division parts at the identity shift
+    # one per-shift record owns every shift decision: the division question
+    # and the coset pairing; caller data is checked at one given shift
     assert references_by_function(iso, "shift_conjugate") == [
-        "_shift_search",
+        "_shift_outcomes",
         "_validate_witness_data",
     ]
-    assert references_by_function(iso, "iso_division") == ["_shift_search", "iso_pairs"]
+    assert references_by_function(iso, "iso_division") == ["_shift_outcomes"]
+    assert sorted(set(references_by_function(iso, "coset_rep"))) == [
+        "_class_profiles",
+        "_least_form",
+        "_shift_outcomes",
+        "classify",
+    ]
+    replaced = ("_shift_search", "_witness_at", "_checked_isomorphic")
+    assert [name for name in replaced if hasattr(flagiso.iso, name)] == []
 
 
 def test_decisions_realize_only_to_certify():
     # a YES is certified on both realized algebras; a NO reads its invariants
     # off the presentations' cells
     assert set(references_by_function(SRC / "iso.py", "realize")) == {
-        "_checked_isomorphic",
+        "_certified",
         "equiv_elementary",
     }
 

@@ -59,6 +59,68 @@ def test_block_shape_names_one_bad_entry_of_an_oversized_list(bad, message):
     assert str(ei.value) == message
 
 
+HUGE = 10**5000  # past the 4,300 digits repr converts by default
+
+
+@pytest.mark.parametrize(
+    "make, bad, code, message",
+    [
+        (
+            BlockShape,
+            (HUGE, 0),
+            "bad-blocks",
+            "block sizes must be positive, got 0 at position 1 of 2",
+        ),
+        (
+            BlockShape,
+            (-HUGE,),
+            "bad-blocks",
+            "block sizes must be positive, got a negative int of 16610 bits at position 0 of 1",
+        ),
+        (
+            BlockShape,
+            ([HUGE],),
+            "bad-blocks",
+            "block sizes must be integers, got a list too long to show at position 0 of 1",
+        ),
+        (
+            build_abelian,
+            [0, HUGE],
+            "invalid-input",
+            "every factor must be at least 2, got 0 at position 0 of 2",
+        ),
+        (
+            build_abelian,
+            [HUGE, 1],
+            "invalid-input",
+            "every factor must be at least 2, got 1 at position 1 of 2",
+        ),
+        (
+            build_abelian,
+            [2, -HUGE],
+            "invalid-input",
+            "every factor must be at least 2, got a negative int of 16610 bits at position 1 of 2",
+        ),
+    ],
+    ids=[
+        "blocks-huge-then-0",
+        "blocks-negative-huge",
+        "blocks-list-of-huge",
+        "factors-0-then-huge",
+        "factors-huge-then-1",
+        "factors-negative-huge",
+    ],
+)
+def test_refusals_show_ints_past_the_digit_limit(make, bad, code, message):
+    """An int too long for repr is named by its bit length, not echoed, and
+    never escapes as repr's ValueError."""
+    with pytest.raises(InvalidInput) as ei:
+        make(bad)
+    assert ei.value.code == code
+    assert str(ei.value) == message
+    assert len(str(ei.value)) < 300
+
+
 def test_make_presentation():
     grp = build_abelian([2])
     p = make_presentation(trivial_division(grp), [1, 1], ["(0)", "(1)"])

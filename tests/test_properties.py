@@ -22,10 +22,12 @@ correctors; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
-twisted and non-abelian supports; the shift search, which solves once per
-conjugation map, against the loop that solves once per shift, on those
-inputs and both Klein four-groups of S4, and each corrector it solves for
-against the system built afresh and eliminated from scratch; classify, which
+twisted and non-abelian supports; the per-shift records, which solve once
+per conjugation map and sort the source cosets once, against the loop that
+solves and counts cosets once per shift, record for record with failures
+included, on those inputs and both Klein four-groups of S4, and each
+corrector they solve for against the system built afresh and eliminated
+from scratch; classify, which
 counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
 inputs; validate_table, which checks associativity through a generating set,
@@ -88,6 +90,7 @@ from flagiso import (
     invariants,
     iso_algebras,
     iso_division,
+    iso_pairs,
     make_presentation,
     pauli,
     realize,
@@ -103,7 +106,7 @@ from flagiso import (
 from flagiso.algebras import basis_of
 from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
-from flagiso.iso import _shift_search
+from flagiso.iso import _Shift, _shift_outcomes
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
 KLEIN = build_abelian([2, 2])
@@ -417,13 +420,36 @@ def test_nonzero_products_are_the_pair_by_pair_products(p):
 # -- the shift search against the per-shift loop ---------------------------------------
 
 
-def per_shift_search(d, d2):
-    """The reference loop: one division decision for every shift g."""
-    return [
-        (g, mu)
-        for g in d.group.elements()
-        if (mu := iso_division(shift_conjugate(d, g), d2)) is not None
-    ]
+def per_shift_outcomes(p, p2, shifts=None):
+    """The reference loop: for every shift g, one division decision, then the
+    blockwise counts of coset representatives compared and, where they agree,
+    the positions of each coset class paired in ascending order."""
+    grp = p.group
+    rep = p.division.support.coset_rep
+    blocks = p.shape.block_positions()
+    src = [rep[d] for d in p.degrees]
+    for g in grp.elements() if shifts is None else shifts:
+        mu = iso_division(shift_conjugate(p.division, g), p2.division)
+        tgt = [rep[grp.mul(d, grp.inv(g))] for d in p2.degrees]
+        if mu is None or any(
+            Counter(src[i] for i in b) != Counter(tgt[i] for i in b) for b in blocks
+        ):
+            yield _Shift(g, mu, None)
+            continue
+        sigma = [0] * p.shape.n
+        for b in blocks:
+            for r in set(src[i] for i in b):
+                sources = [i for i in b if src[i] == r]
+                targets = [i for i in b if tgt[i] == r]
+                for t, s in zip(targets, sources):
+                    sigma[t] = s
+        yield _Shift(g, mu, tuple(sigma))
+
+
+def outcome(record):
+    """A record as plain data, its corrector by order and exponents."""
+    g, mu, sigma = record
+    return g, None if mu is None else (mu.order, mu.exps), sigma
 
 
 @st.composite
@@ -487,19 +513,24 @@ SEARCH_INPUTS = st.one_of(pairs(), rewrites(SEARCHED), shifted_targets(SEARCHED)
 @SETTINGS
 @given(SEARCH_INPUTS)
 def test_shift_search_matches_the_per_shift_loop(pair):
-    """One solve per conjugation map yields the shifts and correctors of one solve per shift."""
-    d, d2 = pair[0].division, pair[1].division
-    got = [(g, mu.order, mu.exps) for g, mu in _shift_search(d, d2)]
-    assert got == [(g, mu.order, mu.exps) for g, mu in per_shift_search(d, d2)]
+    """One solve per conjugation map and the source side sorted once yield, shift
+    by shift and failures included, the records of one solve and one count per shift."""
+    p, p2 = pair
+    got = [outcome(r) for r in _shift_outcomes(p, p2)]
+    assert got == [outcome(r) for r in per_shift_outcomes(p, p2)]
+    assert [g for g, _, _ in got] == list(p.group.elements())
+    backwards = p.group.elements()[::-1]
+    got = [outcome(r) for r in _shift_outcomes(p, p2, backwards)]
+    assert got == [outcome(r) for r in per_shift_outcomes(p, p2, backwards)]
 
 
 @SETTINGS
 @given(SEARCH_INPUTS)
 def test_iso_algebras_matches_the_per_shift_loop(pair):
-    """Verdicts, witnesses and certificates are those of the per-shift loop."""
-    got = iso_algebras(*pair)
-    with mock.patch("flagiso.iso._shift_search", per_shift_search):
-        want = iso_algebras(*pair)
+    """Verdicts, witnesses, certificates and canonical forms are those of the per-shift loop."""
+    got = iso_algebras(*pair), iso_pairs(*pair), canonical_form(pair[0])
+    with mock.patch("flagiso.iso._shift_outcomes", per_shift_outcomes):
+        want = iso_algebras(*pair), iso_pairs(*pair), canonical_form(pair[0])
     assert got == want
 
 
