@@ -429,14 +429,16 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
     same system and get the same answer; over an abelian group there is one.
     Where it succeeds, source degrees and target degrees shifted by g^-1 are
     paired blockwise by coset representative, ascending target positions
-    with ascending source positions within a class; the source side does not
-    depend on g, so it is sorted once.
+    with ascending source positions within a class.
     """
     grp = p.group
     members = p.division.support.members
     rep = p.division.support.coset_rep
     src = [rep[d] for d in p.degrees]
-    blocks = [(b, sorted(b, key=src.__getitem__)) for b in p.shape.block_positions()]
+    blocks = []  # per block, sorted once: its positions, source positions by class, classes
+    for block in p.shape.block_positions():
+        src_ids = sorted(block, key=src.__getitem__)
+        blocks.append((block, src_ids, [src[i] for i in src_ids]))
     solved: dict[tuple[int, ...], Corrector | None] = {}
     for g in grp.elements() if shifts is None else shifts:
         key = tuple(grp.conj(h, g) for h in members)
@@ -448,10 +450,10 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
             continue
         ginv = grp.inv(g)
         tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
-        sigma = [0] * p.shape.n
-        for block, src_ids in blocks:
+        sigma = [0] * len(src)
+        for block, src_ids, classes in blocks:
             tgt_ids = sorted(block, key=tgt.__getitem__)  # stable: ascending within a class
-            if any(src[s] != tgt[t] for s, t in zip(src_ids, tgt_ids)):
+            if classes != [tgt[i] for i in tgt_ids]:
                 yield _Shift(g, mu, None)
                 break
             for t_i, s_i in zip(tgt_ids, src_ids):
@@ -522,7 +524,6 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     """
     if p.group != p2.group:
         raise GroupMismatch("presentations are graded by different groups")
-    grp = p.group
     if p.shape != p2.shape:
         return Verdict(
             NOT_ISOMORPHIC,
@@ -538,7 +539,7 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     inv1, inv2 = _cell_invariants(p), _cell_invariants(p2)
     mismatch = None
     if inv1 != inv2:
-        mismatch = InvariantMismatch(_separate(grp, inv1, inv2))
+        mismatch = InvariantMismatch(_separate(p.group, inv1, inv2))
     return Verdict(
         NOT_ISOMORPHIC,
         certificate=SearchExhausted(
@@ -803,10 +804,9 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     """Shifts g whose conjugate-shifted division part is isomorphic to the original.
 
     These are exactly the shifts available when deciding isomorphism between
-    two presentations sharing the division part, read off the shift records
-    of the one-position presentation (D, (1,), (e,)).  They are all of G when
-    G is abelian; in general they lie in the normalizer N_G(H) of the support
-    H, and are all of N_G(H) when the cocycle is trivial.
+    two presentations sharing the division part, read off the records of
+    (D, (1,), (e,)).  All of G when G is abelian; in general a subset of the
+    normalizer N_G(H) of the support H, all of it when the cocycle is trivial.
     """
     q = make_presentation(division, (1,), (division.group.identity,))
     return [found.g for found in _shift_outcomes(q, q) if found.mu is not None]
