@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cocycles import Cocycle, Corrector, cohomologous, transport, trivial_cocycle
-from .errors import GroupMismatch, InvalidInput
+from .errors import GroupMismatch, InvalidInput, _shown
 from .groups import Group, GroupElem, Subgroup, find_isomorphisms
 
 __all__ = [
@@ -55,9 +55,9 @@ def _as_index(group: Group, x) -> int:
         return group.elem_by_name(x).index
     if isinstance(x, int) and not isinstance(x, bool):
         if not 0 <= x < group.size:
-            raise InvalidInput(f"element index {x} out of range", code="bad-element")
+            raise InvalidInput(f"element index {_shown(x)} out of range", code="bad-element")
         return x
-    raise InvalidInput(f"cannot interpret {x!r} as a group element", code="bad-element")
+    raise InvalidInput(f"cannot interpret {_shown(x)} as a group element", code="bad-element")
 
 
 def trivial_division(group: Group) -> GradedDivisionAlgebra:

@@ -71,13 +71,18 @@ def _listed(values: Sequence[object], pos: int, limit: int = 64) -> str:
         reprs = [_repr(v) for v in values]
         if all(r is not None and len(r) <= limit for r in reprs):
             return str(values)
-    value = values[pos]
+    return f"{_shown(values[pos], limit)} at position {pos} of {len(values)}"
+
+
+def _shown(value: object, limit: int = 64) -> str:
+    """value as a refusal shows it: its repr, cut to limit characters and a
+    length, or where repr cannot be made, an int by its bit length."""
     shown = _repr(value)
     if shown is None and isinstance(value, int):
         sign = "a negative" if value < 0 else "an"
-        shown = f"{sign} int of {value.bit_length()} bits"
-    elif shown is None:
-        shown = f"a {type(value).__name__} too long to show"
-    elif len(shown) > limit:
-        shown = f"{shown[:limit]}... ({len(shown)} characters)"
-    return f"{shown} at position {pos} of {len(values)}"
+        return f"{sign} int of {value.bit_length()} bits"
+    if shown is None:
+        return f"a {type(value).__name__} too long to show"
+    if len(shown) > limit:
+        return f"{shown[:limit]}... ({len(shown)} characters)"
+    return shown

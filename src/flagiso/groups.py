@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import GROUP_ORDER_CAP, ISO_SEARCH_CAP
-from .errors import BudgetExceeded, InvalidInput, _listed
+from .errors import BudgetExceeded, InvalidInput, _listed, _shown
 
 __all__ = [
     "Group",
@@ -120,7 +120,8 @@ class Subgroup:
     ``index[h]`` is the position of member h in ``members``; ``coset_rep[x]``
     is the least element of the left coset xH, for every x in the group;
     ``mul_table[x][y]`` is the position of the product of the members at
-    positions x and y; ``generators`` generate H.
+    positions x and y; ``generators`` generate H; ``central`` says whether
+    every member commutes with every element of the group.
     Every cocycle and corrector on this support reads ``index``, so it must
     never be written to.
     """
@@ -132,7 +133,9 @@ class Subgroup:
     def __post_init__(self):
         for a in self.members:
             if not isinstance(a, int) or isinstance(a, bool):
-                raise InvalidInput(f"cannot interpret {a!r} as a group element", code="bad-element")
+                raise InvalidInput(
+                    f"cannot interpret {_shown(a)} as a group element", code="bad-element"
+                )
         mem = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", mem)
         g = self.group
@@ -161,6 +164,11 @@ class Subgroup:
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
         tbl, index = self.group.table, self.index
         return tuple(tuple(index[tbl[a][b]] for b in self.members) for a in self.members)
+
+    @cached_property
+    def central(self) -> bool:
+        tbl = self.group.table
+        return all(tbl[h][x] == tbl[x][h] for h in self.members for x in self.group.elements())
 
     @cached_property
     def coset_rep(self) -> tuple[int, ...]:
@@ -316,9 +324,11 @@ def subgroup_closure(group: Group, seed: Iterable[int]) -> Subgroup:
     seed = list(seed)
     for a in seed:
         if not isinstance(a, int) or isinstance(a, bool):
-            raise InvalidInput(f"cannot interpret {a!r} as a group element", code="bad-element")
+            raise InvalidInput(
+                f"cannot interpret {_shown(a)} as a group element", code="bad-element"
+            )
         if not 0 <= a < group.size:
-            raise InvalidInput(f"element index {a} out of range", code="bad-element")
+            raise InvalidInput(f"element index {_shown(a)} out of range", code="bad-element")
     # in a finite group, the right products of the seed already form the subgroup
     return Subgroup(group, tuple(_closure(group.table, group.identity, seed)[1]))
 

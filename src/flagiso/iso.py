@@ -426,14 +426,17 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
     The division question is solved once per distinct conjugation map
     h -> g^-1 h g on the support, which is exact: that map alone fixes D^g
     (its support and its transported cocycle), so shifts sharing it pose the
-    same system and get the same answer; over an abelian group there is one.
-    Where it succeeds, source degrees and target degrees shifted by g^-1 are
-    paired blockwise by coset representative, ascending target positions
-    with ascending source positions within a class.
+    same system and get the same answer.  Where the map is the identity (g
+    centralizes H), D^g is D, so D itself is compared: no support is built
+    and no cocycle transported.  When H is central, as it always is over an
+    abelian group and for a trivial support, every map is the identity and
+    none is computed.  Where a corrector is found, source degrees and target
+    degrees shifted by g^-1 are paired blockwise by coset representative,
+    ascending target positions with ascending source positions within a class.
     """
     grp = p.group
-    members = p.division.support.members
-    rep = p.division.support.coset_rep
+    sup = p.division.support
+    members, rep = sup.members, sup.coset_rep
     src = [rep[d] for d in p.degrees]
     blocks = []  # per block, sorted once: its positions, source positions by class, classes
     for block in p.shape.block_positions():
@@ -441,9 +444,10 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
         blocks.append((block, src_ids, [src[i] for i in src_ids]))
     solved: dict[tuple[int, ...], Corrector | None] = {}
     for g in grp.elements() if shifts is None else shifts:
-        key = tuple(grp.conj(h, g) for h in members)
+        key = members if sup.central else tuple(grp.conj(h, g) for h in members)
         if key not in solved:
-            solved[key] = iso_division(shift_conjugate(p.division, g), p2.division)
+            shifted = p.division if key == members else shift_conjugate(p.division, g)
+            solved[key] = iso_division(shifted, p2.division)
         mu = solved[key]
         if mu is None:
             yield _Shift(g, None, None)
@@ -805,8 +809,9 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
 
     These are exactly the shifts available when deciding isomorphism between
     two presentations sharing the division part, read off the records of
-    (D, (1,), (e,)).  All of G when G is abelian; in general a subset of the
-    normalizer N_G(H) of the support H, all of it when the cocycle is trivial.
+    (D, (1,), (e,)).  All of G when the support H is central (so when G is
+    abelian); in general a subset of the normalizer N_G(H), all of it when
+    the cocycle is trivial.
     """
     q = make_presentation(division, (1,), (division.group.identity,))
     return [found.g for found in _shift_outcomes(q, q) if found.mu is not None]

@@ -12,6 +12,7 @@ from flagiso import (
     build_abelian,
     equiv_division,
     iso_division,
+    make_presentation,
     pauli,
     shift_conjugate,
     subgroup_closure,
@@ -152,6 +153,40 @@ def test_shift_conjugate_identity_and_coercion():
     assert shift_conjugate(d, "(1,1)").cocycle.values == d.cocycle.values  # abelian
     with pytest.raises(InvalidInput):
         shift_conjugate(d, 17)
+
+
+HUGE = 10**5000  # past the 4,300 digits repr converts by default
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: shift_conjugate(d, HUGE), "element index an int of 16610 bits out of range"),
+        (
+            lambda d: shift_conjugate(d, -HUGE),
+            "element index a negative int of 16610 bits out of range",
+        ),
+        (
+            lambda d: make_presentation(d, [1], [HUGE]),
+            "element index an int of 16610 bits out of range",
+        ),
+        (lambda d: shift_conjugate(d, -(10**62)), f"element index {-(10**62)} out of range"),
+        (
+            lambda d: shift_conjugate(d, 10**64),
+            f"element index {str(10**64)[:64]}... (65 characters) out of range",
+        ),
+    ],
+    ids=["shift-huge", "shift-negative-huge", "degree-huge", "shift-64-characters", "shift-65"],
+)
+def test_element_indices_past_the_digit_limit_are_refused(call, message):
+    """An index too long for repr is named by its bit length, never escaping as
+    repr's ValueError; one of at most 64 characters is shown whole."""
+    d = pauli(2, build_abelian([2, 2]), [2, 1])
+    with pytest.raises(InvalidInput) as ei:
+        call(d)
+    assert ei.value.code == "bad-element"
+    assert str(ei.value) == message
+    assert len(message) < 300
 
 
 # -- isomorphism ------------------------------------------------------------------

@@ -329,6 +329,8 @@ def test_subgroup_closure_klein():
         ([True], "cannot interpret True as a group element"),
         ([4], "element index 4 out of range"),
         ([1, -1], "element index -1 out of range"),
+        ([10**5000], "element index an int of 16610 bits out of range"),
+        ([[10**5000]], "cannot interpret a list too long to show as a group element"),
     ],
 )
 def test_subgroup_closure_checks_every_seed(seed, message):

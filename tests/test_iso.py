@@ -4,6 +4,7 @@ from unittest import mock
 import pytest
 from conftest import make_sym
 
+import flagiso.modlinalg
 from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
@@ -33,10 +34,12 @@ from flagiso import (
     realize,
     shift_conjugate,
     subgroup_closure,
+    transport,
     trivial_division,
     validate_cocycle,
     verify_witness,
 )
+from flagiso.iso import _shift_outcomes
 
 # -- helpers -----------------------------------------------------------------
 
@@ -592,3 +595,48 @@ def test_each_conjugation_map_is_decided_once(monkeypatch):
 
     for division in (d, t, trivial_division(s3)):
         assert count(classify, division.group, [1], division)[1] == conjugation_maps(division)
+
+
+def test_shifts_that_move_nothing_transport_and_eliminate_nothing():
+    """Over a central support every shift compares D itself with D': a NO over a
+    pair sharing one D builds no shifted support, transports no cocycle and
+    diagonalizes no system, as the right-hand side of D against D is zero."""
+    s4 = make_sym(4)[0]
+    z3z6 = build_abelian([3, 6])
+    for d, blocks, degrees in (
+        (pauli(3, z3z6, ["(1,0)", "(0,2)"]), [1, 1], ([0, 1], [0, 0])),
+        (trivial_division(s4), [1, 2], ([0, 1, 2], [0, 0, 1])),
+    ):
+        p, q = (make_presentation(d, blocks, tup) for tup in degrees)
+        diagonalize = flagiso.modlinalg._diagonalize
+        before = diagonalize.cache_info()
+        with mock.patch("flagiso.division.transport", wraps=transport) as moved, mock.patch(
+            "flagiso.iso.shift_conjugate", wraps=shift_conjugate
+        ) as shifted:
+            no = iso_algebras(p, q)
+        assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == d.group.size
+        assert moved.call_count == shifted.call_count == 0
+        after = diagonalize.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_each_moving_conjugation_map_is_shifted_once():
+    """Over the Klein four-group of S4 that conjugation moves, D^g is built once
+    per distinct conjugation map other than the identity; the shifts that
+    centralize the support compare D itself."""
+    s4 = make_sym(4)[0]
+    d = pauli(2, s4, ["1023", "0132"])
+    members = d.support.members
+    assert not d.support.central
+
+    def conjugation_map(g):
+        return tuple(s4.conj(h, g) for h in members)
+
+    maps = {conjugation_map(g) for g in s4.elements()}
+    p, q = (make_presentation(d, [1, 1], tup) for tup in ([0, 1], [5, 7]))
+    with mock.patch("flagiso.iso.shift_conjugate", wraps=shift_conjugate) as shifted:
+        records = list(_shift_outcomes(p, q))
+    assert [r.g for r in records] == list(s4.elements())
+    moving = [conjugation_map(c.args[1]) for c in shifted.call_args_list]
+    assert len(moving) == len(set(moving)) == len(maps) - 1 == 5  # |S4 : C(V)| = 6 maps
+    assert members not in moving

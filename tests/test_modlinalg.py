@@ -108,6 +108,32 @@ def test_bad_modulus_rejected():
         solve_congruences([[1]], [0], 0)
 
 
+@pytest.mark.parametrize(
+    "a, rhs, modulus",
+    [([[1, 2], [3]], [4, -8], 4), ([[1]], [4, 8], 4), ([[1]], [8], -4)],
+    ids=["ragged", "rhs-length", "negative-modulus"],
+)
+def test_zero_rhs_is_checked_like_any_other(a, rhs, modulus):
+    """A right-hand side that is 0 mod the modulus skips the elimination, not the
+    checks: the three tests above pass a literal zero, these pass multiples."""
+    with pytest.raises(ValueError):
+        solve_congruences(a, rhs, modulus)
+
+
+def test_zero_rhs_diagonalizes_nothing():
+    """x = 0 solves A x = 0: it is what the replay would return, and no system is
+    diagonalized for it."""
+    diagonalize = flagiso.modlinalg._diagonalize
+    before = diagonalize.cache_info()
+    a = [[3, 5, 1], [2, 0, 7]]
+    assert solve_congruences(a, [0, 0], 6) == [0, 0, 0]
+    assert solve_congruences(a, [12, -6], 6) == [0, 0, 0]
+    assert solve_congruences(a, [1, 2], 1) == [0, 0, 0]
+    after = diagonalize.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert solve_congruences_by_elimination(a, [12, -6], 6) == [0, 0, 0]
+
+
 # -- the memoized diagonalization against elimination from scratch -----------------
 
 

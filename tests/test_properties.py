@@ -25,7 +25,9 @@ generators, against all basis pairs, on the three setups and on shifted
 twisted and non-abelian supports; the per-shift records, which solve once
 per conjugation map and sort the source cosets once, against the loop that
 solves and counts cosets once per shift, record for record with failures
-included, on those inputs and both Klein four-groups of S4, and each
+included, on those inputs, both Klein four-groups of S4 and the center
+of D8, a central support in a non-abelian group with two cohomologous
+cocycles (the oracle builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
 from scratch; classify, which
 counts coset configurations, against the loop that canonicalizes every
@@ -35,7 +37,9 @@ against the loop over all triples, on random loops of order 2 to 12, on
 relabeled group tables and on group tables with one 2x2 subsquare flipped;
 the one greedy closure walk against the oracles it replaced, on every
 subgroup of the abelian groups of order <= 16, S3 and S4: each generating
-set, the closure of random seeds and each list of isomorphisms, in order.
+set, the closure of random seeds and each list of isomorphisms, in order;
+Subgroup.central against the center found by conjugation, on the same
+subgroups and those of D8.
 Runs are derandomized and keep no example database, so every run
 draws the same examples.
 """
@@ -387,6 +391,25 @@ SHIFTED = [
 FULL_S3 = GradedDivisionAlgebra(trivial_cocycle(Subgroup(S3, tuple(S3.elements()))))
 
 
+def dihedral_8():
+    """The dihedral group of order 8 as its own table: r^i s^j is 2i + j, and
+    r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
+    table = [
+        [2 * ((i + (-1) ** j * k) % 4) + (j + l) % 2 for k in range(4) for l in range(2)]
+        for i in range(4)
+        for j in range(2)
+    ]
+    return Group(table, [f"r{i}s{j}" for i in range(4) for j in range(2)])
+
+
+D8 = dihedral_8()
+# the center {e, r^2} of D8 with the coboundary of r^2 -> i: x_{r^2}^2 = -1
+D8_CENTER = [
+    GradedDivisionAlgebra(validate_cocycle(Subgroup(D8, (0, 4)), 4, [[0, 0], [0, 2]])),
+    GradedDivisionAlgebra(trivial_cocycle(Subgroup(D8, (0, 4)))),
+]
+
+
 @st.composite
 def shifted_presentations(draw):
     """A presentation over a shifted support: the Klein, Z2 x Z4 and Z3 x Z3
@@ -504,10 +527,32 @@ def shifted_targets(draw, presentations):
     return p, make_presentation(shift_conjugate(p.division, g), p.shape, degrees)
 
 
+@st.composite
+def d8_center_presentations(draw):
+    """A presentation over the center of D8, a central support in a non-abelian
+    group, with the coboundary-twisted or the trivial cocycle."""
+    d = draw(st.sampled_from(D8_CENTER))
+    n = sum(blocks := draw(shapes()))
+    degrees = draw(st.lists(st.integers(0, D8.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+@st.composite
+def d8_center_pairs(draw):
+    """Two presentations of one shape over the center of D8, whose cocycles may
+    differ by the coboundary: a solve with a right-hand side that is not zero."""
+    p = draw(d8_center_presentations())
+    n = p.shape.n
+    degrees = draw(st.lists(st.integers(0, D8.size - 1), min_size=n, max_size=n))
+    return p, make_presentation(draw(st.sampled_from(D8_CENTER)), p.shape, degrees)
+
+
 # same-division pairs, and pairs whose division parts differ by a shift, over
-# shifted twisted supports and both Klein four-groups of S4
-SEARCHED = st.one_of(shifted_presentations(), klein_s4_presentations())
-SEARCH_INPUTS = st.one_of(pairs(), rewrites(SEARCHED), shifted_targets(SEARCHED))
+# shifted twisted supports, both Klein four-groups of S4 and the center of D8
+SEARCHED = st.one_of(shifted_presentations(), klein_s4_presentations(), d8_center_presentations())
+SEARCH_INPUTS = st.one_of(
+    pairs(), rewrites(SEARCHED), shifted_targets(SEARCHED), d8_center_pairs()
+)
 
 
 @SETTINGS
@@ -517,7 +562,9 @@ def test_shift_search_matches_the_per_shift_loop(pair):
     by shift and failures included, the records of one solve and one count per shift."""
     p, p2 = pair
     got = [outcome(r) for r in _shift_outcomes(p, p2)]
-    assert got == [outcome(r) for r in per_shift_outcomes(p, p2)]
+    with mock.patch(f"{__name__}.shift_conjugate", wraps=shift_conjugate) as shifted:
+        assert got == [outcome(r) for r in per_shift_outcomes(p, p2)]
+    assert shifted.call_count == p.group.size  # the oracle builds D^g at every shift
     assert [g for g, _, _ in got] == list(p.group.elements())
     backwards = p.group.elements()[::-1]
     got = [outcome(r) for r in _shift_outcomes(p, p2, backwards)]
@@ -787,6 +834,22 @@ def test_closure_walk_matches_the_oracles_on_every_subgroup():
     for g1, g2 in itertools.permutations(groups, 2):
         if g1.size == g2.size:
             assert find_isomorphisms(g1, g2) == isomorphisms_by_closing(g1, g2)
+
+
+def test_central_flag_matches_the_center_on_every_subgroup():
+    """Subgroup.central, read off the table with an early exit, against H <= Z(G),
+    the center found by conjugation, on every subgroup of the abelian groups of
+    order <= 16, S3, S4 and D8."""
+    central_counts = []
+    for group in [*ABELIAN_UP_TO_16, S3, S4, D8]:
+        center = {
+            z for z in group.elements() if all(group.conj(z, g) == z for g in group.elements())
+        }
+        subs = [Subgroup(group, members) for members in subgroups_by_closure(group)]
+        for h in subs:
+            assert h.central == (set(h.members) <= center), (group, h.members)
+        central_counts.append(sum(h.central for h in subs))
+    assert central_counts[-3:] == [1, 1, 2]  # {e} in S3 and S4; {e} and {e, r^2} in D8
 
 
 # -- equivalence of elementary gradings ------------------------------------------------
