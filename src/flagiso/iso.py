@@ -166,18 +166,18 @@ def _validate_witness_data(
         )
 
 
-def _derive_mapping(
+def _witness(
     p: FlagPresentation,
     p2: FlagPresentation,
     shift: int,
     sigma: tuple[int, ...],
-    correctors: tuple[int, ...],
     mu: Corrector,
-) -> tuple[dict[BasisElem, tuple[BasisElem, int]], int]:
-    """The monomial map of the pair isomorphism determined by the witness data.
+) -> IsoWitness:
+    """The witness of the pair isomorphism with this shift, sigma and mu.
 
-    With a_k = g^-1 h_k^-1 g and c = g^-1 h g, basis element (k,l,h) goes to
-    (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
+    The correctors solve the tuple relation: h_k = g_k^-1 g'_i g^-1 for
+    k = sigma(i).  With a_k = g^-1 h_k^-1 g and c = g^-1 h g, basis element
+    (k,l,h) goes to (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
     mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1).
     The image's support element and scalar depend on (a_k, a_l, h) alone, so
     one table over h is built per pair (a_k, a_l) met, and each cell reads
@@ -185,6 +185,12 @@ def _derive_mapping(
     """
     grp = p.group
     n = p.shape.n
+    ginv = grp.inv(shift)
+    correctors = [0] * n
+    inv_sigma = [0] * n
+    for i, k in enumerate(sigma):
+        correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
+        inv_sigma[k] = i
     m2 = p2.division.order
     order = lcm(p.division.order, m2, mu.order)
     k2 = order // m2
@@ -193,9 +199,6 @@ def _derive_mapping(
     index2 = sup2.index
     mul2 = sup2.mul_table
     vals2 = p2.division.cocycle.values
-    inv_sigma = [0] * n
-    for i, s in enumerate(sigma):
-        inv_sigma[s] = i
     # a_k, c and their inverses are members of the target support, by position there
     a_of = [index2[grp.conj(grp.inv(h), shift)] for h in correctors]
     conj = [grp.conj(h, shift) for h in p.division.support.members]
@@ -227,7 +230,7 @@ def _derive_mapping(
         off = number[inv_sigma[i], inv_sigma[j]] * k
         for b, (y, exp) in zip(source[cell * k : cell * k + k], table):
             mapping[b] = (target[off + y], exp)
-    return mapping, order
+    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order, mapping)
 
 
 def build_witness(
@@ -244,8 +247,7 @@ def build_witness(
     sigma_t = tuple(sigma)
     corr_t = tuple(_as_index(grp, h) for h in correctors)
     _validate_witness_data(p, p2, shift_i, sigma_t, corr_t, mu)
-    mapping, order = _derive_mapping(p, p2, shift_i, sigma_t, corr_t, mu)
-    return IsoWitness(p, p2, shift_i, sigma_t, corr_t, mu, order, mapping)
+    return _witness(p, p2, shift_i, sigma_t, mu)
 
 
 def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> WitnessReport:
@@ -356,25 +358,17 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
 
 
 def invert_witness(w: IsoWitness) -> IsoWitness:
-    """Witness for the inverse isomorphism, built from inverted data."""
+    """Witness for the inverse isomorphism: shift g^-1, sigma^-1 and mu carried back."""
     # a loaded witness carries its data unchecked: check it before computing with it
     _validate_witness_data(w.source, w.target, w.shift, w.sigma, w.correctors, w.mu)
-    p, p2 = w.source, w.target
+    p = w.source
     grp = p.group
     g = w.shift
-    n = p.shape.n
-    new_sigma = [0] * n
-    for i in range(n):
-        new_sigma[w.sigma[i]] = i
-    new_corr = [0] * n
-    for i in range(n):  # indexed by old target positions
-        new_corr[i] = grp.conj(grp.inv(w.correctors[w.sigma[i]]), g)
-    new_mu = Corrector.from_map(
-        p.division.support,
-        w.mu.order,
-        lambda h: -w.mu.exp_of(grp.conj(h, g)),
-    )
-    return build_witness(p2, p, grp.inv(g), tuple(new_sigma), tuple(new_corr), new_mu)
+    sigma = [0] * p.shape.n
+    for i, k in enumerate(w.sigma):
+        sigma[k] = i
+    mu = Corrector.from_map(p.division.support, w.mu.order, lambda h: -w.mu.exp_of(grp.conj(h, g)))
+    return _witness(w.target, p, grp.inv(g), tuple(sigma), mu)
 
 
 def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
@@ -383,19 +377,7 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
         raise InvalidInput("witnesses do not compose: endpoints differ", code="invalid-witness-data")
     for w in (w1, w2):
         _validate_witness_data(w.source, w.target, w.shift, w.sigma, w.correctors, w.mu)
-    p = w1.source
-    grp = p.group
-    n = p.shape.n
-    g = grp.mul(w1.shift, w2.shift)
-    sigma = tuple(w1.sigma[w2.sigma[i]] for i in range(n))
-    inv_sigma1 = [0] * n
-    for i in range(n):
-        inv_sigma1[w1.sigma[i]] = i
-    corr = [0] * n
-    g1inv = grp.inv(w1.shift)
-    for k in range(n):
-        mid = inv_sigma1[k]  # position in w1.target matched to source position k
-        corr[k] = grp.mul(w1.correctors[k], grp.conj(w2.correctors[mid], g1inv))
+    grp = w1.source.group
     order = lcm(w1.mu.order, w2.mu.order)
     k1, k2 = order // w1.mu.order, order // w2.mu.order
     g2inv = grp.inv(w2.shift)
@@ -404,7 +386,8 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
         order,
         lambda c: k1 * w1.mu.exp_of(grp.conj(c, g2inv)) + k2 * w2.mu.exp_of(c),
     )
-    return build_witness(p, w2.target, g, sigma, tuple(corr), mu)
+    sigma = tuple(w1.sigma[k] for k in w2.sigma)
+    return _witness(w1.source, w2.target, grp.mul(w1.shift, w2.shift), sigma, mu)
 
 
 # -- isomorphism decisions -----------------------------------------------------
@@ -470,19 +453,12 @@ def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verd
     """The verified ISOMORPHIC verdict at a shift whose record has sigma set.
 
     The data holds by construction, so build_witness's checks are not rerun:
-    sigma preserves blocks, each corrector lies in H (paired degrees share a
-    coset) and meets the tuple relation, and mu is iso_division's exact
-    solve on D^g and D' (equal supports).  verify_witness checks the map.
+    sigma preserves blocks, the correctors _witness solves lie in H (paired
+    degrees share a coset), and mu is iso_division's exact solve on D^g and
+    D' (equal supports).  verify_witness checks the map.
     """
-    grp = p.group
     g, mu, sigma = found
-    ginv = grp.inv(g)
-    corr = [0] * p.shape.n
-    for i, k in enumerate(sigma):
-        corr[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
-    corr = tuple(corr)
-    mapping, order = _derive_mapping(p, p2, g, sigma, corr, mu)
-    w = IsoWitness(p, p2, g, sigma, corr, mu, order, mapping)
+    w = _witness(p, p2, g, sigma, mu)
     report = verify_witness(realize(p), realize(p2), w)
     if not report.ok:
         raise AssertionError(

@@ -16,6 +16,12 @@ realize_by_basis builds a fresh basis, degree by degree, and its index, as
 the oracle for realize, which shares one basis and index per shape and
 support; derive_mapping_by_basis computes a witness's map one basis element
 at a time, as the oracle for the map derived one cell at a time.
+inverted_witness_data and composed_witness_data compute the data of an
+inverse and a composite witness with explicit corrector formulas, as the
+oracle for invert_witness and compose_witness, which solve the tuple
+relation for the correctors.  grading_by_products checks the grading law on
+every nonzero product, as the oracle for check_grading, which checks it on
+the generator products when they all hold.
 associative_by_triples tests all |G|^3 triples, as the oracle for the table
 check, which runs Light's test on a generating set; NONASSOC_LOOP is a
 Latin square with identity that both reject.  closure_by_products closes a
@@ -41,10 +47,12 @@ from flagiso import (
     BasisElem,
     BlockShape,
     Classification,
+    Corrector,
     FlagPresentation,
     GradedAlgebra,
     GradedDivisionAlgebra,
     GradedInvariants,
+    GradingReport,
     Group,
     Subgroup,
     iso_algebras,
@@ -330,6 +338,64 @@ def derive_mapping_by_basis(p, p2, shift, sigma, correctors, mu):
             target = BasisElem(inv_sigma[i], inv_sigma[j], grp.mul(ac, binv))
             mapping[b] = (target, exp % order)
     return mapping, order
+
+
+def inverted_witness_data(w):
+    """(source, target, shift, sigma, correctors, mu) of the inverse of w:
+    shift g^-1, sigma^-1, h'_i = g^-1 h_sigma(i)^-1 g and mu'(h) = 1/mu(g^-1 h g)."""
+    p, p2 = w.source, w.target
+    grp = p.group
+    g = w.shift
+    n = p.shape.n
+    sigma = [0] * n
+    for i in range(n):
+        sigma[w.sigma[i]] = i
+    correctors = [grp.conj(grp.inv(w.correctors[w.sigma[i]]), g) for i in range(n)]
+    mu = Corrector.from_map(p.division.support, w.mu.order, lambda h: -w.mu.exp_of(grp.conj(h, g)))
+    return p2, p, grp.inv(g), tuple(sigma), tuple(correctors), mu
+
+
+def composed_witness_data(w1, w2):
+    """(source, target, shift, sigma, correctors, mu) of w2 after w1: shift
+    g1 g2, sigma1 sigma2, h_k = h1_k g1 h2_m g1^-1 with m the position of
+    w1's target matched to source position k, and
+    mu(c) = mu1(g2 c g2^-1) mu2(c)."""
+    grp = w1.source.group
+    n = w1.source.shape.n
+    sigma = tuple(w1.sigma[w2.sigma[i]] for i in range(n))
+    inv_sigma1 = [0] * n
+    for i in range(n):
+        inv_sigma1[w1.sigma[i]] = i
+    g1inv = grp.inv(w1.shift)
+    correctors = tuple(
+        grp.mul(w1.correctors[k], grp.conj(w2.correctors[inv_sigma1[k]], g1inv)) for k in range(n)
+    )
+    order = lcm(w1.mu.order, w2.mu.order)
+    k1, k2 = order // w1.mu.order, order // w2.mu.order
+    g2inv = grp.inv(w2.shift)
+    mu = Corrector.from_map(
+        w2.target.division.support,
+        order,
+        lambda c: k1 * w1.mu.exp_of(grp.conj(c, g2inv)) + k2 * w2.mu.exp_of(c),
+    )
+    return w1.source, w2.target, grp.mul(w1.shift, w2.shift), sigma, correctors, mu
+
+
+def grading_by_products(alg) -> GradingReport:
+    """check_grading's report from the law checked on every nonzero product."""
+    grp = alg.group
+    checked = 0
+    bad = []
+    for p1, p2, _, pos in alg.nonzero_products():
+        checked += 1
+        want = grp.mul(alg.degree[p1], alg.degree[p2])
+        got = alg.degree[pos]
+        if got != want:
+            bad.append(
+                f"deg({tuple(alg.basis[p1])} * {tuple(alg.basis[p2])}) = "
+                f"{grp.name_of(got)}, expected {grp.name_of(want)}"
+            )
+    return GradingReport(not bad, checked, tuple(bad))
 
 
 def solve_congruences_by_elimination(a, rhs, modulus):

@@ -234,6 +234,31 @@ def test_check_grading_flags_inconsistent_degrees():
     assert rep.violations and "deg(" in rep.violations[0]
 
 
+def test_check_grading_walks_only_generator_products(monkeypatch):
+    """Z2 x Z4 with the clock-and-shift division, blocks (2,2,2): a valid grading
+    is proved on the 216 generator products of 1,280; a broken one walks them
+    all again.  Either way the report counts every nonzero product."""
+    walked = []
+    walk = GradedAlgebra.nonzero_products
+
+    def counted(alg, lefts=None):
+        for item in walk(alg, lefts):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(GradedAlgebra, "nonzero_products", counted)
+    grp = build_abelian([2, 4])
+    d = pauli(2, grp, ["(1,0)", "(0,2)"])
+    alg = realize(make_presentation(d, (2, 2, 2), [0, 1, 2, 3, 4, 5]))
+    rep = check_grading(alg)
+    assert (rep.ok, rep.checked_products, len(walked)) == (True, 1280, 216)
+    walked.clear()
+    bad = list(alg.degree)
+    bad[0] = 1  # the unit (0,0,e) moved off degree e
+    rep = check_grading(GradedAlgebra(alg.presentation, alg.basis, tuple(bad), alg.index))
+    assert (rep.ok, rep.checked_products, len(walked)) == (False, 1280, 216 + 1280)
+
+
 # -- invariants under flag-preserving moves -------------------------------------------
 
 

@@ -266,13 +266,18 @@ def test_semantic_corruption_loads_then_fails_verification():
 
 
 def test_shift_field_is_provenance_not_semantics():
-    # verification is about the mapping; g/sigma/h only explain how it was built
+    # verification is about the mapping; g/sigma/h/mu only explain how it was built
     p, q, w = klein_pauli_witness()
     obj = witness_to_obj(w)
     grp = p.group
     obj["g"] = grp.name_of(grp.mul(w.shift, 2))  # wrong but well-formed
     back = witness_from_obj(obj, p, q)
     assert verify_witness(realize(p), realize(q), back).ok
+    obj["mu"] = {name: exp + 1 for name, exp in obj["mu"].items()}  # no corrector either
+    back = witness_from_obj(obj, p, q)
+    assert verify_witness(realize(p), realize(q), back).ok
+    with pytest.raises(InvalidInput, match="mu is not a corrector"):  # checked as caller data
+        build_witness(p, q, w.shift, w.sigma, w.correctors, back.mu)
 
     obj["g"] = "(9,9)"  # not even an element: rejected at load
     with pytest.raises(InvalidInput) as ei:

@@ -14,6 +14,8 @@ its coset table, and every other module reads them instead of rebuilding.
 One greedy closure walk owns "the subgroup generated by S": Light's test,
 generating sets, subgroup closure and homomorphism extension all use it.
 One per-shift record owns each shift's decision in the isomorphism engine.
+One constructor derives every witness the library builds; caller data is
+checked once, where it enters.
 The decision engine realizes algebras only to certify a YES.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
@@ -106,6 +108,27 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
     ]
     replaced = ("_shift_search", "_witness_at", "_checked_isomorphic")
     assert [name for name in replaced if hasattr(flagiso.iso, name)] == []
+
+
+def test_one_constructor_builds_every_witness():
+    # the engine, build_witness, invert_witness and compose_witness all derive
+    # their witness through iso._witness; a loaded witness is rebuilt verbatim
+    found = sorted(
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for owner in [getattr(node, "name", "<module>")]
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "IsoWitness"
+    )
+    assert found == ["io.witness_from_obj", "iso._witness"]
+    assert not hasattr(flagiso.iso, "_derive_mapping")
+    # caller data is checked once, on entry; no output is checked again
+    assert references_by_function(SRC / "iso.py", "_validate_witness_data") == [
+        "build_witness",
+        "compose_witness",
+        "invert_witness",
+    ]
 
 
 def test_decisions_realize_only_to_certify():

@@ -14,11 +14,15 @@ products of the generators reach every basis element, on the three setups,
 shifted supports and both Klein four-groups of S4; basis_of against a sort,
 and the cells of its shape against a filter; invariants, read off the cells,
 against the count over the realized basis, on the three setups, shifted
-supports and both Klein four-groups of S4; realize, which shares one basis
-and index per shape and support, and the witness map, derived one cell at a
-time, against their per-basis-element builds, on the same inputs, for engine
-witnesses and for random valid witness data with twisted targets and mixed
-correctors; every shifted or transported
+supports, both Klein four-groups of S4 and flags of 30 to 36 blocks;
+check_grading, which checks the generator products first, against the
+walk over every product, on valid and corrupted degrees; invert_witness and
+compose_witness, which solve the tuple relation for the correctors, against
+build_witness on the data of the explicit corrector formulas; realize,
+which shares one basis and index per shape and support, and the witness
+map, derived one cell at a time, against their per-basis-element builds, on
+the same inputs, for engine witnesses and for random valid witness data
+with twisted targets and mixed correctors; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
@@ -61,9 +65,12 @@ from conftest import (
     classify_by_tuples,
     closure_by_products,
     cohomologous_by_elimination,
+    composed_witness_data,
     derive_mapping_by_basis,
     generators_by_rebuilding,
+    grading_by_products,
     invariants_by_basis,
+    inverted_witness_data,
     isomorphisms_by_closing,
     make_sym,
     product_pos,
@@ -87,11 +94,14 @@ from flagiso import (
     build_abelian,
     build_witness,
     canonical_form,
+    check_grading,
     classify,
     cohomologous,
+    compose_witness,
     equiv_elementary,
     find_isomorphisms,
     invariants,
+    invert_witness,
     iso_algebras,
     iso_division,
     iso_pairs,
@@ -623,11 +633,41 @@ def test_classify_counts_the_classes_burnside_counts(p):
     )
 
 
+@st.composite
+def long_flags(draw):
+    """A presentation with 30 to 36 blocks of size 1 or 2, over the trivial
+    divisions of Z4 and S3 or the Klein clock-and-shift division."""
+    division = draw(st.sampled_from(DIVISIONS))
+    blocks = draw(st.lists(st.integers(1, 2), min_size=30, max_size=36))
+    n = sum(blocks)
+    degrees = draw(st.lists(st.integers(0, division.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(division, blocks, degrees)
+
+
 @SETTINGS
-@given(CLASSIFIED)
+@given(st.one_of(CLASSIFIED, long_flags()))
 def test_invariants_match_the_count_over_the_basis(p):
     alg = realize(p)
     assert invariants(alg) == invariants_by_basis(alg)
+
+
+@st.composite
+def graded_or_corrupted(draw):
+    """An algebra of CLASSIFIED's presentations, with up to three basis
+    degrees replaced by random elements or left as realized."""
+    alg = realize(draw(CLASSIFIED))
+    degree = list(alg.degree)
+    for _ in range(draw(st.integers(0, 3))):
+        degree[draw(st.integers(0, alg.dim - 1))] = draw(st.integers(0, alg.group.size - 1))
+    return GradedAlgebra(alg.presentation, alg.basis, tuple(degree), alg.index)
+
+
+@SETTINGS
+@given(graded_or_corrupted())
+def test_check_grading_matches_the_all_products_walk(alg):
+    """The law checked on the generator products decides as the law checked on
+    every product, with the same count and, when it fails, the same violations."""
+    assert check_grading(alg) == grading_by_products(alg)
 
 
 # -- realize and the witness map against their per-basis-element builds --------------
@@ -685,6 +725,39 @@ def test_build_witness_matches_the_per_basis_element_map(data):
     assert w.scalar_order == order
     assert list(w.mapping.items()) == list(mapping.items())
     assert verify_witness(realize(p), realize(p2), w).ok
+
+
+@st.composite
+def witness_chains(draw):
+    """Two witnesses built from random valid data, the second starting where the
+    first ends."""
+    w1 = build_witness(*draw(witness_data()))
+    w2 = build_witness(*draw(witness_data(st.just(w1.target))))
+    return w1, w2
+
+
+def witness_fields(w):
+    """A witness as plain data, its corrector by order and exponents."""
+    return (
+        (w.source, w.target, w.shift, w.sigma, w.correctors),
+        (w.mu.order, w.mu.exps, w.scalar_order),
+        list(w.mapping.items()),
+    )
+
+
+@SETTINGS
+@given(witness_chains())
+def test_inverse_and_composite_match_the_corrector_formulas(chain):
+    """Inverse and composite witnesses, whose correctors solve the tuple relation,
+    are build_witness's on the data of the explicit corrector formulas, field by
+    field, over twisted, shifted and non-central supports."""
+    w1, w2 = chain
+    assert witness_fields(invert_witness(w1)) == witness_fields(
+        build_witness(*inverted_witness_data(w1))
+    )
+    assert witness_fields(compose_witness(w1, w2)) == witness_fields(
+        build_witness(*composed_witness_data(w1, w2))
+    )
 
 
 @SETTINGS
