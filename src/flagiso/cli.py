@@ -4,13 +4,16 @@ Every verdict-producing subcommand prints a single stable token on the first
 stdout line (ISOMORPHIC, NOT_ISOMORPHIC, EQUIVALENT, NOT_EQUIVALENT,
 INCONCLUSIVE, WITNESS_VALID, WITNESS_INVALID); explanatory prose follows on
 later lines.  Exit codes: 0 for any computed decision, 2 for invalid input
-(file, parse, or validation), 1 for internal errors.
+(file, parse, or validation), 1 for internal errors.  A reader that closes
+stdout early (``flagiso classify ... | head -1``) ends the output quietly
+with exit 0: every command writes only after its decision is computed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import io
@@ -38,6 +41,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at the null device so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FlagisoError as e:
         print(_format_error(e), file=sys.stderr)
         return 2

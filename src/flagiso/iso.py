@@ -403,8 +403,9 @@ class _Shift(NamedTuple):
     sigma: tuple[int, ...] | None
 
 
-def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
-    """Yield one _Shift per shift g, failures included: over shifts, or all of G ascending.
+def _shift_correctors(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra, shifts=None):
+    """Yield (g, mu) per shift g, over shifts or all of G ascending: mu is a
+    corrector from D^g to D', or None when D^g and D' are not isomorphic.
 
     The division question is solved once per distinct conjugation map
     h -> g^-1 h g on the support, which is exact: that map alone fixes D^g
@@ -413,30 +414,42 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
     centralizes H), D^g is D, so D itself is compared: no support is built
     and no cocycle transported.  When H is central, as it always is over an
     abelian group and for a trivial support, every map is the identity and
-    none is computed.  Where a corrector is found, source degrees and target
-    degrees shifted by g^-1 are paired blockwise by coset representative,
-    ascending target positions with ascending source positions within a class.
+    none is computed.
+    """
+    grp = d.group
+    sup = d.support
+    members = sup.members
+    solved: dict[tuple[int, ...], Corrector | None] = {}
+    for g in grp.elements() if shifts is None else shifts:
+        key = members if sup.central else tuple(grp.conj(h, g) for h in members)
+        if key not in solved:
+            shifted = d if key == members else shift_conjugate(d, g)
+            solved[key] = iso_division(shifted, d2)
+        yield g, solved[key]
+
+
+def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
+    """Yield one _Shift per shift g, failures included: over shifts, or all of G ascending.
+
+    The division decision is _shift_correctors'.  Where a corrector is found,
+    source degrees and target degrees shifted by g^-1 are paired blockwise by
+    coset representative, ascending target positions with ascending source
+    positions within a class.
     """
     grp = p.group
-    sup = p.division.support
-    members, rep = sup.members, sup.coset_rep
+    rep = p.division.support.coset_rep
     src = [rep[d] for d in p.degrees]
     blocks = []  # per block, sorted once: its positions, source positions by class, classes
     for block in p.shape.block_positions():
         src_ids = sorted(block, key=src.__getitem__)
         blocks.append((block, src_ids, [src[i] for i in src_ids]))
-    solved: dict[tuple[int, ...], Corrector | None] = {}
-    for g in grp.elements() if shifts is None else shifts:
-        key = members if sup.central else tuple(grp.conj(h, g) for h in members)
-        if key not in solved:
-            shifted = p.division if key == members else shift_conjugate(p.division, g)
-            solved[key] = iso_division(shifted, p2.division)
-        mu = solved[key]
+    rows = [grp.table[d] for d in p2.degrees]  # row[x] is d * x
+    for g, mu in _shift_correctors(p.division, p2.division, shifts):
         if mu is None:
             yield _Shift(g, None, None)
             continue
         ginv = grp.inv(g)
-        tgt = [rep[grp.mul(d, ginv)] for d in p2.degrees]
+        tgt = [rep[row[ginv]] for row in rows]
         sigma = [0] * len(src)
         for block, src_ids, classes in blocks:
             tgt_ids = sorted(block, key=tgt.__getitem__)  # stable: ascending within a class
@@ -784,13 +797,12 @@ def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
     """Shifts g whose conjugate-shifted division part is isomorphic to the original.
 
     These are exactly the shifts available when deciding isomorphism between
-    two presentations sharing the division part, read off the records of
-    (D, (1,), (e,)).  All of G when the support H is central (so when G is
-    abelian); in general a subset of the normalizer N_G(H), all of it when
-    the cocycle is trivial.
+    two presentations sharing the division part, read off the division
+    decisions alone: no coset pairing is made.  All of G when the support H
+    is central (so when G is abelian); in general a subset of the normalizer
+    N_G(H), all of it when the cocycle is trivial.
     """
-    q = make_presentation(division, (1,), (division.group.identity,))
-    return [found.g for found in _shift_outcomes(q, q) if found.mu is not None]
+    return [g for g, mu in _shift_correctors(division, division) if mu is not None]
 
 
 def canonical_form(p: FlagPresentation) -> tuple[int, ...]:
@@ -855,43 +867,51 @@ def classify(
     # the distinct actions of the admissible shifts on the coset indices; they
     # form a group, so an orbit is the set of images of any one of its members
     perms = {tuple(index[rep[group.mul(r, g)]] for r in cosets) for g in shifts}
+    # per distinct block size m, once: the sorted size-m multisets of coset
+    # indices and, per multiset, the indices of its images under the perms,
+    # its coset representatives and its multinomial weight; equal-size blocks
+    # share them
+    by_size = {}
+    for m in set(shape.blocks):
+        ms = list(itertools.combinations_with_replacement(range(len(cosets)), m))
+        at = {cs: i for i, cs in enumerate(ms)}
+        by_size[m] = (
+            ms,
+            [tuple(at[tuple(sorted(map(p.__getitem__, cs)))] for p in perms) for cs in ms],
+            [tuple(map(cosets.__getitem__, cs)) for cs in ms],
+            list(map(_multinomial, ms)),
+        )
+    multisets, images, coset_reps, weights = zip(*map(by_size.__getitem__, shape.blocks))
     # a configuration is one multiset index per block, numbered in mixed
     # radix with the first block most significant, so numbers ascend with the
-    # flattened configurations; images[p][b][i] is what block b adds to the
-    # number of the image under perm p when it holds multiset i
-    multisets = [
-        list(itertools.combinations_with_replacement(range(len(cosets)), m)) for m in shape.blocks
-    ]
-    strides = [prod(len(ms) for ms in multisets[b + 1 :]) for b in range(len(multisets))]
-    numbers = [
-        {cs: stride * i for i, cs in enumerate(ms)} for ms, stride in zip(multisets, strides)
-    ]
-    images = [
-        [
-            [num[tuple(sorted(p[c] for c in cs))] for cs in ms]
-            for ms, num in zip(multisets, numbers)
-        ]
-        for p in perms
-    ]
-    weights = [[_multinomial(cs) for cs in ms] for ms in multisets]
+    # flattened configurations; moves[b][i][k] is what block b adds to the
+    # number of the image under the k-th perm when it holds multiset i: the
+    # image's index times the block's stride
+    strides = [prod(map(len, multisets[b + 1 :])) for b in range(len(multisets))]
+    moves = []
+    for rows, stride in zip(images, strides):
+        if stride > 1:  # one int object per scaled index, shared by every perm
+            scaled = list(range(0, stride * len(rows), stride))
+            rows = [tuple(map(scaled.__getitem__, row)) for row in rows]
+        moves.append(rows)
     per_tuple = len(division.support.members) ** n
-    seen = bytearray(prod(len(ms) for ms in multisets))
+    seen = bytearray(prod(map(len, multisets)))
     reps: list[tuple[int, ...]] = []
     sizes: list[int] = []
     for number, config in enumerate(_configurations(multisets)):
         if seen[number]:
             continue
-        orbit = {sum(col[i] for col, i in zip(row, config)) for row in images}
+        orbit = set(map(sum, zip(*map(list.__getitem__, moves, config))))
         for member in orbit:
             seen[member] = 1
-        reps.append(tuple(cosets[c] for ms, i in zip(multisets, config) for c in ms[i]))
-        sizes.append(len(orbit) * per_tuple * prod(w[i] for w, i in zip(weights, config)))
+        reps.append(sum(map(list.__getitem__, coset_reps, config), ()))
+        sizes.append(len(orbit) * per_tuple * prod(map(list.__getitem__, weights, config)))
     return Classification(
         group, shape, division, tuple(reps), tuple(sizes), group.size**n, tuple(shifts)
     )
 
 
-def _configurations(multisets: list[list[tuple[int, ...]]]):
+def _configurations(multisets: Sequence[list[tuple[int, ...]]]):
     """Every choice of one multiset index per block, in lexicographic order."""
     return itertools.product(*(range(len(ms)) for ms in multisets))
 

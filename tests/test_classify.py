@@ -220,6 +220,51 @@ def test_classify_visits_configurations_not_tuples(monkeypatch):
     assert len(evaluated) <= 16
 
 
+def test_classify_builds_one_table_per_block_size(monkeypatch):
+    """Blocks (2,2,2) over Z4 share the size-2 table: its 10 multisets are weighed once."""
+    weighed = []
+    multinomial = flagiso.iso._multinomial
+
+    def counted_multinomial(multiset):
+        weighed.append(multiset)
+        return multinomial(multiset)
+
+    monkeypatch.setattr(flagiso.iso, "_multinomial", counted_multinomial)
+    grp = build_abelian([4])
+    assert classify(grp, (2, 2, 2), trivial_division(grp)).count == 252
+    assert len(weighed) == 10
+
+
+# -- past the tuple loop's reach ----------------------------------------------------
+
+
+@pytest.mark.parametrize("factors,blocks", [([2, 2], (3, 3, 3)), ([4], (2, 2, 2, 2, 2))])
+def test_classify_past_the_default_budget_matches_burnside(factors, blocks):
+    """Instances the default budget refuses, classified with the budget raised."""
+    grp = build_abelian(factors)
+    d = trivial_division(grp)
+    total = grp.size ** sum(blocks)
+    with pytest.raises(BudgetExceeded):
+        classify(grp, blocks, d, budget=100_000)
+    cls = classify(grp, blocks, d, budget=total)
+    assert sum(cls.orbit_sizes) == cls.total == total
+    assert cls.count == classes_by_burnside(grp, blocks, d)
+
+
+def test_all_singleton_blocks_give_one_class_per_edge_degree_sequence():
+    """Elementary gradings on UT_n by G fall into |G|^(n-1) classes, one per
+    sequence (deg e_12, ..., deg e_(n-1,n)) (Di Vincenzo, Koshlukov and
+    Valenti, J. Algebra 275 (2004)): Z2^3 with n = 5 has 8^4 of them."""
+    grp = build_abelian([2, 2, 2])
+    cls = classify(grp, (1, 1, 1, 1, 1), trivial_division(grp))
+    assert cls.count == 8**4
+    # the shift by the first degree's inverse leaves the identity first
+    edges = itertools.product(range(8), repeat=4)
+    assert cls.representatives == tuple((grp.identity, *t) for t in edges)
+    assert set(cls.orbit_sizes) == {8}
+    assert cls.total == 8**5
+
+
 # -- canonical form properties ----------------------------------------------------
 
 

@@ -970,16 +970,20 @@ def test_cli_pauli_fixture_round(capsys):
     assert out[0] == "ISOMORPHIC"
 
 
-def run_cli(*args, optimize=False):
+def child_env():
+    """The environment for a flagiso child: this tree's src/ first on PYTHONPATH."""
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def run_cli(*args, optimize=False):
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "flagiso", *args],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -1011,6 +1015,25 @@ def test_cli_optimized_mode_matches_normal_mode(tmp_path):
         if verdict == ISOMORPHIC:
             assert normal[2:] == [(0, ["WITNESS_VALID"]), (0, ["WITNESS_INVALID"])]
         assert optimized == normal
+
+
+def test_cli_exits_0_quietly_when_the_reader_closes_stdout():
+    """A reader that stops after the first line (as `| head -1` does) is no
+    internal error: no stderr, exit 0.  The 2.8 MB of output outgrows any
+    pipe buffer, so the child is still writing when the pipe closes."""
+    args = ["classify", "--group", "abelian:2,2", "--blocks", "1,1,1,1,1,1,1,1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "flagiso", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (first, code, err) == ("CLASSES 16384\n", 0, "")
 
 
 def test_cli_rejects_a_non_associative_table_group(tmp_path):

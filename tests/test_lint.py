@@ -93,13 +93,13 @@ def references_by_function(path: Path, name: str) -> list[str]:
 
 def test_shifted_divisions_are_decided_only_in_the_shift_search():
     iso = SRC / "iso.py"
-    # one per-shift record owns every shift decision: the division question
-    # and the coset pairing; caller data is checked at one given shift
+    # one per-shift generator owns every division decision, and the per-shift
+    # records pair cosets on top of it; caller data is checked at one given shift
     assert references_by_function(iso, "shift_conjugate") == [
-        "_shift_outcomes",
+        "_shift_correctors",
         "_validate_witness_data",
     ]
-    assert references_by_function(iso, "iso_division") == ["_shift_outcomes"]
+    assert references_by_function(iso, "iso_division") == ["_shift_correctors"]
     assert sorted(set(references_by_function(iso, "coset_rep"))) == [
         "_class_profiles",
         "_least_form",

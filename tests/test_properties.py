@@ -36,9 +36,13 @@ corrector they solve for against the system built afresh and eliminated
 from scratch; classify, which
 counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
-inputs; validate_table, which checks associativity through a generating set,
-against the loop over all triples, on random loops of order 2 to 12, on
-relabeled group tables and on group tables with one 2x2 subsquare flipped;
+inputs and, on shapes of three to five blocks with repeated sizes (whose
+blocks share one shift table per size), on the three setups, the twisted
+transposition in S3, Z2 x Z4 and the moved Klein four-group of S4, with the
+tuple loop wherever |G|^n <= 8,000; validate_table, which checks
+associativity through a generating set, against the loop over all triples,
+on random loops of order 2 to 12, on relabeled group tables and on group
+tables with one 2x2 subsquare flipped;
 the one greedy closure walk against the oracles it replaced, on every
 subgroup of the abelian groups of order <= 16, S3 and S4: each generating
 set, the closure of random seeds and each list of isomorphisms, in order;
@@ -76,6 +80,7 @@ from conftest import (
     product_pos,
     realize_by_basis,
 )
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -631,6 +636,30 @@ def test_classify_counts_the_classes_burnside_counts(p):
     assert classify(p.group, p.shape, p.division).count == classes_by_burnside(
         p.group, p.shape, p.division
     )
+
+
+# the three setups, the twisted transposition in S3, the Z2 x Z4 clock-and-shift
+# division and the Klein four-group of S4 that conjugation moves, on shapes of
+# three to five blocks with repeated sizes, whose blocks share classify's tables
+SHARED_DIVISIONS = [*DIVISIONS, SHIFTED[5], SHIFTED[1], SHIFTED[4]]
+SHARED_SHAPES = [(1, 1, 1, 1), (1, 1, 1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 2, 1, 2), (2, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("blocks", SHARED_SHAPES)
+@pytest.mark.parametrize("case", range(len(SHARED_DIVISIONS)))
+def test_classify_matches_the_oracles_where_block_sizes_repeat(case, blocks):
+    """Field by field against the tuple loop wherever |G|^n <= 8,000; the
+    count against Burnside's lemma and the orbit sizes against |G|^n always."""
+    d = SHARED_DIVISIONS[case]
+    total = d.group.size ** sum(blocks)
+    got = classify(d.group, blocks, d, budget=total)
+    assert sum(got.orbit_sizes) == got.total == total
+    assert got.count == classes_by_burnside(d.group, blocks, d)
+    if total <= 8000:
+        want = classify_by_tuples(d.group, blocks, d)
+        assert got.representatives == want.representatives
+        assert got.orbit_sizes == want.orbit_sizes
+        assert got.shifts == want.shifts
 
 
 @st.composite
