@@ -6,148 +6,26 @@ flag presented by block sizes and a degree tuple.  The algebra of flag
 endomorphisms is G-graded upper block triangular; this package builds those
 algebras exactly and decides graded isomorphism and equivalence, emitting
 machine-checkable witnesses for YES and certificates for NO.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports them all.  ``flagiso.io`` and
+``flagiso.cli`` stay namespaced.
 """
 
-from .algebras import (
-    BasisElem,
-    GradedAlgebra,
-    GradedInvariants,
-    GradingReport,
-    check_grading,
-    invariants,
-    realize,
-)
-from .cocycles import (
-    Cocycle,
-    Corrector,
-    cohomologous,
-    is_corrector,
-    transport,
-    trivial_cocycle,
-    validate_cocycle,
-)
-from .division import (
-    GradedDivisionAlgebra,
-    equiv_division,
-    iso_division,
-    pauli,
-    shift_conjugate,
-    trivial_division,
-)
-from .errors import (
-    BudgetExceeded,
-    FlagisoError,
-    GroupMismatch,
-    InvalidInput,
-    UnsupportedInput,
-)
-from .groups import (
-    Group,
-    GroupElem,
-    Subgroup,
-    build_abelian,
-    find_isomorphisms,
-    left_coset,
-    subgroup_closure,
-    validate_table,
-)
-from .iso import (
-    EQUIVALENT,
-    INCONCLUSIVE,
-    ISOMORPHIC,
-    NOT_EQUIVALENT,
-    NOT_ISOMORPHIC,
-    Classification,
-    EquivWitness,
-    InvariantMismatch,
-    IsoWitness,
-    SearchExhausted,
-    Verdict,
-    WitnessReport,
-    build_witness,
-    canonical_form,
-    classify,
-    compose_witness,
-    equiv_check,
-    equiv_elementary,
-    invert_witness,
-    iso_algebras,
-    iso_pairs,
-    verify_equiv_witness,
-    verify_witness,
-)
-from .modlinalg import solve_congruences
-from .presentations import (
-    BlockShape,
-    FlagPresentation,
-    make_presentation,
-    shift_presentation,
-)
-from .tables import enumerate_classes
+from . import algebras, cocycles, division, errors, groups, iso, modlinalg, presentations, tables
+from .algebras import *  # noqa: F403
+from .cocycles import *  # noqa: F403
+from .division import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .iso import *  # noqa: F403
+from .modlinalg import *  # noqa: F403
+from .presentations import *  # noqa: F403
+from .tables import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisElem",
-    "BlockShape",
-    "BudgetExceeded",
-    "Classification",
-    "Cocycle",
-    "Corrector",
-    "EQUIVALENT",
-    "EquivWitness",
-    "FlagPresentation",
-    "FlagisoError",
-    "GradedAlgebra",
-    "GradedDivisionAlgebra",
-    "GradedInvariants",
-    "GradingReport",
-    "Group",
-    "GroupElem",
-    "GroupMismatch",
-    "INCONCLUSIVE",
-    "ISOMORPHIC",
-    "InvalidInput",
-    "InvariantMismatch",
-    "IsoWitness",
-    "NOT_EQUIVALENT",
-    "NOT_ISOMORPHIC",
-    "SearchExhausted",
-    "Subgroup",
-    "UnsupportedInput",
-    "Verdict",
-    "WitnessReport",
-    "build_abelian",
-    "build_witness",
-    "canonical_form",
-    "check_grading",
-    "classify",
-    "cohomologous",
-    "compose_witness",
-    "enumerate_classes",
-    "equiv_check",
-    "equiv_division",
-    "equiv_elementary",
-    "find_isomorphisms",
-    "invariants",
-    "invert_witness",
-    "is_corrector",
-    "iso_algebras",
-    "iso_division",
-    "iso_pairs",
-    "left_coset",
-    "make_presentation",
-    "pauli",
-    "realize",
-    "shift_conjugate",
-    "shift_presentation",
-    "solve_congruences",
-    "subgroup_closure",
-    "transport",
-    "trivial_cocycle",
-    "trivial_division",
-    "validate_cocycle",
-    "validate_table",
-    "verify_equiv_witness",
-    "verify_witness",
-]
+__all__ = sorted({
+    *algebras.__all__, *cocycles.__all__, *division.__all__, *errors.__all__, *groups.__all__,
+    *iso.__all__, *modlinalg.__all__, *presentations.__all__, *tables.__all__,
+})

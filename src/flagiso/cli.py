@@ -159,6 +159,9 @@ def cmd_iso(args) -> int:
     a = io.load_presentation(args.a)
     b = io.load_presentation(args.b)
     verdict = iso_algebras(a, b)
+    if verdict.kind == ISOMORPHIC and args.witness:
+        # written before any output, so a refused path leaves stdout empty
+        io.save_witness(verdict.witness, args.witness)
     print(verdict.kind)
     if verdict.kind == ISOMORPHIC:
         w = verdict.witness
@@ -167,7 +170,6 @@ def cmd_iso(args) -> int:
         print("sigma " + ",".join(str(s + 1) for s in w.sigma))
         print("h " + ",".join(grp.name_of(h) for h in w.correctors))
         if args.witness:
-            io.save_witness(w, args.witness)
             print(f"witness written to {args.witness}")
     else:
         _print_certificate(verdict.certificate)
@@ -308,8 +310,7 @@ def _parse_division_arg(value: str, group: Group):
                 f'cannot parse {_shown(value)}; expected "pauli:t:u-name,v-name"'
             )
         return pauli(t, group, (names[0], names[1]))
-    obj = io.load_json_file(value)
-    return io.division_from_obj(obj, group)
+    return io.load_division_file(value, group)
 
 
 if __name__ == "__main__":

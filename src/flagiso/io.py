@@ -15,7 +15,7 @@ from typing import Any
 from .algebras import BasisElem
 from .cocycles import Corrector, validate_cocycle
 from .division import GradedDivisionAlgebra, pauli, trivial_division
-from .errors import GroupMismatch, InvalidInput
+from .errors import GroupMismatch, InvalidInput, _shown
 from .groups import Group, Subgroup, build_abelian, validate_table
 from .iso import IsoWitness
 from .presentations import FlagPresentation, make_presentation
@@ -31,6 +31,7 @@ __all__ = [
     "division_to_obj",
     "load_json_file",
     "load_group_file",
+    "load_division_file",
 ]
 
 
@@ -40,6 +41,8 @@ def load_json_file(path: str) -> Any:
             text = f.read()
     except OSError as e:
         raise InvalidInput(f"file error: {path}: {e.strerror or e}", code="file-error") from None
+    except UnicodeDecodeError:
+        raise InvalidInput(f"parse error: {path}: not UTF-8 text", code="parse-error") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -104,10 +107,16 @@ def group_from_obj(obj: Any) -> Group:
         if not isinstance(table, list):
             raise InvalidInput(message, code="non-latin")
         names = obj.get("names")
-        if names is not None and (
-            not isinstance(names, list) or any(not isinstance(x, str) for x in names)
-        ):
-            raise InvalidInput("table names must be a list of strings", code="bad-names")
+        if names is not None:
+            if not isinstance(names, list) or any(not isinstance(x, str) for x in names):
+                raise InvalidInput("table names must be a list of strings", code="bad-names")
+            # names are printed on lines of their own: no line breaks, no lone surrogates
+            for pos, x in enumerate(names):
+                if not x.isprintable():
+                    raise InvalidInput(
+                        f"table name {_shown(x)} at position {pos} is not printable",
+                        code="bad-names",
+                    )
         return validate_table([_ints(row, message, "non-latin") for row in table], names)
     raise InvalidInput(f"unknown group kind {kind!r}", code="bad-schema")
 
@@ -172,6 +181,12 @@ def division_from_obj(obj: Any, group: Group) -> GradedDivisionAlgebra:
                 tbl[sub.index[a]][sub.index[b]] = _int(values[i][j], "twisted values must be integers")
         return GradedDivisionAlgebra(validate_cocycle(sub, order, tbl))
     raise InvalidInput(f"unknown division kind {kind!r}", code="bad-schema")
+
+
+def load_division_file(path: str, group: Group) -> GradedDivisionAlgebra:
+    obj = load_json_file(path)
+    _check_version(obj, f"division file {path}")
+    return division_from_obj(obj, group)
 
 
 def division_to_obj(d: GradedDivisionAlgebra) -> dict:

@@ -682,6 +682,85 @@ def test_cli_refuses_oversized_json_literals_with_exit_2(tmp_path, capsys, liter
         assert (res.returncode, res.stdout, res.stderr) == want
 
 
+# every command that reads a file: (id, argv with FILE where it reads the
+# hostile file, the kind of file read there); WITNESS is a valid witness file
+FILE_READS = [
+    ("validate", ["validate", "FILE"], "presentation"),
+    ("dims", ["dims", "FILE"], "presentation"),
+    ("iso", ["iso", "FILE", fx("z2_ae.json")], "presentation"),
+    ("equiv-check", ["equiv-check", fx("z2_ea.json"), "FILE"], "presentation"),
+    ("equiv-elementary", ["equiv-elementary", "FILE", fx("z2_ae.json")], "presentation"),
+    ("verify-witness", ["verify-witness", fx("z2_ea.json"), "FILE", "WITNESS"], "presentation"),
+    ("verify-witness-file", ["verify-witness", fx("z2_ea.json"), fx("z2_ae.json"), "FILE"], "witness"),
+    ("classify-group", ["classify", "--group", "FILE", "--blocks", "1"], "group"),
+    ("classify-division",
+     ["classify", "--group", "abelian:2", "--blocks", "1", "--division", "FILE"], "division"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, kind, name",
+    [
+        pytest.param(argv, kind, name, id=f"{command}-{label}")
+        for label, name in [("not-utf8", None), ("lone-surrogate", "\ud800"), ("line-break", "a\nb")]
+        for command, argv, kind in FILE_READS
+        if name is None or kind in ("presentation", "group")
+    ],
+)
+def test_cli_refuses_undecodable_files_and_unprintable_names_with_exit_2(
+    tmp_path, capsys, argv, kind, name
+):
+    """A file that is not UTF-8 is a parse error, and its bytes are not echoed.
+    A table name that is not printable is a validation error: a lone surrogate
+    cannot be encoded on stdout, and a line break would split a line of output.
+    Both exit 2 with nothing on stdout, with and without python -O."""
+    path = tmp_path / "hostile.json"
+    if name is None:
+        path.write_bytes(b"\xff\xfe\x00bad")
+        err = f"parse error: {path}: not UTF-8 text\n"
+    else:
+        group = {"kind": "table", "table": [[0, 1], [1, 0]], "names": ["e", name]}
+        obj = {"v": 1, **group} if kind == "group" else {
+            "v": 1, "group": group, "division": {"kind": "trivial"},
+            "blocks": [1, 1], "tuple": ["e", name],
+        }
+        path.write_text(json.dumps(obj))
+        err = f"validation error: table name {name!r} at position 1 is not printable\n"
+    witness = tmp_path / "w.json"
+    assert main(["iso", fx("z2_ea.json"), fx("z2_ae.json"), "--witness", str(witness)]) == 0
+    capsys.readouterr()
+    argv = [{"FILE": str(path), "WITNESS": str(witness)}.get(arg, arg) for arg in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+    res = run_cli(*argv, optimize=True)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "obj, reason",
+    [({"kind": "trivial"}, "is missing required key 'v'"),
+     ({"v": 2, "kind": "trivial"}, 'must declare "v": 1')],
+    ids=["missing-v", "wrong-v"],
+)
+def test_cli_refuses_a_division_file_without_version_1(tmp_path, capsys, obj, reason):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(obj))
+    code = main(["classify", "--group", "abelian:2", "--blocks", "1", "--division", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", f"validation error: division file {path} {reason}\n"
+    )
+
+
+def test_cli_iso_refuses_an_unwritable_witness_path_before_printing(tmp_path, capsys):
+    wpath = tmp_path / "no-such-dir" / "w.json"
+    code = main(["iso", fx("z2_ea.json"), fx("z2_ae.json"), "--witness", str(wpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("file error:")
+
+
 def test_cli_bad_arguments(capsys):
     code = main(["classify", "--group", "abelian:x", "--blocks", "1,1"])
     captured = capsys.readouterr()

@@ -5,7 +5,8 @@ statements; the library therefore raises explicitly wherever it checks.
 Imports sit at module level, where a reader sees a module's dependencies at
 once; no library module needs a deferred import to break a cycle.  The
 export lists must agree: every exported name exists, and the package exports
-exactly what its library modules export (``io`` and ``cli`` stay namespaced).
+exactly what its library modules export (``io`` and ``cli`` stay namespaced),
+each name declared by one module and bound to that module's object.
 Each fact is proved once: ``validate_cocycle`` checks only tables that come
 from outside (the twisted loader and ``trivial_cocycle``); cocycles derived
 from checked ones (``transport``, ``pauli``) are built without a re-check.
@@ -189,15 +190,20 @@ def test_every_exported_name_resolves():
 
 
 def test_package_exports_the_union_of_module_exports():
-    union = {
-        name
-        for mod in MODULES
-        if mod.__name__ not in ("flagiso.io", "flagiso.cli")
-        for name in getattr(mod, "__all__", ())
-    }
+    owners: dict[str, list] = {}
+    for mod in MODULES:
+        if mod.__name__ not in ("flagiso.io", "flagiso.cli"):
+            for name in getattr(mod, "__all__", ()):
+                owners.setdefault(name, []).append(mod)
     assert len(MODULES) >= 10, "library modules not found"
     assert len(set(flagiso.__all__)) == len(flagiso.__all__), "duplicate package exports"
-    assert sorted(set(flagiso.__all__) ^ union) == []
+    assert sorted(set(flagiso.__all__) ^ set(owners)) == []
+    # under star imports a name that two modules export would silently
+    # resolve to whichever of them the package imports last
+    shared = {name: [m.__name__ for m in mods] for name, mods in owners.items() if len(mods) > 1}
+    assert shared == {}
+    stray = [name for name in owners if getattr(flagiso, name) is not getattr(owners[name][0], name)]
+    assert stray == []
 
 
 def test_benchmark_traced_names_resolve():
