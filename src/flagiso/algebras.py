@@ -79,48 +79,70 @@ class GradedAlgebra:
         and (i,j,h) = (i,f,e)(f,f,h)(f,j,e) with f the first position of i's
         block.
         """
-        support = self.presentation.division.support
-        k = len(support.members)
-        e = support.index[self.group.identity]
-        units, heads = self.presentation.shape.generator_cells()
-        xs = [support.index[x] for x in support.generators]
-        return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
+        return _generators(self.presentation.shape, self.presentation.division.support)
 
-    def nonzero_products(self, lefts: Iterable[int] | None = None):
-        """Yield (p1, p2, scalar exponent, position) for each nonzero basis product,
-        ascending in p1 and then in p2; with lefts, a collection of basis
-        positions, only the products whose left factor p1 is one of them.
+    def generator_products(self) -> tuple[tuple[int, ...], ...]:
+        """The nonzero products s*b of a generator s and a basis element b, as
+        five arrays: s, b, their support positions x and y, and s*b (of scalar
+        exponent sigma(x, y)), shared by every algebra of this shape and support."""
+        return _generator_walk(self.presentation.shape, self.presentation.division.support)
 
-        (i,j,h_x)*(j,l,h_y) = sigma(h_x,h_y) (i,l,h_x h_y), and each cell (i,j)
-        holds one copy of the support at a base offset, so the walk runs over
-        cells i <= j <= l with one product table over support positions.
-        """
-        division = self.presentation.division
-        shape = self.presentation.shape
-        k = len(division.support.members)
-        prod = division.support.mul_table
-        vals = division.cocycle.values
-        cells = shape.cells()
-        number = shape.cell_number
-        by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
-        for c, (i, j, _) in enumerate(cells):
-            by_row.setdefault(i, []).append((j, c * k))
-        if lefts is None:
-            rows = [(c, range(k)) for c in range(len(cells))]
-        else:
-            by_cell: dict[int, list[int]] = {}  # cell -> support positions of its left factors
-            for p1 in sorted(lefts):
-                by_cell.setdefault(p1 // k, []).append(p1 % k)
-            rows = by_cell.items()
-        for c, xs in rows:
-            i, j, _ = cells[c]
-            off1 = c * k
-            right = [(off2, number[i, l] * k) for l, off2 in by_row[j]]
-            for x in xs:
-                p1, px, vx = off1 + x, prod[x], vals[x]
-                for off2, off3 in right:
-                    for y in range(k):
-                        yield p1, off2 + y, vx[y], off3 + px[y]
+    def nonzero_products(self) -> Iterator[tuple[int, int, int, int]]:
+        """Yield (p1, p2, scalar exponent, position) for each nonzero basis
+        product, ascending in p1 and then in p2: the walk a failed check reruns
+        to name every failing product."""
+        vals = self.presentation.division.cocycle.values
+        walk = _products(self.presentation.shape, self.presentation.division.support)
+        return ((p1, p2, vals[x][y], pos) for p1, p2, x, y, pos in walk)
+
+
+def _generators(shape: BlockShape, support: Subgroup) -> list[int]:
+    k = len(support.members)
+    e = support.index[support.group.identity]
+    units, heads = shape.generator_cells()
+    xs = [support.index[x] for x in support.generators]
+    return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
+
+
+def _products(shape: BlockShape, support: Subgroup, lefts: Iterable[int] | None = None):
+    """Yield (p1, p2, x, y, position) for each nonzero basis product, with x
+    and y the support positions of the factors, ascending in p1 and then in
+    p2; with lefts, a collection of basis positions, only the products whose
+    left factor p1 is one of them.
+
+    (i,j,h_x)*(j,l,h_y) = sigma(h_x,h_y) (i,l,h_x h_y), and each cell (i,j)
+    holds one copy of the support at a base offset, so the walk runs over
+    cells i <= j <= l with one product table over support positions.
+    """
+    k = len(support.members)
+    prod = support.mul_table
+    cells = shape.cells()
+    number = shape.cell_number
+    by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
+    for c, (i, j, _) in enumerate(cells):
+        by_row.setdefault(i, []).append((j, c * k))
+    if lefts is None:
+        rows = [(c, range(k)) for c in range(len(cells))]
+    else:
+        by_cell: dict[int, list[int]] = {}  # cell -> support positions of its left factors
+        for p1 in sorted(lefts):
+            by_cell.setdefault(p1 // k, []).append(p1 % k)
+        rows = by_cell.items()
+    for c, xs in rows:
+        i, j, _ = cells[c]
+        off1 = c * k
+        right = [(off2, number[i, l] * k) for l, off2 in by_row[j]]
+        for x in xs:
+            p1, px = off1 + x, prod[x]
+            for off2, off3 in right:
+                for y in range(k):
+                    yield p1, off2 + y, x, y, off3 + px[y]
+
+
+@lru_cache(maxsize=64)
+def _generator_walk(shape: BlockShape, support: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """GradedAlgebra.generator_products of every algebra of this shape over this support."""
+    return tuple(zip(*_products(shape, support, _generators(shape, support))))
 
 
 def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
@@ -129,18 +151,27 @@ def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
     Ordered by (row block, column block, row, column, support position): cell
     number c of the shape holds its support position x at c * |H| + x.
     """
-    return _layout(p.shape, p.division.support)[0]
+    return _layout(p.shape, p.division.support).basis
+
+
+class _Layout(NamedTuple):
+    """The basis of one shape over one support, its index, and by basis
+    position row * n + column."""
+
+    basis: tuple[BasisElem, ...]
+    index: dict[BasisElem, int]
+    at: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
-def _layout(
-    shape: BlockShape, support: Subgroup
-) -> tuple[tuple[BasisElem, ...], dict[BasisElem, int]]:
-    """The basis of every algebra of this shape over this support, and its
-    index.  They do not depend on the degree tuple, so each is built once and
-    shared: the index must never be written to."""
-    basis = tuple(BasisElem(i, j, h) for i, j, _ in shape.cells() for h in support.members)
-    return basis, {b: k for k, b in enumerate(basis)}
+def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
+    """The layout of every algebra of this shape over this support.  It does
+    not depend on the degree tuple, so it is built once and shared: the index
+    must never be written to."""
+    n, k, cells = shape.n, len(support.members), shape.cells()
+    basis = tuple(BasisElem(i, j, h) for i, j, _ in cells for h in support.members)
+    at = tuple(i * n + j for i, j, _ in cells for _ in range(k))
+    return _Layout(basis, {b: p for p, b in enumerate(basis)}, at)
 
 
 def _cell_degrees(p: FlagPresentation) -> Iterator[list[int]]:
@@ -160,7 +191,7 @@ def realize(p: FlagPresentation) -> GradedAlgebra:
 
     Construction only; check_grading is the separate check of the grading law.
     """
-    basis, index = _layout(p.shape, p.division.support)
+    basis, index, _ = _layout(p.shape, p.division.support)
     return GradedAlgebra(p, basis, tuple(chain.from_iterable(_cell_degrees(p))), index)
 
 
@@ -179,28 +210,31 @@ def check_grading(alg: GradedAlgebra) -> GradingReport:
     y form a set closed under products: for s and w in it and every y with
     s*w*y nonzero, deg(s*w*y) = deg(s)*deg(w*y) = deg(s)*deg(w)*deg(y) =
     deg(s*w)*deg(y).  It holds S, so it holds every basis element, each a
-    product of elements of S up to a root of unity.  When some s*b fails,
-    the walk reruns over every nonzero product, so the report names each
-    violation.  checked_products counts every nonzero product either way:
-    cell (i,j) times each cell of row j, |H|^2 products per pair of cells.
+    product of elements of S up to a root of unity.  The products s*b are
+    read from GradedAlgebra.generator_products, built once per shape and
+    support.  When some s*b fails, the walk reruns over every nonzero
+    product, so the report names each violation.  checked_products counts
+    every nonzero product either way: cell (i,j) times each cell of row j,
+    |H|^2 products per pair of cells.
     """
     grp = alg.group
     shape = alg.presentation.shape
     k = len(alg.presentation.division.support.members)
     row_cells = Counter(i for i, _, _ in shape.cells())
     checked = k * k * sum(row_cells[j] for _, j, _ in shape.cells())
-    for lefts in (alg.generators(), None):
-        bad: list[str] = []
-        for p1, p2, _, pos in alg.nonzero_products(lefts):
-            want = grp.mul(alg.degree[p1], alg.degree[p2])
-            got = alg.degree[pos]
-            if got != want:
-                bad.append(
-                    f"deg({tuple(alg.basis[p1])} * {tuple(alg.basis[p2])}) = "
-                    f"{grp.name_of(got)}, expected {grp.name_of(want)}"
-                )
-        if not bad:
+    deg, tbl = alg.degree, grp.table
+    lefts, rights, _, _, products = alg.generator_products()
+    for p1, p2, pos in zip(lefts, rights, products):
+        if deg[pos] != tbl[deg[p1]][deg[p2]]:
             break
+    else:
+        return GradingReport(True, checked, ())
+    bad = [
+        f"deg({tuple(alg.basis[p1])} * {tuple(alg.basis[p2])}) = "
+        f"{grp.name_of(deg[pos])}, expected {grp.name_of(tbl[deg[p1]][deg[p2]])}"
+        for p1, p2, _, pos in alg.nonzero_products()
+        if deg[pos] != tbl[deg[p1]][deg[p2]]
+    ]
     return GradingReport(not bad, checked, tuple(bad))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .algebras import BasisElem
+from .algebras import BasisElem, _layout
 from .cocycles import Corrector, validate_cocycle
 from .division import GradedDivisionAlgebra, pauli, trivial_division
 from .errors import GroupMismatch, InvalidInput, _shown
@@ -244,7 +244,7 @@ def witness_to_obj(w: IsoWitness) -> dict:
     order = w.scalar_order
     k = order // w.mu.order
     tgt_members = w.target.division.support.members
-    alg_basis = sorted(w.mapping)  # mapping keys are the realized source basis
+    mapping = w.mapping
 
     def triple(b: BasisElem) -> list:
         return [b.row + 1, b.col + 1, grp.name_of(b.sup)]
@@ -259,10 +259,10 @@ def witness_to_obj(w: IsoWitness) -> dict:
         "map": [
             {
                 "from": triple(b),
-                "to": triple(w.mapping[b][0]),
-                "scalar_exp": w.mapping[b][1],
+                "to": triple(mapping[b][0]),
+                "scalar_exp": mapping[b][1],
             }
-            for b in alg_basis
+            for b in sorted(mapping)
         ],
     }
 
@@ -338,7 +338,18 @@ def witness_from_obj(
                 f"{where}: map defines {tuple(frm)} twice", code="invalid-witness-data"
             )
         mapping[frm] = (to, exp % order)
-    return IsoWitness(source, target, shift, sigma, correctors, mu, order, mapping)
+    images, exponents = _positions(mapping, source, target)
+    return IsoWitness(source, target, shift, sigma, correctors, mu, order, images, exponents)
+
+
+def _positions(mapping: dict, source: FlagPresentation, target: FlagPresentation):
+    """IsoWitness.images and exponents of a map given element by element."""
+    index = _layout(source.shape, source.division.support).index
+    if mapping.keys() != index.keys():
+        return (), ()
+    index2 = _layout(target.shape, target.division.support).index
+    pairs = [mapping[b] for b in index]
+    return tuple(index2.get(to, to) for to, _ in pairs), tuple(exp for _, exp in pairs)
 
 
 def _triple_from(entry: Any, key: str, grp: Group, where: str) -> BasisElem:

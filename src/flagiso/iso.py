@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
-from .algebras import BasisElem, GradedAlgebra, _cell_invariants, basis_of, realize
+from .algebras import BasisElem, GradedAlgebra, _cell_invariants, _layout, basis_of, realize
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
@@ -87,7 +87,10 @@ class Verdict:
 
 @dataclass
 class IsoWitness:
-    """Checkable isomorphism data plus the monomial map it induces."""
+    """Checkable isomorphism data plus the monomial map it induces: source basis
+    position p goes to target position images[p] with scalar exponent
+    exponents[p].  A loaded image outside the target basis stays a BasisElem,
+    and a loaded map not on exactly the source basis has no images."""
 
     source: FlagPresentation
     target: FlagPresentation
@@ -96,7 +99,15 @@ class IsoWitness:
     correctors: tuple[int, ...]  # by source position, in supp D
     mu: Corrector  # corrector for D conjugated by the shift vs D'
     scalar_order: int
-    mapping: dict[BasisElem, tuple[BasisElem, int]] = field(repr=False)
+    images: tuple[int | BasisElem, ...] = field(repr=False)
+    exponents: tuple[int, ...] = field(repr=False)
+
+    @property
+    def mapping(self) -> dict[BasisElem, tuple[BasisElem, int]]:
+        """The map by basis element, source -> (target, exponent), built on each read."""
+        target = basis_of(self.target)
+        pairs = zip(basis_of(self.source), self.images, self.exponents)
+        return {b: (target[t] if type(t) is int else t, exp) for b, t, exp in pairs}
 
 
 @dataclass(frozen=True)
@@ -180,8 +191,8 @@ def _witness(
     (k,l,h) goes to (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
     mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1).
     The image's support element and scalar depend on (a_k, a_l, h) alone, so
-    one table over h is built per pair (a_k, a_l) met, and each cell reads
-    its images from the target basis through that table.
+    one table over h is built per pair (a_k, a_l) met, and each cell extends
+    the images by that table's positions, offset to its target cell.
     """
     grp = p.group
     n = p.shape.n
@@ -205,32 +216,34 @@ def _witness(
     c_of = [index2[c] for c in conj]
     mu_of = [km * mu.exp_of(c) for c in conj]
 
-    def images(a: int, b: int) -> list[tuple[int, int]]:
+    def cell_images(a: int, b: int) -> tuple[list[int], list[int]]:
         """For a_k and a_l at target support positions a and b: the position of
         a_k c a_l^-1 and the scalar exponent, for each h by source position."""
         binv = index2[grp.inv(sup2.members[b])]
         row, va, back = mul2[a], vals2[a], vals2[b][binv]
-        out = []
+        ys, exps = [], []
         for c, m in zip(c_of, mu_of):
             ac = row[c]
-            out.append((mul2[ac][binv], (m + k2 * (va[c] + vals2[ac][binv] - back)) % order))
-        return out
+            ys.append(mul2[ac][binv])
+            exps.append((m + k2 * (va[c] + vals2[ac][binv] - back)) % order)
+        return ys, exps
 
-    source = basis_of(p)
-    target = basis_of(p2)
     number = p.shape.cell_number
     k = len(c_of)
-    tables: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    mapping: dict[BasisElem, tuple[BasisElem, int]] = {}
-    for cell, (i, j, _) in enumerate(p.shape.cells()):
+    tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    images: list[int] = []
+    exponents: list[int] = []
+    for i, j, _ in p.shape.cells():
         key = (a_of[i], a_of[j])
         table = tables.get(key)
         if table is None:
-            table = tables[key] = images(*key)
+            table = tables[key] = cell_images(*key)
         off = number[inv_sigma[i], inv_sigma[j]] * k
-        for b, (y, exp) in zip(source[cell * k : cell * k + k], table):
-            mapping[b] = (target[off + y], exp)
-    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order, mapping)
+        images += [off + y for y in table[0]]
+        exponents += table[1]
+    return IsoWitness(
+        p, p2, shift, sigma, tuple(correctors), mu, order, tuple(images), tuple(exponents)
+    )
 
 
 def build_witness(
@@ -256,47 +269,42 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     pairs in three steps: the zero pattern through one index map pi, routing
     by the degree argument below, and scalars on the products s*b of a
     generator s and a basis element b, which an induction below extends to
-    every product."""
+    every product.  Each pass compares whole position arrays first and
+    spells out its failures only when they differ."""
     grp = alg.group
     if grp != alg2.group:
         raise GroupMismatch("witness endpoints are graded by different groups")
-    failures: list[str] = []
     basis = alg.basis
     dim = len(basis)
-    if w.mapping.keys() != alg.index.keys():
+    images, exps = w.images, w.exponents
+    if len(images) != dim or len(exps) != dim:
         return WitnessReport(False, 0, ("map is not defined on exactly the source basis",))
     if dim != len(alg2.basis):
         return WitnessReport(False, 0, ("algebras have different dimensions",))
 
     order = w.scalar_order
     m1, m2 = alg.order, alg2.order
-    if order % m1 or order % m2:
+    if order < 1 or order % m1 or order % m2:
         return WitnessReport(False, 0, (f"scalar order {order} does not embed both mu_{m1} and mu_{m2}",))
     k1, k2 = order // m1, order // m2
 
-    img_pos = [0] * dim
-    img_exp = [0] * dim
-    for pos, b in enumerate(basis):
-        tgt, exp = w.mapping[b]
-        tpos = alg2.index.get(tgt)
-        if tpos is None:
-            failures.append(f"image of {tuple(b)} is not a basis element: {tuple(tgt)}")
-            continue
-        img_pos[pos] = tpos
-        img_exp[pos] = exp % order
-    if failures:
-        return WitnessReport(False, 0, tuple(failures))
-    if len(set(img_pos)) != dim:
+    if set(map(type, images)) != {int} or min(images) < 0 or max(images) >= dim:
+        return WitnessReport(False, 0, tuple(
+            f"image of {tuple(b)} is not a basis element: {tuple(t) if isinstance(t, tuple) else t}"
+            for b, t in zip(basis, images)
+            if type(t) is not int or not 0 <= t < dim
+        ))
+    if len(set(images)) != dim:
         return WitnessReport(False, 0, ("map is not injective on basis elements",))
 
-    for pos in range(dim):
-        if alg2.degree[img_pos[pos]] != alg.degree[pos]:
-            failures.append(
-                f"degree mismatch at {tuple(basis[pos])}: "
-                f"{grp.name_of(alg.degree[pos])} -> {grp.name_of(alg2.degree[img_pos[pos]])}"
-            )
-    if failures:
-        return WitnessReport(False, 0, tuple(failures))
+    deg, deg2 = alg.degree, alg2.degree
+    if tuple(map(deg2.__getitem__, images)) != tuple(deg):
+        return WitnessReport(False, 0, tuple(
+            f"degree mismatch at {tuple(basis[pos])}: "
+            f"{grp.name_of(deg[pos])} -> {grp.name_of(deg2[t])}"
+            for pos, t in enumerate(images)
+            if deg2[t] != deg[pos]
+        ))
 
     # pi sends index k to the row of the image of the unit (k,k,e).  The map
     # keeps the zero pattern iff every image sits at (pi(row), pi(col)) and pi
@@ -305,22 +313,22 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     # share a cell (l,l), which holds one element of degree e.  So only those
     # O(dim) pairs are compared.  Each of them, (k,k,e)(k,l,h) or
     # (k,l,h)(l,l,e), is nonzero, so a pair fails when its images' product is zero.
-    img = [alg2.basis[t] for t in img_pos]
-    units = [alg.index[BasisElem(k, k, grp.identity)] for k in range(alg.presentation.shape.n)]
-    unit_col = [img[u].col for u in units]  # by k, the column of the image of (k,k,e)
-    unit_row = [img[u].row for u in units]
-    broken = {
-        (units[b.row], pos) for pos, b in enumerate(basis) if unit_col[b.row] != img[pos].row
-    }
-    broken.update(
-        (pos, units[b.col]) for pos, b in enumerate(basis) if img[pos].col != unit_row[b.col]
-    )
-    for p1, q in sorted(broken):
-        failures.append(
+    at = _layout(alg.presentation.shape, alg.presentation.division.support).at
+    at2 = _layout(alg2.presentation.shape, alg2.presentation.division.support).at
+    n, n2 = alg.presentation.shape.n, alg2.presentation.shape.n
+    units = [alg.index[BasisElem(k, k, grp.identity)] for k in range(n)]
+    img_at = list(map(at2.__getitem__, images))  # row * n2 + column of each image
+    rows = [img_at[u] // n2 for u in units]  # pi: by k, the row of the image of (k,k,e)
+    cols = [img_at[u] % n2 for u in units]
+    want = [cols[i] * n2 + rows[j] for i in range(n) for j in range(n)]  # by row * n + column
+    if list(map(want.__getitem__, at)) != img_at:
+        img = [alg2.basis[t] for t in images]
+        broken = {(units[b.row], p) for p, b in enumerate(basis) if cols[b.row] != img[p].row}
+        broken.update((p, units[b.col]) for p, b in enumerate(basis) if img[p].col != rows[b.col])
+        return WitnessReport(False, dim * dim, tuple(
             f"nonzero product {tuple(basis[p1])} * {tuple(basis[q])} maps to a zero product"
-        )
-    if failures:
-        return WitnessReport(False, dim * dim, tuple(failures))
+            for p1, q in sorted(broken)
+        ))
 
     # Routing needs no check.  For a nonzero product b1*b2 = (i,j,h)(j,l,h'),
     # the image of b1*b2 and the product of the images both lie in the target
@@ -339,21 +347,26 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     # every basis element is one up to a root of unity, so T is the algebra.
     # When some s*b fails, the walk reruns over every nonzero product, so an
     # invalid report names each failing pair.
-    sup2 = alg2.presentation.division.support.index
+    vals1 = alg.presentation.division.cocycle.values
     vals2 = alg2.presentation.division.cocycle.values
-    img_sup = [sup2[b.sup] for b in img]
-    for lefts in (alg.generators(), None):
-        failures = []
-        for p1, q, s_exp, s_pos in alg.nonzero_products(lefts):
-            lhs = k1 * s_exp + img_exp[s_pos]
-            rhs = img_exp[p1] + img_exp[q] + k2 * vals2[img_sup[p1]][img_sup[q]]
-            if (lhs - rhs) % order:
-                failures.append(
-                    f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
-                    f"exponent {lhs % order} != {rhs % order} (mod {order})"
-                )
-        if not failures:
+    # a cell holds support position x at offset x, so an image's is its position mod |H'|
+    img_sup = list(map(len(alg2.presentation.division.support.members).__rmod__, images))
+    for p1, q, x, y, pos in zip(*alg.generator_products()):
+        if (
+            k1 * vals1[x][y] + exps[pos] - exps[p1] - exps[q] - k2 * vals2[img_sup[p1]][img_sup[q]]
+        ) % order:
             break
+    else:
+        return WitnessReport(True, dim * dim, ())
+    failures = []
+    for p1, q, s_exp, s_pos in alg.nonzero_products():
+        lhs = k1 * s_exp + exps[s_pos]
+        rhs = exps[p1] + exps[q] + k2 * vals2[img_sup[p1]][img_sup[q]]
+        if (lhs - rhs) % order:
+            failures.append(
+                f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
+                f"exponent {lhs % order} != {rhs % order} (mod {order})"
+            )
     return WitnessReport(not failures, dim * dim, tuple(failures))
 
 

@@ -33,14 +33,22 @@ and find_isomorphisms.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and replays it per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
-that way, as the oracle for cohomologous.  ACCEPTANCE_LINES
+that way, as the oracle for cohomologous.  verify_witness_by_dict is
+verify_witness as it read a witness's map from a dict of basis elements and
+walked the generator products afresh on every call, as the oracle for the
+verifier on positions and shared product arrays; witness_with_map replaces a
+witness's map by one given element by element, as a loaded witness carries
+it, and products_read counts the basis products the checks read.
+ACCEPTANCE_LINES
 collects the acceptance suite's per-criterion verdict lines; they are printed
 after the run, outside output capture.
 """
 
+import contextlib
 import itertools
 from collections import Counter
 from math import gcd, lcm, prod
+from unittest import mock
 
 from flagiso import (
     ISOMORPHIC,
@@ -54,11 +62,15 @@ from flagiso import (
     GradedInvariants,
     GradingReport,
     Group,
+    IsoWitness,
     Subgroup,
+    WitnessReport,
     iso_algebras,
     iso_division,
     shift_conjugate,
 )
+from flagiso import algebras
+from flagiso.io import _positions
 from flagiso.iso import _admissible_shifts, _least_form
 
 ACCEPTANCE_LINES: list[str] = []
@@ -277,6 +289,120 @@ def product(alg, b1, b2):
         return None
     exp, pos = res
     return exp, alg.basis[pos]
+
+
+def witness_with_map(w, mapping, scalar_order=None) -> IsoWitness:
+    """w with its map replaced by mapping (source basis element -> (target
+    basis element, exponent)), and optionally its scalar order."""
+    order = w.scalar_order if scalar_order is None else scalar_order
+    images, exponents = _positions(mapping, w.source, w.target)
+    return IsoWitness(
+        w.source, w.target, w.shift, w.sigma, w.correctors, w.mu, order, images, exponents
+    )
+
+
+@contextlib.contextmanager
+def products_read():
+    """Within the block, count into the yielded list the basis products the
+    checks read: the shared generator products on each read of them, and each
+    product the all-products walk yields."""
+    counts: list[int] = []
+    shared = algebras._generator_walk
+    walk = GradedAlgebra.nonzero_products
+
+    def reading(shape, support):
+        arrays = shared(shape, support)
+        counts.append(len(arrays[0]))
+        return arrays
+
+    def walking(alg):
+        for product in walk(alg):
+            counts.append(1)
+            yield product
+
+    with mock.patch.object(algebras, "_generator_walk", reading), mock.patch.object(
+        GradedAlgebra, "nonzero_products", walking
+    ):
+        yield counts
+
+
+def verify_witness_by_dict(alg, alg2, w) -> WitnessReport:
+    """verify_witness on the witness's map as a dict: each image looked up in
+    the target index, the degree and zero-pattern passes over basis elements,
+    and scalars on the products s*b filtered out of the all-products walk,
+    which reruns in full when one fails.  A scalar order below 1 is refused
+    as one that embeds neither root group."""
+    grp = alg.group
+    failures: list[str] = []
+    basis = alg.basis
+    dim = len(basis)
+    mapping = w.mapping
+    if mapping.keys() != alg.index.keys():
+        return WitnessReport(False, 0, ("map is not defined on exactly the source basis",))
+    if dim != len(alg2.basis):
+        return WitnessReport(False, 0, ("algebras have different dimensions",))
+    order = w.scalar_order
+    m1, m2 = alg.order, alg2.order
+    if order < 1 or order % m1 or order % m2:
+        return WitnessReport(
+            False, 0, (f"scalar order {order} does not embed both mu_{m1} and mu_{m2}",)
+        )
+    k1, k2 = order // m1, order // m2
+    img_pos = [0] * dim
+    img_exp = [0] * dim
+    for pos, b in enumerate(basis):
+        tgt, exp = mapping[b]
+        tpos = alg2.index.get(tgt)
+        if tpos is None:
+            failures.append(f"image of {tuple(b)} is not a basis element: {tuple(tgt)}")
+            continue
+        img_pos[pos] = tpos
+        img_exp[pos] = exp % order
+    if failures:
+        return WitnessReport(False, 0, tuple(failures))
+    if len(set(img_pos)) != dim:
+        return WitnessReport(False, 0, ("map is not injective on basis elements",))
+    for pos in range(dim):
+        if alg2.degree[img_pos[pos]] != alg.degree[pos]:
+            failures.append(
+                f"degree mismatch at {tuple(basis[pos])}: "
+                f"{grp.name_of(alg.degree[pos])} -> {grp.name_of(alg2.degree[img_pos[pos]])}"
+            )
+    if failures:
+        return WitnessReport(False, 0, tuple(failures))
+    img = [alg2.basis[t] for t in img_pos]
+    units = [alg.index[BasisElem(k, k, grp.identity)] for k in range(alg.presentation.shape.n)]
+    unit_col = [img[u].col for u in units]
+    unit_row = [img[u].row for u in units]
+    broken = {
+        (units[b.row], pos) for pos, b in enumerate(basis) if unit_col[b.row] != img[pos].row
+    }
+    broken.update(
+        (pos, units[b.col]) for pos, b in enumerate(basis) if img[pos].col != unit_row[b.col]
+    )
+    for p1, q in sorted(broken):
+        failures.append(
+            f"nonzero product {tuple(basis[p1])} * {tuple(basis[q])} maps to a zero product"
+        )
+    if failures:
+        return WitnessReport(False, dim * dim, tuple(failures))
+    sup2 = alg2.presentation.division.support.index
+    vals2 = alg2.presentation.division.cocycle.values
+    img_sup = [sup2[b.sup] for b in img]
+    gens = set(alg.generators())
+    for walk in ([t for t in alg.nonzero_products() if t[0] in gens], alg.nonzero_products()):
+        failures = []
+        for p1, q, s_exp, s_pos in walk:
+            lhs = k1 * s_exp + img_exp[s_pos]
+            rhs = img_exp[p1] + img_exp[q] + k2 * vals2[img_sup[p1]][img_sup[q]]
+            if (lhs - rhs) % order:
+                failures.append(
+                    f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
+                    f"exponent {lhs % order} != {rhs % order} (mod {order})"
+                )
+        if not failures:
+            break
+    return WitnessReport(not failures, dim * dim, tuple(failures))
 
 
 def invariants_by_basis(alg) -> GradedInvariants:

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from unittest import mock
 
 import pytest
-from conftest import make_sym
+from conftest import make_sym, products_read, witness_with_map
 
+import flagiso.algebras
 import flagiso.modlinalg
 from flagiso import (
     EQUIVALENT,
@@ -11,16 +13,16 @@ from flagiso import (
     NOT_ISOMORPHIC,
     BasisElem,
     Corrector,
-    GradedAlgebra,
     GradedDivisionAlgebra,
     GroupMismatch,
     InvalidInput,
     InvariantMismatch,
-    IsoWitness,
     SearchExhausted,
     Subgroup,
+    WitnessReport,
     build_abelian,
     build_witness,
+    check_grading,
     classify,
     compose_witness,
     equiv_elementary,
@@ -324,9 +326,7 @@ def test_verify_rejects_scalar_corruption():
     key = next(iter(bad_map))
     tgt, exp = bad_map[key]
     bad_map[key] = (tgt, exp + 1)
-    bad = IsoWitness(
-        w.source, w.target, w.shift, w.sigma, w.correctors, w.mu, 2, bad_map
-    )
+    bad = witness_with_map(w, bad_map, 2)
     report = verify_witness(realize(p), realize(q), bad)
     assert not report.ok
     assert any("scalar mismatch" in f for f in report.failures)
@@ -336,9 +336,7 @@ def test_verify_rejects_degree_corruption():
     p, q, w = z2_witness()
     bad_map = dict(w.mapping)
     bad_map[BasisElem(0, 1, 0)] = (BasisElem(0, 0, 0), 0)  # off-diagonal to diagonal
-    bad = IsoWitness(
-        w.source, w.target, w.shift, w.sigma, w.correctors, w.mu, w.scalar_order, bad_map
-    )
+    bad = witness_with_map(w, bad_map)
     report = verify_witness(realize(p), realize(q), bad)
     assert not report.ok
     assert any("injective" in f or "degree mismatch" in f for f in report.failures)
@@ -348,9 +346,7 @@ def test_verify_rejects_partial_map():
     p, q, w = z2_witness()
     bad_map = dict(w.mapping)
     bad_map.pop(next(iter(bad_map)))
-    bad = IsoWitness(
-        w.source, w.target, w.shift, w.sigma, w.correctors, w.mu, w.scalar_order, bad_map
-    )
+    bad = witness_with_map(w, bad_map)
     report = verify_witness(realize(p), realize(q), bad)
     assert not report.ok
     assert "exactly the source basis" in report.failures[0]
@@ -362,28 +358,31 @@ def test_verify_rejects_non_embedding_scalar_order():
     p = make_presentation(d, [1], [0])
     zero = Corrector(d.support, 2, (0, 0, 0, 0))
     w = build_witness(p, p, 0, (0,), (0,), zero)
-    bad = IsoWitness(
-        w.source, w.target, w.shift, w.sigma, w.correctors, w.mu, 3, dict(w.mapping)
-    )
+    bad = witness_with_map(w, dict(w.mapping), 3)
     report = verify_witness(realize(p), realize(p), bad)
     assert not report.ok
     assert "does not embed" in report.failures[0]
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_verify_refuses_scalar_orders_below_one(order):
+    """Order 0 once raised ZeroDivisionError, and -2 let the Klein
+    clock-and-shift witness pass; neither embeds a root group."""
+    d = pauli(2, build_abelian([2, 2]), ["(1,0)", "(0,1)"])
+    p = make_presentation(d, [1, 1], ["(0,0)", "(1,0)"])
+    q = make_presentation(d, [1, 1], ["(0,1)", "(1,1)"])
+    w = dataclasses.replace(iso_algebras(p, q).witness, scalar_order=order)
+    report = verify_witness(realize(p), realize(q), w)
+    assert report == WitnessReport(
+        False, 0, (f"scalar order {order} does not embed both mu_2 and mu_2",)
+    )
+
+
 def walked_products(alg, alg2, w):
     """verify_witness's report, and the number of basis products its walks yielded."""
-    walk = GradedAlgebra.nonzero_products
-    walked = 0
-
-    def counting(self, lefts=None):
-        nonlocal walked
-        for product in walk(self, lefts):
-            walked += 1
-            yield product
-
-    with mock.patch.object(GradedAlgebra, "nonzero_products", counting):
+    with products_read() as counts:
         report = verify_witness(alg, alg2, w)
-    return report, walked
+    return report, sum(counts)
 
 
 @pytest.mark.parametrize(
@@ -410,6 +409,31 @@ def test_a_valid_witness_checks_scalars_on_generator_products_only(
     assert report.ok and report.checked_pairs == dim**2
     assert sum(1 for _ in alg.nonzero_products()) == all_products
     assert walked == generator_products < all_products
+
+
+def test_generator_products_are_built_once_per_shape_and_support():
+    """Two YES queries on one shape and support build the shared generator
+    products once; check_grading and verify_witness both read them."""
+    walk = flagiso.algebras._generator_walk
+    walk.cache_clear()
+    rng = random.Random(3)
+    d = pauli(2, build_abelian([2, 4]), ["(1,0)", "(0,2)"])
+    tuples = [[rng.randrange(8) for _ in range(3)] for _ in range(2)]
+    sources = [make_presentation(d, (2, 1), t) for t in tuples]
+    for p in sources:
+        assert iso_algebras(p, random_transform(rng, p)).kind == ISOMORPHIC
+    assert (walk.cache_info().misses, walk.cache_info().hits) == (1, 1)
+    p = sources[0]
+    q = random_transform(rng, p)
+    alg, alg2 = realize(p), realize(q)
+    products = len(walk(p.shape, d.support)[0])
+    with products_read() as counts:
+        assert check_grading(alg).ok
+    assert counts == [products]
+    with products_read() as counts:
+        assert verify_witness(alg, alg2, iso_algebras(p, q).witness).ok
+    assert counts == [products, products]  # the YES query's check, then this one
+    assert walk.cache_info().misses == 1
 
 
 # -- scalar ambiguity ------------------------------------------------------------

@@ -18,6 +18,9 @@ One per-shift record owns each shift's decision in the isomorphism engine.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
 The decision engine realizes algebras only to certify a YES.
+The grading and witness checks read one shared array of generator products;
+the walk over every nonzero product runs only to name a failed check's
+failures.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
 """
@@ -25,6 +28,7 @@ fails here and not only in a benchmark run.
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import flagiso
@@ -139,6 +143,22 @@ def test_decisions_realize_only_to_certify():
         "_certified",
         "equiv_elementary",
     }
+
+
+def test_every_product_is_walked_only_to_report_a_failed_check():
+    calls = [
+        (f"{path.stem}.{node.name}", len(call.args) + len(call.keywords))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "nonzero_products"
+    ]
+    assert sorted(calls) == [("algebras.check_grading", 0), ("iso.verify_witness", 0)]
+    # and both read the shared generator products first
+    assert references_by_function(SRC / "algebras.py", "generator_products") == ["check_grading"]
+    assert references_by_function(SRC / "iso.py", "generator_products") == ["verify_witness"]
+    assert list(inspect.signature(flagiso.GradedAlgebra.nonzero_products).parameters) == ["self"]
 
 
 def test_coset_tables_are_built_only_by_subgroup():

@@ -79,6 +79,8 @@ from conftest import (
     make_sym,
     product_pos,
     realize_by_basis,
+    verify_witness_by_dict,
+    witness_with_map,
 )
 import pytest
 from hypothesis import example, given, settings
@@ -93,7 +95,6 @@ from flagiso import (
     GradedDivisionAlgebra,
     Group,
     InvalidInput,
-    IsoWitness,
     Subgroup,
     WitnessReport,
     build_abelian,
@@ -276,14 +277,14 @@ CORRUPTIONS = ["none", "scalar", "equal-degree swap", "in-cell swap"]
 
 
 @st.composite
-def witnesses(draw):
+def witnesses(draw, isomorphic=rewrites()):
     """An isomorphic pair, its witness, and one corruption of the witness's map:
     a changed scalar; two swapped images of basis elements of equal degree,
     which keeps degrees and breaks only the zero pattern; or two swapped
     images within one cell (row, column), which misroutes products (within a
     cell the degree fixes the support element, so the degree check sees it
     first)."""
-    p, q = draw(rewrites())
+    p, q = draw(isomorphic)
     w = iso_algebras(p, q).witness
     alg, alg2 = realize(p), realize(q)
     mapping = dict(w.mapping)
@@ -302,10 +303,7 @@ def witnesses(draw):
         if swaps:
             x, y = draw(st.sampled_from(swaps))
             mapping[x], mapping[y] = mapping[y], mapping[x]
-    corrupted = IsoWitness(
-        p, q, w.shift, w.sigma, w.correctors, w.mu, w.scalar_order, mapping
-    )
-    return alg, alg2, corrupted
+    return alg, alg2, witness_with_map(w, mapping)
 
 
 def is_subsequence(short, long) -> bool:
@@ -332,8 +330,9 @@ def test_verify_witness_agrees_with_the_all_pairs_loop(case):
 def generators_only(nonzero_products):
     """nonzero_products with the full walk replaced by the generator pass."""
 
-    def walk(alg, lefts=None):
-        return nonzero_products(alg, alg.generators() if lefts is None else lefts)
+    def walk(alg):
+        gens = set(alg.generators())
+        return (t for t in nonzero_products(alg) if t[0] in gens)
 
     return walk
 
@@ -442,7 +441,7 @@ def shifted_presentations(draw):
 @given(st.one_of(pairs().map(lambda pair: pair[0]), shifted_presentations()))
 def test_nonzero_products_are_the_pair_by_pair_products(p):
     """The cell walk yields every nonzero product, in the all-pairs order, and
-    given left factors, the products with those on the left."""
+    the shared generator products are those with a generator on the left."""
     alg = realize(p)
     want = [
         (p1, p2, *res)
@@ -452,7 +451,9 @@ def test_nonzero_products_are_the_pair_by_pair_products(p):
     ]
     assert list(alg.nonzero_products()) == want
     lefts = set(alg.generators())
-    assert list(alg.nonzero_products(lefts)) == [t for t in want if t[0] in lefts]
+    vals = p.division.cocycle.values
+    shared = [(p1, p2, vals[x][y], pos) for p1, p2, x, y, pos in zip(*alg.generator_products())]
+    assert shared == [t for t in want if t[0] in lefts]
 
 
 # -- the shift search against the per-shift loop ---------------------------------------
@@ -568,6 +569,33 @@ SEARCHED = st.one_of(shifted_presentations(), klein_s4_presentations(), d8_cente
 SEARCH_INPUTS = st.one_of(
     pairs(), rewrites(SEARCHED), shifted_targets(SEARCHED), d8_center_pairs()
 )
+
+
+@st.composite
+def checked_witnesses(draw, isomorphic=rewrites()):
+    """witnesses(isomorphic) as built, or loaded back from its JSON, or loaded
+    with one map entry's "from" or "to" moved to row n + 1, which neither
+    basis has."""
+    alg, alg2, w = draw(witnesses(isomorphic))
+    how = draw(st.sampled_from(["built", "loaded", "from", "to"]))
+    if how == "built":
+        return alg, alg2, w
+    obj = json.loads(json.dumps(witness_to_obj(w)))
+    if how != "loaded":
+        entry = draw(st.sampled_from(obj["map"]))
+        entry[how] = [w.source.shape.n + 1, 1, entry[how][2]]
+    return alg, alg2, witness_from_obj(obj, w.source, w.target)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(checked_witnesses(), checked_witnesses(rewrites(SEARCHED))))
+def test_verify_witness_agrees_with_the_dict_verifier(case):
+    """Report for report (ok, checked_pairs and failures, in order) with the
+    verifier on dicts of basis elements: engine, loaded and corrupted
+    witnesses, over central supports and over S3's twisted transposition,
+    the Klein four-group of S4 that conjugation moves and D8's twisted center."""
+    alg, alg2, w = case
+    assert verify_witness(alg, alg2, w) == verify_witness_by_dict(alg, alg2, w)
 
 
 @SETTINGS
