@@ -7,7 +7,9 @@ block positions i <= j (blockwise) and h in supp D, with
     (i,j,h)*(k,l,h') = 0 if j != k, else sigma(h,h') * (i,l,h*h')
 
 Every product of basis elements is zero or a root of unity times a basis
-element, so the whole algebra is a finite exact object.
+element, so the whole algebra is a finite exact object.  The degrees are
+computed in one place, _degrees, as one array by basis position; realize
+stores it, and the graded invariants count it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .groups import Group, Subgroup
@@ -155,12 +156,19 @@ def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
 
 
 class _Layout(NamedTuple):
-    """The basis of one shape over one support, its index, and by basis
-    position row * n + column."""
+    """What every algebra of one shape over one support shares.  By basis
+    position: the basis, the cell position row * n + column, and the
+    (row, support member, column) that the degree g_row h g_column^-1 is read
+    from.  Also the index of the basis, the positions of each block gap, by
+    gap, as runs of consecutive positions, and the position of each unit
+    (k, k, e), by k."""
 
     basis: tuple[BasisElem, ...]
     index: dict[BasisElem, int]
     at: tuple[int, ...]
+    factors: tuple[tuple[int, int, int], ...]
+    gaps: tuple[tuple[slice, ...], ...]
+    units: tuple[int, ...]
 
 
 @lru_cache(maxsize=64)
@@ -168,21 +176,33 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
     """The layout of every algebra of this shape over this support.  It does
     not depend on the degree tuple, so it is built once and shared: the index
     must never be written to."""
-    n, k, cells = shape.n, len(support.members), shape.cells()
-    basis = tuple(BasisElem(i, j, h) for i, j, _ in cells for h in support.members)
+    n, k, cells, members = shape.n, len(support.members), shape.cells(), support.members
+    basis = tuple(BasisElem(i, j, h) for i, j, _ in cells for h in members)
     at = tuple(i * n + j for i, j, _ in cells for _ in range(k))
-    return _Layout(basis, {b: p for p, b in enumerate(basis)}, at)
+    factors = tuple((i, h, j) for i, j, _ in cells for h in members)
+    # the cells of block row a and block column b are consecutive, so the
+    # positions of gap b - a are one run per block pair
+    gaps: list[list[slice]] = [[] for _ in range(shape.s)]
+    start = 0
+    for a, m in enumerate(shape.blocks):
+        for b in range(a, shape.s):
+            stop = start + m * shape.blocks[b] * k
+            gaps[b - a].append(slice(start, stop))
+            start = stop
+    e = support.index[support.group.identity]
+    units = tuple(shape.cell_number[i, i] * k + e for i in range(n))
+    index = {b: p for p, b in enumerate(basis)}
+    return _Layout(basis, index, at, factors, tuple(map(tuple, gaps)), units)
 
 
-def _cell_degrees(p: FlagPresentation) -> Iterator[list[int]]:
-    """The degrees g_i h g_j^-1, h in supp D by support position, of each cell
-    (i, j) of p's shape in cells() order."""
+def _degrees(p: FlagPresentation, layout: _Layout) -> tuple[int, ...]:
+    """The degree g_i h g_j^-1 of each basis position (i, j, h) of p's algebra,
+    read off its layout: the one place the degrees are computed."""
     grp = p.group
     tbl = grp.table
-    members = p.division.support.members
-    for i, j, _ in p.shape.cells():
-        gi, gj_inv = tbl[p.degrees[i]], grp.inv(p.degrees[j])
-        yield [tbl[gi[h]][gj_inv] for h in members]
+    rows = [tbl[g] for g in p.degrees]
+    inv = [grp.inv(g) for g in p.degrees]
+    return tuple([tbl[rows[i][h]][inv[j]] for i, h, j in layout.factors])
 
 
 def realize(p: FlagPresentation) -> GradedAlgebra:
@@ -191,8 +211,8 @@ def realize(p: FlagPresentation) -> GradedAlgebra:
 
     Construction only; check_grading is the separate check of the grading law.
     """
-    basis, index, _ = _layout(p.shape, p.division.support)
-    return GradedAlgebra(p, basis, tuple(chain.from_iterable(_cell_degrees(p))), index)
+    layout = _layout(p.shape, p.division.support)
+    return GradedAlgebra(p, layout.basis, _degrees(p, layout), layout.index)
 
 
 @dataclass(frozen=True)
@@ -256,22 +276,27 @@ class GradedInvariants:
 
 
 def invariants(alg: GradedAlgebra) -> GradedInvariants:
-    """The invariants of alg, counted from its presentation's cells."""
-    return _cell_invariants(alg.presentation)
+    """The invariants of alg, counted from its degrees."""
+    p = alg.presentation
+    return _count_invariants(_layout(p.shape, p.division.support), alg.degree)
 
 
 def _cell_invariants(p: FlagPresentation) -> GradedInvariants:
-    """The invariants of p's algebra, read from its cells without realizing it:
-    cell (i,j) holds the degrees g_i h g_j^-1 for h in supp D."""
-    by_gap = [[] for _ in range(p.shape.s)]  # the cells' degrees, by block gap
-    for (_, _, gap), degrees in zip(p.shape.cells(), _cell_degrees(p)):
-        by_gap[gap] += degrees
-    # dims[c] is the degree profile of J^c, the cells of gap >= c; J^0 is the
-    # algebra.  One count grows from the deepest gap down, so each cell's
-    # degrees are counted once, not once per level at or below its gap.
-    dims = [()] * p.shape.s
+    """The invariants of p's algebra, counted from its degrees without realizing it."""
+    layout = _layout(p.shape, p.division.support)
+    return _count_invariants(layout, _degrees(p, layout))
+
+
+def _count_invariants(layout: _Layout, degree: tuple[int, ...]) -> GradedInvariants:
+    """The invariants of the degrees by basis position of an algebra with this
+    layout.  dims[c] is the degree profile of J^c, the positions of gap >= c;
+    J^0 is the algebra.  One count grows from the deepest gap down, so each
+    degree is counted once, not once per level at or below its gap."""
+    gaps = layout.gaps
+    dims = [()] * len(gaps)
     acc: Counter[int] = Counter()
-    for c in reversed(range(p.shape.s)):
-        acc.update(by_gap[c])
+    for c in reversed(range(len(gaps))):
+        for run in gaps[c]:
+            acc.update(degree[run])
         dims[c] = tuple(sorted(acc.items()))
-    return GradedInvariants(sum(map(len, by_gap)), dims[0], tuple(enumerate(dims))[1:])
+    return GradedInvariants(len(degree), dims[0], tuple(enumerate(dims))[1:])

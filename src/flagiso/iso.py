@@ -191,8 +191,9 @@ def _witness(
     (k,l,h) goes to (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
     mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1).
     The image's support element and scalar depend on (a_k, a_l, h) alone, so
-    one table over h is built per pair (a_k, a_l) met, and each cell extends
-    the images by that table's positions, offset to its target cell.
+    one table over h is built per distinct pair (a_k, a_l) of the cells, and
+    the map is read off those tables by basis position, each cell's images
+    offset to its target cell.
     """
     grp = p.group
     n = p.shape.n
@@ -230,17 +231,12 @@ def _witness(
 
     number = p.shape.cell_number
     k = len(c_of)
-    tables: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    images: list[int] = []
-    exponents: list[int] = []
-    for i, j, _ in p.shape.cells():
-        key = (a_of[i], a_of[j])
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = cell_images(*key)
-        off = number[inv_sigma[i], inv_sigma[j]] * k
-        images += [off + y for y in table[0]]
-        exponents += table[1]
+    cells = p.shape.cells()
+    keys = [(a_of[i], a_of[j]) for i, j, _ in cells]
+    tables = {key: cell_images(*key) for key in set(keys)}
+    offsets = [number[inv_sigma[i], inv_sigma[j]] * k for i, j, _ in cells]
+    images = [off + y for key, off in zip(keys, offsets) for y in tables[key][0]]
+    exponents = [e for key in keys for e in tables[key][1]]
     return IsoWitness(
         p, p2, shift, sigma, tuple(correctors), mu, order, tuple(images), tuple(exponents)
     )
@@ -313,10 +309,10 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     # share a cell (l,l), which holds one element of degree e.  So only those
     # O(dim) pairs are compared.  Each of them, (k,k,e)(k,l,h) or
     # (k,l,h)(l,l,e), is nonzero, so a pair fails when its images' product is zero.
-    at = _layout(alg.presentation.shape, alg.presentation.division.support).at
+    layout = _layout(alg.presentation.shape, alg.presentation.division.support)
+    at, units = layout.at, layout.units  # units: by k, the position of (k,k,e)
     at2 = _layout(alg2.presentation.shape, alg2.presentation.division.support).at
     n, n2 = alg.presentation.shape.n, alg2.presentation.shape.n
-    units = [alg.index[BasisElem(k, k, grp.identity)] for k in range(n)]
     img_at = list(map(at2.__getitem__, images))  # row * n2 + column of each image
     rows = [img_at[u] // n2 for u in units]  # pi: by k, the row of the image of (k,k,e)
     cols = [img_at[u] % n2 for u in units]

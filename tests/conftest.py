@@ -15,7 +15,12 @@ basis, as the oracle for invariants, which reads them off the cells.
 realize_by_basis builds a fresh basis, degree by degree, and its index, as
 the oracle for realize, which shares one basis and index per shape and
 support; derive_mapping_by_basis computes a witness's map one basis element
-at a time, as the oracle for the map derived one cell at a time.
+at a time, as the oracle for the map read off per-key tables.
+cell_degrees yields the degrees of each cell in turn, and
+invariants_by_cell counts them cell by cell, as the oracles for the one
+degree array by basis position that realize stores and the invariants
+count; witness_map_by_cell extends a witness's images and exponents one
+cell at a time, as the oracle for the two comprehensions by position.
 inverted_witness_data and composed_witness_data compute the data of an
 inverse and a composite witness with explicit corrector formulas, as the
 oracle for invert_witness and compose_witness, which solve the tuple
@@ -431,6 +436,83 @@ def realize_by_basis(p) -> GradedAlgebra:
         grp.mul(grp.mul(p.degrees[b.row], b.sup), grp.inv(p.degrees[b.col])) for b in elems
     )
     return GradedAlgebra(p, tuple(elems), degs, {b: k for k, b in enumerate(elems)})
+
+
+def cell_degrees(p):
+    """The degrees g_i h g_j^-1, h in supp D by support position, of each cell
+    (i, j) of p's shape in cells() order, one list per cell."""
+    grp = p.group
+    tbl = grp.table
+    members = p.division.support.members
+    for i, j, _ in p.shape.cells():
+        gi, gj_inv = tbl[p.degrees[i]], grp.inv(p.degrees[j])
+        yield [tbl[gi[h]][gj_inv] for h in members]
+
+
+def invariants_by_cell(p) -> GradedInvariants:
+    """The invariants of p's algebra, its cells' degrees gathered by block gap
+    and counted from the deepest gap down."""
+    by_gap = [[] for _ in range(p.shape.s)]
+    for (_, _, gap), degrees in zip(p.shape.cells(), cell_degrees(p)):
+        by_gap[gap] += degrees
+    dims = [()] * p.shape.s
+    acc: Counter[int] = Counter()
+    for c in reversed(range(p.shape.s)):
+        acc.update(by_gap[c])
+        dims[c] = tuple(sorted(acc.items()))
+    return GradedInvariants(sum(map(len, by_gap)), dims[0], tuple(enumerate(dims))[1:])
+
+
+def witness_map_by_cell(p, p2, shift, sigma, mu):
+    """(images, exponents) of the witness with this shift, sigma and mu, one
+    cell at a time: each cell looks up the table of its pair (a_k, a_l),
+    building it when first met, and extends both by it, the images offset to
+    the cell's target cell."""
+    grp = p.group
+    n = p.shape.n
+    ginv = grp.inv(shift)
+    correctors = [0] * n
+    inv_sigma = [0] * n
+    for i, k in enumerate(sigma):
+        correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
+        inv_sigma[k] = i
+    m2 = p2.division.order
+    order = lcm(p.division.order, m2, mu.order)
+    k2 = order // m2
+    km = order // mu.order
+    sup2 = p2.division.support
+    index2 = sup2.index
+    mul2 = sup2.mul_table
+    vals2 = p2.division.cocycle.values
+    a_of = [index2[grp.conj(grp.inv(h), shift)] for h in correctors]
+    conj = [grp.conj(h, shift) for h in p.division.support.members]
+    c_of = [index2[c] for c in conj]
+    mu_of = [km * mu.exp_of(c) for c in conj]
+
+    def cell_images(a, b):
+        binv = index2[grp.inv(sup2.members[b])]
+        row, va, back = mul2[a], vals2[a], vals2[b][binv]
+        ys, exps = [], []
+        for c, m in zip(c_of, mu_of):
+            ac = row[c]
+            ys.append(mul2[ac][binv])
+            exps.append((m + k2 * (va[c] + vals2[ac][binv] - back)) % order)
+        return ys, exps
+
+    number = p.shape.cell_number
+    k = len(c_of)
+    tables = {}
+    images = []
+    exponents = []
+    for i, j, _ in p.shape.cells():
+        key = (a_of[i], a_of[j])
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = cell_images(*key)
+        off = number[inv_sigma[i], inv_sigma[j]] * k
+        images += [off + y for y in table[0]]
+        exponents += table[1]
+    return tuple(images), tuple(exponents)
 
 
 def derive_mapping_by_basis(p, p2, shift, sigma, correctors, mu):

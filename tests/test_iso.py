@@ -26,6 +26,7 @@ from flagiso import (
     classify,
     compose_witness,
     equiv_elementary,
+    invariants,
     invert_witness,
     is_corrector,
     iso_algebras,
@@ -583,6 +584,29 @@ def test_each_presentation_is_realized_once_per_decision(monkeypatch):
         equiv_elementary, make_presentation(t, [1, 1], [0, 1]), make_presentation(t, [1, 1], [0, 3])
     )
     assert eq.kind == EQUIVALENT and n_eq == 2
+
+
+def test_degrees_are_computed_once_per_side(monkeypatch):
+    """A YES computes each side's degrees once, to realize it; a NO once per
+    side, for its invariants; and invariants(realize(p)) once, as invariants
+    counts the algebra's own degrees."""
+    calls = []
+    degrees = flagiso.algebras._degrees
+    monkeypatch.setattr(
+        flagiso.algebras, "_degrees", lambda p, layout: calls.append(p) or degrees(p, layout)
+    )
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    r = make_presentation(d, [1, 1], [0, 0])
+    assert iso_algebras(p, q).kind == ISOMORPHIC and calls == [p, q]
+    calls.clear()
+    no = iso_algebras(p, r)
+    assert no.kind == NOT_ISOMORPHIC and no.certificate.invariant_mismatch and calls == [p, r]
+    calls.clear()
+    invariants(realize(p))
+    assert calls == [p]
 
 
 def test_each_conjugation_map_is_decided_once(monkeypatch):

@@ -18,6 +18,9 @@ One per-shift record owns each shift's decision in the isomorphism engine.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
 The decision engine realizes algebras only to certify a YES.
+An algebra's degrees are computed in one place, algebras._degrees, as one
+array by basis position: realize stores it, a NO's invariants count it, and
+invariants counts the degrees an algebra carries.
 The grading and witness checks read one shared array of generator products;
 the walk over every nonzero product runs only to name a failed check's
 failures.
@@ -143,6 +146,18 @@ def test_decisions_realize_only_to_certify():
         "_certified",
         "equiv_elementary",
     }
+
+
+def test_only_degrees_computes_the_cell_degrees():
+    per_cell = [path.name for path in SRC.glob("*.py") if "_cell_degrees" in path.read_text()]
+    assert per_cell == []
+    algebras = SRC / "algebras.py"
+    # a presentation's degree tuple is read only by _degrees, which realize
+    # and _cell_invariants call; invariants counts alg.degree, not the cells
+    assert set(references_by_function(algebras, "degrees")) == {"_degrees"}
+    assert references_by_function(algebras, "_degrees") == ["_cell_invariants", "realize"]
+    assert references_by_function(algebras, "_cell_invariants") == []
+    assert "invariants" in references_by_function(algebras, "degree")
 
 
 def test_every_product_is_walked_only_to_report_a_failed_check():

@@ -12,17 +12,23 @@ against the all-pairs loop, on valid and corrupted witnesses, also with its
 scalars checked on generator products alone; the premise of that check, that
 products of the generators reach every basis element, on the three setups,
 shifted supports and both Klein four-groups of S4; basis_of against a sort,
-and the cells of its shape against a filter; invariants, read off the cells,
-against the count over the realized basis, on the three setups, shifted
-supports, both Klein four-groups of S4 and flags of 30 to 36 blocks;
-check_grading, which checks the generator products first, against the
+and the cells of its shape against a filter; invariants, counted from the
+degree array, against the count over the realized basis, on the three
+setups, shifted supports, both Klein four-groups of S4 and flags of 30 to 36
+blocks, and on corrupted degrees, which it counts as the algebra carries
+them; check_grading, which checks the generator products first, against the
 walk over every product, on valid and corrupted degrees; invert_witness and
 compose_witness, which solve the tuple relation for the correctors, against
 build_witness on the data of the explicit corrector formulas; realize,
 which shares one basis and index per shape and support, and the witness
-map, derived one cell at a time, against their per-basis-element builds, on
-the same inputs, for engine witnesses and for random valid witness data
-with twisted targets and mixed correctors; every shifted or transported
+map, read off per-key tables by position, against their per-basis-element
+builds, on the same inputs, for engine witnesses and for random valid
+witness data with twisted targets and mixed correctors; the one degree
+array by basis position, the invariants counted from it and the witness
+map against the per-cell builds they replaced, on those inputs, flags of
+30 to 36 blocks, all-singleton shapes over supports of order 1, S3's
+twisted transposition, the Klein four-group of S4 that conjugation moves
+and D8's twisted center; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
@@ -65,6 +71,7 @@ from unittest import mock
 
 from conftest import (
     associative_by_triples,
+    cell_degrees,
     classes_by_burnside,
     classify_by_tuples,
     closure_by_products,
@@ -74,12 +81,14 @@ from conftest import (
     generators_by_rebuilding,
     grading_by_products,
     invariants_by_basis,
+    invariants_by_cell,
     inverted_witness_data,
     isomorphisms_by_closing,
     make_sym,
     product_pos,
     realize_by_basis,
     verify_witness_by_dict,
+    witness_map_by_cell,
     witness_with_map,
 )
 import pytest
@@ -123,7 +132,7 @@ from flagiso import (
     validate_table,
     verify_witness,
 )
-from flagiso.algebras import basis_of
+from flagiso.algebras import _cell_invariants, basis_of
 from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
 from flagiso.iso import _Shift, _shift_outcomes
@@ -825,6 +834,65 @@ def test_engine_witnesses_match_the_per_basis_element_map(pair):
     mapping, order = derive_mapping_by_basis(p, q, w.shift, w.sigma, w.correctors, w.mu)
     assert w.scalar_order == order
     assert list(w.mapping.items()) == list(mapping.items())
+
+
+# -- the degree array and the witness map against their per-cell builds -------------
+
+
+@st.composite
+def singleton_flags(draw):
+    """A presentation over a support of order 1 with every block of size 1."""
+    division = draw(st.sampled_from([DIVISIONS[0], DIVISIONS[2], trivial_division(S4)]))
+    n = draw(st.integers(1, 6))
+    degrees = draw(st.lists(st.integers(0, division.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(division, (1,) * n, degrees)
+
+
+@st.composite
+def non_central_or_twisted(draw):
+    """A presentation over S3's twisted transposition, the Klein four-group of
+    S4 that conjugation moves, or D8's twisted center."""
+    d = draw(st.sampled_from([SHIFTED[5], SHIFTED[4], D8_CENTER[0]]))
+    n = sum(blocks := draw(shapes()))
+    degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+PER_CELL = st.one_of(CLASSIFIED, long_flags(), singleton_flags(), non_central_or_twisted())
+
+
+@SETTINGS
+@given(PER_CELL)
+def test_degrees_and_invariants_match_the_per_cell_build(p):
+    """The one degree array by basis position is the cells' degrees, cell by
+    cell, and the invariants counted from it are the count over the cells."""
+    assert realize(p).degree == tuple(itertools.chain.from_iterable(cell_degrees(p)))
+    assert _cell_invariants(p) == invariants_by_cell(p)
+
+
+@st.composite
+def per_cell_witnesses(draw):
+    """A witness built from random valid data, or the engine's on an isomorphic pair."""
+    if draw(st.booleans()):
+        return build_witness(*draw(witness_data(PER_CELL)))
+    return iso_algebras(*draw(rewrites(PER_CELL))).witness
+
+
+@SETTINGS
+@given(per_cell_witnesses())
+def test_witness_map_matches_the_per_cell_build(w):
+    """Images and exponents, read off the per-key tables by position, are
+    those the cells extend one at a time, item for item."""
+    want = witness_map_by_cell(w.source, w.target, w.shift, w.sigma, w.mu)
+    assert (w.images, w.exponents) == want
+
+
+@SETTINGS
+@given(graded_or_corrupted())
+def test_invariants_count_the_algebras_degrees(alg):
+    """invariants counts alg.degree, not its presentation's: corrupted degrees
+    are counted as the count over the basis counts them."""
+    assert invariants(alg) == invariants_by_basis(alg)
 
 
 def assert_valid(cocycle):
