@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .errors import InvalidInput
 from .groups import Subgroup
-from .modlinalg import solve_congruences
+from .modlinalg import _diagonalize, _Diagonal, _replay
 
 __all__ = [
     "Cocycle",
@@ -129,22 +129,39 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
 
     Both cocycles are embedded into mu_lcm and the exponent system
     u(a) + u(b) - u(ab) = s(a,b) - t(a,b) (mod lcm) is solved exactly; None
-    means the cocycles are not cohomologous.
+    means the cocycles are not cohomologous.  Identical cocycles, and any
+    right-hand side that is 0 mod lcm, get u = 0 with no system built.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
+    if sigma.order == tau.order and sigma.values == tau.values:
+        return Corrector(sub, sigma.order, (0,) * len(sub.members))
     L = lcm(sigma.order, tau.order)
     ks, kt = L // sigma.order, L // tau.order
-    rows, pos = _coboundary_rows(sub)
+    pos = _coboundary_rows(sub)[1]
     sv, tv = sigma.values, tau.values
     rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
-    # the rows are the corrector law on non-identity pairs (pairs with e hold by
-    # normalization), and solve_congruences checks its solution against them
-    sol = solve_congruences(rows, rhs, L)
-    if sol is None:
+    if not any(v % L for v in rhs):
+        return Corrector(sub, L, (0,) * len(sub.members))
+    diag, pairs = _corrector_system(sub, L)
+    u = _replay(diag, rhs, L)
+    if u is None:
         return None
-    sol.insert(sub.index[sub.group.identity], 0)
-    return Corrector(sub, L, tuple(sol))
+    u.insert(sub.index[sub.group.identity], 0)
+    # the rows are the corrector law on non-identity pairs (pairs with e hold by
+    # normalization), so the solution is checked against the law, pair by pair
+    if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
+        raise AssertionError("internal solver error: solution fails the original system")
+    return Corrector(sub, L, tuple(u))
+
+
+@lru_cache(maxsize=64)
+def _corrector_system(sub: Subgroup, L: int) -> tuple[_Diagonal, tuple[tuple[int, int, int], ...]]:
+    """The coboundary rows of ``sub`` diagonalized mod L (L >= 2), and the positions
+    (a, b, ab) of each row's pair and product: a solve hashes no matrix."""
+    rows, pos = _coboundary_rows(sub)
+    mul = sub.mul_table
+    return _diagonalize(rows, L), tuple((a, b, mul[a][b]) for a in pos for b in pos)
 
 
 @lru_cache(maxsize=64)

@@ -129,6 +129,7 @@ class Subgroup:
     group: Group
     members: tuple[int, ...]
     index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)  # computed once: memos key on it
 
     def __post_init__(self):
         for a in self.members:
@@ -143,6 +144,7 @@ class Subgroup:
             raise InvalidInput("subgroup members out of range", code="bad-subgroup")
         index = {h: i for i, h in enumerate(mem)}
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_hash", hash((g, mem)))
         if g.identity not in index:
             raise InvalidInput("subgroup must contain the identity", code="bad-subgroup")
         for a in mem:
@@ -152,6 +154,9 @@ class Subgroup:
                         f"set not closed: {g.name_of(a)}*{g.name_of(b)} escapes",
                         code="bad-subgroup",
                     )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

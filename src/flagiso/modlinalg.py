@@ -7,7 +7,8 @@ solution back.  All arithmetic is on Python ints; nothing is approximate.
 Every pivot choice and every row and column operation depends on A and L
 alone, never on b.  So each (A, L) is diagonalized once: the row operations
 are logged as they act on b, and a later solve with the same matrix replays
-the log on its own right-hand side.
+the log on its own right-hand side.  _replay is that replay, unchecked: a
+caller holding a diagonalization checks its x against the law A encodes.
 """
 
 from __future__ import annotations
@@ -50,8 +51,15 @@ def solve_congruences(
     L = modulus
     if not any(v % L for v in rhs):
         return [0] * ncols
-    diag = _diagonalize(tuple(map(tuple, a)), L)
+    x = _replay(_diagonalize(tuple(map(tuple, a)), L), rhs, L)
+    # exactness check against the original system
+    if x is not None and any(sum(map(mul, row, x)) % L != want % L for row, want in zip(a, rhs)):
+        raise AssertionError("internal solver error: solution fails the original system")
+    return x
 
+
+def _replay(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
+    """The x that diag's log yields for A x = rhs (mod L), or None if infeasible; unchecked."""
     b = [v % L for v in rhs]
     for i, k, q in diag.ops:
         if q is None:
@@ -67,12 +75,7 @@ def solve_congruences(
         if c % g:
             return None
         y.append((c // g) * inv % Lg)
-
-    x = [sum(map(mul, row, y)) % L for row in diag.v]
-    for row, want in zip(a, rhs):  # exactness check against the original system
-        if sum(map(mul, row, x)) % L != want % L:
-            raise AssertionError("internal solver error: solution fails the original system")
-    return x
+    return [sum(map(mul, row, y)) % L for row in diag.v]
 
 
 @lru_cache(maxsize=64)

@@ -7,7 +7,7 @@ endomorphisms that every decision procedure here operates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -28,6 +28,7 @@ class BlockShape:
     """Block sizes (m_1, ..., m_s); rows/cols 0..n-1 are grouped accordingly."""
 
     blocks: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)  # computed once: memos key on it
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
@@ -44,6 +45,10 @@ class BlockShape:
             raise InvalidInput(
                 f"block sizes must be positive, got {_listed(blocks, pos)}", code="bad-blocks"
             )
+        object.__setattr__(self, "_hash", hash((blocks,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -38,7 +38,10 @@ and find_isomorphisms.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and replays it per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
-that way, as the oracle for cohomologous.  verify_witness_by_dict is
+that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
+the cached coboundary rows to solve_congruences, which checks every row
+densely, as the oracle for cohomologous' replay of one diagonalization per
+support and modulus, checked by the corrector law.  verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
@@ -73,8 +76,10 @@ from flagiso import (
     iso_algebras,
     iso_division,
     shift_conjugate,
+    solve_congruences,
 )
 from flagiso import algebras
+from flagiso.cocycles import _coboundary_rows
 from flagiso.io import _positions
 from flagiso.iso import _admissible_shifts, _least_form
 
@@ -725,3 +730,19 @@ def cohomologous_by_elimination(sigma, tau):
     if sol is None:
         return None
     return tuple(0 if h == e else sol[col[h]] for h in sub.members)
+
+
+def cohomologous_by_dense_solve(sigma, tau):
+    """The corrector that solve_congruences finds over the cached coboundary
+    rows, or None: the right-hand side by non-identity pair, 0 at e."""
+    sub = sigma.support
+    L = lcm(sigma.order, tau.order)
+    ks, kt = L // sigma.order, L // tau.order
+    rows, pos = _coboundary_rows(sub)
+    sv, tv = sigma.values, tau.values
+    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
+    sol = solve_congruences(rows, rhs, L)
+    if sol is None:
+        return None
+    sol.insert(sub.index[sub.group.identity], 0)
+    return Corrector(sub, L, tuple(sol))

@@ -3,6 +3,7 @@ from conftest import invariants_by_basis, make_sym, product, products_read, real
 
 from flagiso import (
     BasisElem,
+    BlockShape,
     GradedAlgebra,
     GradedDivisionAlgebra,
     build_abelian,
@@ -15,7 +16,9 @@ from flagiso import (
     subgroup_closure,
     trivial_cocycle,
     trivial_division,
+    validate_table,
 )
+from flagiso import algebras
 
 # -- oracles -----------------------------------------------------------------
 
@@ -309,6 +312,26 @@ def test_algebras_of_one_shape_and_support_share_basis_and_index():
     assert a.degree != b.degree
     want = realize_by_basis(p)
     assert (a.basis, a.degree, a.index) == (want.basis, want.degree, want.index)
+
+
+def test_equal_shapes_hash_once_and_share_one_layout():
+    """A shape's hash is (blocks,)'s, computed once on construction: equal shapes
+    from a tuple and from a list, over equal supports of groups from different
+    sources, realize from one cached layout and one generator walk."""
+    grp = build_abelian([2, 4])
+    same = validate_table([list(row) for row in grp.table])
+    shape = BlockShape((2, 1))
+    p = make_presentation(pauli(2, grp, ["(1,0)", "(0,2)"]), shape, [0, 1, 2])
+    q = make_presentation(pauli(2, same, [4, 2]), [2, 1], [3, 0, 7])
+    assert q.shape == shape and hash(q.shape) == hash(shape) == hash(((2, 1),))
+    assert q.shape is not shape and q.division.support == p.division.support
+    for cache in (algebras._layout, algebras._generator_walk):
+        cache.cache_clear()
+    a, b = realize(p), realize(q)
+    assert a.index is b.index and a.basis is b.basis
+    assert a.generator_products() is b.generator_products()
+    for cache in (algebras._layout, algebras._generator_walk):
+        assert cache.cache_info().currsize == 1
 
 
 def test_other_shapes_and_supports_get_their_own_layouts():

@@ -3,6 +3,7 @@ from math import lcm
 
 import pytest
 
+import flagiso.cocycles
 from flagiso import (
     Cocycle,
     Corrector,
@@ -11,11 +12,13 @@ from flagiso import (
     build_abelian,
     cohomologous,
     is_corrector,
+    pauli,
     subgroup_closure,
     transport,
     trivial_cocycle,
     validate_cocycle,
 )
+from flagiso.modlinalg import _diagonalize
 
 # -- oracles -----------------------------------------------------------------
 
@@ -221,6 +224,71 @@ def test_cohomologous_rejects_support_mismatch():
     with pytest.raises(InvalidInput) as ei:
         cohomologous(a, b)
     assert ei.value.code == "support-mismatch"
+
+
+# -- one cached system per support and modulus --------------------------------
+
+
+def clock_and_shift_twists():
+    """The Z3 x Z3 clock-and-shift cocycle and two twists of it by coboundaries."""
+    sigma = pauli(3, build_abelian([3, 3]), ["(1,0)", "(0,1)"]).cocycle
+    mul = sigma.support.mul_table
+
+    def twist(u):
+        return [
+            [v + u[x] + u[y] - u[mul[x][y]] for y, v in enumerate(row)]
+            for x, row in enumerate(sigma.values)
+        ]
+
+    return sigma, *(
+        validate_cocycle(sigma.support, 3, twist(u))
+        for u in ((0, 1, 2, 0, 1, 1, 2, 0, 2), (0, 0, 1, 2, 2, 0, 1, 1, 0))
+    )
+
+
+def test_one_diagonalization_serves_every_right_hand_side():
+    """Solves on one support and modulus replay one cached diagonalization: after
+    the first, no solve diagonalizes or looks a matrix up in the solver's memo."""
+    sigma, tau, rho = clock_and_shift_twists()
+    system = flagiso.cocycles._corrector_system
+    system.cache_clear()
+    assert is_corrector(cohomologous(sigma, tau), sigma, tau)
+    before = _diagonalize.cache_info()
+    trivial = trivial_cocycle(sigma.support, 3)
+    for s, t in ((sigma, rho), (rho, tau), (tau, sigma), (sigma, trivial), (trivial, rho)):
+        mu = cohomologous(s, t)
+        assert (mu is None) == (trivial in (s, t))
+        assert mu is None or is_corrector(mu, s, t)
+    after = _diagonalize.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert (system.cache_info().hits, system.cache_info().misses) == (5, 1)
+
+
+def test_identical_cocycles_build_no_system():
+    sigma = clock_and_shift_twists()[0]
+    copy = Cocycle(sigma.support, sigma.order, sigma.values)
+    caches = (flagiso.cocycles._corrector_system, flagiso.cocycles._coboundary_rows, _diagonalize)
+    before = [cache.cache_info() for cache in caches]
+    for tau in (sigma, copy):
+        assert cohomologous(sigma, tau) == Corrector(sigma.support, 3, (0,) * 9)
+    assert [cache.cache_info() for cache in caches] == before
+
+
+def test_corrector_law_guards_cached_systems(monkeypatch):
+    """A corrupted system taken from the cache is caught, not returned."""
+    sigma, tau, _ = clock_and_shift_twists()
+    assert is_corrector(cohomologous(sigma, tau), sigma, tau)
+    system = flagiso.cocycles._corrector_system
+    hits = system.cache_info().hits
+
+    def corrupted(sub, modulus):
+        diag, pairs = system(sub, modulus)
+        return diag._replace(v=tuple((0,) * len(row) for row in diag.v)), pairs
+
+    monkeypatch.setattr(flagiso.cocycles, "_corrector_system", corrupted)
+    with pytest.raises(AssertionError, match="^internal solver error"):
+        cohomologous(sigma, tau)
+    assert system.cache_info().hits == hits + 1
 
 
 def test_is_corrector_detects_violations():

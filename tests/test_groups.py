@@ -1,5 +1,6 @@
 import itertools
 from math import prod
+from unittest import mock
 
 import pytest
 from conftest import NONASSOC_LOOP, compose, invert_perm, make_sym
@@ -255,6 +256,25 @@ def test_equal_groups_share_one_coboundary_system():
     again = rows(Subgroup(same, tuple(same.elements())))
     assert again is first
     assert rows.cache_info().hits == 1 and rows.cache_info().currsize == 1
+
+
+def test_equal_supports_hash_once_and_share_one_corrector_system():
+    """A support's hash is (group, members)'s, computed once on construction:
+    equal supports of equal groups from different sources hit one entry of the
+    per-(support, modulus) system cache, and no lookup rehashes a group table."""
+    z3sq = build_abelian([3, 3])
+    same = validate_table([list(row) for row in z3sq.table])
+    full = Subgroup(z3sq, tuple(z3sq.elements()))
+    closed = subgroup_closure(same, [1, 3])
+    assert closed == full and hash(closed) == hash(full) == hash((z3sq, full.members))
+    system = flagiso.cocycles._corrector_system
+    system.cache_clear()
+    with mock.patch.object(Group, "__hash__", side_effect=AssertionError("group rehashed")):
+        first = system(full, 3)
+        again = system(closed, 3)
+        assert hash(closed) == hash(full)
+    assert again is first
+    assert system.cache_info().hits == 1 and system.cache_info().currsize == 1
 
 
 def test_group_elem_ops_and_mismatch():

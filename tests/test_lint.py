@@ -4,6 +4,8 @@ Runtime guarantees must hold under ``python -O``, which strips ``assert``
 statements; the library therefore raises explicitly wherever it checks.
 Imports sit at module level, where a reader sees a module's dependencies at
 once; no library module needs a deferred import to break a cycle.  The
+library has no runtime dependencies: every import is relative or names a
+module of the standard library.  The
 export lists must agree: every exported name exists, and the package exports
 exactly what its library modules export (``io`` and ``cli`` stay namespaced),
 each name declared by one module and bound to that module's object.
@@ -32,6 +34,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import flagiso
@@ -71,6 +74,25 @@ def test_library_imports_at_module_level():
     )
     assert sorted(SRC.glob("*.py")), "library sources not found"
     assert found == [], f"imports inside functions: {found}"
+
+
+def test_library_imports_only_itself_and_the_standard_library():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert sorted(SRC.glob("*.py")), "library sources not found"
+    assert found == [], f"imports from outside the standard library: {found}"
 
 
 def test_validate_cocycle_is_called_only_on_outside_tables():

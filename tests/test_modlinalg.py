@@ -201,5 +201,9 @@ def test_exactness_check_guards_memo_hits(monkeypatch):
 
 
 def test_memos_are_bounded():
-    for cache in (flagiso.modlinalg._diagonalize, flagiso.cocycles._coboundary_rows):
+    for cache in (
+        flagiso.modlinalg._diagonalize,
+        flagiso.cocycles._coboundary_rows,
+        flagiso.cocycles._corrector_system,
+    ):
         assert cache.cache_info().maxsize is not None

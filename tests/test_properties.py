@@ -39,7 +39,12 @@ included, on those inputs, both Klein four-groups of S4 and the center
 of D8, a central support in a non-abelian group with two cohomologous
 cocycles (the oracle builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
-from scratch; classify, which
+from scratch; cohomologous, which replays one cached system per support and
+modulus and checks the corrector law by position, against solve_congruences
+on the dense rows, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
+the clock-and-shift supports of order 9 and 16, S3's twisted transposition
+and D8's twisted center, on pairs that are not cohomologous, on identical
+cocycles and on equal values at two root orders; classify, which
 counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
 inputs and, on shapes of three to five blocks with repeated sizes (whose
@@ -75,6 +80,7 @@ from conftest import (
     classes_by_burnside,
     classify_by_tuples,
     closure_by_products,
+    cohomologous_by_dense_solve,
     cohomologous_by_elimination,
     composed_witness_data,
     derive_mapping_by_basis,
@@ -99,6 +105,7 @@ from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
     BlockShape,
+    Cocycle,
     Corrector,
     GradedAlgebra,
     GradedDivisionAlgebra,
@@ -117,6 +124,7 @@ from flagiso import (
     find_isomorphisms,
     invariants,
     invert_witness,
+    is_corrector,
     iso_algebras,
     iso_division,
     iso_pairs,
@@ -646,6 +654,115 @@ def test_cohomologous_matches_the_solve_by_elimination(pair):
         for s, t in ((sigma, d2.cocycle), (d2.cocycle, sigma), (sigma, sigma)):
             mu = cohomologous(s, t)
             assert (None if mu is None else mu.exps) == cohomologous_by_elimination(s, t)
+
+
+def cocycle_table(sub, order, exponent):
+    """The cocycle of root order ``order`` with exponent(a, b) at members a, b."""
+    return validate_cocycle(sub, order, [[exponent(a, b) for b in sub.members] for a in sub.members])
+
+
+def with_trivial(d):
+    return [d.cocycle, trivial_cocycle(d.support)]
+
+
+Z4, Z2Z4 = build_abelian([4]), build_abelian([2, 4])
+Z4_FULL, Z2Z4_FULL = (Subgroup(g, tuple(g.elements())) for g in (Z4, Z2Z4))
+# sigma(a, b) = -1 when the Z4 coordinates of a and b carry: the extension Z8 of Z4,
+# a coboundary in mu_8 and not in mu_4
+Z4_CARRY = cocycle_table(Z4_FULL, 2, lambda a, b: int(a + b >= 4))
+CLOCK_AND_SHIFT_9 = pauli(3, build_abelian([3, 6]), ["(1,0)", "(0,2)"])
+CLOCK_AND_SHIFT_16 = pauli(4, build_abelian([4, 4, 2]), ["(1,0,0)", "(0,1,0)"])
+# cocycles by support: each against a twist of itself is cohomologous, and the
+# first of each list against a twist of the trivial one is not
+COCYCLE_FAMILIES = [
+    with_trivial(SHIFTED[0]),
+    [Z4_CARRY, trivial_cocycle(Z4_FULL)],
+    [
+        cocycle_table(Z2Z4_FULL, 2, lambda a, b: a % 2 * (b // 4)),  # a_2 b_1 mod 2
+        trivial_cocycle(Z2Z4_FULL),
+        cocycle_table(Z2Z4_FULL, 2, lambda a, b: int(a % 4 + b % 4 >= 4)),
+    ],
+    with_trivial(SHIFTED[1]),
+    with_trivial(SHIFTED[2]),
+    with_trivial(CLOCK_AND_SHIFT_9),
+    with_trivial(CLOCK_AND_SHIFT_16),
+    with_trivial(twisted_transposition()),
+    [d.cocycle for d in D8_CENTER],
+]
+
+
+def read_at(coc, order):
+    """coc's exponent table read in mu_order, or None where it is no cocycle there."""
+    try:
+        return validate_cocycle(coc.support, order, coc.values)
+    except InvalidInput:
+        return None
+
+
+# equal values at different root orders: a solve whose right-hand side is not zero
+# unless the values are
+SAME_VALUES = [
+    (coc, moved)
+    for family in COCYCLE_FAMILIES
+    for coc in family
+    for k in (2, 3)
+    if (moved := read_at(coc, k * coc.order))
+]
+
+
+@st.composite
+def twists(draw, coc):
+    """coc in mu_(k * order), k = 1, 2 or 3, times the coboundary of a random u."""
+    sub = coc.support
+    order = coc.order * draw(st.sampled_from([1, 2, 3]))
+    scale = order // coc.order
+    e = sub.index[sub.group.identity]
+    u = [0 if x == e else draw(st.integers(0, order - 1)) for x in range(len(sub.members))]
+    mul = sub.mul_table
+    return validate_cocycle(
+        sub,
+        order,
+        [
+            [scale * v + u[x] + u[y] - u[mul[x][y]] for y, v in enumerate(row)]
+            for x, row in enumerate(coc.values)
+        ],
+    )
+
+
+@st.composite
+def cocycle_pairs(draw):
+    """Two cocycles on one support, in either order: one and a twist of itself, one
+    and a twist of another on its support (not cohomologous where the classes
+    differ), one and itself or an equal copy, or equal values at two root orders."""
+    kind = draw(st.sampled_from(["twist", "other", "identical", "same values"]))
+    family = draw(st.sampled_from(COCYCLE_FAMILIES))
+    sigma = draw(st.sampled_from(family))
+    if kind == "twist":
+        tau = draw(twists(sigma))
+    elif kind == "other":
+        tau = draw(twists(draw(st.sampled_from(family))))
+    elif kind == "identical":
+        tau = draw(st.sampled_from([sigma, Cocycle(sigma.support, sigma.order, sigma.values)]))
+    else:
+        sigma, tau = draw(st.sampled_from(SAME_VALUES))
+    return tuple(draw(st.permutations([sigma, tau])))
+
+
+@SETTINGS
+@given(cocycle_pairs())
+@example((CLOCK_AND_SHIFT_9.cocycle, trivial_cocycle(CLOCK_AND_SHIFT_9.support)))
+@example((trivial_cocycle(CLOCK_AND_SHIFT_16.support, 4), CLOCK_AND_SHIFT_16.cocycle))
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL)))  # no corrector in mu_2
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 4)))  # nor in mu_4
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 8)))  # one in mu_8
+def test_cohomologous_matches_the_dense_solve(pair):
+    """The replayed, law-checked corrector is the one solve_congruences finds over
+    the dense rows, field by field, and None exactly where it finds none."""
+    got, want = cohomologous(*pair), cohomologous_by_dense_solve(*pair)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.support, got.order, got.exps) == (want.support, want.order, want.exps)
+        assert is_corrector(got, *pair)
 
 
 # -- classify against the tuple loop and Burnside's lemma, invariants against the basis
