@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
@@ -23,7 +24,7 @@ from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
 from .errors import BudgetExceeded, GroupMismatch, InvalidInput, UnsupportedInput
-from .groups import Group, Subgroup
+from .groups import Group
 from .presentations import BlockShape, FlagPresentation, make_presentation
 
 __all__ = [
@@ -802,33 +803,37 @@ class Classification:
         ]
 
 
-def _admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
-    """Shifts g whose conjugate-shifted division part is isomorphic to the original.
+@lru_cache(maxsize=64)
+def _coset_action(division: GradedDivisionAlgebra):
+    """The admissible shifts and their action xH -> xgH on the left cosets of the support H.
 
-    These are exactly the shifts available when deciding isomorphism between
-    two presentations sharing the division part, read off the division
-    decisions alone: no coset pairing is made.  All of G when the support H
-    is central (so when G is abelian); in general a subset of the normalizer
-    N_G(H), all of it when the cocycle is trivial.
+    Returns the shifts g with D^g isomorphic to D, ascending, read off the
+    division decisions alone (all of G when H is central; in general a subset
+    of N_G(H), all of it when the cocycle is trivial); the least element of
+    each left coset, ascending; the index of xH among them, for every x in G;
+    and the distinct permutations of the coset indices, sorted.
     """
-    return [g for g, mu in _shift_correctors(division, division) if mu is not None]
+    grp = division.group
+    shifts = tuple(g for g, mu in _shift_correctors(division, division) if mu is not None)
+    rep = division.support.coset_rep
+    cosets = tuple(sorted(set(rep)))
+    at = {r: i for i, r in enumerate(cosets)}
+    index = tuple(at[r] for r in rep)
+    perms = tuple(sorted({tuple(index[grp.mul(r, g)] for r in cosets) for g in shifts}))
+    return shifts, cosets, index, perms
 
 
 def canonical_form(p: FlagPresentation) -> tuple[int, ...]:
-    """Lexicographically minimal tuple over shift, block permutation, coset correction."""
-    shifts = _admissible_shifts(p.division)
-    return _least_form(p.division.support, p.shape.block_positions(), p.degrees, shifts)
+    """Lexicographically minimal tuple over shift, block permutation, coset correction.
 
-
-def _least_form(
-    support: Subgroup, blocks: list[range], degrees: Sequence[int], shifts: Sequence[int]
-) -> tuple[int, ...]:
-    """Over the shifts g, the least blockwise-sorted tuple of coset reps of d*g."""
-    grp, rep = support.group, support.coset_rep
-    return min(
-        tuple(x for blk in blocks for x in sorted(rep[grp.mul(degrees[i], g)] for i in blk))
-        for g in shifts
-    )
+    An admissible shift g normalizes H, so the coset representative of d*g
+    depends on dH alone: the least blockwise-sorted tuple of coset indices is
+    taken over the distinct coset permutations and mapped back to representatives.
+    """
+    _, cosets, index, perms = _coset_action(p.division)
+    at, blocks = [index[d] for d in p.degrees], p.shape.block_positions()
+    least = min(tuple(x for b in blocks for x in sorted(perm[at[i]] for i in b)) for perm in perms)
+    return tuple(map(cosets.__getitem__, least))
 
 
 def classify(
@@ -869,13 +874,9 @@ def classify(
         raise BudgetExceeded(
             f"enumeration of {base}^{n} = {base**n} tuples exceeds budget {limit}{note}"
         )
-    shifts = _admissible_shifts(division)
-    rep = division.support.coset_rep
-    cosets = sorted(set(rep))
-    index = {r: i for i, r in enumerate(cosets)}
-    # the distinct actions of the admissible shifts on the coset indices; they
-    # form a group, so an orbit is the set of images of any one of its members
-    perms = {tuple(index[rep[group.mul(r, g)]] for r in cosets) for g in shifts}
+    # the distinct actions of the admissible shifts on the coset indices form a
+    # group, so an orbit is the set of images of any one of its members
+    shifts, cosets, _, perms = _coset_action(division)
     # per distinct block size m, once: the sorted size-m multisets of coset
     # indices and, per multiset, the indices of its images under the perms,
     # its coset representatives and its multinomial weight; equal-size blocks
@@ -915,9 +916,7 @@ def classify(
             seen[member] = 1
         reps.append(sum(map(list.__getitem__, coset_reps, config), ()))
         sizes.append(len(orbit) * per_tuple * prod(map(list.__getitem__, weights, config)))
-    return Classification(
-        group, shape, division, tuple(reps), tuple(sizes), group.size**n, tuple(shifts)
-    )
+    return Classification(group, shape, division, tuple(reps), tuple(sizes), group.size**n, shifts)
 
 
 def _configurations(multisets: Sequence[list[tuple[int, ...]]]):

@@ -15,14 +15,7 @@ import itertools
 from .config import DEFAULT_PAIR_BUDGET
 from .division import GradedDivisionAlgebra
 from .groups import Group
-from .iso import (
-    ISOMORPHIC,
-    NOT_ISOMORPHIC,
-    Classification,
-    _least_form,
-    classify,
-    iso_algebras,
-)
+from .iso import ISOMORPHIC, NOT_ISOMORPHIC, Classification, canonical_form, classify, iso_algebras
 from .presentations import FlagPresentation, make_presentation
 
 __all__ = ["enumerate_classes"]
@@ -61,11 +54,15 @@ def enumerate_classes(
     cls.membership_checked = cls.total <= DEFAULT_PAIR_BUDGET
     if cls.membership_checked:
         by_rep = {rep.degrees: rep for rep in reps}
-        positions = cls.shape.block_positions()
         reached = dict.fromkeys(by_rep, 0)
         for tup in itertools.product(range(group.size), repeat=cls.shape.n):
             p = FlagPresentation(division, cls.shape, tup)
-            key = _least_form(division.support, positions, tup, cls.shifts)
+            key = canonical_form(p)
+            if key not in by_rep:
+                raise AssertionError(
+                    f"tuple {p.degree_names()} has canonical form "
+                    f"{tuple(map(group.name_of, key))}, which is no representative"
+                )
             reached[key] += 1
             rep = by_rep[key]
             verdict = iso_algebras(p, rep)

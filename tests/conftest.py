@@ -3,13 +3,16 @@
 make_sym constructs symmetric groups straight from permutation composition, so
 group-layer tests can check Cayley-table arithmetic against an independent
 model.  count_classes_pairwise counts isomorphism classes with the pairwise
-engine alone, as an oracle for enumerate_classes.  classify_by_tuples takes
-the canonical form of every one of the |G|^n degree tuples, as the oracle for
-classify's whole table; classes_by_burnside counts the classes by Burnside's
-lemma over the coset multisets, from the per-shift division loop and cosets
-built as sets, as an oracle for the count.  product_pos and product multiply
-two basis elements straight from the structure constants, as the
-pair-by-pair oracle for GradedAlgebra.nonzero_products.
+engine alone, as an oracle for enumerate_classes.  admissible_shifts decides
+D^g against D at every shift g, and least_form multiplies every degree by
+every such shift: the oracles for canonical_form and the cached shift action
+on cosets.  classify_by_tuples buckets every one of the |G|^n degree tuples
+by least_form, as the oracle for classify's whole table; classes_by_burnside
+counts the classes by Burnside's lemma over the coset multisets, from
+admissible_shifts and cosets built as sets, as an oracle for the count.
+product_pos and product multiply two basis elements straight from the
+structure constants, as the pair-by-pair oracle for
+GradedAlgebra.nonzero_products.
 invariants_by_basis reads the graded and radical dimensions off a realized
 basis, as the oracle for invariants, which reads them off the cells.
 realize_by_basis builds a fresh basis, degree by degree, and its index, as
@@ -81,7 +84,6 @@ from flagiso import (
 from flagiso import algebras
 from flagiso.cocycles import _coboundary_rows
 from flagiso.io import _positions
-from flagiso.iso import _admissible_shifts, _least_form
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -225,14 +227,33 @@ def count_classes_pairwise(group: Group, blocks, division: GradedDivisionAlgebra
     return len({find(i) for i in range(len(tuples))})
 
 
+def admissible_shifts(division: GradedDivisionAlgebra) -> list[int]:
+    """The shifts g with D^g isomorphic to D, by one division decision per shift."""
+    return [
+        g
+        for g in division.group.elements()
+        if iso_division(shift_conjugate(division, g), division) is not None
+    ]
+
+
+def least_form(support, blocks, degrees, shifts) -> tuple[int, ...]:
+    """Over the shifts g, the least blockwise-sorted tuple of coset reps of d*g,
+    multiplying every degree by every shift."""
+    grp, rep = support.group, support.coset_rep
+    return min(
+        tuple(x for blk in blocks for x in sorted(rep[grp.mul(degrees[i], g)] for i in blk))
+        for g in shifts
+    )
+
+
 def classify_by_tuples(group: Group, blocks, division: GradedDivisionAlgebra) -> Classification:
-    """classify's table the exhaustive way: bucket every degree tuple by its canonical form."""
+    """classify's table the exhaustive way: bucket every degree tuple by its least form."""
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
-    shifts = _admissible_shifts(division)
+    shifts = admissible_shifts(division)
     positions = shape.block_positions()
     buckets: dict[tuple[int, ...], int] = {}
     for tup in itertools.product(range(group.size), repeat=shape.n):
-        key = _least_form(division.support, positions, tup, shifts)
+        key = least_form(division.support, positions, tup, shifts)
         buckets[key] = buckets.get(key, 0) + 1
     reps = tuple(sorted(buckets))
     return Classification(
@@ -258,11 +279,7 @@ def classes_by_burnside(group: Group, blocks, division: GradedDivisionAlgebra) -
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
     members = division.support.members
     cosets = {frozenset(group.mul(x, h) for h in members) for x in group.elements()}
-    shifts = [
-        g
-        for g in group.elements()
-        if iso_division(shift_conjugate(division, g), division) is not None
-    ]
+    shifts = admissible_shifts(division)
     top = max(shape.blocks)
     fixed = 0
     for g in shifts:

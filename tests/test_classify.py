@@ -199,25 +199,26 @@ def test_classify_matches_both_oracles_on_the_workload_instances(case):
 
 def test_classify_visits_configurations_not_tuples(monkeypatch):
     """Z2 x Z4 over a support of order 4, shape (1,1,1,1): 4096 tuples, 16 configurations."""
-    evaluated = []
-    least_form = flagiso.iso._least_form
+    canonicalized, visited = [], []
+    canonical = flagiso.iso.canonical_form
     configurations = flagiso.iso._configurations
 
-    def counted_least_form(support, blocks, degrees, shifts):
-        evaluated.append(tuple(degrees))
-        return least_form(support, blocks, degrees, shifts)
+    def counted_canonical_form(p):
+        canonicalized.append(p.degrees)
+        return canonical(p)
 
     def counted_configurations(multisets):
         for config in configurations(multisets):
-            evaluated.append(config)
+            visited.append(config)
             yield config
 
-    monkeypatch.setattr(flagiso.iso, "_least_form", counted_least_form)
+    monkeypatch.setattr(flagiso.iso, "canonical_form", counted_canonical_form)
     monkeypatch.setattr(flagiso.iso, "_configurations", counted_configurations)
     grp = build_abelian([2, 4])
     cls = classify(grp, (1, 1, 1, 1), pauli(2, grp, ["(1,0)", "(0,2)"]))
     assert (cls.total, cls.count) == (4096, 8)
-    assert len(evaluated) <= 16
+    assert canonicalized == []
+    assert len(visited) <= 16
 
 
 def test_classify_builds_one_table_per_block_size(monkeypatch):
@@ -358,20 +359,24 @@ def test_enumerate_classes_runs_both_cross_checks():
     ]
 
 
-def test_enumerate_classes_solves_admissible_shifts_once(monkeypatch):
-    calls = []
-    solve = flagiso.iso._admissible_shifts
-
-    def counted(division):
-        calls.append(division)
-        return solve(division)
-
-    monkeypatch.setattr(flagiso.iso, "_admissible_shifts", counted)
+def test_enumerate_classes_solves_admissible_shifts_once():
+    """classify and the canonical form of every tuple read one cached shift action."""
+    action = flagiso.iso._coset_action
+    action.cache_clear()
     grp = build_abelian([4])
     cls = enumerate_classes(grp, (1, 1), sign_division(grp, 2))
     assert cls.membership_checked  # the cross-check that reads the shifts ran
     assert cls.shifts == (0, 1, 2, 3)
-    assert len(calls) == 1
+    assert action.cache_info().misses == 1
+    assert action.cache_info().hits == cls.total
+
+
+def test_enumerate_classes_names_a_form_that_is_no_representative(monkeypatch):
+    """A canonical form outside classify's representatives is a named bug, not a KeyError."""
+    grp = build_abelian([3])
+    monkeypatch.setattr(flagiso.tables, "canonical_form", lambda p: (0, 1, 2))
+    with pytest.raises(AssertionError, match=r"tuple \('\(0\)', '\(0\)'\) has canonical form"):
+        enumerate_classes(grp, (1, 1), trivial_division(grp))
 
 
 def test_enumerate_classes_catches_a_wrong_orbit_size(monkeypatch):

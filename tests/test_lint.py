@@ -16,7 +16,9 @@ Support lookups have one owner: a ``Subgroup`` builds its member index and
 its coset table, and every other module reads them instead of rebuilding.
 One greedy closure walk owns "the subgroup generated by S": Light's test,
 generating sets, subgroup closure and homomorphism extension all use it.
-One per-shift record owns each shift's decision in the isomorphism engine.
+One per-shift record owns each shift's decision in the isomorphism engine,
+and one cached action owns the admissible shifts' action on cosets, which
+``tables`` reads through the public ``canonical_form``.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
 The decision engine realizes algebras only to certify a YES.
@@ -132,12 +134,23 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
     assert references_by_function(iso, "iso_division") == ["_shift_correctors"]
     assert sorted(set(references_by_function(iso, "coset_rep"))) == [
         "_class_profiles",
-        "_least_form",
+        "_coset_action",
         "_shift_outcomes",
-        "classify",
     ]
+    # one cached action maps the admissible shifts to coset permutations:
+    # canonical_form, classify and enumerate_classes read it
+    assert references_by_function(iso, "_shift_correctors") == ["_coset_action", "_shift_outcomes"]
     replaced = ("_shift_search", "_witness_at", "_checked_isomorphic")
+    replaced += ("_least_form", "_admissible_shifts")
     assert [name for name in replaced if hasattr(flagiso.iso, name)] == []
+    tables = ast.parse((SRC / "tables.py").read_text())
+    assert [
+        alias.name
+        for node in ast.walk(tables)
+        if isinstance(node, ast.ImportFrom) and node.module == "iso"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] == []
 
 
 def test_one_constructor_builds_every_witness():

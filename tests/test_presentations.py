@@ -1,4 +1,5 @@
 import pytest
+from conftest import least_form
 
 from flagiso import (
     BlockShape,
@@ -11,7 +12,6 @@ from flagiso import (
     trivial_division,
     validate_cocycle,
 )
-from flagiso.iso import _least_form
 
 
 def test_block_shape_basics():
@@ -175,7 +175,7 @@ def coset_signature(p):
 
     This is canonical_form restricted to the identity shift.
     """
-    return _least_form(p.division.support, p.shape.block_positions(), p.degrees, [p.group.identity])
+    return least_form(p.division.support, p.shape.block_positions(), p.degrees, [p.group.identity])
 
 
 def test_coset_signature_z4():

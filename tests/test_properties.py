@@ -44,7 +44,12 @@ modulus and checks the corrector law by position, against solve_congruences
 on the dense rows, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
 the clock-and-shift supports of order 9 and 16, S3's twisted transposition
 and D8's twisted center, on pairs that are not cohomologous, on identical
-cocycles and on equal values at two root orders; classify, which
+cocycles and on equal values at two root orders; canonical_form, which reads
+one cached action of the admissible shifts on cosets, against the least form
+over every shift decided one by one, and as one of classify's
+representatives, on Z2 x Z4 trivial and clock-and-shift, a twisted Z2 in Z6,
+S3's twisted transposition, the Klein four-group of S4 that conjugation
+moves and D8's twisted center, each shifted; classify, which
 counts coset configurations, against the loop that canonicalizes every
 degree tuple, and its class count against Burnside's lemma, on the same
 inputs and, on shapes of three to five blocks with repeated sizes (whose
@@ -75,6 +80,7 @@ from pathlib import Path
 from unittest import mock
 
 from conftest import (
+    admissible_shifts,
     associative_by_triples,
     cell_degrees,
     classes_by_burnside,
@@ -90,6 +96,7 @@ from conftest import (
     invariants_by_cell,
     inverted_witness_data,
     isomorphisms_by_closing,
+    least_form,
     make_sym,
     product_pos,
     realize_by_basis,
@@ -790,6 +797,42 @@ def test_classify_counts_the_classes_burnside_counts(p):
     assert classify(p.group, p.shape, p.division).count == classes_by_burnside(
         p.group, p.shape, p.division
     )
+
+
+Z2Z4 = build_abelian([2, 4])
+Z6 = build_abelian([6])
+# Z2 x Z4 trivial and clock-and-shift, Z6 over {0, 3} with x_3^2 = -1, the
+# twisted transposition in S3, the Klein four-group of S4 that conjugation
+# moves and D8's twisted center
+FORM_DIVISIONS = [
+    trivial_division(Z2Z4),
+    SHIFTED[1],
+    GradedDivisionAlgebra(validate_cocycle(subgroup_closure(Z6, [3]), 2, [[0, 0], [0, 1]])),
+    SHIFTED[5],
+    SHIFTED[4],
+    D8_CENTER[0],
+]
+
+
+@st.composite
+def form_presentations(draw):
+    d = draw(st.sampled_from(FORM_DIVISIONS))
+    d = shift_conjugate(d, draw(st.integers(0, d.group.size - 1)))
+    n = sum(blocks := draw(shapes()))
+    degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+@SETTINGS
+@given(form_presentations())
+def test_canonical_form_matches_the_least_form_over_every_shift(p):
+    """The form read off the cached coset permutations is the least form that
+    multiplies every degree by every admissible shift, and one of classify's
+    representatives."""
+    shifts = admissible_shifts(p.division)
+    want = least_form(p.division.support, p.shape.block_positions(), p.degrees, shifts)
+    assert canonical_form(p) == want
+    assert want in classify(p.group, p.shape, p.division).representatives
 
 
 # the three setups, the twisted transposition in S3, the Z2 x Z4 clock-and-shift
