@@ -7,7 +7,7 @@ values, normalized so that sigma(e,h) = sigma(h,e) = 1 (exponent 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 from typing import Callable, Mapping
@@ -40,6 +40,13 @@ class Cocycle:
     support: Subgroup
     order: int
     values: tuple[tuple[int, ...], ...]
+    _hash: int = field(init=False, repr=False, compare=False)  # computed once: memos key on it
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.support, self.order, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def val(self, a: int, b: int) -> int:
         """Exponent of sigma(a, b); a, b are parent-group element indices."""

@@ -406,7 +406,8 @@ def compose_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
 class _Shift(NamedTuple):
     """The decision at one shift g.  mu is a corrector from D^g to D', or None;
     sigma pairs target positions with source positions blockwise by left coset
-    of the support, or is None when mu is None or the coset multisets differ."""
+    of the support, or is None when mu is None or the coset multisets differ.
+    sigma depends on g only through the left coset g^-1 H: those shifts share it."""
 
     g: int
     mu: Corrector | None
@@ -444,7 +445,9 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
     The division decision is _shift_correctors'.  Where a corrector is found,
     source degrees and target degrees shifted by g^-1 are paired blockwise by
     coset representative, ascending target positions with ascending source
-    positions within a class.
+    positions within a class.  The pairing is made once per left coset g^-1 H,
+    keyed by its least element: for g'^-1 = g^-1 h, d g'^-1 lies in d g^-1 H
+    for every target degree d, so both shifts pose the same target cosets.
     """
     grp = p.group
     rep = p.division.support.coset_rep
@@ -454,22 +457,27 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
         src_ids = sorted(block, key=src.__getitem__)
         blocks.append((block, src_ids, [src[i] for i in src_ids]))
     rows = [grp.table[d] for d in p2.degrees]  # row[x] is d * x
+    paired = [False] * grp.size  # by key rep[g^-1]: sigma, None, or False before pairing
     for g, mu in _shift_correctors(p.division, p2.division, shifts):
         if mu is None:
             yield _Shift(g, None, None)
             continue
-        ginv = grp.inv(g)
-        tgt = [rep[row[ginv]] for row in rows]
-        sigma = [0] * len(src)
-        for block, src_ids, classes in blocks:
-            tgt_ids = sorted(block, key=tgt.__getitem__)  # stable: ascending within a class
-            if classes != [tgt[i] for i in tgt_ids]:
-                yield _Shift(g, mu, None)
-                break
-            for t_i, s_i in zip(tgt_ids, src_ids):
-                sigma[t_i] = s_i
-        else:
-            yield _Shift(g, mu, tuple(sigma))
+        key = rep[grp.inv(g)]
+        sigma = paired[key]
+        if sigma is False:
+            tgt = [rep[row[key]] for row in rows]
+            sigma = [0] * len(src)
+            for block, src_ids, classes in blocks:
+                tgt_ids = sorted(block, key=tgt.__getitem__)  # stable: ascending within a class
+                if classes != [tgt[i] for i in tgt_ids]:
+                    sigma = None
+                    break
+                for t_i, s_i in zip(tgt_ids, src_ids):
+                    sigma[t_i] = s_i
+            else:
+                sigma = tuple(sigma)
+            paired[key] = sigma
+        yield _Shift(g, mu, sigma)
 
 
 def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verdict:

@@ -690,3 +690,27 @@ def test_each_moving_conjugation_map_is_shifted_once():
     moving = [conjugation_map(c.args[1]) for c in shifted.call_args_list]
     assert len(moving) == len(set(moving)) == len(maps) - 1 == 5  # |S4 : C(V)| = 6 maps
     assert members not in moving
+
+
+def test_cosets_are_paired_once_per_left_coset_of_the_inverse_shift():
+    """The blockwise pairing depends on g only through the coset g^-1 H, so a
+    search makes at most |G:H| pairings however many shifts find a corrector.
+    Over one block each pairing sorts the target positions once, and the
+    source positions are sorted once per search."""
+    s4 = make_sym(4)[0]
+    z6z6 = build_abelian([6, 6])
+    for d, n_records, most in (
+        (pauli(3, z6z6, ["(2,0)", "(0,2)"]), 36, 4),  # central: every shift finds a corrector
+        (pauli(2, s4, ["1023", "0132"]), 24, 6),  # moved: the normalizer's shifts do
+    ):
+        grp = d.group
+        assert len(d.support.members) * most == grp.size
+        outside = next(x for x in grp.elements() if x not in d.support.index)
+        p, q = (make_presentation(d, [2], tup) for tup in ([0, outside], [0, 0]))
+        with mock.patch("flagiso.iso.sorted", create=True, wraps=sorted) as sorts:
+            records = list(_shift_outcomes(p, q))
+        assert [r.g for r in records] == list(grp.elements()) and len(records) == n_records
+        assert all(r.sigma is None for r in records)
+        with_corrector = sum(r.mu is not None for r in records)
+        assert with_corrector > most  # one pairing per such shift would break the bound
+        assert 1 <= sorts.call_count - 1 <= most

@@ -28,6 +28,8 @@ invariants counts the degrees an algebra carries.
 The grading and witness checks read one shared array of generator products;
 the walk over every nonzero product runs only to name a failed check's
 failures.
+Memos kept across calls key on structure (shapes, supports, divisions,
+moduli), never on one query's presentation, algebra or cocycle.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
 """
@@ -36,6 +38,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -151,6 +154,34 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
         for alias in node.names
         if alias.name.startswith("_")
     ] == []
+
+
+def test_memos_are_keyed_on_structure_not_on_a_query():
+    # an lru_cache kept across queries would let a benchmark that repeats its
+    # pairs time the cache and not the engine: memos key on shapes, supports,
+    # divisions and moduli, never on a presentation, an algebra or a cocycle
+    per_query = re.compile(r"\b(FlagPresentation|GradedAlgebra|Cocycle)\b")
+    cached, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            names = {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}
+            if not names & {"lru_cache", "cache"}:
+                continue
+            cached.append(f"{path.stem}.{node.name}")
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            found += [
+                f"{path.stem}.{node.name}({arg.arg})"
+                for arg in params
+                if arg is not None
+                and arg.annotation is not None
+                and per_query.search(ast.unparse(arg.annotation))
+            ]
+    assert {"algebras._layout", "cocycles._corrector_system", "iso._coset_action"} <= set(cached)
+    assert found == [], f"memos keyed on one query's data: {found}"
 
 
 def test_one_constructor_builds_every_witness():

@@ -33,11 +33,13 @@ cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
 twisted and non-abelian supports; the per-shift records, which solve once
-per conjugation map and sort the source cosets once, against the loop that
-solves and counts cosets once per shift, record for record with failures
-included, on those inputs, both Klein four-groups of S4 and the center
-of D8, a central support in a non-abelian group with two cohomologous
-cocycles (the oracle builds D^g at every shift), and each
+per conjugation map, sort the source cosets once and pair the cosets once
+per coset g^-1 H, against the loop that solves and counts cosets once per
+shift, record for record with failures included, over all of G ascending,
+backwards, in a drawn order and as a drawn list with repeated shifts, on
+those inputs, both Klein four-groups of S4 and the center of D8, a central
+support in a non-abelian group with two cohomologous cocycles (the oracle
+builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
 from scratch; cohomologous, which replays one cached system per support and
 modulus and checks the corrector law by position, against solve_congruences
@@ -623,19 +625,25 @@ def test_verify_witness_agrees_with_the_dict_verifier(case):
 
 
 @SETTINGS
-@given(SEARCH_INPUTS)
-def test_shift_search_matches_the_per_shift_loop(pair):
-    """One solve per conjugation map and the source side sorted once yield, shift
-    by shift and failures included, the records of one solve and one count per shift."""
+@given(SEARCH_INPUTS, st.data())
+def test_shift_search_matches_the_per_shift_loop(pair, data):
+    """One solve per conjugation map, the source side sorted once and one pairing
+    per coset g^-1 H yield, shift by shift and failures included, the records of
+    one solve and one count per shift, in any shift order and with repeats."""
     p, p2 = pair
     got = [outcome(r) for r in _shift_outcomes(p, p2)]
     with mock.patch(f"{__name__}.shift_conjugate", wraps=shift_conjugate) as shifted:
         assert got == [outcome(r) for r in per_shift_outcomes(p, p2)]
     assert shifted.call_count == p.group.size  # the oracle builds D^g at every shift
     assert [g for g, _, _ in got] == list(p.group.elements())
-    backwards = p.group.elements()[::-1]
-    got = [outcome(r) for r in _shift_outcomes(p, p2, backwards)]
-    assert got == [outcome(r) for r in per_shift_outcomes(p, p2, backwards)]
+    elements = list(p.group.elements())
+    for shifts in (
+        elements[::-1],
+        data.draw(st.permutations(elements)),
+        data.draw(st.lists(st.sampled_from(elements), min_size=1, max_size=2 * len(elements))),
+    ):
+        got = [outcome(r) for r in _shift_outcomes(p, p2, shifts)]
+        assert got == [outcome(r) for r in per_shift_outcomes(p, p2, shifts)]
 
 
 @SETTINGS
