@@ -9,7 +9,9 @@ block positions i <= j (blockwise) and h in supp D, with
 Every product of basis elements is zero or a root of unity times a basis
 element, so the whole algebra is a finite exact object.  The degrees are
 computed in one place, _degrees, as one array by basis position; realize
-stores it, and the graded invariants count it.
+stores it, and invariants counts it.  The invariants of a NO certificate are
+read off the presentation's cosets instead, _coset_profiles, which counts
+cells, not degrees.
 """
 
 from __future__ import annotations
@@ -281,10 +283,53 @@ def invariants(alg: GradedAlgebra) -> GradedInvariants:
     return _count_invariants(_layout(p.shape, p.division.support), alg.degree)
 
 
-def _cell_invariants(p: FlagPresentation) -> GradedInvariants:
-    """The invariants of p's algebra, counted from its degrees without realizing it."""
-    layout = _layout(p.shape, p.division.support)
-    return _count_invariants(layout, _degrees(p, layout))
+def _coset_profiles(p: FlagPresentation, reps_only: bool) -> Iterator[dict[int, int]]:
+    """Yield the dimensions by degree of J^0 (the algebra), J^1, ..., J^(s-1)
+    of p's algebra, read off its cosets without computing its degrees.  J^0 is
+    counted over every cell; the radical powers only when asked for, together,
+    from the deepest block gap down.
+
+    Cell (i, j) holds the |H| distinct degrees g_i H g_j^-1, fixed by the left
+    cosets g_i H and g_j H: the cells are keyed by (rep[g_i], rep[g_j]), and
+    each count expands each distinct key through H once.  With reps_only, H
+    must be central: the set is then the coset g_i g_j^-1 H, each cell is
+    counted once under its least element, and nothing is expanded.  Every
+    degree of a coset has its representative's dimension, so over one central
+    support these profiles agree exactly when the full ones do, and the least
+    degree whose dimension differs is a representative.
+    """
+    grp, sup, shape = p.group, p.division.support, p.shape
+    tbl, rep, degrees, cells = grp.table, sup.coset_rep, p.degrees, shape.cells()
+    if reps_only:
+        rows = [tbl[g] for g in degrees]
+        inv = [grp.inv(g) for g in degrees]
+        keys = [rep[rows[i][inv[j]]] for i, j, _ in cells]
+
+        def spread(keys):
+            return keys
+
+    else:
+        cosets = [rep[g] for g in degrees]
+        keys = [(cosets[i], cosets[j]) for i, j, _ in cells]
+
+        def spread(keys):
+            """The degrees of the cells of these keys, with multiplicity."""
+            out: list[int] = []
+            for (x, y), m in Counter(keys).items():
+                row, y_inv = tbl[x], grp.inv(y)
+                out += [tbl[row[h]][y_inv] for h in sup.members] * m
+            return out
+
+    yield dict(Counter(spread(keys)))
+    by_gap: list[list] = [[] for _ in range(shape.s)]
+    for key, (_, _, gap) in zip(keys, cells):
+        by_gap[gap].append(key)
+    acc: Counter[int] = Counter()
+    levels = []
+    for c in reversed(range(1, shape.s)):
+        acc.update(spread(by_gap[c]))
+        levels.append(dict(acc))
+    yield from reversed(levels)
 
 
 def _count_invariants(layout: _Layout, degree: tuple[int, ...]) -> GradedInvariants:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import NamedTuple, Sequence
 
-from .algebras import BasisElem, GradedAlgebra, _cell_invariants, _layout, basis_of, realize
+from .algebras import BasisElem, GradedAlgebra, _coset_profiles, _layout, basis_of, realize
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
@@ -547,10 +547,14 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
         if found.sigma is not None:
             return _certified(p, p2, found)
 
-    inv1, inv2 = _cell_invariants(p), _cell_invariants(p2)
+    sup = p.division.support
+    reps_only = sup.central and sup == p2.division.support
+    levels = zip(_coset_profiles(p, reps_only), _coset_profiles(p2, reps_only))
     mismatch = None
-    if inv1 != inv2:
-        mismatch = InvariantMismatch(_separate(p.group, inv1, inv2))
+    for c, (dims1, dims2) in enumerate(levels):
+        if dims1 != dims2:
+            mismatch = InvariantMismatch(_separate(p.group, c, dims1, dims2))
+            break
     return Verdict(
         NOT_ISOMORPHIC,
         certificate=SearchExhausted(
@@ -564,16 +568,13 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     )
 
 
-def _separate(grp: Group, inv1, inv2) -> str:
-    d1, d2 = inv1.dims_map(), inv2.dims_map()
-    for u in sorted(set(d1) | set(d2)):
-        a, b = d1.get(u, 0), d2.get(u, 0)
-        if a != b:
-            return f"dim at degree {grp.name_of(u)}: {a} vs {b}"
-    for (c, r1), (_, r2) in zip(inv1.radical_dims, inv2.radical_dims):
-        if r1 != r2:
-            return f"radical power {c} dimension profile differs"
-    return "graded invariants differ"
+def _separate(grp: Group, c: int, dims1: dict[int, int], dims2: dict[int, int]) -> str:
+    """Name what separates two profiles of J^c that differ: for the algebra
+    itself (c = 0), the least degree whose dimension differs."""
+    if c:
+        return f"radical power {c} dimension profile differs"
+    u = min(u for u in dims1.keys() | dims2.keys() if dims1.get(u, 0) != dims2.get(u, 0))
+    return f"dim at degree {grp.name_of(u)}: {dims1.get(u, 0)} vs {dims2.get(u, 0)}"
 
 
 # -- equivalence ---------------------------------------------------------------

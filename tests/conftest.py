@@ -21,9 +21,12 @@ support; derive_mapping_by_basis computes a witness's map one basis element
 at a time, as the oracle for the map read off per-key tables.
 cell_degrees yields the degrees of each cell in turn, and
 invariants_by_cell counts them cell by cell, as the oracles for the one
-degree array by basis position that realize stores and the invariants
-count; witness_map_by_cell extends a witness's images and exponents one
-cell at a time, as the oracle for the two comprehensions by position.
+degree array by basis position that realize stores and the profiles a NO
+reads off the cells' cosets; separate_by_invariants names the least degree,
+else the first radical power, at which two such counts differ, as the
+oracle for a NO certificate's invariant mismatch; witness_map_by_cell
+extends a witness's images and exponents one cell at a time, as the oracle
+for the two comprehensions by position.
 inverted_witness_data and composed_witness_data compute the data of an
 inverse and a composite witness with explicit corrector formulas, as the
 oracle for invert_witness and compose_witness, which solve the tuple
@@ -483,6 +486,20 @@ def invariants_by_cell(p) -> GradedInvariants:
         acc.update(by_gap[c])
         dims[c] = tuple(sorted(acc.items()))
     return GradedInvariants(sum(map(len, by_gap)), dims[0], tuple(enumerate(dims))[1:])
+
+
+def separate_by_invariants(grp, inv1, inv2) -> str:
+    """What tells two unequal invariants apart: the least degree whose
+    dimension differs, else the first radical power whose profile differs."""
+    d1, d2 = inv1.dims_map(), inv2.dims_map()
+    for u in sorted(set(d1) | set(d2)):
+        a, b = d1.get(u, 0), d2.get(u, 0)
+        if a != b:
+            return f"dim at degree {grp.name_of(u)}: {a} vs {b}"
+    for (c, r1), (_, r2) in zip(inv1.radical_dims, inv2.radical_dims):
+        if r1 != r2:
+            return f"radical power {c} dimension profile differs"
+    return "graded invariants differ"
 
 
 def witness_map_by_cell(p, p2, shift, sigma, mu):

@@ -368,6 +368,24 @@ def test_cli_iso_no_with_certificate(capsys):
     assert out[2] == "invariant mismatch: dim at degree (1): 0 vs 1"
 
 
+def test_cli_iso_no_with_a_radical_power_certificate(tmp_path, capsys):
+    files = []
+    for name, degrees in (("eea", ["(0)", "(0)", "(1)"]), ("eae", ["(0)", "(1)", "(0)"])):
+        path = tmp_path / f"{name}.json"
+        doc = {"v": 1, "group": {"kind": "abelian", "factors": [2]},
+               "division": {"kind": "trivial"}, "blocks": [1, 1, 1], "tuple": degrees}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        files.append(str(path))
+    code = main(["iso", *files])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "NOT_ISOMORPHIC",
+        "search exhausted: searched all 2 shifts with blockwise coset matching "
+        "over a support of size 1",
+        "invariant mismatch: radical power 2 dimension profile differs",
+    ]
+
+
 def test_cli_iso_group_mismatch_exits_2(capsys):
     code = main(["iso", fx("z2_ea.json"), fx("z3_ea.json")])
     captured = capsys.readouterr()

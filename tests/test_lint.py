@@ -218,11 +218,12 @@ def test_only_degrees_computes_the_cell_degrees():
     per_cell = [path.name for path in SRC.glob("*.py") if "_cell_degrees" in path.read_text()]
     assert per_cell == []
     algebras = SRC / "algebras.py"
-    # a presentation's degree tuple is read only by _degrees, which realize
-    # and _cell_invariants call; invariants counts alg.degree, not the cells
-    assert set(references_by_function(algebras, "degrees")) == {"_degrees"}
-    assert references_by_function(algebras, "_degrees") == ["_cell_invariants", "realize"]
-    assert references_by_function(algebras, "_cell_invariants") == []
+    # the degree array is computed only to realize; a NO reads its invariants
+    # off the coset configuration, and invariants counts alg.degree
+    assert [path.name for path in SRC.glob("*.py") if "_cell_invariants" in path.read_text()] == []
+    assert references_by_function(algebras, "_degrees") == ["realize"]
+    assert set(references_by_function(algebras, "degrees")) == {"_coset_profiles", "_degrees"}
+    assert set(references_by_function(SRC / "iso.py", "_coset_profiles")) == {"iso_algebras"}
     assert "invariants" in references_by_function(algebras, "degree")
 
 

@@ -24,11 +24,15 @@ which shares one basis and index per shape and support, and the witness
 map, read off per-key tables by position, against their per-basis-element
 builds, on the same inputs, for engine witnesses and for random valid
 witness data with twisted targets and mixed correctors; the one degree
-array by basis position, the invariants counted from it and the witness
-map against the per-cell builds they replaced, on those inputs, flags of
+array by basis position, the profiles of the radical powers read off the
+coset configuration (with nothing expanded over a central support) and the
+witness map against the per-cell builds, on those inputs, flags of
 30 to 36 blocks, all-singleton shapes over supports of order 1, S3's
 twisted transposition, the Klein four-group of S4 that conjugation moves
-and D8's twisted center; every shifted or transported
+and D8's twisted center; the invariant mismatch of every NO against the
+separation of both sides' per-cell invariants, which always names a degree
+or a radical power, on the same inputs and on division parts whose
+supports differ; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
@@ -96,6 +100,7 @@ from conftest import (
     grading_by_products,
     invariants_by_basis,
     invariants_by_cell,
+    separate_by_invariants,
     inverted_witness_data,
     isomorphisms_by_closing,
     least_form,
@@ -107,12 +112,13 @@ from conftest import (
     witness_with_map,
 )
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
+    NOT_ISOMORPHIC,
     BlockShape,
     Cocycle,
     Corrector,
@@ -120,6 +126,7 @@ from flagiso import (
     GradedDivisionAlgebra,
     Group,
     InvalidInput,
+    InvariantMismatch,
     Subgroup,
     WitnessReport,
     build_abelian,
@@ -149,7 +156,7 @@ from flagiso import (
     validate_table,
     verify_witness,
 )
-from flagiso.algebras import _cell_invariants, basis_of
+from flagiso.algebras import _coset_profiles, basis_of
 from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
 from flagiso.iso import _Shift, _shift_outcomes
@@ -1033,9 +1040,21 @@ PER_CELL = st.one_of(CLASSIFIED, long_flags(), singleton_flags(), non_central_or
 @given(PER_CELL)
 def test_degrees_and_invariants_match_the_per_cell_build(p):
     """The one degree array by basis position is the cells' degrees, cell by
-    cell, and the invariants counted from it are the count over the cells."""
+    cell.  The profiles of J^0, J^1, ... read off the coset configuration are
+    the counts over the cells; over a central support, read with nothing
+    expanded, they are those counts at the coset representatives, where every
+    degree has its representative's dimension."""
     assert realize(p).degree == tuple(itertools.chain.from_iterable(cell_degrees(p)))
-    assert _cell_invariants(p) == invariants_by_cell(p)
+    want = invariants_by_cell(p)
+    levels = [want.dims, *(profile for _, profile in want.radical_dims)]
+    assert [tuple(sorted(d.items())) for d in _coset_profiles(p, False)] == levels
+    sup = p.division.support
+    if sup.central:
+        rep = sup.coset_rep
+        dims = want.dims_map()
+        assert all(dims.get(u, 0) == dims.get(rep[u], 0) for u in p.group.elements())
+        at_reps = [tuple((u, k) for u, k in profile if rep[u] == u) for profile in levels]
+        assert [tuple(sorted(d.items())) for d in _coset_profiles(p, True)] == at_reps
 
 
 @st.composite
@@ -1061,6 +1080,81 @@ def test_invariants_count_the_algebras_degrees(alg):
     """invariants counts alg.degree, not its presentation's: corrupted degrees
     are counted as the count over the basis counts them."""
     assert invariants(alg) == invariants_by_basis(alg)
+
+
+# -- NO certificates against the per-cell invariants ------------------------------------
+
+
+def transposition_division(name):
+    """The trivial cocycle on the support {e, t} of S3, t the named transposition."""
+    return GradedDivisionAlgebra(trivial_cocycle(Subgroup(S3, (0, S3.elem_by_name(name).index))))
+
+
+def order_two_division(grp, name):
+    return GradedDivisionAlgebra(
+        trivial_cocycle(subgroup_closure(grp, [grp.elem_by_name(name).index]))
+    )
+
+
+# division parts over one group whose supports differ: trivial against the
+# Z2 x Z4 clock-and-shift division, two distinct subgroups of order 2 of
+# Z2 x Z4, and S3's <(01)>, twisted or not, against <(02)>
+DIFFERING_SUPPORTS = [
+    (trivial_division(Z2Z4), SHIFTED[1]),
+    (order_two_division(Z2Z4, "(1,0)"), order_two_division(Z2Z4, "(0,2)")),
+    (SHIFTED[5], transposition_division("210")),
+    (transposition_division("102"), transposition_division("210")),
+]
+
+
+@st.composite
+def separated_pairs(draw):
+    """Two presentations of one shape: the second over the first's division
+    part, drawn from PER_CELL (central, non-central and twisted supports), or
+    over a division part whose support differs."""
+    if draw(st.booleans()):
+        p = draw(PER_CELL)
+        d2 = p.division
+    else:
+        d, d2 = draw(st.sampled_from(DIFFERING_SUPPORTS).flatmap(st.permutations))
+        n = sum(blocks := draw(shapes()))
+        degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+        p = make_presentation(d, blocks, degrees)
+    n = p.shape.n
+    degrees = draw(st.lists(st.integers(0, p.group.size - 1), min_size=n, max_size=n))
+    return p, make_presentation(d2, p.shape, degrees)
+
+
+Z2 = build_abelian([2])
+# two pairs that only a radical power tells apart
+RADICAL_ONLY = [
+    (make_presentation(trivial_division(Z2), b, x), make_presentation(trivial_division(Z2), b, y))
+    for b, x, y in (((1, 1, 1), [0, 0, 1], [0, 1, 0]), ((1, 2, 1), [0, 0, 1, 0], [0, 1, 1, 0]))
+]
+
+
+@SETTINGS
+@example(RADICAL_ONLY[0])
+@example(RADICAL_ONLY[1])
+# equal invariants: (e,e,a) cannot be shifted onto (e,a,a) over Z4
+@example(tuple(make_presentation(DIVISIONS[0], (1, 1, 1), x) for x in ([0, 0, 1], [0, 1, 1])))
+@given(separated_pairs())
+def test_no_certificates_match_the_per_cell_invariants(pair):
+    """A NO's invariant mismatch, read off both coset configurations, is the
+    separation of both sides' per-cell invariants, and None exactly when those
+    agree.  Equal shapes have as many radical powers, and equal dimensions by
+    degree give equal total dimensions, so the separation always names a
+    degree or a radical power."""
+    p, q = pair
+    verdict = iso_algebras(p, q)
+    assume(verdict.kind == NOT_ISOMORPHIC)
+    want1, want2 = invariants_by_cell(p), invariants_by_cell(q)
+    want = None
+    if want1 != want2:
+        detail = separate_by_invariants(p.group, want1, want2)
+        assert detail.startswith(("dim at degree ", "radical power "))
+        want = InvariantMismatch(detail)
+    assert verdict.certificate.invariant_mismatch == want
 
 
 def assert_valid(cocycle):
