@@ -71,12 +71,14 @@ class GradedAlgebra:
         """Basis positions of a generating set S of the algebra, ascending.
 
         S is (i,i+1,e) for consecutive positions, (i+1,i,e) within a block,
-        (i,i,e) for a singleton block, and (f,f,x) for the first position f of
-        each block and x in a generating set of the support H.  Every basis
-        element is a product of elements of S, up to a root of unity (the
-        cocycle is normalized, so products with e carry none):
-        (i,i+1,e)(i+1,i,e) = (i,i,e) and (i+1,i,e)(i,i+1,e) = (i+1,i+1,e)
-        reach the units of the blocks of size >= 2; chains of (i,i+1,e), or of
+        (f,f,x) for the first position f of each block and x in a generating
+        set of the support H, and, when H = 1 only, (f,f,e) for a singleton
+        block f.  Every basis element is a product of elements of S, up to a
+        root of unity (the cocycle is normalized, so products with e carry
+        none): (i,i+1,e)(i+1,i,e) = (i,i,e) and (i+1,i,e)(i,i+1,e) =
+        (i+1,i+1,e) reach the units of the blocks of size >= 2; a singleton
+        block's unit (f,f,e) is (f,f,x)^ord(x) up to a root of unity when
+        H != 1, and a generator when H = 1; chains of (i,i+1,e), or of
         (i+1,i,e) within a block, reach (i,j,e) for every cell with i != j;
         words in the (f,f,x) reach (f,f,h) for every h in the finite group H;
         and (i,j,h) = (i,f,e)(f,f,h)(f,j,e) with f the first position of i's
@@ -104,6 +106,8 @@ def _generators(shape: BlockShape, support: Subgroup) -> list[int]:
     e = support.index[support.group.identity]
     units, heads = shape.generator_cells()
     xs = [support.index[x] for x in support.generators]
+    if xs:  # a singleton block's unit is a power of its (f,f,x)
+        units = [c for c in units if c not in heads]
     return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
 
 
@@ -296,7 +300,8 @@ def _coset_profiles(p: FlagPresentation, reps_only: bool) -> Iterator[dict[int, 
     counted once under its least element, and nothing is expanded.  Every
     degree of a coset has its representative's dimension, so over one central
     support these profiles agree exactly when the full ones do, and the least
-    degree whose dimension differs is a representative.
+    degree whose dimension differs is a representative.  Over H = 1 each
+    coset is one degree, so the reps_only profiles are the full ones.
     """
     grp, sup, shape = p.group, p.division.support, p.shape
     tbl, rep, degrees, cells = grp.table, sup.coset_rep, p.degrees, shape.cells()

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Callable, Mapping
 
 from .errors import InvalidInput
 from .groups import Subgroup
-from .modlinalg import _diagonalize, _Diagonal, _replay
+from .modlinalg import _diagonalize, _Diagonal, _pivot_rows, _replay
 
 __all__ = [
     "Cocycle",
@@ -131,13 +132,26 @@ def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
         raise InvalidInput("cocycles live on different supports", code="support-mismatch")
 
 
+# a cached corrector system: the diagonalization, the (a, b, ab) of each row,
+# and the (a, b, coeff) terms of each pivot row
+_Terms = tuple[tuple[int, int, int], ...]
+_System = tuple[_Diagonal, tuple[_Terms, tuple[_Terms, ...]]]
+
+
 def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     """A corrector mu making x_h -> mu(h) x'_h an isomorphism K^sigma[H] -> K^tau[H].
 
     Both cocycles are embedded into mu_lcm and the exponent system
-    u(a) + u(b) - u(ab) = s(a,b) - t(a,b) (mod lcm) is solved exactly; None
-    means the cocycles are not cohomologous.  Identical cocycles, and any
-    right-hand side that is 0 mod lcm, get u = 0 with no system built.
+    u(a) + u(b) - u(ab) = s(a,b) - t(a,b) (mod lcm) over the non-identity
+    pairs is solved exactly; None means the cocycles are not cohomologous.
+    Identical cocycles, and any right-hand side that is 0 mod lcm, get u = 0
+    with no system built.  Otherwise the pivot values of the diagonalized
+    system are read off its cached pivot rows: a pivot its divisor does not
+    divide makes the system infeasible, and else u = V y.  A u that keeps the
+    corrector law on every pair is a solution, and the one the full replay
+    gives, as both take y from the same pivot values.  A u that breaks it
+    leaves the verdict to the full replay (_replayed): None when a row past
+    the pivots is nonzero, else a solver error.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
@@ -147,28 +161,54 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     ks, kt = L // sigma.order, L // tau.order
     pos = _coboundary_rows(sub)[1]
     sv, tv = sigma.values, tau.values
-    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
-    if not any(v % L for v in rhs):
+    if not any((ks * sv[a][b] - kt * tv[a][b]) % L for a in pos for b in pos):
         return Corrector(sub, L, (0,) * len(sub.members))
-    diag, pairs = _corrector_system(sub, L)
-    u = _replay(diag, rhs, L)
-    if u is None:
-        return None
+    system = _corrector_system(sub, L)
+    diag, (pairs, pivots) = system
+    y = []
+    for (g, inv, Lg), row in zip(diag.steps, pivots):
+        c = sum(q * (ks * sv[a][b] - kt * tv[a][b]) for a, b, q in row) % L
+        if c % g:
+            return None  # as the replay finds at this pivot
+        y.append((c // g) * inv % Lg)
+    u = [sum(map(mul, row, y)) % L for row in diag.v]
     u.insert(sub.index[sub.group.identity], 0)
     # the rows are the corrector law on non-identity pairs (pairs with e hold by
-    # normalization), so the solution is checked against the law, pair by pair
-    if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
-        raise AssertionError("internal solver error: solution fails the original system")
+    # normalization), so u is checked against the law, pair by pair
+    if any((u[a] + u[b] - u[ab] - ks * sv[a][b] + kt * tv[a][b]) % L for a, b, ab in pairs):
+        return _replayed(system, sigma, tau, L)
     return Corrector(sub, L, tuple(u))
 
 
+def _replayed(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
+    """None for a right-hand side whose pivot solution breaks the corrector
+    law, when the full replay of the logged elimination finds the system
+    infeasible (a row past the pivots is nonzero).  A feasible replay would
+    yield that same solution from the same pivot values, so then the solver
+    is wrong."""
+    diag, (pairs, _) = system
+    ks, kt = L // sigma.order, L // tau.order
+    sv, tv = sigma.values, tau.values
+    if _replay(diag, [ks * sv[a][b] - kt * tv[a][b] for a, b, _ in pairs], L) is None:
+        return None
+    raise AssertionError("internal solver error: solution fails the original system")
+
+
 @lru_cache(maxsize=64)
-def _corrector_system(sub: Subgroup, L: int) -> tuple[_Diagonal, tuple[tuple[int, int, int], ...]]:
-    """The coboundary rows of ``sub`` diagonalized mod L (L >= 2), and the positions
-    (a, b, ab) of each row's pair and product: a solve hashes no matrix."""
+def _corrector_system(sub: Subgroup, L: int) -> _System:
+    """The coboundary rows of ``sub`` diagonalized mod L (L >= 2), the positions
+    (a, b, ab) of each row's pair and product, and by pivot r the terms
+    (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b), U the row
+    transform the log composes: a solve hashes no matrix and reads each pivot
+    value off a few cocycle entries."""
     rows, pos = _coboundary_rows(sub)
-    mul = sub.mul_table
-    return _diagonalize(rows, L), tuple((a, b, mul[a][b]) for a in pos for b in pos)
+    prod = sub.mul_table
+    diag = _diagonalize(rows, L)
+    pairs = tuple((a, b, prod[a][b]) for a in pos for b in pos)
+    pivots = tuple(
+        tuple((*pairs[i][:2], q) for i, q in row) for row in _pivot_rows(diag, len(pairs), L)
+    )
+    return diag, (pairs, pivots)
 
 
 @lru_cache(maxsize=64)

@@ -547,9 +547,13 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
         if found.sigma is not None:
             return _certified(p, p2, found)
 
-    sup = p.division.support
-    reps_only = sup.central and sup == p2.division.support
-    levels = zip(_coset_profiles(p, reps_only), _coset_profiles(p2, reps_only))
+    sup, sup2 = p.division.support, p2.division.support
+    shared = sup.central and sup == sup2
+    # a trivial support's cosets are single degrees: its reps_only profile is its full one
+    levels = zip(
+        _coset_profiles(p, shared or len(sup.members) == 1),
+        _coset_profiles(p2, shared or len(sup2.members) == 1),
+    )
     mismatch = None
     for c, (dims1, dims2) in enumerate(levels):
         if dims1 != dims2:

@@ -7,8 +7,16 @@ solution back.  All arithmetic is on Python ints; nothing is approximate.
 Every pivot choice and every row and column operation depends on A and L
 alone, never on b.  So each (A, L) is diagonalized once: the row operations
 are logged as they act on b, and a later solve with the same matrix replays
-the log on its own right-hand side.  _replay is that replay, unchecked: a
-caller holding a diagonalization checks its x against the law A encodes.
+the log on its own right-hand side.  _replay is that replay, unchecked.
+
+The log composes into one row transform U with U A V diagonal.  A x = b
+has a solution exactly when gcd(d_r, L) divides each pivot value (U b)_r
+and every other row of U b is 0, and the solution is V y with y read off
+the pivot values alone.  _pivot_rows gives the pivot rows of U, sparse, so
+a caller that solves many right-hand sides reads each pivot value off a
+few entries of b and checks its x against the law A encodes.  Only an x
+that fails that check needs the full replay, the fallback that tells an
+infeasible system (None) from a solver error (an x that still fails).
 """
 
 from __future__ import annotations
@@ -76,6 +84,28 @@ def _replay(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
             return None
         y.append((c // g) * inv % Lg)
     return [sum(map(mul, row, y)) % L for row in diag.v]
+
+
+def _pivot_rows(diag: _Diagonal, nrows: int, L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row r of the row transform U that diag's log composes, for each pivot r,
+    as its nonzero entries (i, U[r][i]) ascending in i: (U b)[r] is the sum of
+    U[r][i] * b[i] (mod L), the value the replay of b leaves in row r.
+
+    U starts as the identity on nrows rows and takes each logged operation.
+    The pivot value then fixes y_r, so when A x = b is feasible, x = V y
+    reads b only at these entries."""
+    u = [{i: 1} for i in range(nrows)]
+    for i, k, q in diag.ops:
+        if q is None:
+            u[i], u[k] = u[k], u[i]
+            continue
+        row = u[i]
+        for j, c in u[k].items():
+            if v := (row.get(j, 0) - q * c) % L:
+                row[j] = v
+            else:
+                row.pop(j, None)
+    return tuple(tuple(sorted(u[r].items())) for r in range(len(diag.steps)))
 
 
 @lru_cache(maxsize=64)

@@ -98,7 +98,9 @@ class BlockShape:
         The identity generators are (i,i+1,e) for consecutive positions,
         (i+1,i,e) when i and i+1 share a block, and (i,i,e) for a singleton
         block; the cell (f,f) carries (f,f,x) for x in a generating set of the
-        support.  GradedAlgebra.generators proves that these generate."""
+        support.  Over a nontrivial support a singleton block's (f,f,e) is a
+        power of its (f,f,x) up to a root of unity, and GradedAlgebra.generators
+        leaves it out; its docstring proves that the rest generate."""
         return self._generator_cells
 
     @cached_property

@@ -24,7 +24,10 @@ invariants_by_cell counts them cell by cell, as the oracles for the one
 degree array by basis position that realize stores and the profiles a NO
 reads off the cells' cosets; separate_by_invariants names the least degree,
 else the first radical power, at which two such counts differ, as the
-oracle for a NO certificate's invariant mismatch; witness_map_by_cell
+oracle for a NO certificate's invariant mismatch; mismatch_by_shared_support
+reads that mismatch with reps_only on a shared central support alone, as the
+oracle for the reps_only count on a side with a trivial support;
+witness_map_by_cell
 extends a witness's images and exponents one cell at a time, as the oracle
 for the two comprehensions by position.
 inverted_witness_data and composed_witness_data compute the data of an
@@ -46,8 +49,10 @@ which diagonalizes each matrix once and replays it per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
 that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
 the cached coboundary rows to solve_congruences, which checks every row
-densely, as the oracle for cohomologous' replay of one diagonalization per
-support and modulus, checked by the corrector law.  verify_witness_by_dict is
+densely, as the oracle for cohomologous' solve from one diagonalization per
+support and modulus, checked by the corrector law; cohomologous_by_replay
+replays that diagonalization's whole log on the full right-hand side, as the
+oracle for the solve that reads only the pivot rows.  verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
@@ -76,6 +81,7 @@ from flagiso import (
     GradedInvariants,
     GradingReport,
     Group,
+    InvariantMismatch,
     IsoWitness,
     Subgroup,
     WitnessReport,
@@ -85,8 +91,11 @@ from flagiso import (
     solve_congruences,
 )
 from flagiso import algebras
+from flagiso.algebras import _coset_profiles
 from flagiso.cocycles import _coboundary_rows
 from flagiso.io import _positions
+from flagiso.iso import _separate
+from flagiso.modlinalg import _diagonalize, _replay
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -502,6 +511,19 @@ def separate_by_invariants(grp, inv1, inv2) -> str:
     return "graded invariants differ"
 
 
+def mismatch_by_shared_support(p, p2):
+    """A NO's invariant mismatch as iso_algebras read it when only one shared
+    central support took the reps_only path: a side over a trivial support
+    next to a different support expanded each cell through its one-element H."""
+    sup = p.division.support
+    reps_only = sup.central and sup == p2.division.support
+    levels = zip(_coset_profiles(p, reps_only), _coset_profiles(p2, reps_only))
+    for c, (dims1, dims2) in enumerate(levels):
+        if dims1 != dims2:
+            return InvariantMismatch(_separate(p.group, c, dims1, dims2))
+    return None
+
+
 def witness_map_by_cell(p, p2, shift, sigma, mu):
     """(images, exponents) of the witness with this shift, sigma and mu, one
     cell at a time: each cell looks up the table of its pair (a_k, a_l),
@@ -780,3 +802,27 @@ def cohomologous_by_dense_solve(sigma, tau):
         return None
     sol.insert(sub.index[sub.group.identity], 0)
     return Corrector(sub, L, tuple(sol))
+
+
+def cohomologous_by_replay(sigma, tau):
+    """The corrector cohomologous finds, or None: the whole logged elimination
+    replayed on the full right-hand side, then checked by the corrector law."""
+    sub = sigma.support
+    if sigma.order == tau.order and sigma.values == tau.values:
+        return Corrector(sub, sigma.order, (0,) * len(sub.members))
+    L = lcm(sigma.order, tau.order)
+    ks, kt = L // sigma.order, L // tau.order
+    rows, pos = _coboundary_rows(sub)
+    sv, tv = sigma.values, tau.values
+    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
+    if not any(v % L for v in rhs):
+        return Corrector(sub, L, (0,) * len(sub.members))
+    u = _replay(_diagonalize(rows, L), rhs, L)
+    if u is None:
+        return None
+    u.insert(sub.index[sub.group.identity], 0)
+    table = sub.mul_table
+    pairs = [(a, b, table[a][b]) for a in pos for b in pos]
+    if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
+        raise AssertionError("internal solver error: solution fails the original system")
+    return Corrector(sub, L, tuple(u))

@@ -291,6 +291,31 @@ def test_corrector_law_guards_cached_systems(monkeypatch):
     assert system.cache_info().hits == hits + 1
 
 
+def test_only_an_infeasible_solve_replays_the_whole_log(monkeypatch):
+    """A feasible solve reads the pivot rows and never replays the logged
+    elimination; an infeasible one replays it at most once: not at all when a
+    pivot value is not divisible, once when only a row past the pivots tells."""
+    sigma, tau, rho = clock_and_shift_twists()
+    replay = flagiso.cocycles._replay
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(flagiso.cocycles, "_replay", counting)
+    for s, t in ((sigma, tau), (tau, rho), (rho, sigma)):
+        assert is_corrector(cohomologous(s, t), s, t)
+    assert calls == []
+    # mod 3 every pivot divides, so only the replay sees the nonzero rows past them
+    assert cohomologous(sigma, trivial_cocycle(sigma.support, 3)) is None
+    assert len(calls) == 1
+    # 2u = -1 (mod 4): the one pivot value is odd
+    sub = full_subgroup(build_abelian([2]))
+    assert cohomologous(trivial_cocycle(sub, 2), validate_cocycle(sub, 4, [[0, 0], [0, 1]])) is None
+    assert len(calls) == 1
+
+
 def test_is_corrector_detects_violations():
     grp, tbl = klein_pauli_table()
     sub = full_subgroup(grp)

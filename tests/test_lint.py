@@ -21,6 +21,9 @@ and one cached action owns the admissible shifts' action on cosets, which
 ``tables`` reads through the public ``canonical_form``.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
+A cohomology solve reads the pivot rows of its cached system; only the
+fallback that tells an infeasible system from a solver error replays the
+whole logged elimination.
 The decision engine realizes algebras only to certify a YES.
 An algebra's degrees are computed in one place, algebras._degrees, as one
 array by basis position: realize stores it, a NO's invariants count it, and
@@ -154,6 +157,16 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
         for alias in node.names
         if alias.name.startswith("_")
     ] == []
+
+
+def test_only_the_fallback_replays_a_whole_log():
+    # a solve reads the pivot rows composed once per support and modulus; the
+    # logged elimination is replayed whole only where the corrector law fails,
+    # to tell an infeasible system from a solver error
+    cocycles = SRC / "cocycles.py"
+    assert references_by_function(cocycles, "_replay") == ["_replayed"]
+    assert references_by_function(cocycles, "_replayed") == ["cohomologous"]
+    assert references_by_function(cocycles, "_pivot_rows") == ["_corrector_system"]
 
 
 def test_memos_are_keyed_on_structure_not_on_a_query():

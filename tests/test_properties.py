@@ -11,7 +11,12 @@ Oracles for checks the library proves instead of re-running: verify_witness
 against the all-pairs loop, on valid and corrupted witnesses, also with its
 scalars checked on generator products alone; the premise of that check, that
 products of the generators reach every basis element, on the three setups,
-shifted supports and both Klein four-groups of S4; basis_of against a sort,
+shifted supports, both Klein four-groups of S4 and every shape of at most
+five positions over a trivial, a cyclic and a Z3 x Z3 support, with no
+singleton block's unit among the generators over a nontrivial support; a
+witness with one exponent or one image changed, on shapes with singleton
+blocks over nontrivial supports, rejected with the all-pairs loop's
+failures; basis_of against a sort,
 and the cells of its shape against a filter; invariants, counted from the
 degree array, against the count over the realized basis, on the three
 setups, shifted supports, both Klein four-groups of S4 and flags of 30 to 36
@@ -32,7 +37,8 @@ twisted transposition, the Klein four-group of S4 that conjugation moves
 and D8's twisted center; the invariant mismatch of every NO against the
 separation of both sides' per-cell invariants, which always names a degree
 or a radical power, on the same inputs and on division parts whose
-supports differ; every shifted or transported
+supports differ, and against the reading with reps_only on a shared central
+support alone; every shifted or transported
 cocycle against validate_cocycle; every find_isomorphisms map against an
 all-pairs homomorphism check; the nonzero-product walk, in full and from the
 generators, against all basis pairs, on the three setups and on shifted
@@ -45,12 +51,14 @@ those inputs, both Klein four-groups of S4 and the center of D8, a central
 support in a non-abelian group with two cohomologous cocycles (the oracle
 builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
-from scratch; cohomologous, which replays one cached system per support and
-modulus and checks the corrector law by position, against solve_congruences
-on the dense rows, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
+from scratch; cohomologous, which reads the pivot rows of one cached system
+per support and modulus and checks the corrector law by position, against
+solve_congruences on the dense rows and against the full replay of the
+logged elimination, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
 the clock-and-shift supports of order 9 and 16, S3's twisted transposition
-and D8's twisted center, on pairs that are not cohomologous, on identical
-cocycles and on equal values at two root orders; canonical_form, which reads
+and D8's twisted center, on pairs that are not cohomologous (drawn on
+purpose against the replay, also over all of D8), on identical cocycles and
+on equal values at two root orders; canonical_form, which reads
 one cached action of the admissible shifts on cosets, against the least form
 over every shift decided one by one, and as one of classify's
 representatives, on Z2 x Z4 trivial and clock-and-shift, a twisted Z2 in Z6,
@@ -94,6 +102,7 @@ from conftest import (
     closure_by_products,
     cohomologous_by_dense_solve,
     cohomologous_by_elimination,
+    cohomologous_by_replay,
     composed_witness_data,
     derive_mapping_by_basis,
     generators_by_rebuilding,
@@ -105,6 +114,7 @@ from conftest import (
     isomorphisms_by_closing,
     least_form,
     make_sym,
+    mismatch_by_shared_support,
     product_pos,
     realize_by_basis,
     verify_witness_by_dict,
@@ -119,6 +129,7 @@ from flagiso import (
     EQUIVALENT,
     ISOMORPHIC,
     NOT_ISOMORPHIC,
+    BasisElem,
     BlockShape,
     Cocycle,
     Corrector,
@@ -567,6 +578,58 @@ def test_generators_reach_the_whole_basis(p):
 
 
 @st.composite
+def singletons_over_a_support(draw):
+    """A presentation with a singleton block over a nontrivial support: Klein
+    and Z3 x Z3 clock-and-shift, S3's twisted transposition, all of S3 and
+    D8's twisted center, on at least two positions."""
+    d = draw(st.sampled_from([SHIFTED[0], SHIFTED[2], SHIFTED[5], FULL_S3, D8_CENTER[0]]))
+    blocks = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 1, 1), (1, 2, 1)]))
+    n = sum(blocks)
+    degrees = draw(st.lists(st.integers(0, d.group.size - 1), min_size=n, max_size=n))
+    return make_presentation(d, blocks, degrees)
+
+
+@SETTINGS
+@given(rewrites(singletons_over_a_support()), st.data())
+def test_one_changed_exponent_or_image_is_rejected_as_by_the_full_walk(rewrite, data):
+    """A valid witness with one exponent raised by 1, or one image moved to
+    another basis element, is rejected, with the failures of the check over
+    every pair: the generators leave out the singleton blocks' units, and a
+    changed scalar on one of them is still seen."""
+    p, q = rewrite
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    mapping = dict(w.mapping)
+    b = data.draw(st.sampled_from(alg.basis))
+    tgt, exp = mapping[b]
+    if w.scalar_order > 1 and data.draw(st.booleans()):
+        mapping[b] = (tgt, exp + 1)
+    else:
+        mapping[b] = (data.draw(st.sampled_from([t for t in alg2.basis if t != tgt])), exp)
+    broken = witness_with_map(w, mapping)
+    got, want = verify_witness(alg, alg2, broken), verify_witness_by_pairs(alg, alg2, broken)
+    assert not got.ok
+    assert (got.checked_pairs, got.failures) == (want.checked_pairs, want.failures)
+
+
+def test_every_singleton_unit_exponent_change_is_rejected():
+    """Each exponent of a Klein clock-and-shift (1, 1, 1) witness, raised by 1,
+    the units of the singleton blocks among them, fails as in the full walk."""
+    p = make_presentation(SHIFTED[0], (1, 1, 1), [0, 1, 2])
+    alg = realize(p)
+    w = iso_algebras(p, p).witness
+    units = {alg.index[BasisElem(f, f, p.group.identity)] for f in range(3)}
+    assert units.isdisjoint(alg.generators())
+    for b in alg.basis:
+        mapping = dict(w.mapping)
+        tgt, exp = mapping[b]
+        mapping[b] = (tgt, exp + 1)
+        broken = witness_with_map(w, mapping)
+        got, want = verify_witness(alg, alg, broken), verify_witness_by_pairs(alg, alg, broken)
+        assert not got.ok and got.failures == want.failures
+
+
+@st.composite
 def shifted_targets(draw, presentations):
     """A presentation and random degrees over its division part shifted by a drawn g."""
     p = draw(presentations)
@@ -713,6 +776,41 @@ COCYCLE_FAMILIES = [
 ]
 
 
+def block_shapes(n):
+    """Every block shape of n positions."""
+    for cuts in itertools.product([False, True], repeat=n - 1):
+        blocks = [1]
+        for cut in cuts:
+            if cut:
+                blocks.append(1)
+            else:
+                blocks[-1] += 1
+        yield tuple(blocks)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [trivial_division(Z4), GradedDivisionAlgebra(Z4_CARRY), CLOCK_AND_SHIFT_9],
+    ids=["trivial", "Z4 carry", "Z3xZ3 clock-and-shift"],
+)
+def test_generators_reach_the_whole_basis_on_every_small_shape(d):
+    """Products of generators reach every basis position, each a nonzero
+    multiple of one, on every shape of at most five positions.  A singleton
+    block's unit (f,f,e) is a generator exactly when the support is trivial;
+    otherwise a power of (f,f,x) reaches it."""
+    grp = d.group
+    trivial = len(d.support.members) == 1
+    for n in range(1, 6):
+        for blocks in block_shapes(n):
+            alg = realize(make_presentation(d, blocks, [grp.identity] * n))
+            ranges = BlockShape(blocks).block_positions()
+            heads = [r.start for r, m in zip(ranges, blocks) if m == 1]
+            units = {alg.index[BasisElem(f, f, grp.identity)] for f in heads}
+            gens = set(alg.generators())
+            assert units <= gens if trivial else units.isdisjoint(gens), blocks
+            assert reached_by_generators(alg) == set(range(alg.dim)), blocks
+
+
 def read_at(coc, order):
     """coc's exponent table read in mu_order, or None where it is no cocycle there."""
     try:
@@ -733,10 +831,11 @@ SAME_VALUES = [
 
 
 @st.composite
-def twists(draw, coc):
-    """coc in mu_(k * order), k = 1, 2 or 3, times the coboundary of a random u."""
+def twists(draw, coc, scales=(1, 2, 3)):
+    """coc in mu_(k * order), k = 1, 2 or 3 (or one of scales), times the
+    coboundary of a random u."""
     sub = coc.support
-    order = coc.order * draw(st.sampled_from([1, 2, 3]))
+    order = coc.order * draw(st.sampled_from(scales))
     scale = order // coc.order
     e = sub.index[sub.group.identity]
     u = [0 if x == e else draw(st.integers(0, order - 1)) for x in range(len(sub.members))]
@@ -785,6 +884,62 @@ def test_cohomologous_matches_the_dense_solve(pair):
     if got is not None:
         assert (got.support, got.order, got.exps) == (want.support, want.order, want.exps)
         assert is_corrector(got, *pair)
+
+
+D8_FULL = Subgroup(D8, tuple(D8.elements()))
+# sigma(x, y) = -1 when x and y both hold s (r^i s^j is 2i + j): inflated from
+# D8/<r> = Z2, a coboundary in mu_4 and not in mu_2 or mu_6
+D8_SIGN = cocycle_table(D8_FULL, 2, lambda a, b: a % 2 * (b % 2))
+# a cocycle of a nontrivial class and the trivial one, by support: Z2 x Z2,
+# Z3 x Z3, Z4 x Z4 in Z4 x Z4 x Z2, and D8, a non-abelian support
+CLASSES = [
+    with_trivial(SHIFTED[0]),
+    with_trivial(CLOCK_AND_SHIFT_9),
+    with_trivial(CLOCK_AND_SHIFT_16),
+    [D8_SIGN, trivial_cocycle(D8_FULL)],
+]
+
+
+@st.composite
+def classed_pairs(draw):
+    """Random twists, in mu_k and mu_3k, of two cocycles of CLASSES on one
+    support, in either order, and whether they are cohomologous: the two
+    classes are distinct in every such mu_lcm (the clock-and-shift classes
+    are nontrivial over C, and D8_SIGN's only where 4 divides the order), so
+    a pair of one class against the other is drawn on purpose, not by chance."""
+    family = draw(st.sampled_from(CLASSES))
+    sigma, tau = draw(st.sampled_from(family)), draw(st.sampled_from(family))
+    return (draw(twists(sigma, (1, 3))), draw(twists(tau, (1, 3)))), sigma == tau
+
+
+# the Klein clock-and-shift values doubled in mu_4: the same cocycle, read across orders
+KLEIN_DOUBLED = cocycle_table(SHIFTED[0].support, 4, lambda a, b: 2 * SHIFTED[0].cocycle.val(a, b))
+
+
+@SETTINGS
+@given(st.one_of(cocycle_pairs(), classed_pairs().map(lambda case: case[0])))
+@example((CLOCK_AND_SHIFT_16.cocycle, CLOCK_AND_SHIFT_16.cocycle))  # identical
+@example((D8_SIGN, Cocycle(D8_FULL, 2, D8_SIGN.values)))  # an equal copy
+@example((trivial_cocycle(D8_FULL, 2), trivial_cocycle(D8_FULL, 4)))  # zero right-hand side
+@example((SHIFTED[0].cocycle, KLEIN_DOUBLED))  # zero right-hand side across orders
+@example((D8_SIGN, trivial_cocycle(D8_FULL, 4)))  # across orders, a corrector in mu_4
+@example((D8_SIGN, trivial_cocycle(D8_FULL, 3)))  # across orders, none in mu_6
+def test_cohomologous_matches_the_full_replay(pair):
+    """The corrector read off the pivot rows is the one the full replay of
+    the logged elimination gives, field by field, and None exactly where the
+    replay finds none."""
+    assert cohomologous(*pair) == cohomologous_by_replay(*pair)
+
+
+@SETTINGS
+@given(classed_pairs())
+def test_classed_pairs_are_drawn_as_labelled(case):
+    """The premise of the pairs drawn on purpose: one class against the other
+    is never cohomologous, a class against itself always is."""
+    pair, same = case
+    mu = cohomologous_by_replay(*pair)
+    assert (mu is not None) == same
+    assert (cohomologous(*pair) is not None) == same
 
 
 # -- classify against the tuple loop and Burnside's lemma, invariants against the basis
@@ -1155,6 +1310,34 @@ def test_no_certificates_match_the_per_cell_invariants(pair):
         assert detail.startswith(("dim at degree ", "radical power "))
         want = InvariantMismatch(detail)
     assert verdict.certificate.invariant_mismatch == want
+
+
+TRIVIAL_AGAINST_PAULI = tuple(
+    make_presentation(d, (1, 2), x) for d, x in zip(DIFFERING_SUPPORTS[0], ([0, 1, 2], [0, 0, 3]))
+)
+
+
+@SETTINGS
+@example(TRIVIAL_AGAINST_PAULI)
+@given(separated_pairs())
+def test_no_certificates_match_the_shared_support_reading(pair):
+    """A side over a trivial support counts its cells under their degrees when
+    the supports differ too: the mismatch is the one read with reps_only on a
+    shared central support alone."""
+    verdict = iso_algebras(*pair)
+    assume(verdict.kind == NOT_ISOMORPHIC)
+    assert verdict.certificate.invariant_mismatch == mismatch_by_shared_support(*pair)
+
+
+def test_a_trivial_support_counts_its_cells_once_next_to_another_support():
+    p, q = TRIVIAL_AGAINST_PAULI
+    with mock.patch("flagiso.iso._coset_profiles", wraps=_coset_profiles) as spy:
+        verdict = iso_algebras(p, q)
+        again = iso_algebras(q, p)
+    assert verdict.kind == again.kind == NOT_ISOMORPHIC
+    assert spy.call_args_list == [
+        mock.call(p, True), mock.call(q, False), mock.call(q, False), mock.call(p, True)
+    ]
 
 
 def assert_valid(cocycle):
