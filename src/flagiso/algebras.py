@@ -104,10 +104,17 @@ class GradedAlgebra:
 def _generators(shape: BlockShape, support: Subgroup) -> list[int]:
     k = len(support.members)
     e = support.index[support.group.identity]
-    units, heads = shape.generator_cells()
+    number = shape.cell_number
+    blocks = shape.block_positions()
+    starts = {b.start for b in blocks}
+    heads = [number[b.start, b.start] for b in blocks]
     xs = [support.index[x] for x in support.generators]
-    if xs:  # a singleton block's unit is a power of its (f,f,x)
-        units = [c for c in units if c not in heads]
+    # a singleton block's unit is a power of its (f,f,x) unless H = 1
+    units = [] if xs else [c for b, c in zip(blocks, heads) if len(b) == 1]
+    for i in range(shape.n - 1):
+        units.append(number[i, i + 1])
+        if i + 1 not in starts:
+            units.append(number[i + 1, i])
     return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
 
 
@@ -276,9 +283,6 @@ class GradedInvariants:
     total_dim: int
     dims: tuple[tuple[int, int], ...]  # (degree element, dim), nonzero only
     radical_dims: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (c, dims of J^c)
-
-    def dims_map(self) -> dict[int, int]:
-        return dict(self.dims)
 
 
 def invariants(alg: GradedAlgebra) -> GradedInvariants:

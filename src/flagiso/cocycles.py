@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidInput
 from .groups import Subgroup
-from .modlinalg import _diagonalize, _Diagonal, _pivot_rows, _replay
+from .modlinalg import _diagonalize, _Diagonal, _solve
 
 __all__ = [
     "Cocycle",
@@ -132,10 +132,16 @@ def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
         raise InvalidInput("cocycles live on different supports", code="support-mismatch")
 
 
-# a cached corrector system: the diagonalization, the (a, b, ab) of each row,
-# and the (a, b, coeff) terms of each pivot row
 _Terms = tuple[tuple[int, int, int], ...]
-_System = tuple[_Diagonal, tuple[_Terms, tuple[_Terms, ...]]]
+
+
+class _System(NamedTuple):
+    """A cached corrector system: the diagonalization, the (a, b, ab) of each
+    row, and by pivot r the terms (a, b, coeff) of row r of U."""
+
+    diag: _Diagonal
+    pairs: _Terms
+    pivots: tuple[_Terms, ...]
 
 
 def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
@@ -145,12 +151,12 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     u(a) + u(b) - u(ab) = s(a,b) - t(a,b) (mod lcm) over the non-identity
     pairs is solved exactly; None means the cocycles are not cohomologous.
     Identical cocycles, and any right-hand side that is 0 mod lcm, get u = 0
-    with no system built.  Otherwise the pivot values of the diagonalized
-    system are read off its cached pivot rows: a pivot its divisor does not
-    divide makes the system infeasible, and else u = V y.  A u that keeps the
-    corrector law on every pair is a solution, and the one the full replay
-    gives, as both take y from the same pivot values.  A u that breaks it
-    leaves the verdict to the full replay (_replayed): None when a row past
+    with no system built.  Otherwise each pivot value (U rhs)_r is read off
+    the cached pivot row r of U: a pivot its divisor does not divide makes the
+    system infeasible, and else u = V y.  A u that keeps the corrector law on
+    every pair is a solution, and the one a solve on all of U rhs gives, as
+    both take y from the same pivot values.  A u that breaks it leaves the
+    verdict to that full solve (_infeasible): None when a row of U rhs past
     the pivots is nonzero, else a solver error.
     """
     _check_same_support(sigma, tau)
@@ -164,32 +170,30 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     if not any((ks * sv[a][b] - kt * tv[a][b]) % L for a in pos for b in pos):
         return Corrector(sub, L, (0,) * len(sub.members))
     system = _corrector_system(sub, L)
-    diag, (pairs, pivots) = system
+    diag, pairs, pivots = system
     y = []
     for (g, inv, Lg), row in zip(diag.steps, pivots):
         c = sum(q * (ks * sv[a][b] - kt * tv[a][b]) for a, b, q in row) % L
         if c % g:
-            return None  # as the replay finds at this pivot
+            return None  # as _solve finds at this pivot
         y.append((c // g) * inv % Lg)
     u = [sum(map(mul, row, y)) % L for row in diag.v]
     u.insert(sub.index[sub.group.identity], 0)
     # the rows are the corrector law on non-identity pairs (pairs with e hold by
     # normalization), so u is checked against the law, pair by pair
     if any((u[a] + u[b] - u[ab] - ks * sv[a][b] + kt * tv[a][b]) % L for a, b, ab in pairs):
-        return _replayed(system, sigma, tau, L)
+        return _infeasible(system, sigma, tau, L)
     return Corrector(sub, L, tuple(u))
 
 
-def _replayed(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
+def _infeasible(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
     """None for a right-hand side whose pivot solution breaks the corrector
-    law, when the full replay of the logged elimination finds the system
-    infeasible (a row past the pivots is nonzero).  A feasible replay would
-    yield that same solution from the same pivot values, so then the solver
-    is wrong."""
-    diag, (pairs, _) = system
+    law, when the solve on all of U rhs finds the system infeasible (a row
+    past the pivots is nonzero).  A feasible solve would yield that same
+    solution from the same pivot values, so then the solver is wrong."""
     ks, kt = L // sigma.order, L // tau.order
     sv, tv = sigma.values, tau.values
-    if _replay(diag, [ks * sv[a][b] - kt * tv[a][b] for a, b, _ in pairs], L) is None:
+    if _solve(system.diag, [ks * sv[a][b] - kt * tv[a][b] for a, b, _ in system.pairs], L) is None:
         return None
     raise AssertionError("internal solver error: solution fails the original system")
 
@@ -198,17 +202,16 @@ def _replayed(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
 def _corrector_system(sub: Subgroup, L: int) -> _System:
     """The coboundary rows of ``sub`` diagonalized mod L (L >= 2), the positions
     (a, b, ab) of each row's pair and product, and by pivot r the terms
-    (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b), U the row
-    transform the log composes: a solve hashes no matrix and reads each pivot
-    value off a few cocycle entries."""
+    (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b), taken from
+    the pivot rows of U: a solve hashes no matrix and reads each pivot value
+    off a few cocycle entries."""
     rows, pos = _coboundary_rows(sub)
     prod = sub.mul_table
     diag = _diagonalize(rows, L)
     pairs = tuple((a, b, prod[a][b]) for a in pos for b in pos)
-    pivots = tuple(
-        tuple((*pairs[i][:2], q) for i, q in row) for row in _pivot_rows(diag, len(pairs), L)
-    )
-    return diag, (pairs, pivots)
+    rank = len(diag.steps)
+    pivots = tuple(tuple((*pairs[i][:2], q) for i, q in row) for row in diag.u[:rank])
+    return _System(diag, pairs, pivots)
 
 
 @lru_cache(maxsize=64)

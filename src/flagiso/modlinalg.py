@@ -1,22 +1,16 @@
 """Exact linear algebra over Z_L via integer diagonalization.
 
-solve_congruences reduces A x = b (mod L) to diagonal form with tracked column
-operations, solves each scalar congruence d*y = c (mod L) by gcd, and maps the
-solution back.  All arithmetic is on Python ints; nothing is approximate.
-
-Every pivot choice and every row and column operation depends on A and L
-alone, never on b.  So each (A, L) is diagonalized once: the row operations
-are logged as they act on b, and a later solve with the same matrix replays
-the log on its own right-hand side.  _replay is that replay, unchecked.
-
-The log composes into one row transform U with U A V diagonal.  A x = b
-has a solution exactly when gcd(d_r, L) divides each pivot value (U b)_r
-and every other row of U b is 0, and the solution is V y with y read off
-the pivot values alone.  _pivot_rows gives the pivot rows of U, sparse, so
-a caller that solves many right-hand sides reads each pivot value off a
-few entries of b and checks its x against the law A encodes.  Only an x
-that fails that check needs the full replay, the fallback that tells an
-infeasible system (None) from a solver error (an x that still fails).
+_diagonalize brings A to U A V = D (mod L), D diagonal, by row and column
+operations whose pivot choices depend on A and L alone, and keeps the row
+transform U (sparse rows) and the column transform V; each (A, L) is
+diagonalized once, memoized.  A solve reads U b: A x = b has a solution
+exactly when every row of U b past the pivots is 0 and gcd(d_r, L) divides
+each pivot value (U b)_r, and the solution is x = V y with y read off the
+pivot values alone.  So a caller that solves many right-hand sides can read
+each pivot value off the few entries of b its row of U names, check its x
+against the law A encodes, and leave only an x that fails that check to
+_solve on all of U b, which tells an infeasible system (None) from a solver
+error (an x that still fails).  All arithmetic is on Python ints.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ __all__ = ["solve_congruences"]
 class _Diagonal(NamedTuple):
     """A diagonalized system: U A V = diag(d_0..d_{rank-1}, 0, ...) mod L."""
 
-    ops: tuple[tuple[int, int, int | None], ...]  # (i, k, q): b_i -= q b_k; q None: swap
+    u: tuple[tuple[tuple[int, int], ...], ...]  # row r of U as (i, U[r][i]), nonzero, ascending
     steps: tuple[tuple[int, int, int], ...]  # (gcd(d_i, L), (d_i/g)^-1 mod L/g, L/g) by pivot
     v: tuple[tuple[int, ...], ...]  # the column transform V
 
@@ -44,7 +38,7 @@ def solve_congruences(
 
     A may be any shape, including zero rows/columns; entries and the returned
     solution are reduced mod ``modulus``.  A right-hand side that is 0 mod
-    ``modulus`` (every one is, mod 1) gets x = 0, which is what the replay
+    ``modulus`` (every one is, mod 1) gets x = 0, which is what U b = 0
     yields, with no diagonalization; the exactness check holds for x = 0
     without being run.
     """
@@ -59,58 +53,31 @@ def solve_congruences(
     L = modulus
     if not any(v % L for v in rhs):
         return [0] * ncols
-    x = _replay(_diagonalize(tuple(map(tuple, a)), L), rhs, L)
+    x = _solve(_diagonalize(tuple(map(tuple, a)), L), rhs, L)
     # exactness check against the original system
     if x is not None and any(sum(map(mul, row, x)) % L != want % L for row, want in zip(a, rhs)):
         raise AssertionError("internal solver error: solution fails the original system")
     return x
 
 
-def _replay(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
-    """The x that diag's log yields for A x = rhs (mod L), or None if infeasible; unchecked."""
-    b = [v % L for v in rhs]
-    for i, k, q in diag.ops:
-        if q is None:
-            b[i], b[k] = b[k], b[i]
-        else:
-            b[i] = (b[i] - q * b[k]) % L
-    # diagonal solve: d_i y_i = b_i for each pivot, and 0 = b_i on every other row
+def _solve(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
+    """The x that diag yields for A x = rhs (mod L), read off U rhs, or None
+    if infeasible; unchecked."""
     rank = len(diag.steps)
-    if any(b[rank:]):
+    if any(sum(q * rhs[i] for i, q in row) % L for row in diag.u[rank:]):
         return None
     y = []
-    for c, (g, inv, Lg) in zip(b, diag.steps):
+    for row, (g, inv, Lg) in zip(diag.u, diag.steps):
+        c = sum(q * rhs[i] for i, q in row) % L
         if c % g:
             return None
         y.append((c // g) * inv % Lg)
     return [sum(map(mul, row, y)) % L for row in diag.v]
 
 
-def _pivot_rows(diag: _Diagonal, nrows: int, L: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row r of the row transform U that diag's log composes, for each pivot r,
-    as its nonzero entries (i, U[r][i]) ascending in i: (U b)[r] is the sum of
-    U[r][i] * b[i] (mod L), the value the replay of b leaves in row r.
-
-    U starts as the identity on nrows rows and takes each logged operation.
-    The pivot value then fixes y_r, so when A x = b is feasible, x = V y
-    reads b only at these entries."""
-    u = [{i: 1} for i in range(nrows)]
-    for i, k, q in diag.ops:
-        if q is None:
-            u[i], u[k] = u[k], u[i]
-            continue
-        row = u[i]
-        for j, c in u[k].items():
-            if v := (row.get(j, 0) - q * c) % L:
-                row[j] = v
-            else:
-                row.pop(j, None)
-    return tuple(tuple(sorted(u[r].items())) for r in range(len(diag.steps)))
-
-
 @lru_cache(maxsize=64)
 def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
-    """Diagonalize A mod L (L >= 2) by row and column operations, logging the row ones.
+    """Diagonalize A mod L (L >= 2) by row and column operations, keeping U and V.
 
     Pivot k is the least nonzero entry of the untouched block, the first one in
     row-major order on ties; its row and column are then cleared by Euclid steps.
@@ -121,11 +88,16 @@ def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
     ncols = len(a[0]) if nrows else 0
     A = [[v % L for v in row] for row in a]
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    ops: list[tuple[int, int, int | None]] = []
+    U = [{i: 1} for i in range(nrows)]  # by row: {column: nonzero entry}
 
     def row_sub(i: int, q: int, k: int) -> None:
         A[i] = [(x - q * y) % L for x, y in zip(A[i], A[k])]
-        ops.append((i, k, q))
+        row = U[i]
+        for j, c in U[k].items():
+            if v := (row.get(j, 0) - q * c) % L:
+                row[j] = v
+            else:
+                row.pop(j, None)
 
     def col_sub(j: int, q: int, k: int) -> None:
         for row in A[k:]:
@@ -135,7 +107,7 @@ def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
 
     def swap_rows(i: int, k: int) -> None:
         A[i], A[k] = A[k], A[i]
-        ops.append((i, k, None))
+        U[i], U[k] = U[k], U[i]
 
     def swap_cols(j: int, k: int) -> None:
         for row in A[k:]:
@@ -189,4 +161,5 @@ def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
         g = gcd(d, L)
         Lg = L // g
         steps.append((g, pow(d // g, -1, Lg) if Lg > 1 else 0, Lg))
-    return _Diagonal(tuple(ops), tuple(steps), tuple(map(tuple, V)))
+    u = tuple(tuple(sorted(row.items())) for row in U)
+    return _Diagonal(u, tuple(steps), tuple(map(tuple, V)))

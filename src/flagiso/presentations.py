@@ -90,35 +90,11 @@ class BlockShape:
             for j in blocks[b]
         )
 
-    def generator_cells(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The cells of a generating set of every algebra of this shape, as
-        ascending indices into cells(): (cells whose identity element (i,j,e)
-        is a generator, the cell (f,f) of each block's first position f).
-
-        The identity generators are (i,i+1,e) for consecutive positions,
-        (i+1,i,e) when i and i+1 share a block, and (i,i,e) for a singleton
-        block; the cell (f,f) carries (f,f,x) for x in a generating set of the
-        support.  Over a nontrivial support a singleton block's (f,f,e) is a
-        power of its (f,f,x) up to a root of unity, and GradedAlgebra.generators
-        leaves it out; its docstring proves that the rest generate."""
-        return self._generator_cells
-
     @cached_property
     def cell_number(self) -> dict[tuple[int, int], int]:
         """(i, j) -> the index of cell (i, j) in cells(); shared by every caller,
         so it must never be written to."""
         return {(i, j): c for c, (i, j, _) in enumerate(self._cells)}
-
-    @cached_property
-    def _generator_cells(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        number = self.cell_number
-        heads = [block.start for block in self.block_positions()]
-        units = [number[f, f] for f, m in zip(heads, self.blocks) if m == 1]
-        for i in range(self.n - 1):
-            units.append(number[i, i + 1])
-            if i + 1 not in heads:
-                units.append(number[i + 1, i])
-        return tuple(sorted(units)), tuple(number[f, f] for f in heads)
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,14 @@ each tuple of generator images by its own depth-first closure: the oracles
 for the one greedy closure walk behind subgroup_closure, Subgroup.generators
 and find_isomorphisms.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
-which diagonalizes each matrix once and replays it per right-hand side;
+which diagonalizes each matrix once and reads U b per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
 that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
 the cached coboundary rows to solve_congruences, which checks every row
 densely, as the oracle for cohomologous' solve from one diagonalization per
 support and modulus, checked by the corrector law; cohomologous_by_replay
-replays that diagonalization's whole log on the full right-hand side, as the
-oracle for the solve that reads only the pivot rows.  verify_witness_by_dict is
+applies every row of that diagonalization's row transform U to the full
+right-hand side, as the oracle for the solve that reads only the pivot rows.  verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
@@ -95,7 +95,7 @@ from flagiso.algebras import _coset_profiles
 from flagiso.cocycles import _coboundary_rows
 from flagiso.io import _positions
 from flagiso.iso import _separate
-from flagiso.modlinalg import _diagonalize, _replay
+from flagiso.modlinalg import _diagonalize, _solve
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -500,7 +500,7 @@ def invariants_by_cell(p) -> GradedInvariants:
 def separate_by_invariants(grp, inv1, inv2) -> str:
     """What tells two unequal invariants apart: the least degree whose
     dimension differs, else the first radical power whose profile differs."""
-    d1, d2 = inv1.dims_map(), inv2.dims_map()
+    d1, d2 = dict(inv1.dims), dict(inv2.dims)
     for u in sorted(set(d1) | set(d2)):
         a, b = d1.get(u, 0), d2.get(u, 0)
         if a != b:
@@ -671,7 +671,7 @@ def solve_congruences_by_elimination(a, rhs, modulus):
     """One solution x of A x = rhs (mod modulus), or None, by eliminating from scratch.
 
     Every pivot scan restarts at row and column 0, and b is carried through the
-    elimination itself instead of replaying a logged diagonalization.
+    elimination itself instead of being read off a memoized row transform U.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -805,8 +805,9 @@ def cohomologous_by_dense_solve(sigma, tau):
 
 
 def cohomologous_by_replay(sigma, tau):
-    """The corrector cohomologous finds, or None: the whole logged elimination
-    replayed on the full right-hand side, then checked by the corrector law."""
+    """The corrector cohomologous finds, or None: every row of the row
+    transform U applied to the full right-hand side, then checked by the
+    corrector law."""
     sub = sigma.support
     if sigma.order == tau.order and sigma.values == tau.values:
         return Corrector(sub, sigma.order, (0,) * len(sub.members))
@@ -817,7 +818,7 @@ def cohomologous_by_replay(sigma, tau):
     rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
     if not any(v % L for v in rhs):
         return Corrector(sub, L, (0,) * len(sub.members))
-    u = _replay(_diagonalize(rows, L), rhs, L)
+    u = _solve(_diagonalize(rows, L), rhs, L)
     if u is None:
         return None
     u.insert(sub.index[sub.group.identity], 0)

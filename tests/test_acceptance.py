@@ -335,7 +335,7 @@ def test_criterion_6_division_algebra_facts():
     with criterion(6, "clock-and-shift: fine division grading, no reduction to trivial"):
         alg = realize(make_presentation(d, [1], [grp.identity]))
         assert alg.dim == 4
-        assert invariants(alg).dims_map()[grp.identity] == 1
+        assert dict(invariants(alg).dims)[grp.identity] == 1
         assert alg.degree.count(grp.identity) == 1  # dim A_e = 1: a division grading
 
         # oracle first: no corrector among all 2^3 normalized candidates

@@ -119,14 +119,14 @@ def test_elementary_z3_chain_dims():
     alg = elementary_ut(build_abelian([3]), (1, 1, 1), [0, 1, 2])
     inv = invariants(alg)
     assert inv.total_dim == 6
-    assert inv.dims_map() == {0: 3, 1: 1, 2: 2}
+    assert dict(inv.dims) == {0: 3, 1: 1, 2: 2}
     assert inv.radical_dims == ((1, ((1, 1), (2, 2))), (2, ((1, 1),)))
 
 
 def test_full_matrix_algebra_at_identity():
     alg = elementary_ut(build_abelian([2]), (2,), [0, 0])
     assert alg.dim == 4
-    assert invariants(alg).dims_map() == {0: 4}
+    assert dict(invariants(alg).dims) == {0: 4}
     assert identity_component_dim(alg) != 1  # not a division grading
     assert_associative(alg)
 
@@ -151,7 +151,7 @@ def test_pauli_block_is_division_grading():
     alg = realize(make_presentation(d, [1], [0]))
     assert alg.dim == 4
     assert identity_component_dim(alg) == 1  # a division grading
-    assert invariants(alg).dims_map() == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert dict(invariants(alg).dims) == {0: 1, 1: 1, 2: 1, 3: 1}
     assert_associative(alg)
 
 

@@ -247,7 +247,7 @@ def clock_and_shift_twists():
 
 
 def test_one_diagonalization_serves_every_right_hand_side():
-    """Solves on one support and modulus replay one cached diagonalization: after
+    """Solves on one support and modulus read one cached diagonalization: after
     the first, no solve diagonalizes or looks a matrix up in the solver's memo."""
     sigma, tau, rho = clock_and_shift_twists()
     system = flagiso.cocycles._corrector_system
@@ -282,8 +282,9 @@ def test_corrector_law_guards_cached_systems(monkeypatch):
     hits = system.cache_info().hits
 
     def corrupted(sub, modulus):
-        diag, pairs = system(sub, modulus)
-        return diag._replace(v=tuple((0,) * len(row) for row in diag.v)), pairs
+        cached = system(sub, modulus)
+        diag = cached.diag
+        return cached._replace(diag=diag._replace(v=tuple((0,) * len(row) for row in diag.v)))
 
     monkeypatch.setattr(flagiso.cocycles, "_corrector_system", corrupted)
     with pytest.raises(AssertionError, match="^internal solver error"):
@@ -292,22 +293,22 @@ def test_corrector_law_guards_cached_systems(monkeypatch):
 
 
 def test_only_an_infeasible_solve_replays_the_whole_log(monkeypatch):
-    """A feasible solve reads the pivot rows and never replays the logged
-    elimination; an infeasible one replays it at most once: not at all when a
-    pivot value is not divisible, once when only a row past the pivots tells."""
+    """A feasible solve reads the pivot rows of U and never reads U rhs whole
+    (_solve); an infeasible one does at most once: not at all when a pivot
+    value is not divisible, once when only a row past the pivots tells."""
     sigma, tau, rho = clock_and_shift_twists()
-    replay = flagiso.cocycles._replay
+    solve = flagiso.cocycles._solve
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return replay(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(flagiso.cocycles, "_replay", counting)
+    monkeypatch.setattr(flagiso.cocycles, "_solve", counting)
     for s, t in ((sigma, tau), (tau, rho), (rho, sigma)):
         assert is_corrector(cohomologous(s, t), s, t)
     assert calls == []
-    # mod 3 every pivot divides, so only the replay sees the nonzero rows past them
+    # mod 3 every pivot divides, so only _solve sees the nonzero rows past them
     assert cohomologous(sigma, trivial_cocycle(sigma.support, 3)) is None
     assert len(calls) == 1
     # 2u = -1 (mod 4): the one pivot value is odd

@@ -21,9 +21,9 @@ and one cached action owns the admissible shifts' action on cosets, which
 ``tables`` reads through the public ``canonical_form``.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
-A cohomology solve reads the pivot rows of its cached system; only the
-fallback that tells an infeasible system from a solver error replays the
-whole logged elimination.
+A cohomology solve reads the pivot rows of the row transform U its cached
+system keeps; only the fallback that tells an infeasible system from a
+solver error reads U rhs whole, and no operation log is kept to replay.
 The decision engine realizes algebras only to certify a YES.
 An algebra's degrees are computed in one place, algebras._degrees, as one
 array by basis position: realize stores it, a NO's invariants count it, and
@@ -160,13 +160,17 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
 
 
 def test_only_the_fallback_replays_a_whole_log():
-    # a solve reads the pivot rows composed once per support and modulus; the
-    # logged elimination is replayed whole only where the corrector law fails,
-    # to tell an infeasible system from a solver error
+    # the diagonalization keeps its row transform U, not a log of operations:
+    # a solve reads the pivot rows of U cached once per support and modulus,
+    # and U rhs is read whole only where the corrector law fails, to tell an
+    # infeasible system from a solver error
+    assert flagiso.modlinalg._Diagonal._fields == ("u", "steps", "v")
+    gone = ("_replay", "_pivot_rows")
+    assert [name for name in gone if hasattr(flagiso.modlinalg, name)] == []
     cocycles = SRC / "cocycles.py"
-    assert references_by_function(cocycles, "_replay") == ["_replayed"]
-    assert references_by_function(cocycles, "_replayed") == ["cohomologous"]
-    assert references_by_function(cocycles, "_pivot_rows") == ["_corrector_system"]
+    assert [name for name in gone if references_by_function(cocycles, name)] == []
+    assert references_by_function(cocycles, "_solve") == ["_infeasible"]
+    assert references_by_function(cocycles, "_infeasible") == ["cohomologous"]
 
 
 def test_memos_are_keyed_on_structure_not_on_a_query():

@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+from math import gcd
 
 import pytest
 from conftest import solve_congruences_by_elimination
@@ -121,7 +123,7 @@ def test_zero_rhs_is_checked_like_any_other(a, rhs, modulus):
 
 
 def test_zero_rhs_diagonalizes_nothing():
-    """x = 0 solves A x = 0: it is what the replay would return, and no system is
+    """x = 0 solves A x = 0: it is what U b = 0 would yield, and no system is
     diagonalized for it."""
     diagonalize = flagiso.modlinalg._diagonalize
     before = diagonalize.cache_info()
@@ -156,7 +158,7 @@ def systems(draw):
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(systems())
 def test_memoized_solves_match_elimination_from_scratch(system):
-    """The first solve diagonalizes, later ones replay it: both give the oracle's x."""
+    """The first solve diagonalizes, later ones reuse it: both give the oracle's x."""
     a, rhss, modulus = system
     flagiso.modlinalg._diagonalize.cache_clear()
     for repeat in range(2):
@@ -207,3 +209,114 @@ def test_memos_are_bounded():
         flagiso.cocycles._corrector_system,
     ):
         assert cache.cache_info().maxsize is not None
+
+
+# -- the record itself: U A V = D, and U b decides feasibility -----------------------
+
+
+@st.composite
+def degenerate_systems(draw, max_rows=8, max_cols=6, max_modulus=12):
+    """A matrix mod a modulus of 2..max_modulus (composite ones included) whose
+    rows may be zero or sums of multiples of earlier rows and whose columns may
+    be zero, so rank deficiency is common, and one right-hand side drawn at
+    random (rarely feasible on such matrices) next to one in the image."""
+    modulus = draw(st.integers(2, max_modulus))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols)) if nrows else 0
+    entry = st.integers(-2 * modulus, 2 * modulus)
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1))) if ncols else set()
+    a = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "zero", "combination"] if a else ["free", "zero"]))
+        if kind == "zero":
+            row = [0] * ncols
+        elif kind == "combination":
+            i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+            p, q = draw(entry), draw(entry)
+            row = [p * x + q * y for x, y in zip(a[i], a[j])]
+        else:
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        a.append([0 if c in zero_cols else v for c, v in enumerate(row)])
+    x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    image = [sum(map(operator.mul, row, x0)) for row in a]
+    noise = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return a, [image, noise], modulus
+
+
+def record_of(a, modulus):
+    """The memoized record of A mod modulus, with U as a dense matrix."""
+    diag = flagiso.modlinalg._diagonalize(tuple(map(tuple, a)), modulus)
+    dense = [[0] * len(a) for _ in a]
+    for row, terms in zip(dense, diag.u):
+        for i, q in terms:
+            row[i] = q
+    return diag, dense
+
+
+def times(rows, cols, modulus):
+    return [[sum(map(operator.mul, row, col)) % modulus for col in zip(*cols)] for row in rows]
+
+
+def certificates(diag, dense_u, a, rhs, modulus):
+    """The y that U offers for A x = rhs being infeasible: each row of U past
+    the rank, and (L/g) times each pivot row, kept when y A = 0 and y rhs != 0."""
+    rank = len(diag.steps)
+    ys = dense_u[rank:]
+    ys += [[modulus // g * q for q in row] for row, (g, _, _) in zip(dense_u, diag.steps)]
+    return [
+        y
+        for y in ys
+        if not any(times([y], a, modulus)[0]) and sum(map(operator.mul, y, rhs)) % modulus
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(degenerate_systems())
+def test_the_record_diagonalizes(system):
+    """U A V = D (mod L): U's rows are sparse and ascending, every entry of
+    U A V off the diagonal or past the rank is 0, and each pivot d_r matches its
+    step (gcd(d_r, L), (d_r/g)^-1 mod L/g, L/g)."""
+    a, _, modulus = system
+    diag, dense_u = record_of(a, modulus)
+    assert len(diag.u) == len(a)
+    for terms in diag.u:
+        assert [i for i, _ in terms] == sorted({i for i, _ in terms})
+        assert all(0 < q < modulus for _, q in terms)
+    d = times(times(dense_u, a, modulus), diag.v, modulus)
+    rank = len(diag.steps)
+    for r, row in enumerate(d):
+        for c, v in enumerate(row):
+            if r != c or r >= rank:
+                assert v == 0, (r, c, a, modulus)
+    for r, (g, inv, Lg) in enumerate(diag.steps):
+        pivot = d[r][r]
+        assert pivot and g == gcd(pivot, modulus) and Lg == modulus // g
+        assert (pivot // g) * inv % Lg == 1 % Lg
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(degenerate_systems(max_rows=3, max_cols=3, max_modulus=6))
+def test_u_b_decides_feasibility_as_brute_force_does(system):
+    """On small systems, A x = b is feasible exactly when every row of U b past
+    the rank vanishes and g_r divides each pivot value (U b)_r."""
+    a, rhss, modulus = system
+    diag, dense_u = record_of(a, modulus)
+    rank = len(diag.steps)
+    for rhs in rhss:
+        ub = [sum(map(operator.mul, row, rhs)) % modulus for row in dense_u]
+        pivots_divide = all(c % g == 0 for c, (g, _, _) in zip(ub, diag.steps))
+        feasible = not any(ub[rank:]) and pivots_divide
+        assert feasible == (feasible_by_brute(a, rhs, modulus) is not None), (a, rhs, modulus)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(degenerate_systems())
+def test_every_infeasible_system_has_a_certificate_in_u(system):
+    """For every infeasible b some y, a row of U past the rank or (L/g) times a
+    pivot row, has y A = 0 and y b != 0 (mod L); a feasible b has none, as
+    y b = y A x = 0 then."""
+    a, rhss, modulus = system
+    diag, dense_u = record_of(a, modulus)
+    for rhs in rhss:
+        infeasible = solve_congruences_by_elimination(a, rhs, modulus) is None
+        assert bool(certificates(diag, dense_u, a, rhs, modulus)) == infeasible, (a, rhs, modulus)

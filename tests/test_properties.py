@@ -53,11 +53,11 @@ builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
 from scratch; cohomologous, which reads the pivot rows of one cached system
 per support and modulus and checks the corrector law by position, against
-solve_congruences on the dense rows and against the full replay of the
-logged elimination, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
+solve_congruences on the dense rows and against every row of the row
+transform U applied to the full right-hand side, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
 the clock-and-shift supports of order 9 and 16, S3's twisted transposition
 and D8's twisted center, on pairs that are not cohomologous (drawn on
-purpose against the replay, also over all of D8), on identical cocycles and
+purpose against that full solve, also over all of D8), on identical cocycles and
 on equal values at two root orders; canonical_form, which reads
 one cached action of the admissible shifts on cosets, against the least form
 over every shift decided one by one, and as one of classify's
@@ -877,7 +877,7 @@ def cocycle_pairs(draw):
 @example((Z4_CARRY, trivial_cocycle(Z4_FULL, 4)))  # nor in mu_4
 @example((Z4_CARRY, trivial_cocycle(Z4_FULL, 8)))  # one in mu_8
 def test_cohomologous_matches_the_dense_solve(pair):
-    """The replayed, law-checked corrector is the one solve_congruences finds over
+    """The law-checked corrector is the one solve_congruences finds over
     the dense rows, field by field, and None exactly where it finds none."""
     got, want = cohomologous(*pair), cohomologous_by_dense_solve(*pair)
     assert (got is None) == (want is None)
@@ -925,9 +925,9 @@ KLEIN_DOUBLED = cocycle_table(SHIFTED[0].support, 4, lambda a, b: 2 * SHIFTED[0]
 @example((D8_SIGN, trivial_cocycle(D8_FULL, 4)))  # across orders, a corrector in mu_4
 @example((D8_SIGN, trivial_cocycle(D8_FULL, 3)))  # across orders, none in mu_6
 def test_cohomologous_matches_the_full_replay(pair):
-    """The corrector read off the pivot rows is the one the full replay of
-    the logged elimination gives, field by field, and None exactly where the
-    replay finds none."""
+    """The corrector read off the pivot rows of U is the one every row of U
+    applied to the full right-hand side gives, field by field, and None
+    exactly where that full solve finds none."""
     assert cohomologous(*pair) == cohomologous_by_replay(*pair)
 
 
@@ -1206,7 +1206,7 @@ def test_degrees_and_invariants_match_the_per_cell_build(p):
     sup = p.division.support
     if sup.central:
         rep = sup.coset_rep
-        dims = want.dims_map()
+        dims = dict(want.dims)
         assert all(dims.get(u, 0) == dims.get(rep[u], 0) for u in p.group.elements())
         at_reps = [tuple((u, k) for u, k in profile if rep[u] == u) for profile in levels]
         assert [tuple(sorted(d.items())) for d in _coset_profiles(p, True)] == at_reps
