@@ -7,6 +7,7 @@ values, normalized so that sigma(e,h) = sigma(h,e) = 1 (exponent 0).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
@@ -34,8 +35,9 @@ class Cocycle:
 
     ``values[i][j]`` is the exponent of sigma(h_i, h_j) where h_i, h_j run over
     ``support.members`` in order, reduced mod ``order``.  validate_cocycle
-    checks tables from outside; transport and pauli build cocycles by
-    construction (moved along an isomorphism; a bilinear table).
+    checks tables from outside; trivial_cocycle, transport and pauli build
+    cocycles by construction (all zero; moved along an isomorphism; a
+    bilinear table).
     """
 
     support: Subgroup
@@ -55,15 +57,29 @@ class Cocycle:
         return self.values[index[a]][index[b]]
 
 
+def _check_root_order(order: int) -> None:
+    if order < 1:
+        raise InvalidInput(f"root order must be >= 1, got {order}", code="cocycle-shape")
+
+
 def trivial_cocycle(support: Subgroup, order: int = 1) -> Cocycle:
+    """The all-zero table in mu_order, a cocycle by construction."""
+    _check_root_order(order)
     n = len(support.members)
-    return validate_cocycle(support, order, [[0] * n for _ in range(n)])
+    return Cocycle(support, order, ((0,) * n,) * n)
 
 
 def validate_cocycle(support: Subgroup, order: int, values) -> Cocycle:
-    """Check shape, normalization, and the cocycle identity on all triples."""
-    if order < 1:
-        raise InvalidInput(f"root order must be >= 1, got {order}", code="cocycle-shape")
+    """Check shape, normalization, and the cocycle identity.
+
+    The identity at (a, b, c) says (x_a x_b) x_c = x_a (x_b x_c) in K^sigma[H].
+    The x_a that associate with every pair form the left nucleus, a subalgebra
+    holding x_e, and each x_h is a product of generators' x_s up to a scalar,
+    so the triples led by ``support.generators`` decide all triples: r |H|^2
+    of them, r <= log2 |H|.  Only a failure scans every triple in member
+    order, to name the first that fails.
+    """
+    _check_root_order(order)
     members = support.members
     n = len(members)
     if len(values) != n or any(len(row) != n for row in values):
@@ -80,29 +96,37 @@ def validate_cocycle(support: Subgroup, order: int, values) -> Cocycle:
             out.append(v % order)
         tbl.append(tuple(out))
     coc = Cocycle(support, order, tuple(tbl))
-    grp = support.group
-    e = grp.identity
-    name = grp.name_of
-    for h in members:
-        if coc.val(e, h) or coc.val(h, e):
+    name = support.group.name_of
+    e = support.index[support.group.identity]
+    for h in range(n):
+        if tbl[e][h] or tbl[h][e]:
             raise InvalidInput(
-                f"cocycle not normalized at ({name(e)},{name(h)})", code="cocycle-not-normalized"
+                f"cocycle not normalized at ({name(members[e])},{name(members[h])})",
+                code="cocycle-not-normalized",
             )
-    for a in members:
-        for b in members:
-            ab = grp.mul(a, b)
-            v_ab = coc.val(a, b)
-            for c in members:
-                # sigma(a,b) sigma(ab,c) = sigma(b,c) sigma(a,bc)
-                lhs = (v_ab + coc.val(ab, c)) % order
-                rhs = (coc.val(b, c) + coc.val(a, grp.mul(b, c))) % order
-                if lhs != rhs:
-                    raise InvalidInput(
-                        "cocycle identity fails at triple "
-                        f"({name(a)},{name(b)},{name(c)})",
-                        code="cocycle-identity",
-                    )
+    prod = support.mul_table
+    for a in map(support.index.__getitem__, support.generators):
+        row_a = tbl[a]
+        for b, (v_ab, ab) in enumerate(zip(row_a, prod[a])):
+            # sigma(a,b) sigma(ab,c) = sigma(b,c) sigma(a,bc) for every c
+            a_bc = map(row_a.__getitem__, prod[b])
+            if any((v_ab + x - y - z) % order for x, y, z in zip(tbl[ab], tbl[b], a_bc)):
+                _raise_first_failing_triple(coc)
     return coc
+
+
+def _raise_first_failing_triple(coc: Cocycle) -> None:
+    """Raise naming the first triple, in member order, where the identity fails."""
+    tbl, prod, order, members = coc.values, coc.support.mul_table, coc.order, coc.support.members
+    name = coc.support.group.name_of
+    for a, b, c in itertools.product(range(len(members)), repeat=3):
+        ab, bc = prod[a][b], prod[b][c]
+        if (tbl[a][b] + tbl[ab][c] - tbl[b][c] - tbl[a][bc]) % order:
+            raise InvalidInput(
+                "cocycle identity fails at triple "
+                f"({name(members[a])},{name(members[b])},{name(members[c])})",
+                code="cocycle-identity",
+            )
 
 
 @dataclass(frozen=True)
@@ -137,11 +161,13 @@ _Terms = tuple[tuple[int, int, int], ...]
 
 class _System(NamedTuple):
     """A cached corrector system: the diagonalization, the (a, b, ab) of each
-    row, and by pivot r the terms (a, b, coeff) of row r of U."""
+    row, by pivot r the terms (a, b, coeff) of row r of U, and the (a, x, ax)
+    with x a generator, on which the corrector law is checked."""
 
     diag: _Diagonal
     pairs: _Terms
     pivots: tuple[_Terms, ...]
+    law: _Terms
 
 
 def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
@@ -158,6 +184,10 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     both take y from the same pivot values.  A u that breaks it leaves the
     verdict to that full solve (_infeasible): None when a row of U rhs past
     the pivots is nonzero, else a solver error.
+
+    The law is checked on the pairs (a, x) with x in ``sub.generators``:
+    w = sigma - tau - du is a 2-cocycle with w(a, e) = -u(e) = 0, so
+    w(a, bx) = w(a, b) + w(ab, x) - w(b, x) vanishes once w does on H x X.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
@@ -170,7 +200,7 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     if not any((ks * sv[a][b] - kt * tv[a][b]) % L for a in pos for b in pos):
         return Corrector(sub, L, (0,) * len(sub.members))
     system = _corrector_system(sub, L)
-    diag, pairs, pivots = system
+    diag, _, pivots, law = system
     y = []
     for (g, inv, Lg), row in zip(diag.steps, pivots):
         c = sum(q * (ks * sv[a][b] - kt * tv[a][b]) for a, b, q in row) % L
@@ -180,8 +210,8 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     u = [sum(map(mul, row, y)) % L for row in diag.v]
     u.insert(sub.index[sub.group.identity], 0)
     # the rows are the corrector law on non-identity pairs (pairs with e hold by
-    # normalization), so u is checked against the law, pair by pair
-    if any((u[a] + u[b] - u[ab] - ks * sv[a][b] + kt * tv[a][b]) % L for a, b, ab in pairs):
+    # normalization), so u is checked against the law on its generator pairs
+    if any((u[a] + u[b] - u[ab] - ks * sv[a][b] + kt * tv[a][b]) % L for a, b, ab in law):
         return _infeasible(system, sigma, tau, L)
     return Corrector(sub, L, tuple(u))
 
@@ -204,14 +234,16 @@ def _corrector_system(sub: Subgroup, L: int) -> _System:
     (a, b, ab) of each row's pair and product, and by pivot r the terms
     (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b), taken from
     the pivot rows of U: a solve hashes no matrix and reads each pivot value
-    off a few cocycle entries."""
+    off a few cocycle entries.  The law triples (a, x, ax) run over the
+    non-identity a and the generators x."""
     rows, pos = _coboundary_rows(sub)
     prod = sub.mul_table
     diag = _diagonalize(rows, L)
     pairs = tuple((a, b, prod[a][b]) for a in pos for b in pos)
     rank = len(diag.steps)
     pivots = tuple(tuple((*pairs[i][:2], q) for i, q in row) for row in diag.u[:rank])
-    return _System(diag, pairs, pivots)
+    gens = [sub.index[x] for x in sub.generators]
+    return _System(diag, pairs, pivots, tuple((a, x, prod[a][x]) for a in pos for x in gens))
 
 
 @lru_cache(maxsize=64)
@@ -257,7 +289,10 @@ def transport(sigma: Cocycle, alpha: Mapping[int, int], target: Subgroup) -> Coc
     """The cocycle sigma' on ``target`` with sigma'(alpha(h), alpha(h')) = sigma(h, h').
 
     ``alpha`` must be a bijective homomorphism from sigma's support onto
-    ``target`` (element indices of the respective parent groups).
+    ``target`` (element indices of the respective parent groups).  Checking
+    alpha(a s) = alpha(a) alpha(s) for the source's generators s proves it for
+    every word s by induction on length; only a failure scans every pair in
+    member order, to name the first that fails.
     """
     src = sigma.support
     if sorted(alpha.keys()) != list(src.members):
@@ -265,18 +300,18 @@ def transport(sigma: Cocycle, alpha: Mapping[int, int], target: Subgroup) -> Coc
     if sorted(alpha.values()) != list(target.members):
         raise InvalidInput("transport map must be onto the target support", code="bad-isomorphism")
     gs, gt = src.group, target.group
-    for a in src.members:
-        for b in src.members:
-            if alpha[gs.mul(a, b)] != gt.mul(alpha[a], alpha[b]):
+    ts, tt = gs.table, gt.table
+    if any(alpha[ts[a][s]] != tt[alpha[a]][alpha[s]] for s in src.generators for a in src.members):
+        for a, b in itertools.product(src.members, repeat=2):
+            if alpha[ts[a][b]] != tt[alpha[a]][alpha[b]]:
                 raise InvalidInput(
                     "transport map is not a homomorphism at "
                     f"({gs.name_of(a)},{gs.name_of(b)})",
                     code="bad-isomorphism",
                 )
-    index = target.index
-    n = len(target.members)
-    tbl = [[0] * n for _ in range(n)]
-    for a in src.members:
-        for b in src.members:
-            tbl[index[alpha[a]]][index[alpha[b]]] = sigma.val(a, b)
-    return Cocycle(target, sigma.order, tuple(map(tuple, tbl)))
+    # src_at[p] is the source position of the member alpha sends to target position p
+    src_at = [0] * len(src.members)
+    for i, a in enumerate(src.members):
+        src_at[target.index[alpha[a]]] = i
+    tbl = tuple(tuple(map(sigma.values[i].__getitem__, src_at)) for i in src_at)
+    return Cocycle(target, sigma.order, tbl)

@@ -121,7 +121,11 @@ class Subgroup:
     is the least element of the left coset xH, for every x in the group;
     ``mul_table[x][y]`` is the position of the product of the members at
     positions x and y; ``generators`` generate H; ``central`` says whether
-    every member commutes with every element of the group.
+    every member commutes with every element of the group (decided on the
+    generators: the centralizer is a subgroup).  One closure walk over the
+    members decides closure, as a set holding e is closed iff the walk reaches
+    nothing outside it; only a set that is not is scanned in member order, to
+    name the first product that escapes.
     Every cocycle and corrector on this support reads ``index``, so it must
     never be written to.
     """
@@ -147,8 +151,8 @@ class Subgroup:
         object.__setattr__(self, "_hash", hash((g, mem)))
         if g.identity not in index:
             raise InvalidInput("subgroup must contain the identity", code="bad-subgroup")
-        for a in mem:
-            for b in mem:
+        if len(_closure(g.table, g.identity, mem)[1]) > len(mem):
+            for a, b in itertools.product(mem, repeat=2):
                 if g.mul(a, b) not in index:
                     raise InvalidInput(
                         f"set not closed: {g.name_of(a)}*{g.name_of(b)} escapes",
@@ -173,7 +177,7 @@ class Subgroup:
     @cached_property
     def central(self) -> bool:
         tbl = self.group.table
-        return all(tbl[h][x] == tbl[x][h] for h in self.members for x in self.group.elements())
+        return all(tbl[h][x] == tbl[x][h] for h in self.generators for x in self.group.elements())
 
     @cached_property
     def coset_rep(self) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 
 make_sym constructs symmetric groups straight from permutation composition, so
 group-layer tests can check Cayley-table arithmetic against an independent
-model.  count_classes_pairwise counts isomorphism classes with the pairwise
+model; dihedral_8 builds D8 from its own multiplication rule.
+count_classes_pairwise counts isomorphism classes with the pairwise
 engine alone, as an oracle for enumerate_classes.  admissible_shifts decides
 D^g against D at every shift g, and least_form multiplies every degree by
 every such shift: the oracles for canonical_form and the cached shift action
@@ -43,7 +44,12 @@ seed under products on both sides, generators_by_rebuilding rebuilds that
 closure after every generator it takes, and isomorphisms_by_closing extends
 each tuple of generator images by its own depth-first closure: the oracles
 for the one greedy closure walk behind subgroup_closure, Subgroup.generators
-and find_isomorphisms.  solve_congruences_by_elimination
+and find_isomorphisms.  validate_cocycle_by_triples checks the cocycle
+identity on all |H|^3 triples, transport_by_pairs checks the homomorphism
+law on all |H|^2 pairs, and subgroup_members_by_products checks closure on
+all products of members: the oracles, error for error, for validate_cocycle
+and transport, which check on the triples and pairs led by generators, and
+for Subgroup, which decides closure by one closure walk.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and reads U b per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
@@ -74,6 +80,7 @@ from flagiso import (
     BasisElem,
     BlockShape,
     Classification,
+    Cocycle,
     Corrector,
     FlagPresentation,
     GradedAlgebra,
@@ -82,6 +89,7 @@ from flagiso import (
     GradingReport,
     Group,
     InvariantMismatch,
+    InvalidInput,
     IsoWitness,
     Subgroup,
     WitnessReport,
@@ -93,6 +101,7 @@ from flagiso import (
 from flagiso import algebras
 from flagiso.algebras import _coset_profiles
 from flagiso.cocycles import _coboundary_rows
+from flagiso.errors import _shown
 from flagiso.io import _positions
 from flagiso.iso import _separate
 from flagiso.modlinalg import _diagonalize, _solve
@@ -128,6 +137,17 @@ def make_sym(n):
     return Group(table, names), perms, idx
 
 
+def dihedral_8():
+    """The dihedral group of order 8 as its own table: r^i s^j is 2i + j, and
+    r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
+    table = [
+        [2 * ((i + (-1) ** j * k) % 4) + (j + l) % 2 for k in range(4) for l in range(2)]
+        for i in range(4)
+        for j in range(2)
+    ]
+    return Group(table, [f"r{i}s{j}" for i in range(4) for j in range(2)])
+
+
 # a Latin square with two-sided identity 0 that is not associative:
 # (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4
 NONASSOC_LOOP = [
@@ -145,6 +165,97 @@ def associative_by_triples(tbl) -> bool:
     return all(
         tbl[tbl[a][b]][c] == tbl[a][tbl[b][c]] for a in range(n) for b in range(n) for c in range(n)
     )
+
+
+def validate_cocycle_by_triples(support: Subgroup, order: int, values) -> Cocycle:
+    """Shape, normalization, and the cocycle identity on all |H|^3 triples, in member order."""
+    if order < 1:
+        raise InvalidInput(f"root order must be >= 1, got {order}", code="cocycle-shape")
+    members = support.members
+    n = len(members)
+    if len(values) != n or any(len(row) != n for row in values):
+        raise InvalidInput(
+            f"cocycle table must be {n}x{n} following the support order",
+            code="cocycle-shape",
+        )
+    tbl = []
+    for row in values:
+        out = []
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InvalidInput(f"cocycle exponent {v!r} is not an integer", code="cocycle-shape")
+            out.append(v % order)
+        tbl.append(tuple(out))
+    coc = Cocycle(support, order, tuple(tbl))
+    grp = support.group
+    e = grp.identity
+    name = grp.name_of
+    for h in members:
+        if coc.val(e, h) or coc.val(h, e):
+            raise InvalidInput(
+                f"cocycle not normalized at ({name(e)},{name(h)})", code="cocycle-not-normalized"
+            )
+    for a in members:
+        for b in members:
+            ab = grp.mul(a, b)
+            v_ab = coc.val(a, b)
+            for c in members:
+                # sigma(a,b) sigma(ab,c) = sigma(b,c) sigma(a,bc)
+                lhs = (v_ab + coc.val(ab, c)) % order
+                rhs = (coc.val(b, c) + coc.val(a, grp.mul(b, c))) % order
+                if lhs != rhs:
+                    raise InvalidInput(
+                        "cocycle identity fails at triple "
+                        f"({name(a)},{name(b)},{name(c)})",
+                        code="cocycle-identity",
+                    )
+    return coc
+
+
+def transport_by_pairs(sigma: Cocycle, alpha, target: Subgroup) -> Cocycle:
+    """The transported cocycle, alpha checked as a homomorphism on all |H|^2 pairs."""
+    src = sigma.support
+    if sorted(alpha.keys()) != list(src.members):
+        raise InvalidInput("transport map domain must be the source support", code="bad-isomorphism")
+    if sorted(alpha.values()) != list(target.members):
+        raise InvalidInput("transport map must be onto the target support", code="bad-isomorphism")
+    gs, gt = src.group, target.group
+    for a in src.members:
+        for b in src.members:
+            if alpha[gs.mul(a, b)] != gt.mul(alpha[a], alpha[b]):
+                raise InvalidInput(
+                    "transport map is not a homomorphism at "
+                    f"({gs.name_of(a)},{gs.name_of(b)})",
+                    code="bad-isomorphism",
+                )
+    index = target.index
+    n = len(target.members)
+    tbl = [[0] * n for _ in range(n)]
+    for a in src.members:
+        for b in src.members:
+            tbl[index[alpha[a]]][index[alpha[b]]] = sigma.val(a, b)
+    return Cocycle(target, sigma.order, tuple(map(tuple, tbl)))
+
+
+def subgroup_members_by_products(group: Group, members) -> tuple[int, ...]:
+    """The sorted members of a subgroup, checked as Subgroup checks them, with
+    closure checked on every product of two members in member order."""
+    for a in members:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise InvalidInput(f"cannot interpret {_shown(a)} as a group element", code="bad-element")
+    mem = tuple(sorted(set(members)))
+    if not mem or any(not 0 <= a < group.size for a in mem):
+        raise InvalidInput("subgroup members out of range", code="bad-subgroup")
+    if group.identity not in mem:
+        raise InvalidInput("subgroup must contain the identity", code="bad-subgroup")
+    for a in mem:
+        for b in mem:
+            if group.mul(a, b) not in mem:
+                raise InvalidInput(
+                    f"set not closed: {group.name_of(a)}*{group.name_of(b)} escapes",
+                    code="bad-subgroup",
+                )
+    return mem
 
 
 def closure_by_products(group: Group, seed) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import NONASSOC_LOOP, make_sym
+from conftest import NONASSOC_LOOP, make_sym, validate_cocycle_by_triples
 
 from flagiso import (
     ISOMORPHIC,
@@ -320,6 +320,38 @@ def test_cli_validate(capsys):
         "blocks 1,1",
         "tuple (0),(1)",
     ]
+
+
+def test_cli_validates_a_twisted_z2_to_the_6(tmp_path, capsys):
+    """A bilinear cocycle on Z2^6 (|H| = 64) saved as a twisted division
+    validates; with one entry flipped it exits 2 on the triple that the
+    all-triples check names first."""
+    grp = build_abelian([2] * 6)
+    sub = Subgroup(grp, tuple(grp.elements()))
+    # sigma(a, b) = sum of a_i b_(i+1): bits of the index are the coordinates
+    table = [[bin(a & (b >> 1)).count("1") % 2 for b in sub.members] for a in sub.members]
+    p = make_presentation(GradedDivisionAlgebra(validate_cocycle(sub, 2, table)), [2], [0, 0])
+    path = tmp_path / "z2_6.json"
+    save_presentation(p, str(path))
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "OK",
+        "group order 64",
+        "division support size 64 root order 2",
+    ]
+    doc = json.loads(path.read_text())
+    doc["division"]["values"][37][21] ^= 1
+    table[37][21] ^= 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInput) as want:
+        validate_cocycle_by_triples(sub, 2, table)
+    assert want.value.code == "cocycle-identity"
+    with pytest.raises(InvalidInput) as got:
+        load_presentation(str(path))
+    assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"validation error: {want.value}\n")
 
 
 def test_cli_dims(capsys):

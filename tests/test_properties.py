@@ -105,6 +105,7 @@ from conftest import (
     cohomologous_by_replay,
     composed_witness_data,
     derive_mapping_by_basis,
+    dihedral_8,
     generators_by_rebuilding,
     grading_by_products,
     invariants_by_basis,
@@ -447,17 +448,6 @@ SHIFTED = [
 
 
 FULL_S3 = GradedDivisionAlgebra(trivial_cocycle(Subgroup(S3, tuple(S3.elements()))))
-
-
-def dihedral_8():
-    """The dihedral group of order 8 as its own table: r^i s^j is 2i + j, and
-    r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
-    table = [
-        [2 * ((i + (-1) ** j * k) % 4) + (j + l) % 2 for k in range(4) for l in range(2)]
-        for i in range(4)
-        for j in range(2)
-    ]
-    return Group(table, [f"r{i}s{j}" for i in range(4) for j in range(2)])
 
 
 D8 = dihedral_8()
