@@ -84,45 +84,28 @@ class GradedAlgebra:
         and (i,j,h) = (i,f,e)(f,f,h)(f,j,e) with f the first position of i's
         block.
         """
-        return _generators(self.presentation.shape, self.presentation.division.support)
+        return list(_layout(self.presentation.shape, self.presentation.division.support).generators)
 
     def generator_products(self) -> tuple[tuple[int, ...], ...]:
         """The nonzero products s*b of a generator s and a basis element b, as
         five arrays: s, b, their support positions x and y, and s*b (of scalar
         exponent sigma(x, y)), shared by every algebra of this shape and support."""
-        return _generator_walk(self.presentation.shape, self.presentation.division.support)
+        return _layout(self.presentation.shape, self.presentation.division.support).walk
 
     def nonzero_products(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (p1, p2, scalar exponent, position) for each nonzero basis
         product, ascending in p1 and then in p2: the walk a failed check reruns
         to name every failing product."""
-        vals = self.presentation.division.cocycle.values
-        walk = _products(self.presentation.shape, self.presentation.division.support)
+        p = self.presentation
+        walk = _products(p.shape, p.division.support, range(self.dim))
+        vals = p.division.cocycle.values
         return ((p1, p2, vals[x][y], pos) for p1, p2, x, y, pos in walk)
 
 
-def _generators(shape: BlockShape, support: Subgroup) -> list[int]:
-    k = len(support.members)
-    e = support.index[support.group.identity]
-    number = shape.cell_number
-    blocks = shape.block_positions()
-    starts = {b.start for b in blocks}
-    heads = [number[b.start, b.start] for b in blocks]
-    xs = [support.index[x] for x in support.generators]
-    # a singleton block's unit is a power of its (f,f,x) unless H = 1
-    units = [] if xs else [c for b, c in zip(blocks, heads) if len(b) == 1]
-    for i in range(shape.n - 1):
-        units.append(number[i, i + 1])
-        if i + 1 not in starts:
-            units.append(number[i + 1, i])
-    return sorted([c * k + e for c in units] + [c * k + x for c in heads for x in xs])
-
-
-def _products(shape: BlockShape, support: Subgroup, lefts: Iterable[int] | None = None):
-    """Yield (p1, p2, x, y, position) for each nonzero basis product, with x
-    and y the support positions of the factors, ascending in p1 and then in
-    p2; with lefts, a collection of basis positions, only the products whose
-    left factor p1 is one of them.
+def _products(shape: BlockShape, support: Subgroup, lefts: Iterable[int]):
+    """Yield (p1, p2, x, y, position) for each nonzero basis product whose
+    left factor p1 is in lefts, ascending basis positions, with x and y the
+    support positions of the factors, ascending in p1 and then in p2.
 
     (i,j,h_x)*(j,l,h_y) = sigma(h_x,h_y) (i,l,h_x h_y), and each cell (i,j)
     holds one copy of the support at a base offset, so the walk runs over
@@ -135,14 +118,10 @@ def _products(shape: BlockShape, support: Subgroup, lefts: Iterable[int] | None 
     by_row: dict[int, list[tuple[int, int]]] = {}  # row -> (column, offset), ascending
     for c, (i, j, _) in enumerate(cells):
         by_row.setdefault(i, []).append((j, c * k))
-    if lefts is None:
-        rows = [(c, range(k)) for c in range(len(cells))]
-    else:
-        by_cell: dict[int, list[int]] = {}  # cell -> support positions of its left factors
-        for p1 in sorted(lefts):
-            by_cell.setdefault(p1 // k, []).append(p1 % k)
-        rows = by_cell.items()
-    for c, xs in rows:
+    by_cell: dict[int, list[int]] = {}  # cell -> support positions of its left factors
+    for p1 in lefts:
+        by_cell.setdefault(p1 // k, []).append(p1 % k)
+    for c, xs in by_cell.items():
         i, j, _ = cells[c]
         off1 = c * k
         right = [(off2, number[i, l] * k) for l, off2 in by_row[j]]
@@ -151,12 +130,6 @@ def _products(shape: BlockShape, support: Subgroup, lefts: Iterable[int] | None 
             for off2, off3 in right:
                 for y in range(k):
                     yield p1, off2 + y, x, y, off3 + px[y]
-
-
-@lru_cache(maxsize=64)
-def _generator_walk(shape: BlockShape, support: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """GradedAlgebra.generator_products of every algebra of this shape over this support."""
-    return tuple(zip(*_products(shape, support, _generators(shape, support))))
 
 
 def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
@@ -173,8 +146,8 @@ class _Layout(NamedTuple):
     position: the basis, the cell position row * n + column, and the
     (row, support member, column) that the degree g_row h g_column^-1 is read
     from.  Also the index of the basis, the positions of each block gap, by
-    gap, as runs of consecutive positions, and the position of each unit
-    (k, k, e), by k."""
+    gap, as runs of consecutive positions, the position of each unit
+    (k, k, e), by k, and GradedAlgebra.generators and its generator_products."""
 
     basis: tuple[BasisElem, ...]
     index: dict[BasisElem, int]
@@ -182,6 +155,8 @@ class _Layout(NamedTuple):
     factors: tuple[tuple[int, int, int], ...]
     gaps: tuple[tuple[slice, ...], ...]
     units: tuple[int, ...]
+    generators: tuple[int, ...]
+    walk: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=64)
@@ -203,9 +178,24 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
             gaps[b - a].append(slice(start, stop))
             start = stop
     e = support.index[support.group.identity]
-    units = tuple(shape.cell_number[i, i] * k + e for i in range(n))
+    number = shape.cell_number
+    units = tuple(number[i, i] * k + e for i in range(n))
     index = {b: p for p, b in enumerate(basis)}
-    return _Layout(basis, index, at, factors, tuple(map(tuple, gaps)), units)
+    # GradedAlgebra.generators: the cells whose (i,j,e) is a generator, then
+    # the (f,f,x) of each block's first position f; a singleton block's unit
+    # is a power of its (f,f,x) unless H = 1
+    blocks = shape.block_positions()
+    heads = [number[b.start, b.start] for b in blocks]
+    xs = [support.index[x] for x in support.generators]
+    e_cells = [] if xs else [c for b, c in zip(blocks, heads) if len(b) == 1]
+    starts = {b.start for b in blocks}
+    for i in range(n - 1):
+        e_cells.append(number[i, i + 1])
+        if i + 1 not in starts:
+            e_cells.append(number[i + 1, i])
+    gens = tuple(sorted([c * k + e for c in e_cells] + [c * k + x for c in heads for x in xs]))
+    walk = tuple(zip(*_products(shape, support, gens)))
+    return _Layout(basis, index, at, factors, tuple(map(tuple, gaps)), units, gens, walk)
 
 
 def _degrees(p: FlagPresentation, layout: _Layout) -> tuple[int, ...]:
@@ -245,10 +235,10 @@ def check_grading(alg: GradedAlgebra) -> GradingReport:
     deg(s*w)*deg(y).  It holds S, so it holds every basis element, each a
     product of elements of S up to a root of unity.  The products s*b are
     read from GradedAlgebra.generator_products, built once per shape and
-    support.  When some s*b fails, the walk reruns over every nonzero
-    product, so the report names each violation.  checked_products counts
-    every nonzero product either way: cell (i,j) times each cell of row j,
-    |H|^2 products per pair of cells.
+    support with its layout.  When some s*b fails, the walk reruns over every
+    nonzero product, so the report names each violation.  checked_products
+    counts every nonzero product either way: cell (i,j) times each cell of
+    row j, |H|^2 products per pair of cells.
     """
     grp = alg.group
     shape = alg.presentation.shape

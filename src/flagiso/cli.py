@@ -19,7 +19,7 @@ import sys
 from . import io
 from .algebras import check_grading, invariants, realize
 from .division import pauli, trivial_division
-from .errors import FlagisoError, GroupMismatch
+from .errors import FlagisoError, GroupMismatch, _shown
 from .groups import Group, build_abelian
 from .iso import (
     EQUIVALENT,
@@ -246,13 +246,8 @@ def cmd_classify(args) -> int:
 
 # -- argument parsing helpers ----------------------------------------------------
 
-
-def _shown(value: str, limit: int = 64) -> str:
-    """value's repr, or past limit characters the repr of its first limit
-    characters and its length: an oversized value is not echoed whole."""
-    if len(value) <= limit:
-        return repr(value)
-    return f"{value[:limit]!r}... ({len(value)} characters)"
+# a refusal echoes an argument whole up to 64 characters, its repr up to 66
+_ARG_LIMIT = 66
 
 
 def _parse_group_arg(value: str) -> Group:
@@ -261,7 +256,7 @@ def _parse_group_arg(value: str) -> Group:
         try:
             factors = [int(tok) for tok in spec.split(",")]
         except ValueError:
-            raise FlagisoError(f"cannot parse abelian factors from {_shown(value)}") from None
+            raise FlagisoError(f"cannot parse abelian factors from {_shown(value, _ARG_LIMIT)}") from None
         return build_abelian(factors)
     return io.load_group_file(value)
 
@@ -270,7 +265,7 @@ def _parse_blocks(value: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in value.split(","))
     except ValueError:
-        raise FlagisoError(f"cannot parse block sizes from {_shown(value)}") from None
+        raise FlagisoError(f"cannot parse block sizes from {_shown(value, _ARG_LIMIT)}") from None
 
 
 def _split_element_names(text: str) -> list[str]:
@@ -298,16 +293,16 @@ def _parse_division_arg(value: str, group: Group):
         parts = value.split(":")
         if len(parts) != 3:
             raise FlagisoError(
-                f'cannot parse {_shown(value)}; expected "pauli:t:u-name,v-name"'
+                f'cannot parse {_shown(value, _ARG_LIMIT)}; expected "pauli:t:u-name,v-name"'
             )
         try:
             t = int(parts[1])
         except ValueError:
-            raise FlagisoError(f"pauli order {_shown(parts[1])} is not an integer") from None
+            raise FlagisoError(f"pauli order {_shown(parts[1], _ARG_LIMIT)} is not an integer") from None
         names = _split_element_names(parts[2])
         if len(names) != 2:
             raise FlagisoError(
-                f'cannot parse {_shown(value)}; expected "pauli:t:u-name,v-name"'
+                f'cannot parse {_shown(value, _ARG_LIMIT)}; expected "pauli:t:u-name,v-name"'
             )
         return pauli(t, group, (names[0], names[1]))
     return io.load_division_file(value, group)

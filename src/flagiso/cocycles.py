@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidInput
-from .groups import Subgroup
+from .groups import Subgroup, _closure
 from .modlinalg import _diagonalize, _Diagonal, _solve
 
 __all__ = [
@@ -105,28 +105,51 @@ def validate_cocycle(support: Subgroup, order: int, values) -> Cocycle:
                 code="cocycle-not-normalized",
             )
     prod = support.mul_table
-    for a in map(support.index.__getitem__, support.generators):
-        row_a = tbl[a]
-        for b, (v_ab, ab) in enumerate(zip(row_a, prod[a])):
-            # sigma(a,b) sigma(ab,c) = sigma(b,c) sigma(a,bc) for every c
-            a_bc = map(row_a.__getitem__, prod[b])
-            if any((v_ab + x - y - z) % order for x, y, z in zip(tbl[ab], tbl[b], a_bc)):
-                _raise_first_failing_triple(coc)
+    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators):
+        _raise_first_failing_triple(coc)
     return coc
 
 
+def _failing_pair(tbl, prod, order: int, a: int) -> tuple[int, int] | None:
+    """The first (b, c) in member order where the identity fails at the
+    triple (a, b, c), by support positions, or None."""
+    row_a = tbl[a]
+    for b, (v_ab, ab) in enumerate(zip(row_a, prod[a])):
+        # sigma(a,b) sigma(ab,c) = sigma(b,c) sigma(a,bc) for every c
+        a_bc = map(row_a.__getitem__, prod[b])
+        bad = [(v_ab + x - y - z) % order for x, y, z in zip(tbl[ab], tbl[b], a_bc)]
+        if any(bad):
+            return b, next(c for c, v in enumerate(bad) if v)
+    return None
+
+
 def _raise_first_failing_triple(coc: Cocycle) -> None:
-    """Raise naming the first triple, in member order, where the identity fails."""
-    tbl, prod, order, members = coc.values, coc.support.mul_table, coc.order, coc.support.members
-    name = coc.support.group.name_of
-    for a, b, c in itertools.product(range(len(members)), repeat=3):
-        ab, bc = prod[a][b], prod[b][c]
-        if (tbl[a][b] + tbl[ab][c] - tbl[b][c] - tbl[a][bc]) % order:
-            raise InvalidInput(
-                "cocycle identity fails at triple "
-                f"({name(members[a])},{name(members[b])},{name(members[c])})",
-                code="cocycle-identity",
-            )
+    """Raise naming the first triple, in member order, where the identity fails.
+
+    The leads a that keep it on every (b, c) form the left nucleus N, a
+    subgroup (see validate_cocycle), so the subgroup that passing leads
+    generate is skipped: each lead that passes at least doubles it, so at
+    most log2 |N| + 1 leads are row-checked, the last the least outside N.
+    """
+    tbl, prod, order, sub = coc.values, coc.support.mul_table, coc.order, coc.support
+    e = sub.index[sub.group.identity]
+    passed: list[int] = []
+    inside = {e}
+    for a in range(len(tbl)):
+        if a in inside:
+            continue
+        failure = _failing_pair(tbl, prod, order, a)
+        if failure is None:
+            passed.append(a)
+            inside = set(_closure(prod, e, passed)[1])
+            continue
+        name, members = sub.group.name_of, sub.members
+        b, c = failure
+        raise InvalidInput(
+            "cocycle identity fails at triple "
+            f"({name(members[a])},{name(members[b])},{name(members[c])})",
+            code="cocycle-identity",
+        )
 
 
 @dataclass(frozen=True)
@@ -156,18 +179,13 @@ def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
         raise InvalidInput("cocycles live on different supports", code="support-mismatch")
 
 
-_Terms = tuple[tuple[int, int, int], ...]
-
-
 class _System(NamedTuple):
-    """A cached corrector system: the diagonalization, the (a, b, ab) of each
-    row, by pivot r the terms (a, b, coeff) of row r of U, and the (a, x, ax)
-    with x a generator, on which the corrector law is checked."""
+    """A cached corrector system: the diagonalization, the (a, b) of each row,
+    and by pivot r the terms (a, b, coeff) of row r of U."""
 
     diag: _Diagonal
-    pairs: _Terms
-    pivots: tuple[_Terms, ...]
-    law: _Terms
+    pairs: tuple[tuple[int, int], ...]
+    pivots: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
@@ -179,15 +197,11 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     Identical cocycles, and any right-hand side that is 0 mod lcm, get u = 0
     with no system built.  Otherwise each pivot value (U rhs)_r is read off
     the cached pivot row r of U: a pivot its divisor does not divide makes the
-    system infeasible, and else u = V y.  A u that keeps the corrector law on
-    every pair is a solution, and the one a solve on all of U rhs gives, as
+    system infeasible, and else u = V y.  A u that keeps the corrector law
+    (_keeps_law) is a solution, and the one a solve on all of U rhs gives, as
     both take y from the same pivot values.  A u that breaks it leaves the
     verdict to that full solve (_infeasible): None when a row of U rhs past
     the pivots is nonzero, else a solver error.
-
-    The law is checked on the pairs (a, x) with x in ``sub.generators``:
-    w = sigma - tau - du is a 2-cocycle with w(a, e) = -u(e) = 0, so
-    w(a, bx) = w(a, b) + w(ab, x) - w(b, x) vanishes once w does on H x X.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
@@ -195,25 +209,47 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
         return Corrector(sub, sigma.order, (0,) * len(sub.members))
     L = lcm(sigma.order, tau.order)
     ks, kt = L // sigma.order, L // tau.order
-    pos = _coboundary_rows(sub)[1]
     sv, tv = sigma.values, tau.values
-    if not any((ks * sv[a][b] - kt * tv[a][b]) % L for a in pos for b in pos):
+    # a zero rhs needs no system: in one order only identical (reduced) tables
+    # give one, and across orders both are read whole, being 0 on pairs with e
+    if ks != kt and not any(
+        (ks * x - kt * y) % L for x, y in zip(itertools.chain(*sv), itertools.chain(*tv))
+    ):
         return Corrector(sub, L, (0,) * len(sub.members))
     system = _corrector_system(sub, L)
-    diag, _, pivots, law = system
     y = []
-    for (g, inv, Lg), row in zip(diag.steps, pivots):
+    for (g, inv, Lg), row in zip(system.diag.steps, system.pivots):
         c = sum(q * (ks * sv[a][b] - kt * tv[a][b]) for a, b, q in row) % L
         if c % g:
             return None  # as _solve finds at this pivot
         y.append((c // g) * inv % Lg)
-    u = [sum(map(mul, row, y)) % L for row in diag.v]
+    u = [sum(map(mul, row, y)) % L for row in system.diag.v]
     u.insert(sub.index[sub.group.identity], 0)
-    # the rows are the corrector law on non-identity pairs (pairs with e hold by
-    # normalization), so u is checked against the law on its generator pairs
-    if any((u[a] + u[b] - u[ab] - ks * sv[a][b] + kt * tv[a][b]) % L for a, b, ab in law):
+    if not _keeps_law(u, sigma, tau, L):
         return _infeasible(system, sigma, tau, L)
     return Corrector(sub, L, tuple(u))
+
+
+def _keeps_law(u: list[int], sigma: Cocycle, tau: Cocycle, L: int) -> bool:
+    """Whether sigma(a,b) mu(ab) = mu(a) mu(b) tau(a,b) for all a, b in the
+    support of the normalized cocycles sigma and tau, with mu's exponents
+    mod L (a multiple of both orders) given by support position in u.
+
+    The law is read at mu(e) and on the pairs (a, x) with x in the support's
+    generators X.  w = sigma - tau - du is a 2-cocycle with w(a, e) = -u(e),
+    so once u(e) = 0 and w vanishes on H x X, w(a, bx) = w(a, b) + w(ab, x) -
+    w(b, x) makes w vanish on every pair: r |H| pairs, not |H|^2.
+    """
+    sub = sigma.support
+    if u[sub.index[sub.group.identity]] % L:
+        return False
+    ks, kt = L // sigma.order, L // tau.order
+    gens = [(x, u[x]) for x in map(sub.index.__getitem__, sub.generators)]
+    for ua, s, t, prod_a in zip(u, sigma.values, tau.values, sub.mul_table):
+        for x, ux in gens:
+            if (ua + ux - u[prod_a[x]] - ks * s[x] + kt * t[x]) % L:
+                return False
+    return True
 
 
 def _infeasible(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
@@ -223,66 +259,46 @@ def _infeasible(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
     solution from the same pivot values, so then the solver is wrong."""
     ks, kt = L // sigma.order, L // tau.order
     sv, tv = sigma.values, tau.values
-    if _solve(system.diag, [ks * sv[a][b] - kt * tv[a][b] for a, b, _ in system.pairs], L) is None:
+    if _solve(system.diag, [ks * sv[a][b] - kt * tv[a][b] for a, b in system.pairs], L) is None:
         return None
     raise AssertionError("internal solver error: solution fails the original system")
 
 
 @lru_cache(maxsize=64)
 def _corrector_system(sub: Subgroup, L: int) -> _System:
-    """The coboundary rows of ``sub`` diagonalized mod L (L >= 2), the positions
-    (a, b, ab) of each row's pair and product, and by pivot r the terms
-    (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b), taken from
-    the pivot rows of U: a solve hashes no matrix and reads each pivot value
-    off a few cocycle entries.  The law triples (a, x, ax) run over the
-    non-identity a and the generators x."""
-    rows, pos = _coboundary_rows(sub)
+    """The coefficients of u(a) + u(b) - u(ab) over the non-identity pairs
+    (a, b) of ``sub``, one column per non-identity member, diagonalized mod L
+    (L >= 2); the support positions (a, b) of each row's pair; and by pivot r
+    the terms (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b),
+    taken from the pivot rows of U: a solve hashes no matrix and reads each
+    pivot value off a few cocycle entries.  Built once per support and L."""
     prod = sub.mul_table
-    diag = _diagonalize(rows, L)
-    pairs = tuple((a, b, prod[a][b]) for a in pos for b in pos)
-    rank = len(diag.steps)
-    pivots = tuple(tuple((*pairs[i][:2], q) for i, q in row) for row in diag.u[:rank])
-    gens = [sub.index[x] for x in sub.generators]
-    return _System(diag, pairs, pivots, tuple((a, x, prod[a][x]) for a in pos for x in gens))
-
-
-@lru_cache(maxsize=64)
-def _coboundary_rows(sub: Subgroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The coefficients of u(a) + u(b) - u(ab) over the non-identity pairs (a, b)
-    of ``sub``, one column per non-identity member, and the support positions of
-    those members.  They depend on the support alone, so each is built once."""
-    grp = sub.group
-    e = grp.identity
-    unknowns = [h for h in sub.members if h != e]
-    col = {h: i for i, h in enumerate(unknowns)}
+    e = sub.index[sub.group.identity]
+    pos = [a for a in range(len(prod)) if a != e]
+    col = {a: i for i, a in enumerate(pos)}
+    pairs = tuple((a, b) for a in pos for b in pos)
     rows = []
-    for a in unknowns:
-        for b in unknowns:
-            coeff = [0] * len(unknowns)
-            coeff[col[a]] += 1
-            coeff[col[b]] += 1
-            ab = grp.mul(a, b)
-            if ab != e:
-                coeff[col[ab]] -= 1
-            rows.append(tuple(coeff))
-    return tuple(rows), tuple(sub.index[h] for h in unknowns)
+    for a, b in pairs:
+        coeff = [0] * len(pos)
+        coeff[col[a]] += 1
+        coeff[col[b]] += 1
+        if prod[a][b] != e:
+            coeff[col[prod[a][b]]] -= 1
+        rows.append(tuple(coeff))
+    diag = _diagonalize(tuple(rows), L)
+    pivots = tuple(tuple((*pairs[i], q) for i, q in row) for row in diag.u[: len(diag.steps)])
+    return _System(diag, pairs, pivots)
 
 
 def is_corrector(mu: Corrector, sigma: Cocycle, tau: Cocycle) -> bool:
-    """Exact check of sigma(a,b) mu(ab) = mu(a) mu(b) tau(a,b) on all pairs."""
+    """Exact check of sigma(a,b) mu(ab) = mu(a) mu(b) tau(a,b) on all pairs,
+    decided as cohomologous checks its solutions (_keeps_law): sigma and tau
+    must be normalized cocycles, as validate_cocycle and pauli make them."""
     _check_same_support(sigma, tau)
     if mu.support.group != sigma.support.group or mu.support.members != sigma.support.members:
         return False
-    grp = sigma.support.group
     L = lcm(mu.order, sigma.order, tau.order)
-    km, ks, kt = L // mu.order, L // sigma.order, L // tau.order
-    for a in sigma.support.members:
-        for b in sigma.support.members:
-            lhs = ks * sigma.val(a, b) + km * mu.exp_of(grp.mul(a, b))
-            rhs = km * (mu.exp_of(a) + mu.exp_of(b)) + kt * tau.val(a, b)
-            if (lhs - rhs) % L:
-                return False
-    return True
+    return _keeps_law([L // mu.order * v for v in mu.exps], sigma, tau, L)
 
 
 def transport(sigma: Cocycle, alpha: Mapping[int, int], target: Subgroup) -> Cocycle:

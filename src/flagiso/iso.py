@@ -14,6 +14,7 @@ to source position), and h correctors in the division support.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, lcm, prod
@@ -763,17 +764,12 @@ def verify_equiv_witness(
         return WitnessReport(False, checked, tuple(failures))
     if len(set(img_degree.values())) != len(img_degree):
         failures.append("two components merge into one target degree")
-    dims1: dict[int, int] = {}
-    dims2: dict[int, int] = {}
-    for d in alg.degree:
-        dims1[d] = dims1.get(d, 0) + 1
-    for d in alg2.degree:
-        dims2[d] = dims2.get(d, 0) + 1
+    dims1, dims2 = Counter(alg.degree), Counter(alg2.degree)
     for u, w in img_degree.items():
-        if dims1[u] != dims2.get(w, 0):
+        if dims1[u] != dims2[w]:
             failures.append(
                 f"component dimensions differ: {dims1[u]} at {alg.group.name_of(u)} "
-                f"vs {dims2.get(w, 0)} at {alg2.group.name_of(w)}"
+                f"vs {dims2[w]} at {alg2.group.name_of(w)}"
             )
     for u, cm in ew.component_map.items():
         if img_degree.get(u) != cm:

@@ -54,11 +54,14 @@ eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and reads U b per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
 that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
-the cached coboundary rows to solve_congruences, which checks every row
+the coboundary rows to solve_congruences, which checks every row
 densely, as the oracle for cohomologous' solve from one diagonalization per
 support and modulus, checked by the corrector law; cohomologous_by_replay
 applies every row of that diagonalization's row transform U to the full
-right-hand side, as the oracle for the solve that reads only the pivot rows.  verify_witness_by_dict is
+right-hand side, as the oracle for the solve that reads only the pivot rows;
+is_corrector_by_pairs checks the corrector law on all |H|^2 pairs, as the
+oracle for the law cohomologous and is_corrector read on generator pairs.
+verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
@@ -98,9 +101,7 @@ from flagiso import (
     shift_conjugate,
     solve_congruences,
 )
-from flagiso import algebras
 from flagiso.algebras import _coset_profiles
-from flagiso.cocycles import _coboundary_rows
 from flagiso.errors import _shown
 from flagiso.io import _positions
 from flagiso.iso import _separate
@@ -457,11 +458,11 @@ def products_read():
     checks read: the shared generator products on each read of them, and each
     product the all-products walk yields."""
     counts: list[int] = []
-    shared = algebras._generator_walk
+    shared = GradedAlgebra.generator_products
     walk = GradedAlgebra.nonzero_products
 
-    def reading(shape, support):
-        arrays = shared(shape, support)
+    def reading(alg):
+        arrays = shared(alg)
         counts.append(len(arrays[0]))
         return arrays
 
@@ -470,7 +471,7 @@ def products_read():
             counts.append(1)
             yield product
 
-    with mock.patch.object(algebras, "_generator_walk", reading), mock.patch.object(
+    with mock.patch.object(GradedAlgebra, "generator_products", reading), mock.patch.object(
         GradedAlgebra, "nonzero_products", walking
     ):
         yield counts
@@ -899,13 +900,34 @@ def cohomologous_by_elimination(sigma, tau):
     return tuple(0 if h == e else sol[col[h]] for h in sub.members)
 
 
+def coboundary_rows(sub):
+    """The coefficients of u(a) + u(b) - u(ab) over the non-identity pairs
+    (a, b) of sub, one column per non-identity member, and the support
+    positions of those members."""
+    grp = sub.group
+    e = grp.identity
+    unknowns = [h for h in sub.members if h != e]
+    col = {h: i for i, h in enumerate(unknowns)}
+    rows = []
+    for a in unknowns:
+        for b in unknowns:
+            coeff = [0] * len(unknowns)
+            coeff[col[a]] += 1
+            coeff[col[b]] += 1
+            ab = grp.mul(a, b)
+            if ab != e:
+                coeff[col[ab]] -= 1
+            rows.append(tuple(coeff))
+    return tuple(rows), tuple(sub.index[h] for h in unknowns)
+
+
 def cohomologous_by_dense_solve(sigma, tau):
-    """The corrector that solve_congruences finds over the cached coboundary
-    rows, or None: the right-hand side by non-identity pair, 0 at e."""
+    """The corrector that solve_congruences finds over the coboundary rows,
+    or None: the right-hand side by non-identity pair, 0 at e."""
     sub = sigma.support
     L = lcm(sigma.order, tau.order)
     ks, kt = L // sigma.order, L // tau.order
-    rows, pos = _coboundary_rows(sub)
+    rows, pos = coboundary_rows(sub)
     sv, tv = sigma.values, tau.values
     rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
     sol = solve_congruences(rows, rhs, L)
@@ -924,7 +946,7 @@ def cohomologous_by_replay(sigma, tau):
         return Corrector(sub, sigma.order, (0,) * len(sub.members))
     L = lcm(sigma.order, tau.order)
     ks, kt = L // sigma.order, L // tau.order
-    rows, pos = _coboundary_rows(sub)
+    rows, pos = coboundary_rows(sub)
     sv, tv = sigma.values, tau.values
     rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
     if not any(v % L for v in rhs):
@@ -938,3 +960,22 @@ def cohomologous_by_replay(sigma, tau):
     if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
         raise AssertionError("internal solver error: solution fails the original system")
     return Corrector(sub, L, tuple(u))
+
+
+def is_corrector_by_pairs(mu, sigma, tau) -> bool:
+    """The corrector law sigma(a,b) mu(ab) = mu(a) mu(b) tau(a,b), checked on
+    every pair of the support in mu_lcm; False for a mu on another support."""
+    if sigma.support.group != tau.support.group or sigma.support.members != tau.support.members:
+        raise InvalidInput("cocycles live on different supports", code="support-mismatch")
+    if mu.support.group != sigma.support.group or mu.support.members != sigma.support.members:
+        return False
+    grp = sigma.support.group
+    L = lcm(mu.order, sigma.order, tau.order)
+    km, ks, kt = L // mu.order, L // sigma.order, L // tau.order
+    for a in sigma.support.members:
+        for b in sigma.support.members:
+            lhs = ks * sigma.val(a, b) + km * mu.exp_of(grp.mul(a, b))
+            rhs = km * (mu.exp_of(a) + mu.exp_of(b)) + kt * tau.val(a, b)
+            if (lhs - rhs) % L:
+                return False
+    return True

@@ -15,7 +15,13 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import ACCEPTANCE_LINES, count_classes_pairwise, make_sym, product
+from conftest import (
+    ACCEPTANCE_LINES,
+    count_classes_pairwise,
+    is_corrector_by_pairs,
+    make_sym,
+    product,
+)
 
 from flagiso import (
     EQUIVALENT,
@@ -36,7 +42,6 @@ from flagiso import (
     find_isomorphisms,
     invariants,
     invert_witness,
-    is_corrector,
     iso_algebras,
     iso_division,
     make_presentation,
@@ -425,7 +430,7 @@ def test_criterion_8_cocycle_solver_vs_brute():
                 mu = cohomologous(s, t)
                 assert (mu is not None) == expected
                 if mu is not None:
-                    assert is_corrector(mu, s, t)
+                    assert is_corrector_by_pairs(mu, s, t)
                     positives += 1
                 pairs += 1
         assert pairs >= 100 and positives >= 10

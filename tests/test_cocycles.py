@@ -2,6 +2,7 @@ import itertools
 from math import lcm
 
 import pytest
+from conftest import is_corrector_by_pairs
 
 import flagiso.cocycles
 from flagiso import (
@@ -192,7 +193,7 @@ def test_coboundary_twist_is_cohomologous():
     tau = validate_cocycle(sub, 2, twisted)
     mu = cohomologous(sigma, tau)
     assert mu is not None
-    assert is_corrector(mu, sigma, tau)
+    assert is_corrector_by_pairs(mu, sigma, tau)
     assert corrector_by_brute(sigma, tau) is not None
 
 
@@ -252,32 +253,37 @@ def test_one_diagonalization_serves_every_right_hand_side():
     sigma, tau, rho = clock_and_shift_twists()
     system = flagiso.cocycles._corrector_system
     system.cache_clear()
-    assert is_corrector(cohomologous(sigma, tau), sigma, tau)
+    assert is_corrector_by_pairs(cohomologous(sigma, tau), sigma, tau)
     before = _diagonalize.cache_info()
     trivial = trivial_cocycle(sigma.support, 3)
     for s, t in ((sigma, rho), (rho, tau), (tau, sigma), (sigma, trivial), (trivial, rho)):
         mu = cohomologous(s, t)
         assert (mu is None) == (trivial in (s, t))
-        assert mu is None or is_corrector(mu, s, t)
+        assert mu is None or is_corrector_by_pairs(mu, s, t)
     after = _diagonalize.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     assert (system.cache_info().hits, system.cache_info().misses) == (5, 1)
 
 
 def test_identical_cocycles_build_no_system():
+    """Identical cocycles, and a pair whose right-hand side is 0 mod lcm (here
+    sigma in mu_3 and in mu_6), get u = 0 with no system looked up or built."""
     sigma = clock_and_shift_twists()[0]
     copy = Cocycle(sigma.support, sigma.order, sigma.values)
-    caches = (flagiso.cocycles._corrector_system, flagiso.cocycles._coboundary_rows, _diagonalize)
+    doubled = validate_cocycle(sigma.support, 6, [[2 * v for v in row] for row in sigma.values])
+    caches = (flagiso.cocycles._corrector_system, _diagonalize)
     before = [cache.cache_info() for cache in caches]
     for tau in (sigma, copy):
         assert cohomologous(sigma, tau) == Corrector(sigma.support, 3, (0,) * 9)
+    assert cohomologous(sigma, doubled) == Corrector(sigma.support, 6, (0,) * 9)
+    assert cohomologous(doubled, sigma) == Corrector(sigma.support, 6, (0,) * 9)
     assert [cache.cache_info() for cache in caches] == before
 
 
 def test_corrector_law_guards_cached_systems(monkeypatch):
     """A corrupted system taken from the cache is caught, not returned."""
     sigma, tau, _ = clock_and_shift_twists()
-    assert is_corrector(cohomologous(sigma, tau), sigma, tau)
+    assert is_corrector_by_pairs(cohomologous(sigma, tau), sigma, tau)
     system = flagiso.cocycles._corrector_system
     hits = system.cache_info().hits
 
@@ -306,7 +312,7 @@ def test_only_an_infeasible_solve_replays_the_whole_log(monkeypatch):
 
     monkeypatch.setattr(flagiso.cocycles, "_solve", counting)
     for s, t in ((sigma, tau), (tau, rho), (rho, sigma)):
-        assert is_corrector(cohomologous(s, t), s, t)
+        assert is_corrector_by_pairs(cohomologous(s, t), s, t)
     assert calls == []
     # mod 3 every pivot divides, so only _solve sees the nonzero rows past them
     assert cohomologous(sigma, trivial_cocycle(sigma.support, 3)) is None
@@ -342,7 +348,7 @@ def test_engine_agrees_with_brute_on_small_supports():
                 want = corrector_by_brute(s, t)
                 assert (got is None) == (want is None), (factors, s.values, t.values)
                 if got is not None:
-                    assert is_corrector(got, s, t)
+                    assert is_corrector_by_pairs(got, s, t)
 
 
 # -- transport -------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 from math import lcm
 
 import pytest
-from conftest import make_sym
+from conftest import is_corrector_by_pairs, make_sym
 
 from flagiso import (
     Corrector,
@@ -242,9 +242,7 @@ def test_pauli_transposed_images_agree_with_brute():
     want = corrector_by_brute(d1.cocycle, d2.cocycle)
     assert (got is None) == (want is None)
     if got is not None:
-        from flagiso import is_corrector
-
-        assert is_corrector(got, d1.cocycle, d2.cocycle)
+        assert is_corrector_by_pairs(got, d1.cocycle, d2.cocycle)
 
 
 # -- equivalence -------------------------------------------------------------------
@@ -292,6 +290,6 @@ def test_equiv_division_pauli_self_across_generator_choices():
     res = equiv_division(d1, d2)
     assert res is not None
     alpha, mu = res
-    from flagiso import is_corrector, transport
+    from flagiso import transport
 
-    assert is_corrector(mu, transport(d1.cocycle, alpha, d2.support), d2.cocycle)
+    assert is_corrector_by_pairs(mu, transport(d1.cocycle, alpha, d2.support), d2.cocycle)

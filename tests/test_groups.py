@@ -7,6 +7,7 @@ from conftest import NONASSOC_LOOP, compose, invert_perm, make_sym
 
 import flagiso.cocycles
 import flagiso.groups
+import flagiso.modlinalg
 
 from flagiso import (
     BudgetExceeded,
@@ -16,10 +17,13 @@ from flagiso import (
     InvalidInput,
     Subgroup,
     build_abelian,
+    cohomologous,
     find_isomorphisms,
     left_coset,
     make_presentation,
+    pauli,
     subgroup_closure,
+    trivial_cocycle,
     trivial_division,
     validate_table,
 )
@@ -245,17 +249,21 @@ def test_group_equality_is_table_equality():
 
 
 def test_equal_groups_share_one_coboundary_system():
-    """The hash, computed once, is the table's; equal supports of equal groups from
-    different sources hit one entry of the cache that cohomologous reads its rows from."""
+    """The hash, computed once, is the table's; cohomologous on equal supports of
+    equal groups from different sources builds one coboundary system, whose
+    rows are diagonalized once."""
     z3sq = build_abelian([3, 3])
     same = validate_table([list(row) for row in z3sq.table])
     assert same is not z3sq and hash(same) == hash(z3sq) == hash(z3sq.table)
-    rows = flagiso.cocycles._coboundary_rows
-    rows.cache_clear()
-    first = rows(Subgroup(z3sq, tuple(z3sq.elements())))
-    again = rows(Subgroup(same, tuple(same.elements())))
-    assert again is first
-    assert rows.cache_info().hits == 1 and rows.cache_info().currsize == 1
+    system = flagiso.cocycles._corrector_system
+    diagonalize = flagiso.modlinalg._diagonalize
+    system.cache_clear()
+    diagonalize.cache_clear()
+    for grp in (z3sq, same):
+        d = pauli(3, grp, [1, 3])
+        assert cohomologous(d.cocycle, trivial_cocycle(d.support, 3)) is None
+    assert (system.cache_info().misses, system.cache_info().hits) == (1, 1)
+    assert (diagonalize.cache_info().misses, diagonalize.cache_info().hits) == (1, 0)
 
 
 def test_equal_supports_hash_once_and_share_one_corrector_system():

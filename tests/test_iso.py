@@ -431,27 +431,29 @@ def test_a_valid_witness_checks_scalars_on_generator_products_only(
 
 def test_generator_products_are_built_once_per_shape_and_support():
     """Two YES queries on one shape and support build the shared generator
-    products once; check_grading and verify_witness both read them."""
-    walk = flagiso.algebras._generator_walk
-    walk.cache_clear()
+    products once, with the layout; check_grading and verify_witness both
+    read them."""
+    layout = flagiso.algebras._layout
+    layout.cache_clear()
     rng = random.Random(3)
     d = pauli(2, build_abelian([2, 4]), ["(1,0)", "(0,2)"])
     tuples = [[rng.randrange(8) for _ in range(3)] for _ in range(2)]
     sources = [make_presentation(d, (2, 1), t) for t in tuples]
     for p in sources:
         assert iso_algebras(p, random_transform(rng, p)).kind == ISOMORPHIC
-    assert (walk.cache_info().misses, walk.cache_info().hits) == (1, 1)
+    assert layout.cache_info().misses == 1
     p = sources[0]
     q = random_transform(rng, p)
     alg, alg2 = realize(p), realize(q)
-    products = len(walk(p.shape, d.support)[0])
+    assert alg.generator_products() is alg2.generator_products()
+    products = len(layout(p.shape, d.support).walk[0])
     with products_read() as counts:
         assert check_grading(alg).ok
     assert counts == [products]
     with products_read() as counts:
         assert verify_witness(alg, alg2, iso_algebras(p, q).witness).ok
     assert counts == [products, products]  # the YES query's check, then this one
-    assert walk.cache_info().misses == 1
+    assert layout.cache_info().misses == 1
 
 
 # -- scalar ambiguity ------------------------------------------------------------

@@ -172,6 +172,8 @@ def test_only_the_fallback_replays_a_whole_log():
     assert [name for name in gone if references_by_function(cocycles, name)] == []
     assert references_by_function(cocycles, "_solve") == ["_infeasible"]
     assert references_by_function(cocycles, "_infeasible") == ["cohomologous"]
+    # one rule decides the corrector law for the solver and for callers' data
+    assert references_by_function(cocycles, "_keeps_law") == ["cohomologous", "is_corrector"]
 
 
 def test_memos_are_keyed_on_structure_not_on_a_query():
@@ -198,8 +200,19 @@ def test_memos_are_keyed_on_structure_not_on_a_query():
                 and arg.annotation is not None
                 and per_query.search(ast.unparse(arg.annotation))
             ]
-    assert {"algebras._layout", "cocycles._corrector_system", "iso._coset_action"} <= set(cached)
+    # one memo per structure: (shape, support), (support, modulus),
+    # (matrix, modulus) and division
+    assert sorted(cached) == [
+        "algebras._layout",
+        "cocycles._corrector_system",
+        "iso._coset_action",
+        "modlinalg._diagonalize",
+    ]
     assert found == [], f"memos keyed on one query's data: {found}"
+    folded = [("algebras", "_generator_walk"), ("cocycles", "_coboundary_rows"), ("cli", "_shown")]
+    source = {mod: (SRC / f"{mod}.py").read_text() for mod, _ in folded}
+    assert [f"{mod}.{name}" for mod, name in folded if f"def {name}(" in source[mod]] == []
+    assert "law" not in flagiso.cocycles._System._fields
 
 
 def test_one_constructor_builds_every_witness():
@@ -276,8 +289,10 @@ def test_one_closure_walk_owns_generated_subgroups():
         for path in sorted(SRC.glob("*.py"))
         for owner in references_by_function(path, "_closure")
     ]
-    # Subgroup walks twice: once to decide closure, once for its generators
+    # Subgroup walks twice: once to decide closure, once for its generators;
+    # a failing cocycle's scan skips the subgroup its passing leads generate
     assert found == [
+        "cocycles._raise_first_failing_triple",
         "groups.Subgroup",
         "groups.Subgroup",
         "groups._check_table",

@@ -8,7 +8,9 @@ from conftest import solve_congruences_by_elimination
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagiso.algebras
 import flagiso.cocycles
+import flagiso.iso
 import flagiso.modlinalg
 from flagiso import solve_congruences
 
@@ -203,10 +205,13 @@ def test_exactness_check_guards_memo_hits(monkeypatch):
 
 
 def test_memos_are_bounded():
+    """One memo per structure: (shape, support), (support, modulus),
+    (matrix, modulus) and the division's coset action, each bounded."""
     for cache in (
-        flagiso.modlinalg._diagonalize,
-        flagiso.cocycles._coboundary_rows,
+        flagiso.algebras._layout,
         flagiso.cocycles._corrector_system,
+        flagiso.modlinalg._diagonalize,
+        flagiso.iso._coset_action,
     ):
         assert cache.cache_info().maxsize is not None
 

@@ -103,6 +103,7 @@ from conftest import (
     cohomologous_by_dense_solve,
     cohomologous_by_elimination,
     cohomologous_by_replay,
+    is_corrector_by_pairs,
     composed_witness_data,
     derive_mapping_by_basis,
     dihedral_8,
@@ -152,7 +153,6 @@ from flagiso import (
     find_isomorphisms,
     invariants,
     invert_witness,
-    is_corrector,
     iso_algebras,
     iso_division,
     iso_pairs,
@@ -873,7 +873,7 @@ def test_cohomologous_matches_the_dense_solve(pair):
     assert (got is None) == (want is None)
     if got is not None:
         assert (got.support, got.order, got.exps) == (want.support, want.order, want.exps)
-        assert is_corrector(got, *pair)
+        assert is_corrector_by_pairs(got, *pair)
 
 
 D8_FULL = Subgroup(D8, tuple(D8.elements()))

@@ -4,8 +4,10 @@ all-products oracles.
 validate_cocycle checks the cocycle identity on the triples whose first
 entry is a generator of the support, transport checks its map on the pairs
 whose second entry is a generator, Subgroup decides closure by one closure
-walk and central on the generators, and cohomologous checks the corrector
-law on the pairs whose second entry is a generator.  Each property asserts
+walk and central on the generators, and cohomologous and is_corrector check
+the corrector law on the pairs whose second entry is a generator.  A failing
+cocycle is named after row-checking only the leads outside the subgroup
+that the passing leads generate.  Each property asserts
 the same verdict, the same values, and the same error code and message as
 the oracle that checks everything, on every subgroup of Z2 x Z2, Z4,
 Z2 x Z4, Z3 x Z3, Z2 x Z2 x Z2, S3, D8, S4 and Z4 x S3.  Cocycles are
@@ -21,11 +23,13 @@ random subsets.  Runs are derandomized and keep no example database.
 
 import itertools
 import math
+import random
 
 import pytest
 from conftest import (
     cohomologous_by_replay,
     dihedral_8,
+    is_corrector_by_pairs,
     make_sym,
     subgroup_members_by_products,
     transport_by_pairs,
@@ -36,18 +40,20 @@ from hypothesis import strategies as st
 
 import flagiso.cocycles
 from flagiso import (
+    Cocycle,
+    Corrector,
     InvalidInput,
     Group,
     Subgroup,
     build_abelian,
     cohomologous,
     find_isomorphisms,
+    is_corrector,
     subgroup_closure,
     transport,
     trivial_cocycle,
     validate_cocycle,
 )
-from flagiso.cocycles import _corrector_system
 from flagiso.config import ISO_SEARCH_CAP
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -375,13 +381,80 @@ def test_cohomologous_decides_as_the_law_on_every_pair(pair):
     assert cohomologous(*pair) == cohomologous_by_replay(*pair)
 
 
+class ReadRow(tuple):
+    """A cocycle table row that records the (row, column) of each entry read."""
+
+    def __new__(cls, row, a, reads):
+        self = super().__new__(cls, row)
+        self.a, self.reads = a, reads
+        return self
+
+    def __getitem__(self, x):
+        self.reads.append((self.a, x))
+        return tuple.__getitem__(self, x)
+
+
 @pytest.mark.parametrize("modulus", [2, 12])
 def test_the_corrector_law_is_checked_on_every_generator_pair(modulus):
-    """The cached law triples are (a, x, ax) by position, for every non-identity
-    a and every generator x of the support."""
+    """The law that is_corrector and cohomologous share reads sigma at the
+    pairs (a, x) by position, each once, for every member a and every
+    generator x of the support."""
     for sub, _, _ in SUPPORTS:
-        e = sub.index[sub.group.identity]
+        n = len(sub.members)
+        reads = []
+        zero = trivial_cocycle(sub, modulus)
+        sigma = Cocycle(sub, modulus, tuple(ReadRow(row, a, reads) for a, row in enumerate(zero.values)))
+        assert is_corrector(Corrector(sub, modulus, (0,) * n), sigma, zero)
         gens = [sub.index[x] for x in sub.generators]
-        others = [a for a in range(len(sub.members)) if a != e]
-        want = [(a, x, sub.mul_table[a][x]) for a in others for x in gens]
-        assert list(_corrector_system(sub, modulus).law) == want
+        assert sorted(reads) == sorted((a, x) for a in range(n) for x in gens)
+
+
+@st.composite
+def corrector_cases(draw):
+    """A map mu and two cocycles on its support: the corrector cohomologous
+    finds, in its order or a multiple, kept or changed at one member (the
+    identity among them), or random exponents in an order of 1-12."""
+    sigma, tau = draw(cocycle_pairs())
+    sub = sigma.support
+    n = len(sub.members)
+    mu = cohomologous(sigma, tau)
+    if mu is not None and draw(st.booleans()):
+        scale = draw(st.sampled_from([1, 2, 3]))
+        order = scale * mu.order
+        exps = [scale * v for v in mu.exps]
+        if order > 1 and draw(st.booleans()):
+            exps[draw(st.integers(0, n - 1))] += draw(st.integers(1, order - 1))
+    else:
+        order = draw(st.integers(1, 12))
+        exps = [draw(st.integers(0, order - 1)) for _ in range(n)]
+    return Corrector(sub, order, tuple(exps)), sigma, tau
+
+
+@SETTINGS
+@given(corrector_cases())
+def test_is_corrector_decides_as_the_law_on_every_pair(case):
+    assert is_corrector(*case) == is_corrector_by_pairs(*case)
+
+
+def test_a_failing_cocycle_on_z2_to_the_8_is_named_after_few_leads(monkeypatch):
+    """sigma(b, c) = t(c) for b outside N, the members whose top coordinate is
+    0, and 0 on N: the leads in N keep the identity, and the scan names the
+    oracle's triple after row-checking at most log2 |N| + 1 = 8 leads."""
+    calls, start = [], []
+    pair = flagiso.cocycles._failing_pair
+    scan = flagiso.cocycles._raise_first_failing_triple
+    monkeypatch.setattr(flagiso.cocycles, "_failing_pair", lambda *args: calls.append(args[3]) or pair(*args))
+    monkeypatch.setattr(
+        flagiso.cocycles, "_raise_first_failing_triple", lambda coc: start.append(len(calls)) or scan(coc)
+    )
+    grp = build_abelian([2] * 8)
+    sub = Subgroup(grp, tuple(grp.elements()))
+    rng = random.Random(1)
+    t = [0] + [rng.randrange(2) for _ in range(255)]
+    table = [[0 if a < 128 else t[c] for c in sub.members] for a in sub.members]
+    with pytest.raises(InvalidInput) as err:
+        validate_cocycle(sub, 2, table)
+    leads = calls[start[0] :]
+    assert len(start) == 1 and len(leads) <= 8 and leads[-1] == 128
+    want = outcome(validate_cocycle_by_triples, sub, 2, table)
+    assert (type(err.value), err.value.code, str(err.value)) == want
