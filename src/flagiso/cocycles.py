@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
-from operator import mul
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import InvalidInput
@@ -180,28 +179,23 @@ def _check_same_support(sigma: Cocycle, tau: Cocycle) -> None:
 
 
 class _System(NamedTuple):
-    """A cached corrector system: the diagonalization, the (a, b) of each row,
-    and by pivot r the terms (a, b, coeff) of row r of U."""
+    """A cached corrector system: the diagonalization and the (a, x) of each row."""
 
     diag: _Diagonal
     pairs: tuple[tuple[int, int], ...]
-    pivots: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     """A corrector mu making x_h -> mu(h) x'_h an isomorphism K^sigma[H] -> K^tau[H].
 
     Both cocycles are embedded into mu_lcm and the exponent system
-    u(a) + u(b) - u(ab) = s(a,b) - t(a,b) (mod lcm) over the non-identity
-    pairs is solved exactly; None means the cocycles are not cohomologous.
-    Identical cocycles, and any right-hand side that is 0 mod lcm, get u = 0
-    with no system built.  Otherwise each pivot value (U rhs)_r is read off
-    the cached pivot row r of U: a pivot its divisor does not divide makes the
-    system infeasible, and else u = V y.  A u that keeps the corrector law
-    (_keeps_law) is a solution, and the one a solve on all of U rhs gives, as
-    both take y from the same pivot values.  A u that breaks it leaves the
-    verdict to that full solve (_infeasible): None when a row of U rhs past
-    the pivots is nonzero, else a solver error.
+    u(a) + u(x) - u(ax) = s(a,x) - t(a,x) (mod lcm) over the pairs (a, x),
+    a != e and x in the support's generators, is solved exactly; None means
+    the cocycles are not cohomologous.  Those rows have the solutions of the
+    system over every pair (see _keeps_law), and a u they yield is checked
+    against the corrector law, a failure being a solver error.  Identical
+    cocycles, and any right-hand side that is 0 mod lcm, get u = 0 with no
+    system built.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
@@ -217,16 +211,12 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     ):
         return Corrector(sub, L, (0,) * len(sub.members))
     system = _corrector_system(sub, L)
-    y = []
-    for (g, inv, Lg), row in zip(system.diag.steps, system.pivots):
-        c = sum(q * (ks * sv[a][b] - kt * tv[a][b]) for a, b, q in row) % L
-        if c % g:
-            return None  # as _solve finds at this pivot
-        y.append((c // g) * inv % Lg)
-    u = [sum(map(mul, row, y)) % L for row in system.diag.v]
+    u = _solve(system.diag, [ks * sv[a][x] - kt * tv[a][x] for a, x in system.pairs], L)
+    if u is None:
+        return None
     u.insert(sub.index[sub.group.identity], 0)
     if not _keeps_law(u, sigma, tau, L):
-        return _infeasible(system, sigma, tau, L)
+        raise AssertionError("internal solver error: solution fails the original system")
     return Corrector(sub, L, tuple(u))
 
 
@@ -252,42 +242,28 @@ def _keeps_law(u: list[int], sigma: Cocycle, tau: Cocycle, L: int) -> bool:
     return True
 
 
-def _infeasible(system: _System, sigma: Cocycle, tau: Cocycle, L: int) -> None:
-    """None for a right-hand side whose pivot solution breaks the corrector
-    law, when the solve on all of U rhs finds the system infeasible (a row
-    past the pivots is nonzero).  A feasible solve would yield that same
-    solution from the same pivot values, so then the solver is wrong."""
-    ks, kt = L // sigma.order, L // tau.order
-    sv, tv = sigma.values, tau.values
-    if _solve(system.diag, [ks * sv[a][b] - kt * tv[a][b] for a, b in system.pairs], L) is None:
-        return None
-    raise AssertionError("internal solver error: solution fails the original system")
-
-
 @lru_cache(maxsize=64)
 def _corrector_system(sub: Subgroup, L: int) -> _System:
-    """The coefficients of u(a) + u(b) - u(ab) over the non-identity pairs
-    (a, b) of ``sub``, one column per non-identity member, diagonalized mod L
-    (L >= 2); the support positions (a, b) of each row's pair; and by pivot r
-    the terms (a, b, coeff) with (U rhs)[r] = sum of coeff * rhs at (a, b),
-    taken from the pivot rows of U: a solve hashes no matrix and reads each
-    pivot value off a few cocycle entries.  Built once per support and L."""
+    """The coefficients of u(a) + u(x) - u(ax) over the pairs (a, x) of
+    ``sub`` with a != e and x in its generators, one column per non-identity
+    member, diagonalized mod L (L >= 2), and the support positions (a, x) of
+    each row's pair: r (|H| - 1) rows, where every non-identity pair would
+    give (|H| - 1)^2 with the same solutions.  Built once per support and L."""
     prod = sub.mul_table
     e = sub.index[sub.group.identity]
     pos = [a for a in range(len(prod)) if a != e]
     col = {a: i for i, a in enumerate(pos)}
-    pairs = tuple((a, b) for a in pos for b in pos)
+    gens = [sub.index[x] for x in sub.generators]
+    pairs = tuple((a, x) for a in pos for x in gens)
     rows = []
-    for a, b in pairs:
+    for a, x in pairs:
         coeff = [0] * len(pos)
         coeff[col[a]] += 1
-        coeff[col[b]] += 1
-        if prod[a][b] != e:
-            coeff[col[prod[a][b]]] -= 1
+        coeff[col[x]] += 1
+        if prod[a][x] != e:
+            coeff[col[prod[a][x]]] -= 1
         rows.append(tuple(coeff))
-    diag = _diagonalize(tuple(rows), L)
-    pivots = tuple(tuple((*pairs[i], q) for i, q in row) for row in diag.u[: len(diag.steps)])
-    return _System(diag, pairs, pivots)
+    return _System(_diagonalize(tuple(rows), L), pairs)
 
 
 def is_corrector(mu: Corrector, sigma: Cocycle, tau: Cocycle) -> bool:

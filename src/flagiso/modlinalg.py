@@ -6,11 +6,7 @@ transform U (sparse rows) and the column transform V; each (A, L) is
 diagonalized once, memoized.  A solve reads U b: A x = b has a solution
 exactly when every row of U b past the pivots is 0 and gcd(d_r, L) divides
 each pivot value (U b)_r, and the solution is x = V y with y read off the
-pivot values alone.  So a caller that solves many right-hand sides can read
-each pivot value off the few entries of b its row of U names, check its x
-against the law A encodes, and leave only an x that fails that check to
-_solve on all of U b, which tells an infeasible system (None) from a solver
-error (an x that still fails).  All arithmetic is on Python ints.
+pivot values alone.  All arithmetic is on Python ints.
 """
 
 from __future__ import annotations
@@ -64,11 +60,16 @@ def _solve(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
     """The x that diag yields for A x = rhs (mod L), read off U rhs, or None
     if infeasible; unchecked."""
     rank = len(diag.steps)
-    if any(sum(q * rhs[i] for i, q in row) % L for row in diag.u[rank:]):
+    ub = []  # U rhs; plain loops, as a comprehension per row of U costs more than its few terms
+    for row in diag.u:
+        c = 0
+        for i, q in row:
+            c += q * rhs[i]
+        ub.append(c % L)
+    if any(ub[rank:]):
         return None
     y = []
-    for row, (g, inv, Lg) in zip(diag.u, diag.steps):
-        c = sum(q * rhs[i] for i, q in row) % L
+    for c, (g, inv, Lg) in zip(ub, diag.steps):
         if c % g:
             return None
         y.append((c // g) * inv % Lg)

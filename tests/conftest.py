@@ -54,13 +54,14 @@ eliminates every system from scratch, as the oracle for solve_congruences,
 which diagonalizes each matrix once and reads U b per right-hand side;
 cohomologous_by_elimination builds the corrector system afresh and solves it
 that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
-the coboundary rows to solve_congruences, which checks every row
-densely, as the oracle for cohomologous' solve from one diagonalization per
-support and modulus, checked by the corrector law; cohomologous_by_replay
-applies every row of that diagonalization's row transform U to the full
-right-hand side, as the oracle for the solve that reads only the pivot rows;
-is_corrector_by_pairs checks the corrector law on all |H|^2 pairs, as the
-oracle for the law cohomologous and is_corrector read on generator pairs.
+the coboundary rows over every non-identity pair to solve_congruences, which
+checks every row densely, and cohomologous_by_replay applies every row of
+their diagonalization's row transform U to the full right-hand side: the
+oracles for the verdict of cohomologous' solve on the generator rows, whose
+corrector keeps the law and differs from theirs by a homomorphism H -> Z_L
+(assert_solves_as, differ_by_a_homomorphism); is_corrector_by_pairs checks
+the corrector law on all |H|^2 pairs, as the oracle for the law cohomologous
+and is_corrector read on generator pairs.
 verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
@@ -107,6 +108,7 @@ from flagiso.io import _positions
 from flagiso.iso import _separate
 from flagiso.modlinalg import _diagonalize, _solve
 
+pytest_plugins = ("pytester",)
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -960,6 +962,31 @@ def cohomologous_by_replay(sigma, tau):
     if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
         raise AssertionError("internal solver error: solution fails the original system")
     return Corrector(sub, L, tuple(u))
+
+
+def differ_by_a_homomorphism(mu, nu) -> bool:
+    """Whether two maps on one support in one order L differ by a homomorphism
+    H -> Z_L, checked on every pair.  Two correctors of one pair of cocycles
+    always do, and a corrector plus any such homomorphism is again one: with
+    the corrector law, this pins a corrector up to the whole solution set."""
+    if (mu.support, mu.order) != (nu.support, nu.order):
+        return False
+    d = [x - y for x, y in zip(mu.exps, nu.exps)]
+    return not any(
+        (d[ab] - d[a] - d[b]) % mu.order
+        for a, row in enumerate(mu.support.mul_table)
+        for b, ab in enumerate(row)
+    )
+
+
+def assert_solves_as(got, want, pair):
+    """got decides as the oracle's want, and is a corrector of pair that
+    differs from want by a homomorphism H -> Z_L: the rows cohomologous
+    solves pick their own particular solution from the same solution set."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert is_corrector_by_pairs(got, *pair)
+        assert differ_by_a_homomorphism(got, want)
 
 
 def is_corrector_by_pairs(mu, sigma, tau) -> bool:

@@ -298,10 +298,10 @@ def test_corrector_law_guards_cached_systems(monkeypatch):
     assert system.cache_info().hits == hits + 1
 
 
-def test_only_an_infeasible_solve_replays_the_whole_log(monkeypatch):
-    """A feasible solve reads the pivot rows of U and never reads U rhs whole
-    (_solve); an infeasible one does at most once: not at all when a pivot
-    value is not divisible, once when only a row past the pivots tells."""
+def test_every_solve_reads_u_rhs_once(monkeypatch):
+    """A solve reads U rhs once (_solve), feasible or not: when a row past the
+    pivots is nonzero and when a pivot value is not divisible alike; identical
+    cocycles read it not at all."""
     sigma, tau, rho = clock_and_shift_twists()
     solve = flagiso.cocycles._solve
     calls = []
@@ -313,14 +313,16 @@ def test_only_an_infeasible_solve_replays_the_whole_log(monkeypatch):
     monkeypatch.setattr(flagiso.cocycles, "_solve", counting)
     for s, t in ((sigma, tau), (tau, rho), (rho, sigma)):
         assert is_corrector_by_pairs(cohomologous(s, t), s, t)
-    assert calls == []
-    # mod 3 every pivot divides, so only _solve sees the nonzero rows past them
+    assert len(calls) == 3
+    # mod 3 every pivot divides, so only the nonzero rows past them tell
     assert cohomologous(sigma, trivial_cocycle(sigma.support, 3)) is None
-    assert len(calls) == 1
+    assert len(calls) == 4
     # 2u = -1 (mod 4): the one pivot value is odd
     sub = full_subgroup(build_abelian([2]))
     assert cohomologous(trivial_cocycle(sub, 2), validate_cocycle(sub, 4, [[0, 0], [0, 1]])) is None
-    assert len(calls) == 1
+    assert len(calls) == 5
+    assert cohomologous(sigma, sigma) == Corrector(sigma.support, 3, (0,) * 9)
+    assert len(calls) == 5
 
 
 def test_is_corrector_detects_violations():

@@ -21,9 +21,8 @@ and one cached action owns the admissible shifts' action on cosets, which
 ``tables`` reads through the public ``canonical_form``.
 One constructor derives every witness the library builds; caller data is
 checked once, where it enters.
-A cohomology solve reads the pivot rows of the row transform U its cached
-system keeps; only the fallback that tells an infeasible system from a
-solver error reads U rhs whole, and no operation log is kept to replay.
+A cohomology solve reads U rhs, U the row transform its cached system
+keeps, through one path; no operation log is kept to replay.
 The decision engine realizes algebras only to certify a YES.
 An algebra's degrees are computed in one place, algebras._degrees, as one
 array by basis position: realize stores it, a NO's invariants count it, and
@@ -160,18 +159,18 @@ def test_shifted_divisions_are_decided_only_in_the_shift_search():
     ] == []
 
 
-def test_only_the_fallback_replays_a_whole_log():
+def test_one_solve_path_reads_the_row_transform():
     # the diagonalization keeps its row transform U, not a log of operations:
-    # a solve reads the pivot rows of U cached once per support and modulus,
-    # and U rhs is read whole only where the corrector law fails, to tell an
-    # infeasible system from a solver error
+    # cohomologous reads U rhs through _solve, once, on the system cached per
+    # support and modulus, with no pivot-row fast path and no fallback
     assert flagiso.modlinalg._Diagonal._fields == ("u", "steps", "v")
+    assert flagiso.cocycles._System._fields == ("diag", "pairs")
     gone = ("_replay", "_pivot_rows")
     assert [name for name in gone if hasattr(flagiso.modlinalg, name)] == []
+    assert not hasattr(flagiso.cocycles, "_infeasible")
     cocycles = SRC / "cocycles.py"
     assert [name for name in gone if references_by_function(cocycles, name)] == []
-    assert references_by_function(cocycles, "_solve") == ["_infeasible"]
-    assert references_by_function(cocycles, "_infeasible") == ["cohomologous"]
+    assert references_by_function(cocycles, "_solve") == ["cohomologous"]
     # one rule decides the corrector law for the solver and for callers' data
     assert references_by_function(cocycles, "_keeps_law") == ["cohomologous", "is_corrector"]
 

@@ -51,14 +51,16 @@ those inputs, both Klein four-groups of S4 and the center of D8, a central
 support in a non-abelian group with two cohomologous cocycles (the oracle
 builds D^g at every shift), and each
 corrector they solve for against the system built afresh and eliminated
-from scratch; cohomologous, which reads the pivot rows of one cached system
-per support and modulus and checks the corrector law by position, against
-solve_congruences on the dense rows and against every row of the row
-transform U applied to the full right-hand side, on random twists over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and
-the clock-and-shift supports of order 9 and 16, S3's twisted transposition
-and D8's twisted center, on pairs that are not cohomologous (drawn on
-purpose against that full solve, also over all of D8), on identical cocycles and
-on equal values at two root orders; canonical_form, which reads
+from scratch; cohomologous, which solves the generator rows of one cached
+system per support and modulus and checks the corrector law by position,
+against solve_congruences on the dense rows of every pair and against every
+row of their row transform U applied to the full right-hand side (the same
+verdict, and a corrector that differs by a homomorphism), on random twists
+over Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3 and the clock-and-shift supports of order
+9 and 16, S3's twisted transposition and D8's twisted center, on pairs that
+are not cohomologous (drawn on purpose against that full solve, also over
+all of D8 and of S3), on identical cocycles and on equal values at two root
+orders; canonical_form, which reads
 one cached action of the admissible shifts on cosets, against the least form
 over every shift decided one by one, and as one of classify's
 representatives, on Z2 x Z4 trivial and clock-and-shift, a twisted Z2 in Z6,
@@ -103,6 +105,7 @@ from conftest import (
     cohomologous_by_dense_solve,
     cohomologous_by_elimination,
     cohomologous_by_replay,
+    assert_solves_as,
     is_corrector_by_pairs,
     composed_witness_data,
     derive_mapping_by_basis,
@@ -859,34 +862,30 @@ def cocycle_pairs(draw):
     return tuple(draw(st.permutations([sigma, tau])))
 
 
-@SETTINGS
-@given(cocycle_pairs())
-@example((CLOCK_AND_SHIFT_9.cocycle, trivial_cocycle(CLOCK_AND_SHIFT_9.support)))
-@example((trivial_cocycle(CLOCK_AND_SHIFT_16.support, 4), CLOCK_AND_SHIFT_16.cocycle))
-@example((Z4_CARRY, trivial_cocycle(Z4_FULL)))  # no corrector in mu_2
-@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 4)))  # nor in mu_4
-@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 8)))  # one in mu_8
-def test_cohomologous_matches_the_dense_solve(pair):
-    """The law-checked corrector is the one solve_congruences finds over
-    the dense rows, field by field, and None exactly where it finds none."""
-    got, want = cohomologous(*pair), cohomologous_by_dense_solve(*pair)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert (got.support, got.order, got.exps) == (want.support, want.order, want.exps)
-        assert is_corrector_by_pairs(got, *pair)
-
-
 D8_FULL = Subgroup(D8, tuple(D8.elements()))
 # sigma(x, y) = -1 when x and y both hold s (r^i s^j is 2i + j): inflated from
 # D8/<r> = Z2, a coboundary in mu_4 and not in mu_2 or mu_6
 D8_SIGN = cocycle_table(D8_FULL, 2, lambda a, b: a % 2 * (b % 2))
+S3_FULL = FULL_S3.support
+
+
+def odd_permutation(x):
+    """Whether the element of S3 at index x is an odd permutation."""
+    p = S3.name_of(x)
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(3), 2)) % 2
+
+
+# sigma(x, y) = -1 when x and y are both odd: inflated from S3/A3 = Z2, and on
+# each transposition's subgroup mu(s)^2 = -1, so a coboundary only in mu_4k
+S3_SIGN = cocycle_table(S3_FULL, 2, lambda a, b: odd_permutation(a) * odd_permutation(b))
 # a cocycle of a nontrivial class and the trivial one, by support: Z2 x Z2,
-# Z3 x Z3, Z4 x Z4 in Z4 x Z4 x Z2, and D8, a non-abelian support
+# Z3 x Z3, Z4 x Z4 in Z4 x Z4 x Z2, and D8 and S3, two non-abelian supports
 CLASSES = [
     with_trivial(SHIFTED[0]),
     with_trivial(CLOCK_AND_SHIFT_9),
     with_trivial(CLOCK_AND_SHIFT_16),
     [D8_SIGN, trivial_cocycle(D8_FULL)],
+    [S3_SIGN, trivial_cocycle(S3_FULL)],
 ]
 
 
@@ -895,8 +894,9 @@ def classed_pairs(draw):
     """Random twists, in mu_k and mu_3k, of two cocycles of CLASSES on one
     support, in either order, and whether they are cohomologous: the two
     classes are distinct in every such mu_lcm (the clock-and-shift classes
-    are nontrivial over C, and D8_SIGN's only where 4 divides the order), so
-    a pair of one class against the other is drawn on purpose, not by chance."""
+    are nontrivial over C, and D8_SIGN's and S3_SIGN's only where 4 divides
+    the order), so a pair of one class against the other is drawn on
+    purpose, not by chance."""
     family = draw(st.sampled_from(CLASSES))
     sigma, tau = draw(st.sampled_from(family)), draw(st.sampled_from(family))
     return (draw(twists(sigma, (1, 3))), draw(twists(tau, (1, 3)))), sigma == tau
@@ -904,10 +904,27 @@ def classed_pairs(draw):
 
 # the Klein clock-and-shift values doubled in mu_4: the same cocycle, read across orders
 KLEIN_DOUBLED = cocycle_table(SHIFTED[0].support, 4, lambda a, b: 2 * SHIFTED[0].cocycle.val(a, b))
+COHOMOLOGOUS_CASES = st.one_of(cocycle_pairs(), classed_pairs().map(lambda case: case[0]))
 
 
 @SETTINGS
-@given(st.one_of(cocycle_pairs(), classed_pairs().map(lambda case: case[0])))
+@given(COHOMOLOGOUS_CASES)
+@example((CLOCK_AND_SHIFT_9.cocycle, trivial_cocycle(CLOCK_AND_SHIFT_9.support)))
+@example((trivial_cocycle(CLOCK_AND_SHIFT_16.support, 4), CLOCK_AND_SHIFT_16.cocycle))
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL)))  # no corrector in mu_2
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 4)))  # nor in mu_4
+@example((Z4_CARRY, trivial_cocycle(Z4_FULL, 8)))  # one in mu_8
+@example((S3_SIGN, trivial_cocycle(S3_FULL, 4)))  # across orders, a corrector in mu_4
+@example((S3_SIGN, trivial_cocycle(S3_FULL, 3)))  # across orders, none in mu_6
+def test_cohomologous_matches_the_dense_solve(pair):
+    """The law-checked corrector from the generator rows decides as
+    solve_congruences over the dense rows of every non-identity pair, and
+    differs from its solution by a homomorphism H -> Z_L."""
+    assert_solves_as(cohomologous(*pair), cohomologous_by_dense_solve(*pair), pair)
+
+
+@SETTINGS
+@given(COHOMOLOGOUS_CASES)
 @example((CLOCK_AND_SHIFT_16.cocycle, CLOCK_AND_SHIFT_16.cocycle))  # identical
 @example((D8_SIGN, Cocycle(D8_FULL, 2, D8_SIGN.values)))  # an equal copy
 @example((trivial_cocycle(D8_FULL, 2), trivial_cocycle(D8_FULL, 4)))  # zero right-hand side
@@ -915,10 +932,14 @@ KLEIN_DOUBLED = cocycle_table(SHIFTED[0].support, 4, lambda a, b: 2 * SHIFTED[0]
 @example((D8_SIGN, trivial_cocycle(D8_FULL, 4)))  # across orders, a corrector in mu_4
 @example((D8_SIGN, trivial_cocycle(D8_FULL, 3)))  # across orders, none in mu_6
 def test_cohomologous_matches_the_full_replay(pair):
-    """The corrector read off the pivot rows of U is the one every row of U
-    applied to the full right-hand side gives, field by field, and None
-    exactly where that full solve finds none."""
-    assert cohomologous(*pair) == cohomologous_by_replay(*pair)
+    """The corrector from the generator rows decides as every row of U over
+    every non-identity pair applied to the full right-hand side, and differs
+    from that solution by a homomorphism H -> Z_L; identical cocycles and a
+    zero right-hand side give u = 0 in both."""
+    got, want = cohomologous(*pair), cohomologous_by_replay(*pair)
+    assert_solves_as(got, want, pair)
+    if want is not None and not any(want.exps):
+        assert got == want
 
 
 @SETTINGS

@@ -5,12 +5,13 @@ validate_cocycle checks the cocycle identity on the triples whose first
 entry is a generator of the support, transport checks its map on the pairs
 whose second entry is a generator, Subgroup decides closure by one closure
 walk and central on the generators, and cohomologous and is_corrector check
-the corrector law on the pairs whose second entry is a generator.  A failing
-cocycle is named after row-checking only the leads outside the subgroup
-that the passing leads generate.  Each property asserts
-the same verdict, the same values, and the same error code and message as
-the oracle that checks everything, on every subgroup of Z2 x Z2, Z4,
-Z2 x Z4, Z3 x Z3, Z2 x Z2 x Z2, S3, D8, S4 and Z4 x S3.  Cocycles are
+the corrector law on the pairs whose second entry is a generator, the rows
+cohomologous solves.  A failing cocycle is named after row-checking only the
+leads outside the subgroup that the passing leads generate.  Each property
+asserts the same verdict, the same values, and the same error code and
+message as the oracle that checks everything (for cohomologous, a corrector
+that differs from the oracle's by a homomorphism), on every subgroup of
+Z2 x Z2, Z4, Z2 x Z4, Z3 x Z3, Z2 x Z2 x Z2, S3, D8, S4 and Z4 x S3.  Cocycles are
 bilinear forms pulled back along a homomorphism onto an abelian group
 (coordinates, the sign of a permutation, D8 onto Z2 x Z2), twisted by
 random coboundaries, then corrupted in one entry; other tables keep the
@@ -27,6 +28,7 @@ import random
 
 import pytest
 from conftest import (
+    assert_solves_as,
     cohomologous_by_replay,
     dihedral_8,
     is_corrector_by_pairs,
@@ -378,7 +380,30 @@ def cocycle_pairs(draw):
 @SETTINGS
 @given(cocycle_pairs())
 def test_cohomologous_decides_as_the_law_on_every_pair(pair):
-    assert cohomologous(*pair) == cohomologous_by_replay(*pair)
+    """The solve on the generator rows decides as the full system over every
+    non-identity pair, and its corrector keeps the law on every pair and
+    differs from the full system's by a homomorphism H -> Z_L."""
+    assert_solves_as(cohomologous(*pair), cohomologous_by_replay(*pair), pair)
+
+
+@pytest.mark.parametrize("modulus", [2, 12])
+def test_a_corrector_system_has_one_row_per_generator_pair(monkeypatch, modulus):
+    """The system cohomologous diagonalizes has the rows (a, x), a != e and x
+    a generator: r (|H| - 1) rows over |H| - 1 columns, on every support."""
+    shapes = []
+
+    def spy(rows, L):
+        shapes.append((len(rows), {len(row) for row in rows}))
+        return diagonalize(rows, L)
+
+    diagonalize = flagiso.cocycles._diagonalize
+    monkeypatch.setattr(flagiso.cocycles, "_diagonalize", spy)
+    for sub, _, _ in SUPPORTS:
+        n, gens = len(sub.members), [sub.index[x] for x in sub.generators]
+        e = sub.index[sub.group.identity]
+        system = flagiso.cocycles._corrector_system.__wrapped__(sub, modulus)
+        assert system.pairs == tuple((a, x) for a in range(n) if a != e for x in gens)
+        assert shapes.pop() == (len(gens) * (n - 1), {n - 1} if len(gens) else set())
 
 
 class ReadRow(tuple):
