@@ -193,23 +193,20 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     a != e and x in the support's generators, is solved exactly; None means
     the cocycles are not cohomologous.  Those rows have the solutions of the
     system over every pair (see _keeps_law), and a u they yield is checked
-    against the corrector law, a failure being a solver error.  Identical
-    cocycles, and any right-hand side that is 0 mod lcm, get u = 0 with no
-    system built.
+    against the corrector law, a failure being a solver error.  A right-hand
+    side that is 0 mod lcm gets u = 0 with no system built: in one order only
+    identical (reduced) tables give one, and across two orders the law decides
+    u = 0.
     """
     _check_same_support(sigma, tau)
     sub = sigma.support
     if sigma.order == tau.order and sigma.values == tau.values:
         return Corrector(sub, sigma.order, (0,) * len(sub.members))
     L = lcm(sigma.order, tau.order)
+    if sigma.order != tau.order and _keeps_law([0] * len(sub.members), sigma, tau, L):
+        return Corrector(sub, L, (0,) * len(sub.members))
     ks, kt = L // sigma.order, L // tau.order
     sv, tv = sigma.values, tau.values
-    # a zero rhs needs no system: in one order only identical (reduced) tables
-    # give one, and across orders both are read whole, being 0 on pairs with e
-    if ks != kt and not any(
-        (ks * x - kt * y) % L for x, y in zip(itertools.chain(*sv), itertools.chain(*tv))
-    ):
-        return Corrector(sub, L, (0,) * len(sub.members))
     system = _corrector_system(sub, L)
     u = _solve(system.diag, [ks * sv[a][x] - kt * tv[a][x] for a, x in system.pairs], L)
     if u is None:
@@ -262,8 +259,8 @@ def _corrector_system(sub: Subgroup, L: int) -> _System:
         coeff[col[x]] += 1
         if prod[a][x] != e:
             coeff[col[prod[a][x]]] -= 1
-        rows.append(tuple(coeff))
-    return _System(_diagonalize(tuple(rows), L), pairs)
+        rows.append(coeff)
+    return _System(_diagonalize(rows, L), pairs)
 
 
 def is_corrector(mu: Corrector, sigma: Cocycle, tau: Cocycle) -> bool:

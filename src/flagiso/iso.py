@@ -716,12 +716,10 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
             ),
         )
     sigma = [0] * n
-    for blk in blocks:
-        slots: dict[int, list[int]] = {}
-        for j in blk:
-            slots.setdefault(p2.degrees[j], []).append(j)
-        for i in blk:  # ascending source positions take ascending target slots
-            sigma[i] = slots[lam[p.degrees[i]]].pop(0)
+    for blk in blocks:  # as the shift search pairs: stable sorts, ascending within a degree
+        src_ids = sorted(blk, key=lambda i: lam[p.degrees[i]])
+        for i, j in zip(src_ids, sorted(blk, key=p2.degrees.__getitem__)):
+            sigma[i] = j
     witness = EquivWitness(p, p2, lam, tuple(sigma), components(lam))
     report = verify_equiv_witness(realize(p), realize(p2), witness)
     if not report.ok:

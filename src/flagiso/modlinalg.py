@@ -2,16 +2,16 @@
 
 _diagonalize brings A to U A V = D (mod L), D diagonal, by row and column
 operations whose pivot choices depend on A and L alone, and keeps the row
-transform U (sparse rows) and the column transform V; each (A, L) is
-diagonalized once, memoized.  A solve reads U b: A x = b has a solution
-exactly when every row of U b past the pivots is 0 and gcd(d_r, L) divides
-each pivot value (U b)_r, and the solution is x = V y with y read off the
-pivot values alone.  All arithmetic is on Python ints.
+transform U (sparse rows) and the column transform V; it keeps no memo, as
+its one reuser, cocycles._corrector_system, keeps the record.  A solve reads
+U b: A x = b has a solution exactly when every row of U b past the pivots is
+0 and gcd(d_r, L) divides each pivot value (U b)_r, and the solution is
+x = V y with y read off the pivot values alone.  All arithmetic is on Python
+ints.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -49,7 +49,7 @@ def solve_congruences(
     L = modulus
     if not any(v % L for v in rhs):
         return [0] * ncols
-    x = _solve(_diagonalize(tuple(map(tuple, a)), L), rhs, L)
+    x = _solve(_diagonalize(a, L), rhs, L)
     # exactness check against the original system
     if x is not None and any(sum(map(mul, row, x)) % L != want % L for row, want in zip(a, rhs)):
         raise AssertionError("internal solver error: solution fails the original system")
@@ -76,8 +76,7 @@ def _solve(diag: _Diagonal, rhs: Sequence[int], L: int) -> list[int] | None:
     return [sum(map(mul, row, y)) % L for row in diag.v]
 
 
-@lru_cache(maxsize=64)
-def _diagonalize(a: tuple[tuple[int, ...], ...], L: int) -> _Diagonal:
+def _diagonalize(a: Sequence[Sequence[int]], L: int) -> _Diagonal:
     """Diagonalize A mod L (L >= 2) by row and column operations, keeping U and V.
 
     Pivot k is the least nonzero entry of the untouched block, the first one in

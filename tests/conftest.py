@@ -51,17 +51,21 @@ all products of members: the oracles, error for error, for validate_cocycle
 and transport, which check on the triples and pairs led by generators, and
 for Subgroup, which decides closure by one closure walk.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
-which diagonalizes each matrix once and reads U b per right-hand side;
-cohomologous_by_elimination builds the corrector system afresh and solves it
-that way, as the oracle for cohomologous; cohomologous_by_dense_solve passes
-the coboundary rows over every non-identity pair to solve_congruences, which
-checks every row densely, and cohomologous_by_replay applies every row of
-their diagonalization's row transform U to the full right-hand side: the
-oracles for the verdict of cohomologous' solve on the generator rows, whose
-corrector keeps the law and differs from theirs by a homomorphism H -> Z_L
-(assert_solves_as, differ_by_a_homomorphism); is_corrector_by_pairs checks
-the corrector law on all |H|^2 pairs, as the oracle for the law cohomologous
-and is_corrector read on generator pairs.
+which diagonalizes the matrix and reads U b; cohomologous_by_elimination
+builds the coboundary rows over every non-identity pair afresh and solves
+them that way, cohomologous_by_dense_solve passes those rows to
+solve_congruences, which checks every row densely, and
+cohomologous_by_replay applies every row of their diagonalization's row
+transform U to the full right-hand side: the oracles for the verdict of
+cohomologous' solve on the generator rows, whose corrector keeps the law
+and differs from theirs by a homomorphism H -> Z_L (assert_solves_as,
+differ_by_a_homomorphism).  all_cocycles_by_brute lists every normalized
+cocycle of a small support by its identity on all triples, and
+corrector_by_brute tries every exponent vector against the corrector law:
+the exhaustive oracles for the cocycle solver.  z2_bilinear builds the
+bilinear cocycle table of Z2^r that the large-support checks use.
+is_corrector_by_pairs checks the corrector law on all |H|^2 pairs, as the
+oracle for the law cohomologous and is_corrector read on generator pairs.
 verify_witness_by_dict is
 verify_witness as it read a witness's map from a dict of basis elements and
 walked the generator products afresh on every call, as the oracle for the
@@ -97,10 +101,12 @@ from flagiso import (
     IsoWitness,
     Subgroup,
     WitnessReport,
+    build_abelian,
     iso_algebras,
     iso_division,
     shift_conjugate,
     solve_congruences,
+    validate_cocycle,
 )
 from flagiso.algebras import _coset_profiles
 from flagiso.errors import _shown
@@ -785,7 +791,7 @@ def solve_congruences_by_elimination(a, rhs, modulus):
     """One solution x of A x = rhs (mod modulus), or None, by eliminating from scratch.
 
     Every pivot scan restarts at row and column 0, and b is carried through the
-    elimination itself instead of being read off a memoized row transform U.
+    elimination itself instead of being read off a row transform U.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -876,8 +882,8 @@ def solve_congruences_by_elimination(a, rhs, modulus):
 
 
 def cohomologous_by_elimination(sigma, tau):
-    """Corrector exponents by support position, or None: the corrector law on the
-    non-identity pairs, built afresh and solved by solve_congruences_by_elimination."""
+    """A corrector, or None: the corrector law on the non-identity pairs, built
+    afresh and solved by solve_congruences_by_elimination."""
     sub = sigma.support
     grp = sub.group
     L = lcm(sigma.order, tau.order)
@@ -899,7 +905,7 @@ def cohomologous_by_elimination(sigma, tau):
     sol = solve_congruences_by_elimination(rows, rhs, L)
     if sol is None:
         return None
-    return tuple(0 if h == e else sol[col[h]] for h in sub.members)
+    return Corrector(sub, L, tuple(0 if h == e else sol[col[h]] for h in sub.members))
 
 
 def coboundary_rows(sub):
@@ -1006,3 +1012,58 @@ def is_corrector_by_pairs(mu, sigma, tau) -> bool:
             if (lhs - rhs) % L:
                 return False
     return True
+
+
+def all_cocycles_by_brute(sub, order):
+    """Every normalized 2-cocycle on sub in mu_order, validated: each normalized
+    table is kept when the identity holds on all |H|^3 triples."""
+    grp = sub.group
+    members = sub.members
+    e = grp.identity
+    free = [(a, b) for a in members for b in members if a != e and b != e]
+    found = []
+    for combo in itertools.product(range(order), repeat=len(free)):
+        vals = dict(zip(free, combo))
+
+        def val(a, b):
+            return 0 if a == e or b == e else vals[(a, b)]
+
+        if all(
+            (val(a, b) + val(grp.mul(a, b), c)) % order
+            == (val(b, c) + val(a, grp.mul(b, c))) % order
+            for a in members
+            for b in members
+            for c in members
+        ):
+            found.append(validate_cocycle(sub, order, [[val(a, b) for b in members] for a in members]))
+    return found
+
+
+def corrector_by_brute(sigma, tau):
+    """A normalized corrector as {member: exponent mod lcm}, or None: every
+    exponent vector is tried against the corrector law on all |H|^2 pairs."""
+    sub = sigma.support
+    grp = sub.group
+    L = lcm(sigma.order, tau.order)
+    ks, kt = L // sigma.order, L // tau.order
+    e = grp.identity
+    rest = [h for h in sub.members if h != e]
+    for combo in itertools.product(range(L), repeat=len(rest)):
+        u = {e: 0, **dict(zip(rest, combo))}
+        if all(
+            (ks * sigma.val(a, b) + u[grp.mul(a, b)]) % L
+            == (u[a] + u[b] + kt * tau.val(a, b)) % L
+            for a in sub.members
+            for b in sub.members
+        ):
+            return u
+    return None
+
+
+def z2_bilinear(r):
+    """The full support of Z2^r and the exponent table of its bilinear cocycle
+    sigma(a, b) = sum of a_i b_(i+1) mod 2: an element's index bits are its
+    coordinates."""
+    grp = build_abelian([2] * r)
+    sub = Subgroup(grp, tuple(grp.elements()))
+    return sub, [[bin(a & (b >> 1)).count("1") % 2 for b in sub.members] for a in sub.members]

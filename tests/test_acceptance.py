@@ -17,6 +17,8 @@ from pathlib import Path
 
 from conftest import (
     ACCEPTANCE_LINES,
+    all_cocycles_by_brute,
+    corrector_by_brute,
     count_classes_pairwise,
     is_corrector_by_pairs,
     make_sym,
@@ -306,30 +308,6 @@ def test_criterion_5_classification_goldens():
 # -- 6: the clock-and-shift division algebra ------------------------------------------
 
 
-def brute_corrector_exists(sigma, tau):
-    """Exhaustive search for a normalized corrector; the oracle for small supports."""
-    import math
-
-    assert sigma.support.members == tau.support.members
-    grp = sigma.support.group
-    members = sigma.support.members
-    L = math.lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
-    e = grp.identity
-    nonid = [x for x in members if x != e]
-    for combo in itertools.product(range(L), repeat=len(nonid)):
-        u = dict(zip(nonid, combo))
-        u[e] = 0
-        if all(
-            (u[a] + u[b] - u[grp.mul(a, b)]) % L
-            == (ks * sigma.val(a, b) - kt * tau.val(a, b)) % L
-            for a in members
-            for b in members
-        ):
-            return True
-    return False
-
-
 def test_criterion_6_division_algebra_facts():
     grp = build_abelian([2, 2])
     d = pauli(2, grp, ["(1,0)", "(0,1)"])
@@ -344,14 +322,14 @@ def test_criterion_6_division_algebra_facts():
         assert alg.degree.count(grp.identity) == 1  # dim A_e = 1: a division grading
 
         # oracle first: no corrector among all 2^3 normalized candidates
-        assert not brute_corrector_exists(d.cocycle, flat.cocycle)
+        assert corrector_by_brute(d.cocycle, flat.cocycle) is None
         assert iso_division(d, flat) is None
 
         autos = find_isomorphisms(grp, grp)
         assert len(autos) == 6
         for alpha in autos:
             moved = transport(d.cocycle, alpha, full)
-            assert not brute_corrector_exists(moved, flat.cocycle)
+            assert corrector_by_brute(moved, flat.cocycle) is None
         assert equiv_division(d, flat) is None
 
 
@@ -377,39 +355,6 @@ def test_criterion_7_equivalence_decisions():
 # -- 8: the cocycle solver against brute force (exhaustive) ----------------------------
 
 
-def all_cocycles_by_brute(sub, m):
-    grp = sub.group
-    members = sub.members
-    e = grp.identity
-    nonid = [x for x in members if x != e]
-    found = []
-    for combo in itertools.product(range(m), repeat=len(nonid) ** 2):
-        vals = {}
-        it = iter(combo)
-        for a in nonid:
-            for b in nonid:
-                vals[(a, b)] = next(it)
-        for x in members:
-            vals[(e, x)] = 0
-            vals[(x, e)] = 0
-        if all(
-            (
-                vals[(a, b)]
-                + vals[(grp.mul(a, b), c)]
-                - vals[(b, c)]
-                - vals[(a, grp.mul(b, c))]
-            )
-            % m
-            == 0
-            for a in members
-            for b in members
-            for c in members
-        ):
-            table = [[vals[(a, b)] for b in members] for a in members]
-            found.append(validate_cocycle(sub, m, table))
-    return found
-
-
 def test_criterion_8_cocycle_solver_vs_brute():
     z2 = build_abelian([2])
     supports = [
@@ -426,7 +371,7 @@ def test_criterion_8_cocycle_solver_vs_brute():
             cocycles = all_cocycles_by_brute(sub, 2)
             assert cocycles, "enumeration produced no cocycles"
             for s, t in itertools.product(cocycles, repeat=2):
-                expected = brute_corrector_exists(s, t)
+                expected = corrector_by_brute(s, t) is not None
                 mu = cohomologous(s, t)
                 assert (mu is not None) == expected
                 if mu is not None:

@@ -1,8 +1,8 @@
 import itertools
-from math import lcm
+from unittest import mock
 
 import pytest
-from conftest import is_corrector_by_pairs
+from conftest import all_cocycles_by_brute, corrector_by_brute, is_corrector_by_pairs, z2_bilinear
 
 import flagiso.cocycles
 from flagiso import (
@@ -19,57 +19,12 @@ from flagiso import (
     trivial_cocycle,
     validate_cocycle,
 )
-from flagiso.modlinalg import _diagonalize
 
 # -- oracles -----------------------------------------------------------------
 
 
 def coords(grp, i):
     return tuple(int(c) for c in grp.name_of(i).strip("()").split(","))
-
-
-def all_cocycles_by_brute(sub, order):
-    """Every normalized 2-cocycle table, by checking the identity on all triples."""
-    grp = sub.group
-    members = sub.members
-    e = grp.identity
-    free = [(a, b) for a in members for b in members if a != e and b != e]
-    found = []
-    for combo in itertools.product(range(order), repeat=len(free)):
-        vals = dict(zip(free, combo))
-
-        def val(a, b):
-            return 0 if a == e or b == e else vals[(a, b)]
-
-        if all(
-            (val(a, b) + val(grp.mul(a, b), c)) % order
-            == (val(b, c) + val(a, grp.mul(b, c))) % order
-            for a in members
-            for b in members
-            for c in members
-        ):
-            found.append([[val(a, b) for b in members] for a in members])
-    return found
-
-
-def corrector_by_brute(sigma, tau):
-    """Search all exponent vectors for one satisfying the corrector law."""
-    sub = sigma.support
-    grp = sub.group
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
-    e = grp.identity
-    rest = [h for h in sub.members if h != e]
-    for combo in itertools.product(range(L), repeat=len(rest)):
-        u = {e: 0, **dict(zip(rest, combo))}
-        if all(
-            (ks * sigma.val(a, b) + u[grp.mul(a, b)]) % L
-            == (u[a] + u[b] + kt * tau.val(a, b)) % L
-            for a in sub.members
-            for b in sub.members
-        ):
-            return u
-    return None
 
 
 def full_subgroup(grp):
@@ -247,22 +202,51 @@ def clock_and_shift_twists():
     )
 
 
+def spied(name):
+    """A spy on the binding cohomologous calls by ``name``, counting calls."""
+    return mock.patch(f"flagiso.cocycles.{name}", wraps=getattr(flagiso.cocycles, name))
+
+
 def test_one_diagonalization_serves_every_right_hand_side():
     """Solves on one support and modulus read one cached diagonalization: after
-    the first, no solve diagonalizes or looks a matrix up in the solver's memo."""
+    the first, no solve diagonalizes."""
     sigma, tau, rho = clock_and_shift_twists()
     system = flagiso.cocycles._corrector_system
     system.cache_clear()
-    assert is_corrector_by_pairs(cohomologous(sigma, tau), sigma, tau)
-    before = _diagonalize.cache_info()
-    trivial = trivial_cocycle(sigma.support, 3)
-    for s, t in ((sigma, rho), (rho, tau), (tau, sigma), (sigma, trivial), (trivial, rho)):
-        mu = cohomologous(s, t)
-        assert (mu is None) == (trivial in (s, t))
-        assert mu is None or is_corrector_by_pairs(mu, s, t)
-    after = _diagonalize.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    with spied("_diagonalize") as eliminated:
+        assert is_corrector_by_pairs(cohomologous(sigma, tau), sigma, tau)
+        assert eliminated.call_count == 1
+        trivial = trivial_cocycle(sigma.support, 3)
+        for s, t in ((sigma, rho), (rho, tau), (tau, sigma), (sigma, trivial), (trivial, rho)):
+            mu = cohomologous(s, t)
+            assert (mu is None) == (trivial in (s, t))
+            assert mu is None or is_corrector_by_pairs(mu, s, t)
+    assert eliminated.call_count == 1
     assert (system.cache_info().hits, system.cache_info().misses) == (5, 1)
+
+
+def test_each_elimination_is_a_corrector_system_miss():
+    """Over several supports and moduli, cohomologous diagonalizes once per
+    miss of the per-(support, modulus) system cache, and a warm pass of the
+    same solves diagonalizes nothing."""
+    sigma, tau, rho = clock_and_shift_twists()
+    sextic = validate_cocycle(sigma.support, 6, [[2 * v for v in row] for row in tau.values])
+    grp, tbl = klein_pauli_table()
+    klein = validate_cocycle(full_subgroup(grp), 2, tbl)
+    flat = trivial_cocycle(klein.support, 2)
+    quartic = validate_cocycle(klein.support, 4, [[2 * v for v in row] for row in tbl])
+    pairs = [
+        (sigma, tau), (rho, sigma), (sigma, sextic), (klein, flat), (flat, quartic), (quartic, klein)
+    ]
+    system = flagiso.cocycles._corrector_system
+    system.cache_clear()
+    with spied("_diagonalize") as eliminated:
+        cold = [cohomologous(s, t) for s, t in pairs]
+        assert eliminated.call_count == system.cache_info().misses == 4
+        assert [cohomologous(s, t) for s, t in pairs] == cold
+    assert eliminated.call_count == 4
+    for mu, (s, t) in zip(cold, pairs):
+        assert mu is None or is_corrector_by_pairs(mu, s, t)
 
 
 def test_identical_cocycles_build_no_system():
@@ -271,13 +255,25 @@ def test_identical_cocycles_build_no_system():
     sigma = clock_and_shift_twists()[0]
     copy = Cocycle(sigma.support, sigma.order, sigma.values)
     doubled = validate_cocycle(sigma.support, 6, [[2 * v for v in row] for row in sigma.values])
-    caches = (flagiso.cocycles._corrector_system, _diagonalize)
-    before = [cache.cache_info() for cache in caches]
-    for tau in (sigma, copy):
-        assert cohomologous(sigma, tau) == Corrector(sigma.support, 3, (0,) * 9)
-    assert cohomologous(sigma, doubled) == Corrector(sigma.support, 6, (0,) * 9)
-    assert cohomologous(doubled, sigma) == Corrector(sigma.support, 6, (0,) * 9)
-    assert [cache.cache_info() for cache in caches] == before
+    with spied("_corrector_system") as looked_up, spied("_diagonalize") as eliminated:
+        for tau in (sigma, copy):
+            assert cohomologous(sigma, tau) == Corrector(sigma.support, 3, (0,) * 9)
+        assert cohomologous(sigma, doubled) == Corrector(sigma.support, 6, (0,) * 9)
+        assert cohomologous(doubled, sigma) == Corrector(sigma.support, 6, (0,) * 9)
+    assert looked_up.call_count == eliminated.call_count == 0
+
+
+def test_the_law_decides_u_zero_across_two_root_orders():
+    """A Z2^6 bilinear cocycle in mu_2 and the same table embedded in mu_4 get
+    u = 0 from the corrector law read at u = 0, with no system looked up."""
+    sub, table = z2_bilinear(6)
+    sigma = validate_cocycle(sub, 2, table)
+    embedded = validate_cocycle(sub, 4, [[2 * v for v in row] for row in table])
+    with spied("_corrector_system") as looked_up, spied("_keeps_law") as law:
+        for s, t in ((sigma, embedded), (embedded, sigma)):
+            assert cohomologous(s, t) == Corrector(sub, 4, (0,) * 64)
+    assert looked_up.call_count == 0
+    assert [call.args[0] for call in law.call_args_list] == [[0] * 64] * 2
 
 
 def test_corrector_law_guards_cached_systems(monkeypatch):
@@ -342,8 +338,7 @@ def test_engine_agrees_with_brute_on_small_supports():
     for factors in ([2], [3], [4]):
         grp = build_abelian(factors)
         sub = full_subgroup(grp)
-        tables = all_cocycles_by_brute(sub, 2)
-        cocycles = [validate_cocycle(sub, 2, t) for t in tables]
+        cocycles = all_cocycles_by_brute(sub, 2)
         for s in cocycles:
             for t in cocycles:
                 got = cohomologous(s, t)

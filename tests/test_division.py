@@ -1,8 +1,5 @@
-import itertools
-from math import lcm
-
 import pytest
-from conftest import is_corrector_by_pairs, make_sym
+from conftest import corrector_by_brute, is_corrector_by_pairs, make_sym
 
 from flagiso import (
     Corrector,
@@ -22,25 +19,6 @@ from flagiso import (
 
 # frozen in test_cocycles from the commutation rule j1*i2 mod 2
 KLEIN_PAULI = ((0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 1))
-
-
-def corrector_by_brute(sigma, tau):
-    sub = sigma.support
-    grp = sub.group
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
-    e = grp.identity
-    rest = [h for h in sub.members if h != e]
-    for combo in itertools.product(range(L), repeat=len(rest)):
-        u = {e: 0, **dict(zip(rest, combo))}
-        if all(
-            (ks * sigma.val(a, b) + u[grp.mul(a, b)]) % L
-            == (u[a] + u[b] + kt * tau.val(a, b)) % L
-            for a in sub.members
-            for b in sub.members
-        ):
-            return u
-    return None
 
 
 # -- constructors ----------------------------------------------------------------

@@ -7,7 +7,6 @@ from conftest import NONASSOC_LOOP, compose, invert_perm, make_sym
 
 import flagiso.cocycles
 import flagiso.groups
-import flagiso.modlinalg
 
 from flagiso import (
     BudgetExceeded,
@@ -256,14 +255,15 @@ def test_equal_groups_share_one_coboundary_system():
     same = validate_table([list(row) for row in z3sq.table])
     assert same is not z3sq and hash(same) == hash(z3sq) == hash(z3sq.table)
     system = flagiso.cocycles._corrector_system
-    diagonalize = flagiso.modlinalg._diagonalize
     system.cache_clear()
-    diagonalize.cache_clear()
-    for grp in (z3sq, same):
-        d = pauli(3, grp, [1, 3])
-        assert cohomologous(d.cocycle, trivial_cocycle(d.support, 3)) is None
+    with mock.patch.object(
+        flagiso.cocycles, "_diagonalize", wraps=flagiso.cocycles._diagonalize
+    ) as eliminated:
+        for grp in (z3sq, same):
+            d = pauli(3, grp, [1, 3])
+            assert cohomologous(d.cocycle, trivial_cocycle(d.support, 3)) is None
     assert (system.cache_info().misses, system.cache_info().hits) == (1, 1)
-    assert (diagonalize.cache_info().misses, diagonalize.cache_info().hits) == (1, 0)
+    assert eliminated.call_count == 1
 
 
 def test_equal_supports_hash_once_and_share_one_corrector_system():

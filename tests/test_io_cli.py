@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import NONASSOC_LOOP, make_sym, validate_cocycle_by_triples
+from conftest import NONASSOC_LOOP, make_sym, validate_cocycle_by_triples, z2_bilinear
 
 from flagiso import (
     ISOMORPHIC,
@@ -14,7 +14,6 @@ from flagiso import (
     GradingReport,
     GroupMismatch,
     InvalidInput,
-    Subgroup,
     build_abelian,
     build_witness,
     compose_witness,
@@ -326,10 +325,7 @@ def test_cli_validates_a_twisted_z2_to_the_6(tmp_path, capsys):
     """A bilinear cocycle on Z2^6 (|H| = 64) saved as a twisted division
     validates; with one entry flipped it exits 2 on the triple that the
     all-triples check names first."""
-    grp = build_abelian([2] * 6)
-    sub = Subgroup(grp, tuple(grp.elements()))
-    # sigma(a, b) = sum of a_i b_(i+1): bits of the index are the coordinates
-    table = [[bin(a & (b >> 1)).count("1") % 2 for b in sub.members] for a in sub.members]
+    sub, table = z2_bilinear(6)
     p = make_presentation(GradedDivisionAlgebra(validate_cocycle(sub, 2, table)), [2], [0, 0])
     path = tmp_path / "z2_6.json"
     save_presentation(p, str(path))

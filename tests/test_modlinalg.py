@@ -2,6 +2,7 @@ import itertools
 import operator
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from conftest import solve_congruences_by_elimination
@@ -124,21 +125,24 @@ def test_zero_rhs_is_checked_like_any_other(a, rhs, modulus):
         solve_congruences(a, rhs, modulus)
 
 
+def eliminations():
+    """A spy on the diagonalization solve_congruences calls, counting calls."""
+    return mock.patch("flagiso.modlinalg._diagonalize", wraps=flagiso.modlinalg._diagonalize)
+
+
 def test_zero_rhs_diagonalizes_nothing():
     """x = 0 solves A x = 0: it is what U b = 0 would yield, and no system is
     diagonalized for it."""
-    diagonalize = flagiso.modlinalg._diagonalize
-    before = diagonalize.cache_info()
     a = [[3, 5, 1], [2, 0, 7]]
-    assert solve_congruences(a, [0, 0], 6) == [0, 0, 0]
-    assert solve_congruences(a, [12, -6], 6) == [0, 0, 0]
-    assert solve_congruences(a, [1, 2], 1) == [0, 0, 0]
-    after = diagonalize.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    with eliminations() as spy:
+        assert solve_congruences(a, [0, 0], 6) == [0, 0, 0]
+        assert solve_congruences(a, [12, -6], 6) == [0, 0, 0]
+        assert solve_congruences(a, [1, 2], 1) == [0, 0, 0]
+    assert spy.call_count == 0
     assert solve_congruences_by_elimination(a, [12, -6], 6) == [0, 0, 0]
 
 
-# -- the memoized diagonalization against elimination from scratch -----------------
+# -- the diagonalization against elimination from scratch ---------------------------
 
 
 @st.composite
@@ -159,14 +163,17 @@ def systems(draw):
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(systems())
-def test_memoized_solves_match_elimination_from_scratch(system):
-    """The first solve diagonalizes, later ones reuse it: both give the oracle's x."""
+def test_repeated_solves_match_elimination_from_scratch(system):
+    """Every solve of a nonzero right-hand side diagonalizes A once, the same
+    matrix again included, and gives the oracle's x."""
     a, rhss, modulus = system
-    flagiso.modlinalg._diagonalize.cache_clear()
+    nonzero = sum(any(v % modulus for v in rhs) for rhs in rhss)
     for repeat in range(2):
-        for rhs in rhss:
-            want = solve_congruences_by_elimination(a, rhs, modulus)
-            assert solve_congruences(a, rhs, modulus) == want, (repeat, a, rhs, modulus)
+        with eliminations() as spy:
+            for rhs in rhss:
+                want = solve_congruences_by_elimination(a, rhs, modulus)
+                assert solve_congruences(a, rhs, modulus) == want, (repeat, a, rhs, modulus)
+        assert spy.call_count == nonzero
 
 
 def test_memo_keeps_copies_of_the_matrix():
@@ -187,33 +194,34 @@ def test_returned_solutions_are_fresh_lists():
     assert solve_congruences(a, rhs, 7) is not solve_congruences(a, rhs, 7)
 
 
-def test_exactness_check_guards_memo_hits(monkeypatch):
-    """A corrupted diagonalization from the memo is caught, not returned."""
+def test_exactness_check_guards_a_corrupted_diagonalization(monkeypatch):
+    """A corrupted diagonalization is caught, not returned."""
     a, rhs = [[1, 1], [0, 1]], [1, 1]
     assert solve_congruences(a, rhs, 5) == [0, 1]
     diagonalize = flagiso.modlinalg._diagonalize
-    hits = diagonalize.cache_info().hits
+    calls = []
 
-    def corrupted(key, modulus):
-        diag = diagonalize(key, modulus)
+    def corrupted(matrix, modulus):
+        calls.append(modulus)
+        diag = diagonalize(matrix, modulus)
         return diag._replace(v=tuple((0,) * len(row) for row in diag.v))
 
     monkeypatch.setattr(flagiso.modlinalg, "_diagonalize", corrupted)
     with pytest.raises(AssertionError, match="^internal solver error"):
         solve_congruences(a, rhs, 5)
-    assert diagonalize.cache_info().hits == hits + 1
+    assert calls == [5]
 
 
 def test_memos_are_bounded():
-    """One memo per structure: (shape, support), (support, modulus),
-    (matrix, modulus) and the division's coset action, each bounded."""
+    """One memo per structure: (shape, support), (support, modulus) and the
+    division's coset action, each bounded; the diagonalization keeps none."""
     for cache in (
         flagiso.algebras._layout,
         flagiso.cocycles._corrector_system,
-        flagiso.modlinalg._diagonalize,
         flagiso.iso._coset_action,
     ):
         assert cache.cache_info().maxsize is not None
+    assert not hasattr(flagiso.modlinalg._diagonalize, "cache_info")
 
 
 # -- the record itself: U A V = D, and U b decides feasibility -----------------------
@@ -249,8 +257,8 @@ def degenerate_systems(draw, max_rows=8, max_cols=6, max_modulus=12):
 
 
 def record_of(a, modulus):
-    """The memoized record of A mod modulus, with U as a dense matrix."""
-    diag = flagiso.modlinalg._diagonalize(tuple(map(tuple, a)), modulus)
+    """The record of A mod modulus, with U as a dense matrix."""
+    diag = flagiso.modlinalg._diagonalize(a, modulus)
     dense = [[0] * len(a) for _ in a]
     for row, terms in zip(dense, diag.u):
         for i, q in terms:

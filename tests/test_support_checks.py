@@ -36,6 +36,7 @@ from conftest import (
     subgroup_members_by_products,
     transport_by_pairs,
     validate_cocycle_by_triples,
+    z2_bilinear,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,16 +228,11 @@ def test_a_valid_cocycle_on_z2_to_the_8_never_scans_every_triple(monkeypatch):
     monkeypatch.setattr(
         flagiso.cocycles, "_raise_first_failing_triple", lambda coc: scans.append(coc) or scan(coc)
     )
-    grp = build_abelian([2] * 8)
-    sub = Subgroup(grp, tuple(grp.elements()))
-    # sigma(a, b) = sum of a_i b_(i+1): bits of the index are the coordinates
-    table = [[bin(a & (b >> 1)).count("1") for b in sub.members] for a in sub.members]
+    sub, table = z2_bilinear(8)
     coc = validate_cocycle(sub, 2, table)
     assert scans == []
-    assert coc.values == tuple(tuple(v % 2 for v in row) for row in table)
-    small = build_abelian([2] * 3)
-    sub = Subgroup(small, tuple(small.elements()))
-    table = [[bin(a & (b >> 1)).count("1") for b in sub.members] for a in sub.members]
+    assert coc.values == tuple(map(tuple, table))
+    sub, table = z2_bilinear(3)
     table[3][5] += 1
     with pytest.raises(InvalidInput) as err:
         validate_cocycle(sub, 2, table)
