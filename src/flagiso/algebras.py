@@ -8,10 +8,10 @@ block positions i <= j (blockwise) and h in supp D, with
 
 Every product of basis elements is zero or a root of unity times a basis
 element, so the whole algebra is a finite exact object.  The degrees are
-computed in one place, _degrees, as one array by basis position; realize
-stores it, and invariants counts it.  The invariants of a NO certificate are
-read off the presentation's cosets instead, _coset_profiles, which counts
-cells, not degrees.
+computed in one place, _degrees, as one array by basis position, which
+realize stores.  The graded invariants are read off the presentation's
+cosets, in one place, _coset_profiles, which counts cells, not degrees:
+invariants and every NO certificate read them there.
 """
 
 from __future__ import annotations
@@ -145,15 +145,13 @@ class _Layout(NamedTuple):
     """What every algebra of one shape over one support shares.  By basis
     position: the basis, the cell position row * n + column, and the
     (row, support member, column) that the degree g_row h g_column^-1 is read
-    from.  Also the index of the basis, the positions of each block gap, by
-    gap, as runs of consecutive positions, the position of each unit
-    (k, k, e), by k, and GradedAlgebra.generators and its generator_products."""
+    from.  Also the index of the basis, the position of each unit (k, k, e),
+    by k, and GradedAlgebra.generators and its generator_products."""
 
     basis: tuple[BasisElem, ...]
     index: dict[BasisElem, int]
     at: tuple[int, ...]
     factors: tuple[tuple[int, int, int], ...]
-    gaps: tuple[tuple[slice, ...], ...]
     units: tuple[int, ...]
     generators: tuple[int, ...]
     walk: tuple[tuple[int, ...], ...]
@@ -168,15 +166,6 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
     basis = tuple(BasisElem(i, j, h) for i, j, _ in cells for h in members)
     at = tuple(i * n + j for i, j, _ in cells for _ in range(k))
     factors = tuple((i, h, j) for i, j, _ in cells for h in members)
-    # the cells of block row a and block column b are consecutive, so the
-    # positions of gap b - a are one run per block pair
-    gaps: list[list[slice]] = [[] for _ in range(shape.s)]
-    start = 0
-    for a, m in enumerate(shape.blocks):
-        for b in range(a, shape.s):
-            stop = start + m * shape.blocks[b] * k
-            gaps[b - a].append(slice(start, stop))
-            start = stop
     e = support.index[support.group.identity]
     number = shape.cell_number
     units = tuple(number[i, i] * k + e for i in range(n))
@@ -195,7 +184,7 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
             e_cells.append(number[i + 1, i])
     gens = tuple(sorted([c * k + e for c in e_cells] + [c * k + x for c in heads for x in xs]))
     walk = tuple(zip(*_products(shape, support, gens)))
-    return _Layout(basis, index, at, factors, tuple(map(tuple, gaps)), units, gens, walk)
+    return _Layout(basis, index, at, factors, units, gens, walk)
 
 
 def _degrees(p: FlagPresentation, layout: _Layout) -> tuple[int, ...]:
@@ -276,9 +265,10 @@ class GradedInvariants:
 
 
 def invariants(alg: GradedAlgebra) -> GradedInvariants:
-    """The invariants of alg, counted from its degrees."""
-    p = alg.presentation
-    return _count_invariants(_layout(p.shape, p.division.support), alg.degree)
+    """The invariants of alg, read off its presentation's cosets: an algebra's
+    invariants are its presentation's, whatever degrees it carries."""
+    dims, *radical = (tuple(sorted(d.items())) for d in _coset_profiles(alg.presentation, False))
+    return GradedInvariants(alg.dim, dims, tuple(enumerate(radical, 1)))
 
 
 def _coset_profiles(p: FlagPresentation, reps_only: bool) -> Iterator[dict[int, int]]:
@@ -295,11 +285,12 @@ def _coset_profiles(p: FlagPresentation, reps_only: bool) -> Iterator[dict[int, 
     degree of a coset has its representative's dimension, so over one central
     support these profiles agree exactly when the full ones do, and the least
     degree whose dimension differs is a representative.  Over H = 1 each
-    coset is one degree, so the reps_only profiles are the full ones.
+    coset is one degree, so the reps_only profiles are the full ones, and
+    they are the ones read whatever reps_only asks for.
     """
     grp, sup, shape = p.group, p.division.support, p.shape
     tbl, rep, degrees, cells = grp.table, sup.coset_rep, p.degrees, shape.cells()
-    if reps_only:
+    if reps_only or len(sup.members) == 1:
         rows = [tbl[g] for g in degrees]
         inv = [grp.inv(g) for g in degrees]
         keys = [rep[rows[i][inv[j]]] for i, j, _ in cells]
@@ -330,17 +321,3 @@ def _coset_profiles(p: FlagPresentation, reps_only: bool) -> Iterator[dict[int, 
         levels.append(dict(acc))
     yield from reversed(levels)
 
-
-def _count_invariants(layout: _Layout, degree: tuple[int, ...]) -> GradedInvariants:
-    """The invariants of the degrees by basis position of an algebra with this
-    layout.  dims[c] is the degree profile of J^c, the positions of gap >= c;
-    J^0 is the algebra.  One count grows from the deepest gap down, so each
-    degree is counted once, not once per level at or below its gap."""
-    gaps = layout.gaps
-    dims = [()] * len(gaps)
-    acc: Counter[int] = Counter()
-    for c in reversed(range(len(gaps))):
-        for run in gaps[c]:
-            acc.update(degree[run])
-        dims[c] = tuple(sorted(acc.items()))
-    return GradedInvariants(len(degree), dims[0], tuple(enumerate(dims))[1:])

@@ -550,11 +550,7 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 
     sup, sup2 = p.division.support, p2.division.support
     shared = sup.central and sup == sup2
-    # a trivial support's cosets are single degrees: its reps_only profile is its full one
-    levels = zip(
-        _coset_profiles(p, shared or len(sup.members) == 1),
-        _coset_profiles(p2, shared or len(sup2.members) == 1),
-    )
+    levels = zip(_coset_profiles(p, shared), _coset_profiles(p2, shared))
     mismatch = None
     for c, (dims1, dims2) in enumerate(levels):
         if dims1 != dims2:

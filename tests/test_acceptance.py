@@ -30,7 +30,6 @@ from flagiso import (
     INCONCLUSIVE,
     ISOMORPHIC,
     NOT_EQUIVALENT,
-    NOT_ISOMORPHIC,
     BasisElem,
     GradedDivisionAlgebra,
     Subgroup,

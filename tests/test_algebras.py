@@ -1,5 +1,4 @@
-import pytest
-from conftest import invariants_by_basis, make_sym, product, products_read, realize_by_basis
+from conftest import invariants_by_cell, make_sym, product, products_read, realize_by_basis
 
 from flagiso import (
     BasisElem,
@@ -266,14 +265,15 @@ def test_invariants_stable_under_shift():
         assert invariants(realize(shift_presentation(p, g))) == base
 
 
-def test_invariants_count_the_algebras_own_degrees():
-    """invariants reads alg.degree: with a basis degree replaced, it counts the
-    replacement, as the count over the basis does, not the presentation's cells."""
+def test_invariants_are_the_presentations_whatever_degrees_the_algebra_carries():
+    """invariants reads the presentation's cells, not alg.degree: with a basis
+    degree replaced, it is still the presentation's count, and check_grading is
+    the check that reports the replacement."""
     alg = realize(make_presentation(trivial_division(build_abelian([4])), [1, 1], [0, 1]))
     assert invariants(alg).dims == ((0, 2), (3, 1))
     moved = GradedAlgebra(alg.presentation, alg.basis, (3, *alg.degree[1:]), alg.index)
-    assert invariants(moved).dims == ((0, 1), (3, 2))
-    assert invariants(moved) == invariants_by_basis(moved)
+    assert invariants(moved) == invariants(alg) == invariants_by_cell(alg.presentation)
+    assert check_grading(alg).ok and not check_grading(moved).ok
 
 
 def test_invariants_stable_under_in_block_permutation():

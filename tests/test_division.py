@@ -2,7 +2,6 @@ import pytest
 from conftest import corrector_by_brute, is_corrector_by_pairs, make_sym
 
 from flagiso import (
-    Corrector,
     GroupMismatch,
     InvalidInput,
     Subgroup,

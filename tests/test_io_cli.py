@@ -24,7 +24,6 @@ from flagiso import (
     realize,
     subgroup_closure,
     trivial_cocycle,
-    trivial_division,
     validate_cocycle,
     verify_witness,
 )

@@ -608,7 +608,7 @@ def test_each_presentation_is_realized_once_per_decision(monkeypatch):
 def test_degrees_are_computed_once_per_side(monkeypatch):
     """A YES computes each side's degrees once, to realize it; a NO none, as it
     reads its invariants off the coset configuration; and invariants(realize(p))
-    once, as invariants counts the algebra's own degrees."""
+    once, in realize, as invariants reads the coset configuration too."""
     calls = []
     degrees = flagiso.algebras._degrees
     monkeypatch.setattr(

@@ -27,9 +27,9 @@ elimination is memoized anywhere else.  One rule, the corrector law, decides
 every corrector, u = 0 across two root orders included.
 The decision engine realizes algebras only to certify a YES.
 An algebra's degrees are computed in one place, algebras._degrees, as one
-array by basis position: realize stores it, and invariants counts the
-degrees an algebra carries; a NO reads its invariants off the presentation's
-cosets, without computing degrees.
+array by basis position, which realize stores.  The graded invariants are
+counted in one place, algebras._coset_profiles, off the presentation's
+cosets without computing degrees: invariants and every NO read them there.
 The grading and witness checks read one shared array of generator products;
 the walk over every nonzero product runs only to name a failed check's
 failures.
@@ -103,6 +103,38 @@ def test_library_imports_only_itself_and_the_standard_library():
             ]
     assert sorted(SRC.glob("*.py")), "library sources not found"
     assert found == [], f"imports from outside the standard library: {found}"
+
+
+def unread_imports(path: Path) -> list[str]:
+    """The names path imports and never reads, nor lists in its __all__; star
+    imports and ``from __future__`` bind nothing to read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name: node.lineno for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__"
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant)
+    }
+    return [
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for name, line in bound.items()
+        if name != "*" and name not in read | exported
+    ]
+
+
+def test_every_imported_name_is_read():
+    paths = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert len(paths) >= 30, "sources not found"
+    found = [entry for path in paths for entry in unread_imports(path)]
+    assert found == [], f"imported and never read: {found}"
 
 
 def test_validate_cocycle_is_called_only_on_outside_tables():
@@ -252,13 +284,20 @@ def test_only_degrees_computes_the_cell_degrees():
     per_cell = [path.name for path in SRC.glob("*.py") if "_cell_degrees" in path.read_text()]
     assert per_cell == []
     algebras = SRC / "algebras.py"
-    # the degree array is computed only to realize; a NO reads its invariants
-    # off the coset configuration, and invariants counts alg.degree
+    # the degree array is computed only to realize; the graded invariants are
+    # counted once, off the coset configuration, for invariants and for a NO
     assert [path.name for path in SRC.glob("*.py") if "_cell_invariants" in path.read_text()] == []
+    assert not hasattr(flagiso.algebras, "_count_invariants")
+    assert "gaps" not in flagiso.algebras._Layout._fields
     assert references_by_function(algebras, "_degrees") == ["realize"]
     assert set(references_by_function(algebras, "degrees")) == {"_coset_profiles", "_degrees"}
-    assert set(references_by_function(SRC / "iso.py", "_coset_profiles")) == {"iso_algebras"}
-    assert "invariants" in references_by_function(algebras, "degree")
+    assert "invariants" not in references_by_function(algebras, "degree")
+    found = {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner in references_by_function(path, "_coset_profiles")
+    }
+    assert found == {"algebras.invariants", "iso.iso_algebras"}
 
 
 def test_every_product_is_walked_only_to_report_a_failed_check():

@@ -17,11 +17,13 @@ singleton block's unit among the generators over a nontrivial support; a
 witness with one exponent or one image changed, on shapes with singleton
 blocks over nontrivial supports, rejected with the all-pairs loop's
 failures; basis_of against a sort,
-and the cells of its shape against a filter; invariants, counted from the
-degree array, against the count over the realized basis, on the three
-setups, shifted supports, both Klein four-groups of S4 and flags of 30 to 36
-blocks, and on corrupted degrees, which it counts as the algebra carries
-them; check_grading, which checks the generator products first, against the
+and the cells of its shape against a filter; invariants, read off the
+coset configuration, against the count over the realized basis, on the
+three setups, shifted supports, both Klein four-groups of S4, flags of 30
+to 36 blocks, all-singleton shapes over supports of order 1, S3's twisted
+transposition and D8's twisted center, and against the presentation's
+per-cell count on corrupted degrees, which it does not read;
+check_grading, which checks the generator products first, against the
 walk over every product, on valid and corrupted degrees; invert_witness and
 compose_witness, which solve the tuple relation for the correctors, against
 build_witness on the data of the explicit corrector formulas; realize,
@@ -106,7 +108,6 @@ from conftest import (
     cohomologous_by_elimination,
     cohomologous_by_replay,
     assert_solves_as,
-    is_corrector_by_pairs,
     composed_witness_data,
     derive_mapping_by_basis,
     dihedral_8,
@@ -953,7 +954,7 @@ def test_classed_pairs_are_drawn_as_labelled(case):
     assert (cohomologous(*pair) is not None) == same
 
 
-# -- classify against the tuple loop and Burnside's lemma, invariants against the basis
+# -- classify against the tuple loop and Burnside's lemma --------------------------------
 
 CLASSIFIED = st.one_of(
     pairs().map(lambda pair: pair[0]), shifted_presentations(), klein_s4_presentations()
@@ -1049,13 +1050,6 @@ def long_flags(draw):
     n = sum(blocks)
     degrees = draw(st.lists(st.integers(0, division.group.size - 1), min_size=n, max_size=n))
     return make_presentation(division, blocks, degrees)
-
-
-@SETTINGS
-@given(st.one_of(CLASSIFIED, long_flags()))
-def test_invariants_match_the_count_over_the_basis(p):
-    alg = realize(p)
-    assert invariants(alg) == invariants_by_basis(alg)
 
 
 @st.composite
@@ -1177,7 +1171,7 @@ def test_engine_witnesses_match_the_per_basis_element_map(pair):
     assert list(w.mapping.items()) == list(mapping.items())
 
 
-# -- the degree array and the witness map against their per-cell builds -------------
+# -- the degree array, invariants and the witness map against their per-cell builds --
 
 
 @st.composite
@@ -1200,6 +1194,13 @@ def non_central_or_twisted(draw):
 
 
 PER_CELL = st.one_of(CLASSIFIED, long_flags(), singleton_flags(), non_central_or_twisted())
+
+
+@SETTINGS
+@given(PER_CELL)
+def test_invariants_match_the_count_over_the_basis(p):
+    alg = realize(p)
+    assert invariants(alg) == invariants_by_basis(alg)
 
 
 @SETTINGS
@@ -1242,10 +1243,19 @@ def test_witness_map_matches_the_per_cell_build(w):
 
 @SETTINGS
 @given(graded_or_corrupted())
-def test_invariants_count_the_algebras_degrees(alg):
-    """invariants counts alg.degree, not its presentation's: corrupted degrees
-    are counted as the count over the basis counts them."""
-    assert invariants(alg) == invariants_by_basis(alg)
+def test_invariants_are_the_presentations_under_corrupted_degrees(alg):
+    """invariants reads alg's presentation, not alg.degree: with degrees
+    corrupted it is still the presentation's per-cell count.  check_grading is
+    the check that examines the degrees: it passes the realized ones and fails
+    a corrupted unit (k, k, e), whose degree the law (k,k,e)^2 = (k,k,e) fixes
+    at e."""
+    assert invariants(alg) == invariants_by_cell(alg.presentation)
+    realized = realize(alg.presentation).degree
+    e = alg.group.identity
+    units = [alg.index[BasisElem(k, k, e)] for k in range(alg.presentation.shape.n)]
+    ok = check_grading(alg).ok
+    assert ok or alg.degree != realized
+    assert not ok or all(alg.degree[u] == realized[u] for u in units)
 
 
 # -- NO certificates against the per-cell invariants ------------------------------------
@@ -1341,14 +1351,18 @@ def test_no_certificates_match_the_shared_support_reading(pair):
 
 
 def test_a_trivial_support_counts_its_cells_once_next_to_another_support():
+    """Inside _coset_profiles, the side over a trivial support counts its cells'
+    degrees, one per cell, with nothing expanded, whatever its caller asks;
+    the Z2 x Z4 side keys each cell by its pair of cosets and expands them."""
     p, q = TRIVIAL_AGAINST_PAULI
-    with mock.patch("flagiso.iso._coset_profiles", wraps=_coset_profiles) as spy:
+    with mock.patch("flagiso.algebras.Counter", wraps=Counter) as counted:
         verdict = iso_algebras(p, q)
         again = iso_algebras(q, p)
     assert verdict.kind == again.kind == NOT_ISOMORPHIC
-    assert spy.call_args_list == [
-        mock.call(p, True), mock.call(q, False), mock.call(q, False), mock.call(p, True)
-    ]
+    by_cell = [degree for (degree,) in cell_degrees(p)]
+    counts = [call.args[0] for call in counted.call_args_list if call.args]
+    assert counts[0] == counts[-1] == by_cell
+    assert all(isinstance(key, tuple) for key in counts[1]) and len(counts[1]) == len(by_cell)
 
 
 def assert_valid(cocycle):
