@@ -7,9 +7,10 @@ block positions i <= j (blockwise) and h in supp D, with
     (i,j,h)*(k,l,h') = 0 if j != k, else sigma(h,h') * (i,l,h*h')
 
 Every product of basis elements is zero or a root of unity times a basis
-element, so the whole algebra is a finite exact object.  The degrees are
-computed in one place, _degrees, as one array by basis position, which
-realize stores.  The graded invariants are read off the presentation's
+element, so the whole algebra is a finite exact object.  BlockShape.cells is
+the one description of where a basis element sits.  The degrees are computed
+in one place, _degrees, over those cells, as one array by basis position,
+which realize stores.  The graded invariants are read off the presentation's
 cosets, in one place, _coset_profiles, which counts cells, not degrees:
 invariants and every NO certificate read them there.
 """
@@ -143,15 +144,13 @@ def basis_of(p: FlagPresentation) -> tuple[BasisElem, ...]:
 
 class _Layout(NamedTuple):
     """What every algebra of one shape over one support shares.  By basis
-    position: the basis, the cell position row * n + column, and the
-    (row, support member, column) that the degree g_row h g_column^-1 is read
-    from.  Also the index of the basis, the position of each unit (k, k, e),
-    by k, and GradedAlgebra.generators and its generator_products."""
+    position: the basis and the cell position row * n + column.  Also the
+    index of the basis, the position of each unit (k, k, e), by k, and
+    GradedAlgebra.generators and its generator_products."""
 
     basis: tuple[BasisElem, ...]
     index: dict[BasisElem, int]
     at: tuple[int, ...]
-    factors: tuple[tuple[int, int, int], ...]
     units: tuple[int, ...]
     generators: tuple[int, ...]
     walk: tuple[tuple[int, ...], ...]
@@ -165,7 +164,6 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
     n, k, cells, members = shape.n, len(support.members), shape.cells(), support.members
     basis = tuple(BasisElem(i, j, h) for i, j, _ in cells for h in members)
     at = tuple(i * n + j for i, j, _ in cells for _ in range(k))
-    factors = tuple((i, h, j) for i, j, _ in cells for h in members)
     e = support.index[support.group.identity]
     number = shape.cell_number
     units = tuple(number[i, i] * k + e for i in range(n))
@@ -184,17 +182,19 @@ def _layout(shape: BlockShape, support: Subgroup) -> _Layout:
             e_cells.append(number[i + 1, i])
     gens = tuple(sorted([c * k + e for c in e_cells] + [c * k + x for c in heads for x in xs]))
     walk = tuple(zip(*_products(shape, support, gens)))
-    return _Layout(basis, index, at, factors, units, gens, walk)
+    return _Layout(basis, index, at, units, gens, walk)
 
 
-def _degrees(p: FlagPresentation, layout: _Layout) -> tuple[int, ...]:
+def _degrees(p: FlagPresentation) -> tuple[int, ...]:
     """The degree g_i h g_j^-1 of each basis position (i, j, h) of p's algebra,
-    read off its layout: the one place the degrees are computed."""
+    over the cells of its shape and the members of its support, in basis
+    order: the one place the degrees are computed."""
     grp = p.group
     tbl = grp.table
     rows = [tbl[g] for g in p.degrees]
     inv = [grp.inv(g) for g in p.degrees]
-    return tuple([tbl[rows[i][h]][inv[j]] for i, h, j in layout.factors])
+    members = p.division.support.members
+    return tuple([tbl[rows[i][h]][inv[j]] for i, j, _ in p.shape.cells() for h in members])
 
 
 def realize(p: FlagPresentation) -> GradedAlgebra:
@@ -204,7 +204,7 @@ def realize(p: FlagPresentation) -> GradedAlgebra:
     Construction only; check_grading is the separate check of the grading law.
     """
     layout = _layout(p.shape, p.division.support)
-    return GradedAlgebra(p, layout.basis, _degrees(p, layout), layout.index)
+    return GradedAlgebra(p, layout.basis, _degrees(p), layout.index)
 
 
 @dataclass(frozen=True)

@@ -728,24 +728,27 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 def verify_equiv_witness(
     alg: GradedAlgebra, alg2: GradedAlgebra, ew: EquivWitness
 ) -> WitnessReport:
-    """Check that e_ij -> e'_{sigma(i) sigma(j)} maps components onto components."""
+    """Check that e_ij -> e'_{sigma(i) sigma(j)} maps components onto components.
+
+    sigma must permute the source's positions, and the source's support must
+    be trivial, so that its basis position c is its cell number c.
+    """
     failures: list[str] = []
     sigma = ew.sigma
-    if sorted(sigma) != list(range(len(sigma))):
+    shape = alg.presentation.shape
+    if sorted(sigma) != list(range(shape.n)):
         return WitnessReport(False, 0, ("sigma is not a permutation",))
     if alg.dim != alg2.dim:
         return WitnessReport(False, 0, ("algebras have different dimensions",))
-    e1 = alg.group.identity
+    if not alg.presentation.division.is_trivial():
+        return WitnessReport(False, 0, ("nontrivial division part in equivalence check",))
     e2 = alg2.group.identity
     img_degree: dict[int, int] = {}
     checked = 0
-    for pos, b in enumerate(alg.basis):
-        if b.sup != e1:
-            return WitnessReport(False, 0, ("nontrivial division part in equivalence check",))
-        target = BasisElem(sigma[b.row], sigma[b.col], e2)
-        tpos = alg2.index.get(target)
+    for pos, (i, j, _) in enumerate(shape.cells()):
+        tpos = alg2.index.get(BasisElem(sigma[i], sigma[j], e2))
         if tpos is None:
-            failures.append(f"image of e_{b.row + 1}{b.col + 1} leaves the algebra")
+            failures.append(f"image of e_{i + 1}{j + 1} leaves the algebra")
             continue
         checked += 1
         u = alg.degree[pos]

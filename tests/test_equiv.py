@@ -8,7 +8,10 @@ from flagiso import (
     ISOMORPHIC,
     NOT_EQUIVALENT,
     EquivWitness,
+    GradedDivisionAlgebra,
+    Subgroup,
     UnsupportedInput,
+    WitnessReport,
     build_abelian,
     equiv_check,
     equiv_elementary,
@@ -16,6 +19,7 @@ from flagiso import (
     make_presentation,
     pauli,
     realize,
+    trivial_cocycle,
     trivial_division,
     verify_equiv_witness,
 )
@@ -249,3 +253,38 @@ def test_verify_equiv_rejects_dimension_mismatch():
     r = elem_pres([2], [1, 1], [0, 1])
     rep = verify_equiv_witness(realize(p), realize(r), ew)
     assert not rep.ok and "different dimensions" in rep.failures[0]
+
+
+@pytest.mark.parametrize("sigma", [(0, 1), (0, 1, 2, 3)])
+def test_verify_equiv_checks_sigma_against_the_source_positions(sigma):
+    """A sigma must permute the source's n positions: one too short used to
+    index past its end, one too long to pass."""
+    p = elem_pres([2], [1, 1, 1], [0, 1, 0])
+    ew = equiv_elementary(p, p).equiv_witness
+    assert ew.sigma == (0, 1, 2)
+    bad = EquivWitness(p, p, ew.lam, sigma, ew.component_map)
+    rep = verify_equiv_witness(realize(p), realize(p), bad)
+    assert rep == WitnessReport(False, 0, ("sigma is not a permutation",))
+
+
+def test_verify_equiv_rejects_merged_components():
+    """Onto a target whose degrees all coincide, the two components of the
+    source land on one target degree, of another dimension than either."""
+    p = elem_pres([2], [1, 1], [0, 1])
+    q = elem_pres([2], [1, 1], [0, 0])
+    ew = EquivWitness(p, q, {0: 0, 1: 0}, (0, 1), {0: 0, 1: 0})
+    rep = verify_equiv_witness(realize(p), realize(q), ew)
+    assert rep == WitnessReport(False, 3, (
+        "two components merge into one target degree",
+        "component dimensions differ: 2 at (0) vs 3 at (0)",
+        "component dimensions differ: 1 at (1) vs 3 at (0)",
+    ))
+
+
+def test_verify_equiv_refuses_a_nontrivial_source_support():
+    grp = build_abelian([2])
+    d = GradedDivisionAlgebra(trivial_cocycle(Subgroup(grp, (0, 1))))
+    p, q = make_presentation(d, [1, 1], [0, 1]), make_presentation(d, [1, 1], [1, 0])
+    ew = EquivWitness(p, q, {0: 1, 1: 0}, (0, 1), {0: 0, 1: 1})
+    rep = verify_equiv_witness(realize(p), realize(q), ew)
+    assert rep == WitnessReport(False, 0, ("nontrivial division part in equivalence check",))

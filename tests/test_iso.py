@@ -611,9 +611,7 @@ def test_degrees_are_computed_once_per_side(monkeypatch):
     once, in realize, as invariants reads the coset configuration too."""
     calls = []
     degrees = flagiso.algebras._degrees
-    monkeypatch.setattr(
-        flagiso.algebras, "_degrees", lambda p, layout: calls.append(p) or degrees(p, layout)
-    )
+    monkeypatch.setattr(flagiso.algebras, "_degrees", lambda p: calls.append(p) or degrees(p))
     grp = build_abelian([4])
     d = sign_division(grp, 2)
     p = make_presentation(d, [1, 1], [0, 1])
