@@ -271,10 +271,11 @@ def witness_from_obj(
     obj: Any, source: FlagPresentation, target: FlagPresentation, where: str = "witness"
 ) -> IsoWitness:
     """Rebuild a witness verbatim: the endpoints must share a group, names are
-    resolved and shapes checked, and nothing more.  verify_witness checks the
-    map alone; g, sigma, h and mu are provenance, which only build_witness,
-    invert_witness and compose_witness check (the tuple relation and the
-    corrector law)."""
+    resolved and shapes checked, and correctors outside the source's division
+    support are refused (invalid-witness-data); nothing more.  verify_witness
+    checks the map alone; g, sigma, h and mu are provenance, which only
+    build_witness, invert_witness and compose_witness check (the tuple
+    relation and the corrector law)."""
     _check_version(obj, where)
     if source.group != target.group:
         raise GroupMismatch("witness endpoints are graded by different groups")

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, lcm, prod
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .algebras import BasisElem, GradedAlgebra, _coset_profiles, _layout, basis_of, realize
 from .cocycles import Corrector, is_corrector
@@ -728,11 +728,8 @@ def equiv_elementary(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 def verify_equiv_witness(
     alg: GradedAlgebra, alg2: GradedAlgebra, ew: EquivWitness
 ) -> WitnessReport:
-    """Check that e_ij -> e'_{sigma(i) sigma(j)} maps components onto components.
-
-    sigma must permute the source's positions, and the source's support must
-    be trivial, so that its basis position c is its cell number c.
-    """
+    """Check that e_ij -> e'_{sigma(i) sigma(j)} maps components onto components,
+    for sigma a permutation of the source's positions and a trivial source support."""
     failures: list[str] = []
     sigma = ew.sigma
     shape = alg.presentation.shape
@@ -914,7 +911,7 @@ def classify(
     seen = bytearray(prod(map(len, multisets)))
     reps: list[tuple[int, ...]] = []
     sizes: list[int] = []
-    for number, config in enumerate(_configurations(multisets)):
+    for number, config in enumerate(itertools.product(*(range(len(ms)) for ms in multisets))):
         if seen[number]:
             continue
         orbit = set(map(sum, zip(*map(list.__getitem__, moves, config))))
@@ -923,11 +920,6 @@ def classify(
         reps.append(sum(map(list.__getitem__, coset_reps, config), ()))
         sizes.append(len(orbit) * per_tuple * prod(map(list.__getitem__, weights, config)))
     return Classification(group, shape, division, tuple(reps), tuple(sizes), group.size**n, shifts)
-
-
-def _configurations(multisets: Sequence[list[tuple[int, ...]]]):
-    """Every choice of one multiset index per block, in lexicographic order."""
-    return itertools.product(*(range(len(ms)) for ms in multisets))
 
 
 def _multinomial(multiset: tuple[int, ...]) -> int:

@@ -120,10 +120,25 @@ def test_validate_table_rejects_non_square():
     assert ei.value.code == "non-latin"
 
 
+def test_validate_table_rejects_empty():
+    with pytest.raises(InvalidInput) as ei:
+        validate_table([])
+    assert ei.value.code == "non-latin"
+    assert str(ei.value) == "empty table"
+
+
 def test_validate_table_rejects_bad_row():
     with pytest.raises(InvalidInput) as ei:
         validate_table([[0, 0], [1, 1]])
     assert ei.value.code == "non-latin"
+
+
+def test_validate_table_rejects_bad_column():
+    # every row is a permutation, but column 0 holds 0 twice
+    with pytest.raises(InvalidInput) as ei:
+        validate_table([[0, 1, 2], [0, 2, 1], [2, 1, 0]])
+    assert ei.value.code == "non-latin"
+    assert str(ei.value) == "column 0 is not a permutation"
 
 
 def test_validate_table_rejects_no_identity():

@@ -251,6 +251,21 @@ def test_witness_structural_rejections():
     with pytest.raises(InvalidInput):
         witness_from_obj(bad, p, q)
 
+    bad = {**good, "map": {}}
+    with pytest.raises(InvalidInput) as ei:
+        witness_from_obj(bad, p, q)
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == "witness: map must be a list"
+
+    # a corrector outside the source support, the one provenance check made on
+    # load: the Klein support is all of its group, so over Z2 with a trivial one
+    a, b = load_presentation(fx("z2_ea.json")), load_presentation(fx("z2_ae.json"))
+    bad = {**witness_to_obj(iso_algebras(a, b).witness), "h": ["(1)", "(0)"]}
+    with pytest.raises(InvalidInput) as ei:
+        witness_from_obj(bad, a, b)
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == "witness: correctors must lie in the division support"
+
 
 def test_semantic_corruption_loads_then_fails_verification():
     # the loader is a structure check; lies about scalars are verify's business
@@ -413,6 +428,17 @@ def test_cli_iso_no_with_a_radical_power_certificate(tmp_path, capsys):
     ]
 
 
+def test_cli_iso_no_on_two_block_shapes(tmp_path, capsys):
+    path = tmp_path / "z2_one_block.json"
+    doc = {"v": 1, "group": {"kind": "abelian", "factors": [2]},
+           "division": {"kind": "trivial"}, "blocks": [2], "tuple": ["(0)", "(1)"]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["iso", fx("z2_ea.json"), str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == "NOT_ISOMORPHIC\ninvariant mismatch: block shapes differ: (1, 1) vs (2,)\n"
+
+
 def test_cli_iso_group_mismatch_exits_2(capsys):
     code = main(["iso", fx("z2_ea.json"), fx("z3_ea.json")])
     captured = capsys.readouterr()
@@ -514,6 +540,24 @@ def test_cli_invalid_witness_reports_match_the_goldens(tmp_path, capsys, corrupt
     code = main(["verify-witness", a, b, str(wpath)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, INVALID_REPORTS[corruption], "")
+
+
+def test_cli_witness_with_a_corrector_outside_the_support_exits_2(tmp_path, capsys):
+    """Loading refuses correctors outside the source support, although h is
+    provenance that verify-witness does not otherwise read."""
+    wpath = tmp_path / "w.json"
+    main(["iso", fx("z2_ea.json"), fx("z2_ae.json"), "--witness", str(wpath)])
+    capsys.readouterr()
+    obj = json.loads(wpath.read_text())
+    assert obj["h"] == ["(0)", "(0)"]
+    obj["h"][0] = "(1)"
+    wpath.write_text(json.dumps(obj))
+    code = main(["verify-witness", fx("z2_ea.json"), fx("z2_ae.json"), str(wpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"validation error: witness file {wpath}: correctors must lie in the division support\n"
+    )
 
 
 def test_cli_structurally_broken_witness_exits_2(tmp_path, capsys):
@@ -1073,13 +1117,17 @@ def test_cli_names_one_bad_entry_of_an_oversized_list(capsys, args, message):
             ["--group", "abelian:2", "--blocks", "1", "--division", "pauli:x:(0),(1)"],
             "pauli order 'x' is not an integer",
         ),
+        (
+            ["--group", "abelian:2", "--blocks", "1", "--division", "pauli:2:a,b,c"],
+            '''cannot parse 'pauli:2:a,b,c'; expected "pauli:t:u-name,v-name"''',
+        ),
         # 64 characters are still echoed whole
         (
             ["--group", "abelian:2", "--blocks", "x" * 64],
             f"cannot parse block sizes from {'x' * 64!r}",
         ),
     ],
-    ids=["group", "blocks", "division", "pauli-order", "64-characters"],
+    ids=["group", "blocks", "division", "pauli-order", "pauli-names", "64-characters"],
 )
 def test_cli_echoes_short_values_whole(capsys, args, message):
     code = main(["classify", *args])

@@ -338,6 +338,54 @@ def test_build_witness_rejects_wrong_mu_support():
     assert "support" in str(ei.value)
 
 
+def test_build_witness_rejects_endpoints_over_two_groups():
+    p, _, w = z2_witness()
+    q = make_presentation(trivial_division(build_abelian([3])), [1, 1], [0, 1])
+    with pytest.raises(GroupMismatch) as ei:
+        build_witness(p, q, w.shift, w.sigma, w.correctors, w.mu)
+    assert ei.value.code == "group-mismatch"
+    assert str(ei.value) == "witness endpoints are graded by different groups"
+
+
+def test_build_witness_rejects_differing_shapes():
+    p, _, w = z2_witness()
+    q = make_presentation(p.division, [2], [1, 0])
+    with pytest.raises(InvalidInput) as ei:
+        build_witness(p, q, w.shift, w.sigma, w.correctors, w.mu)
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == "invalid witness data: block shapes differ"
+
+
+def test_build_witness_rejects_a_shift_that_moves_the_support():
+    """Over Z2 x Z2 every shift fixes <(1,0)>, so it never reaches <(0,1)>."""
+    grp = build_abelian([2, 2])
+    d, d2 = sign_division(grp, 2), sign_division(grp, 1)
+    p, q = make_presentation(d, [1], [0]), make_presentation(d2, [1], [0])
+    with pytest.raises(InvalidInput) as ei:
+        build_witness(p, q, 0, (0,), (0,), Corrector(d2.support, 2, (0, 0)))
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == (
+        "invalid witness data: the shift does not carry the support onto the target support"
+    )
+
+
+def test_invert_witness_rejects_a_shift_out_of_range():
+    """build_witness resolves its shift as an element first; a witness built
+    otherwise reaches the range check where its data is checked."""
+    _, _, w = z2_witness()
+    with pytest.raises(InvalidInput) as ei:
+        invert_witness(dataclasses.replace(w, shift=2))
+    assert ei.value.code == "invalid-witness-data"
+    assert str(ei.value) == "invalid witness data: shift out of range"
+
+
+def test_verify_rejects_algebras_of_different_dimensions():
+    p, _, w = z2_witness()
+    r = make_presentation(p.division, [1, 1, 1], [0, 1, 0])
+    report = verify_witness(realize(p), realize(r), w)
+    assert report == WitnessReport(False, 0, ("algebras have different dimensions",))
+
+
 def test_verify_rejects_scalar_corruption():
     p, q, w = z2_witness()
     bad_map = dict(w.mapping)

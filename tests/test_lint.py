@@ -26,10 +26,13 @@ keeps, through one path; no operation log is kept to replay, and no
 elimination is memoized anywhere else.  One rule, the corrector law, decides
 every corrector, u = 0 across two root orders included.
 The decision engine realizes algebras only to certify a YES.
-An algebra's degrees are computed in one place, algebras._degrees, as one
-array by basis position, which realize stores.  The graded invariants are
-counted in one place, algebras._coset_profiles, off the presentation's
-cosets without computing degrees: invariants and every NO read them there.
+BlockShape.cells is the one description of where a basis element sits: the
+shared layout keeps no per-position copy of it.  An algebra's degrees are
+computed in one place, algebras._degrees, from the presentation alone, over
+those cells, as one array by basis position, which realize stores.  The
+graded invariants are counted in one place, algebras._coset_profiles, off
+the presentation's cosets without computing degrees: invariants and every
+NO read them there.
 The grading and witness checks read one shared array of generator products;
 the walk over every nonzero product runs only to name a failed check's
 failures.
@@ -288,7 +291,9 @@ def test_only_degrees_computes_the_cell_degrees():
     # counted once, off the coset configuration, for invariants and for a NO
     assert [path.name for path in SRC.glob("*.py") if "_cell_invariants" in path.read_text()] == []
     assert not hasattr(flagiso.algebras, "_count_invariants")
-    assert "gaps" not in flagiso.algebras._Layout._fields
+    fields = ("basis", "index", "at", "units", "generators", "walk")
+    assert flagiso.algebras._Layout._fields == fields
+    assert list(inspect.signature(flagiso.algebras._degrees).parameters) == ["p"]
     assert references_by_function(algebras, "_degrees") == ["realize"]
     assert set(references_by_function(algebras, "degrees")) == {"_coset_profiles", "_degrees"}
     assert "invariants" not in references_by_function(algebras, "degree")
