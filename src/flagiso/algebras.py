@@ -8,11 +8,12 @@ block positions i <= j (blockwise) and h in supp D, with
 
 Every product of basis elements is zero or a root of unity times a basis
 element, so the whole algebra is a finite exact object.  BlockShape.cells is
-the one description of where a basis element sits.  The degrees are computed
-in one place, _degrees, over those cells, as one array by basis position,
-which realize stores.  The graded invariants are read off the presentation's
-cosets, in one place, _coset_profiles, which counts cells, not degrees:
-invariants and every NO certificate read them there.
+the one description of where a basis element sits.  The degree array is
+computed in one place, _degrees, over those cells, by basis position: realize
+stores it, and the report of a failed witness check reads it.  The graded
+invariants are read off the presentation's cosets, in one place,
+_coset_profiles, which counts cells, not degrees: invariants and every NO
+certificate read them there.
 """
 
 from __future__ import annotations

@@ -20,7 +20,15 @@ from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import NamedTuple
 
-from .algebras import BasisElem, GradedAlgebra, _coset_profiles, _layout, basis_of, realize
+from .algebras import (
+    BasisElem,
+    GradedAlgebra,
+    _coset_profiles,
+    _degrees,
+    _layout,
+    basis_of,
+    realize,
+)
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
@@ -261,31 +269,18 @@ def build_witness(
     return _witness(p, p2, shift_i, sigma_t, mu)
 
 
-def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> WitnessReport:
-    """Exact check that the map is an isomorphism of graded algebras: bijective
-    on bases and degree-preserving, then multiplicative on all dim^2 basis
-    pairs in three steps: the zero pattern through one index map pi, routing
-    by the degree argument below, and scalars on the products s*b of a
-    generator s and a basis element b, which an induction below extends to
-    every product.  Each pass compares whole position arrays first and
-    spells out its failures only when they differ."""
-    grp = alg.group
-    if grp != alg2.group:
-        raise GroupMismatch("witness endpoints are graded by different groups")
-    basis = alg.basis
+def _malformed(basis, dim2: int, m1: int, m2: int, w: IsoWitness) -> WitnessReport | None:
+    """The report on w's map when it is no bijection on positions from the
+    source basis onto a target basis of dim2 elements, or its scalar order
+    does not embed both root groups mu_m1 and mu_m2; None when it passes."""
     dim = len(basis)
-    images, exps = w.images, w.exponents
+    images, exps, order = w.images, w.exponents, w.scalar_order
     if len(images) != dim or len(exps) != dim:
         return WitnessReport(False, 0, ("map is not defined on exactly the source basis",))
-    if dim != len(alg2.basis):
+    if dim != dim2:
         return WitnessReport(False, 0, ("algebras have different dimensions",))
-
-    order = w.scalar_order
-    m1, m2 = alg.order, alg2.order
     if order < 1 or order % m1 or order % m2:
         return WitnessReport(False, 0, (f"scalar order {order} does not embed both mu_{m1} and mu_{m2}",))
-    k1, k2 = order // m1, order // m2
-
     if set(map(type, images)) != {int} or min(images) < 0 or max(images) >= dim:
         return WitnessReport(False, 0, tuple(
             f"image of {tuple(b)} is not a basis element: {tuple(t) if isinstance(t, tuple) else t}"
@@ -294,9 +289,112 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
         ))
     if len(set(images)) != dim:
         return WitnessReport(False, 0, ("map is not injective on basis elements",))
+    return None
 
-    deg, deg2 = alg.degree, alg2.degree
-    if tuple(map(deg2.__getitem__, images)) != tuple(deg):
+
+def _is_isomorphism(p: FlagPresentation, p2: FlagPresentation, w: IsoWitness, walk) -> bool:
+    """Whether w's map is an isomorphism of the graded algebras of p and p2,
+    decided on the two presentations and the shared layout alone: no algebra
+    is realized and no degree array computed.  walk is the generator products
+    of p's algebra, GradedAlgebra.generator_products.  verify_witness reports
+    on the map only when this says no.
+
+    Different shapes, or supports of different sizes, are sent to the report.
+    The map must be a bijection of bases on positions, with a scalar order
+    that embeds both root groups.  Then, over the generator walk's
+    generating set S (GradedAlgebra.generators):
+
+    - the zero pattern, through one index map pi: pi(k) is the row of the
+      image of the unit (k,k,e).  The map keeps every zero product zero and
+      every nonzero product nonzero iff each image sits at (pi(row),
+      pi(col)) and pi is injective.  The first is one comparison of each
+      image's cell position (row * n + column, the same array on both sides
+      of one shape) with the one pi predicts; the second is checked on pi.
+    - the degrees of the generators, g_i h g_j^-1 against g'_r h' g'_c^-1.
+    - the products s*b of a generator s and a basis element b, in one loop:
+      the image of s*b sits in the cell of f(s)*f(b), by the zero pattern, at
+      the support position mul(h'_s, h'_b) (routing), with the scalar of
+      f(s)*f(b) (scalars).
+
+    The x with f(x*y) = f(x)*f(y) for every y form a subspace T; T contains
+    S, as each s*b keeps its zero pattern, its routing and its scalar.  T is
+    closed under products: for s and w in T and every y,
+        f(s*w*y) = f(s)*f(w*y) = f(s)*f(w)*f(y) = f(s*w)*f(y).
+    By induction on word length T holds every product of elements of S, and
+    every basis element is one up to a root of unity, so T is the algebra.
+    So f is multiplicative, and the degree of f(b) for b a word in S is the
+    product of its generators' degrees, by the grading law of the target:
+    a multiplicative bijection that keeps the generators' degrees keeps all.
+    """
+    shape, sup, sup2 = p.shape, p.division.support, p2.division.support
+    k = len(sup.members)
+    if p2.shape != shape or len(sup2.members) != k:
+        return False
+    layout = _layout(shape, sup)
+    m1, m2 = p.division.order, p2.division.order
+    if _malformed(layout.basis, len(layout.basis), m1, m2, w) is not None:
+        return False
+    images, exps, order = w.images, w.exponents, w.scalar_order
+
+    n, at, units = shape.n, layout.at, layout.units
+    img_at = list(map(at.__getitem__, images))
+    rows = [img_at[u] // n for u in units]  # pi
+    cols = [img_at[u] % n for u in units]
+    want = [c * n + r for c in cols for r in rows]  # by row * n + column
+    if len(set(rows)) != n or list(map(want.__getitem__, at)) != img_at:
+        return False
+
+    grp, cells = p.group, shape.cells()
+    tbl, members2 = grp.table, sup2.members
+    inv = [grp.inv(g) for g in p.degrees]
+    inv2 = [grp.inv(g) for g in p2.degrees]
+    for s in layout.generators:
+        i, j, h = layout.basis[s]
+        t = images[s]
+        r, c, _ = cells[t // k]
+        if tbl[tbl[p.degrees[i]][h]][inv[j]] != tbl[tbl[p2.degrees[r]][members2[t % k]]][inv2[c]]:
+            return False
+
+    k1, k2 = order // m1, order // m2
+    vals1, vals2 = p.division.cocycle.values, p2.division.cocycle.values
+    mul2 = sup2.mul_table
+    # a cell holds support position x at offset x, so an image's is its position mod |H'|
+    img_sup = list(map(k.__rmod__, images))
+    for s, b, x, y, pos in zip(*walk):
+        u, v = img_sup[s], img_sup[b]
+        if img_sup[pos] != mul2[u][v] or (
+            k1 * vals1[x][y] + exps[pos] - exps[s] - exps[b] - k2 * vals2[u][v]
+        ) % order:
+            return False
+    return True
+
+
+def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> WitnessReport:
+    """Exact check that the map is an isomorphism of graded algebras: bijective
+    on bases, degree-preserving and multiplicative on all dim^2 basis pairs.
+
+    _is_isomorphism decides, on the algebras' presentations; the degrees are
+    read off those, as invariants reads them, so alg.degree is not consulted.
+    Only a NO spells out its failures, in the passes below: the bijection,
+    the degrees of every basis element, the zero pattern through pi, and the
+    scalars over every nonzero product.  A map that keeps every degree and
+    the zero pattern routes every product right, as within a target cell the
+    degree fixes the support element, so no routing failure is named."""
+    grp = alg.group
+    if grp != alg2.group:
+        raise GroupMismatch("witness endpoints are graded by different groups")
+    basis = alg.basis
+    dim = len(basis)
+    if _is_isomorphism(alg.presentation, alg2.presentation, w, alg.generator_products()):
+        return WitnessReport(True, dim * dim, ())
+    refused = _malformed(basis, len(alg2.basis), alg.order, alg2.order, w)
+    if refused is not None:
+        return refused
+    images, exps, order = w.images, w.exponents, w.scalar_order
+    k1, k2 = order // alg.order, order // alg2.order
+
+    deg, deg2 = _degrees(alg.presentation), _degrees(alg2.presentation)
+    if tuple(map(deg2.__getitem__, images)) != deg:
         return WitnessReport(False, 0, tuple(
             f"degree mismatch at {tuple(basis[pos])}: "
             f"{grp.name_of(deg[pos])} -> {grp.name_of(deg2[t])}"
@@ -304,13 +402,10 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
             if deg2[t] != deg[pos]
         ))
 
-    # pi sends index k to the row of the image of the unit (k,k,e).  The map
-    # keeps the zero pattern iff every image sits at (pi(row), pi(col)) and pi
-    # is injective.  The first holds iff unit * b and b * unit keep their
-    # pattern for every b; the second follows, as two units of degree e cannot
-    # share a cell (l,l), which holds one element of degree e.  So only those
-    # O(dim) pairs are compared.  Each of them, (k,k,e)(k,l,h) or
-    # (k,l,h)(l,l,e), is nonzero, so a pair fails when its images' product is zero.
+    # With the degrees kept, pi is injective: two units of degree e cannot
+    # share a cell (l,l), which holds one element of degree e.  Each pair
+    # (k,k,e)(k,l,h) or (k,l,h)(l,l,e) is nonzero, so it fails when its
+    # images' product is zero.
     layout = _layout(alg.presentation.shape, alg.presentation.division.support)
     at, units = layout.at, layout.units  # units: by k, the position of (k,k,e)
     at2 = _layout(alg2.presentation.shape, alg2.presentation.division.support).at
@@ -328,34 +423,8 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
             for p1, q in sorted(broken)
         ))
 
-    # Routing needs no check.  For a nonzero product b1*b2 = (i,j,h)(j,l,h'),
-    # the image of b1*b2 and the product of the images both lie in the target
-    # cell (pi(i), pi(l)), and both have degree deg(b1) deg(b2): the former as
-    # the map keeps degrees, the latter by the grading law of the target.
-    # Within a cell (r,c) the degree g_r h g_c^-1 fixes the support element
-    # h, so the two are one basis element.  Only the scalars remain.
-    #
-    # They are checked on the products s*b with s in the generating set S of
-    # GradedAlgebra.generators and b in the basis.  The x with f(x*y) =
-    # f(x)*f(y) for every y form a subspace T; T contains S, as each s*b keeps
-    # its zero pattern, its routing and, checked here, its scalar.  T is closed
-    # under products: for s and w in T and every y,
-    #     f(s*w*y) = f(s)*f(w*y) = f(s)*f(w)*f(y) = f(s*w)*f(y).
-    # By induction on word length T holds every product of elements of S, and
-    # every basis element is one up to a root of unity, so T is the algebra.
-    # When some s*b fails, the walk reruns over every nonzero product, so an
-    # invalid report names each failing pair.
-    vals1 = alg.presentation.division.cocycle.values
     vals2 = alg2.presentation.division.cocycle.values
-    # a cell holds support position x at offset x, so an image's is its position mod |H'|
     img_sup = list(map(len(alg2.presentation.division.support.members).__rmod__, images))
-    for p1, q, x, y, pos in zip(*alg.generator_products()):
-        if (
-            k1 * vals1[x][y] + exps[pos] - exps[p1] - exps[q] - k2 * vals2[img_sup[p1]][img_sup[q]]
-        ) % order:
-            break
-    else:
-        return WitnessReport(True, dim * dim, ())
     failures = []
     for p1, q, s_exp, s_pos in alg.nonzero_products():
         lhs = k1 * s_exp + exps[s_pos]
@@ -487,12 +556,14 @@ def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verd
     The data holds by construction, so build_witness's checks are not rerun:
     sigma preserves blocks, the correctors _witness solves lie in H (paired
     degrees share a coset), and mu is iso_division's exact solve on D^g and
-    D' (equal supports).  verify_witness checks the map.
+    D' (equal supports).  verify_witness's decision checks the map, on the
+    presentations: a YES realizes neither side.  Only a failure realizes
+    them, for verify_witness to name what fails.
     """
     g, mu, sigma = found
     w = _witness(p, p2, g, sigma, mu)
-    report = verify_witness(realize(p), realize(p2), w)
-    if not report.ok:
+    if not _is_isomorphism(p, p2, w, _layout(p.shape, p.division.support).walk):
+        report = verify_witness(realize(p), realize(p2), w)
         raise AssertionError(
             f"engine produced a witness that fails verification: {report.failures[:3]}"
         )
@@ -733,7 +804,7 @@ def verify_equiv_witness(
     failures: list[str] = []
     sigma = ew.sigma
     shape = alg.presentation.shape
-    if sorted(sigma) != list(range(shape.n)):
+    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(shape.n)):
         return WitnessReport(False, 0, ("sigma is not a permutation",))
     if alg.dim != alg2.dim:
         return WitnessReport(False, 0, ("algebras have different dimensions",))

@@ -108,7 +108,8 @@ from flagiso import (
     solve_congruences,
     validate_cocycle,
 )
-from flagiso.algebras import _coset_profiles
+import flagiso.iso
+from flagiso.algebras import _coset_profiles, _Layout
 from flagiso.errors import _shown
 from flagiso.io import _positions
 from flagiso.iso import _separate
@@ -463,11 +464,14 @@ def witness_with_map(w, mapping, scalar_order=None) -> IsoWitness:
 @contextlib.contextmanager
 def products_read():
     """Within the block, count into the yielded list the basis products the
-    checks read: the shared generator products on each read of them, and each
-    product the all-products walk yields."""
+    checks read: the shared generator products on each read of them, through
+    GradedAlgebra.generator_products or off the layout that verify_witness's
+    decision reads in flagiso.iso, and each product the all-products walk
+    yields."""
     counts: list[int] = []
     shared = GradedAlgebra.generator_products
     walk = GradedAlgebra.nonzero_products
+    layout = flagiso.iso._layout
 
     def reading(alg):
         arrays = shared(alg)
@@ -479,9 +483,18 @@ def products_read():
             counts.append(1)
             yield product
 
+    class Counted(_Layout):
+        __slots__ = ()
+
+        @property
+        def walk(self):
+            arrays = super().walk
+            counts.append(len(arrays[0]))
+            return arrays
+
     with mock.patch.object(GradedAlgebra, "generator_products", reading), mock.patch.object(
         GradedAlgebra, "nonzero_products", walking
-    ):
+    ), mock.patch.object(flagiso.iso, "_layout", lambda *key: Counted(*layout(*key))):
         yield counts
 
 

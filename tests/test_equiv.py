@@ -267,6 +267,17 @@ def test_verify_equiv_checks_sigma_against_the_source_positions(sigma):
     assert rep == WitnessReport(False, 0, ("sigma is not a permutation",))
 
 
+@pytest.mark.parametrize("sigma", [(0.0, 1.0, 2.0), (False, True, 2)], ids=["floats", "bools"])
+def test_verify_equiv_refuses_a_sigma_of_equal_positions_that_are_not_ints(sigma):
+    """Entries equal to the positions 0, 1, 2 but not ints are refused, as
+    build_witness refuses them in an isomorphism's sigma: they used to pass."""
+    p = elem_pres([2], [1, 1, 1], [0, 1, 0])
+    ew = equiv_elementary(p, p).equiv_witness
+    bad = EquivWitness(p, p, ew.lam, sigma, ew.component_map)
+    rep = verify_equiv_witness(realize(p), realize(p), bad)
+    assert rep == WitnessReport(False, 0, ("sigma is not a permutation",))
+
+
 def test_verify_equiv_rejects_merged_components():
     """Onto a target whose degrees all coincide, the two components of the
     source land on one target degree, of another dimension than either."""

@@ -87,6 +87,7 @@ draws the same examples.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -686,6 +687,114 @@ def test_verify_witness_agrees_with_the_dict_verifier(case):
     the Klein four-group of S4 that conjugation moves and D8's twisted center."""
     alg, alg2, w = case
     assert verify_witness(alg, alg2, w) == verify_witness_by_dict(alg, alg2, w)
+
+
+# -- what verify_witness's decision checks that degrees used to give -----------------
+
+
+def reported_as_by_the_loop(alg, alg2, w) -> WitnessReport:
+    """verify_witness's report, compared with the all-pairs loop's as
+    test_verify_witness_agrees_with_the_all_pairs_loop compares them."""
+    got = verify_witness(alg, alg2, w)
+    want = verify_witness_by_pairs(alg, alg2, w)
+    assert (got.ok, got.checked_pairs) == (want.ok, want.checked_pairs)
+    if any("zero product" in f for f in want.failures):
+        assert got.failures and is_subsequence(got.failures, want.failures)
+    else:
+        assert got.failures == want.failures
+    return got
+
+
+def test_no_bijection_between_different_shapes_of_one_dimension_is_accepted():
+    """Blocks (2,1) against (1,2) over a trivial support, every degree e: all
+    5,040 bijections keep degrees, so it is the zero pattern, and pi's
+    injectivity with it, that refuses each one, as the all-pairs loop does."""
+    d = trivial_division(build_abelian([2]))
+    p = make_presentation(d, (2, 1), [0, 0, 0])
+    q = make_presentation(d, (1, 2), [0, 0, 0])
+    alg, alg2 = realize(p), realize(q)
+    assert alg.dim == alg2.dim == 7
+    w = iso_algebras(p, p).witness
+    for images in itertools.permutations(range(7)):
+        moved = dataclasses.replace(w, target=q, images=images)
+        assert not reported_as_by_the_loop(alg, alg2, moved).ok
+
+
+def test_a_multiplicative_map_that_moves_degrees_is_rejected():
+    """Every monomial map of the Klein clock-and-shift division algebra, each
+    bijection of its four basis elements with each exponent vector: among the
+    multiplicative ones, those that move a degree (as conjugation by the
+    Hadamard matrix swaps X and Z) are refused, by the generators' degrees
+    alone, and the ones that keep degrees are accepted."""
+    p = make_presentation(SHIFTED[0], (1,), [0])
+    alg = realize(p)
+    w = iso_algebras(p, p).witness
+    order = w.scalar_order
+
+    def multiplicative(images, exps):
+        for p1, q in itertools.product(range(alg.dim), repeat=2):
+            s_exp, s_pos = product_pos(alg, p1, q)
+            t_exp, t_pos = product_pos(alg, images[p1], images[q])
+            if t_pos != images[s_pos] or (s_exp + exps[s_pos] - exps[p1] - exps[q] - t_exp) % order:
+                return False
+        return True
+
+    verdicts = Counter()
+    for images in itertools.permutations(range(alg.dim)):
+        for exps in itertools.product(range(order), repeat=alg.dim):
+            if multiplicative(images, exps):
+                graded = all(alg.degree[t] == u for t, u in zip(images, alg.degree))
+                moved = dataclasses.replace(w, images=images, exponents=exps)
+                assert reported_as_by_the_loop(alg, alg, moved).ok == graded
+                verdicts[graded] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def swapped(w, alg, x, y):
+    """w with the map's entries at source positions x and y exchanged."""
+    mapping = dict(w.mapping)
+    bx, by = alg.basis[x], alg.basis[y]
+    mapping[bx], mapping[by] = mapping[by], mapping[bx]
+    return witness_with_map(w, mapping)
+
+
+@SETTINGS
+@given(rewrites(SEARCHED), st.data())
+def test_a_generator_moved_within_its_target_cell_is_rejected(rewrite, data):
+    """A valid witness with one generator's image moved to another support
+    position of its target cell, whose image takes its place: the zero
+    pattern holds, and the generator's degree is what changes."""
+    p, q = rewrite
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    k = len(q.division.support.members)
+    s = data.draw(st.sampled_from(alg.generators()))
+    cell = w.images[s] - w.images[s] % k
+    t = data.draw(st.sampled_from([t for t in range(cell, cell + k) if t != w.images[s]]))
+    assert not reported_as_by_the_loop(alg, alg2, swapped(w, alg, s, w.images.index(t))).ok
+
+
+@SETTINGS
+@given(rewrites(SEARCHED), st.data())
+def test_a_misrouting_off_the_generators_is_rejected(rewrite, data):
+    """A valid witness with the images of two non-generators of one cell
+    exchanged: every generator keeps its image, so the generators' degrees
+    and the zero pattern hold, and only routing in the generator walk sees
+    the fault."""
+    p, q = rewrite
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    k = len(p.division.support.members)
+    gens = set(alg.generators())
+    pairs = [
+        (x, y)
+        for x in range(alg.dim)
+        for y in range(x + 1, x - x % k + k)
+        if x not in gens and y not in gens
+    ]
+    assume(pairs)
+    x, y = data.draw(st.sampled_from(pairs))
+    assert not reported_as_by_the_loop(alg, alg2, swapped(w, alg, x, y)).ok
 
 
 @SETTINGS
