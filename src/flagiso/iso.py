@@ -1,21 +1,24 @@
 """Isomorphism and equivalence decisions with checkable witnesses.
 
-YES answers carry an explicit monomial map (basis element to scalar times
-basis element) that verify_witness re-checks exactly; NO answers carry
-either a separating invariant or an exhausted-search certificate.  The degree
-tuple relation underlying every isomorphism witness is
+A YES is decided on the paper's data for a graded isomorphism: a flag shift
+g, a block-preserving permutation sigma (target position to source
+position), correctors h in the division support, and a corrector mu from
+D^g to D', related by the degree tuple relation
 
     tuple'[i] = tuple[sigma[i]] * h[sigma[i]] * g        (all i)
 
-with g the flag shift, sigma a block-preserving permutation (target position
-to source position), and h correctors in the division support.
+The witness carries that data, and the monomial map it induces (basis
+element to scalar times basis element) is built on first read and checked
+then, exactly, by the decision verify_witness runs; a loaded witness carries
+its map as given.  NO answers carry either a separating invariant or an
+exhausted-search certificate.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import factorial, lcm, prod
 from typing import NamedTuple
@@ -95,12 +98,37 @@ class Verdict:
     reason: str | None = None
 
 
+class _MapField:
+    """IsoWitness.images or .exponents: the value given, or else the map the
+    witness's data induces, built and checked on the first read of either
+    (_first_read) and kept.  A read whose check fails raises, and so does
+    every later one."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, w, owner=None):
+        if w is None:  # the dataclass default: this field, so a map to derive
+            return self
+        if self.name not in w.__dict__:
+            _first_read(w)
+        return w.__dict__[self.name]
+
+    def __set__(self, w, value):
+        if value is not self:
+            w.__dict__[self.name] = value
+
+
 @dataclass
 class IsoWitness:
     """Checkable isomorphism data plus the monomial map it induces: source basis
     position p goes to target position images[p] with scalar exponent
-    exponents[p].  A loaded image outside the target basis stays a BasisElem,
-    and a loaded map not on exactly the source basis has no images."""
+    exponents[p].  A witness the library derives (_witness) builds its map on
+    the first read of images or exponents, through mapping, equality,
+    save_witness or verify_witness, and checks it then; a map that fails
+    raises the engine error.  A loaded witness keeps its map as given,
+    unchecked: a loaded image outside the target basis stays a BasisElem, and
+    a loaded map not on exactly the source basis has no images."""
 
     source: FlagPresentation
     target: FlagPresentation
@@ -109,8 +137,8 @@ class IsoWitness:
     correctors: tuple[int, ...]  # by source position, in supp D
     mu: Corrector  # corrector for D conjugated by the shift vs D'
     scalar_order: int
-    images: tuple[int | BasisElem, ...] = field(repr=False)
-    exponents: tuple[int, ...] = field(repr=False)
+    images: tuple[int | BasisElem, ...] = field(default=_MapField(), repr=False)
+    exponents: tuple[int, ...] = field(default=_MapField(), repr=False)
 
     @property
     def mapping(self) -> dict[BasisElem, tuple[BasisElem, int]]:
@@ -194,35 +222,44 @@ def _witness(
     sigma: tuple[int, ...],
     mu: Corrector,
 ) -> IsoWitness:
-    """The witness of the pair isomorphism with this shift, sigma and mu.
+    """The witness of the pair isomorphism with this shift, sigma and mu, in
+    O(n): the correctors solve the tuple relation, h_k = g_k^-1 g'_i g^-1 for
+    k = sigma(i), and the scalar order is lcm(m, m', mu.order).  Its map is
+    built on first read (_monomial_map) and checked then (_first_read)."""
+    grp = p.group
+    ginv = grp.inv(shift)
+    correctors = [0] * p.shape.n
+    for i, k in enumerate(sigma):
+        correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
+    order = lcm(p.division.order, p2.division.order, mu.order)
+    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order)
 
-    The correctors solve the tuple relation: h_k = g_k^-1 g'_i g^-1 for
-    k = sigma(i).  With a_k = g^-1 h_k^-1 g and c = g^-1 h g, basis element
-    (k,l,h) goes to (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
+
+def _monomial_map(w: IsoWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The images and exponents of the map w's data induces, by source basis
+    position: the one place a map is derived.
+
+    With a_k = g^-1 h_k^-1 g and c = g^-1 h g, basis element (k,l,h) goes to
+    (sigma^-1 k, sigma^-1 l, a_k c a_l^-1) scaled by
     mu(c) * sigma'(a_k, c) * sigma'(a_k c, a_l^-1) / sigma'(a_l, a_l^-1).
     The image's support element and scalar depend on (a_k, a_l, h) alone, so
     one table over h is built per distinct pair (a_k, a_l) of the cells, and
     the map is read off those tables by basis position, each cell's images
     offset to its target cell.
     """
+    p, p2, shift, mu, order = w.source, w.target, w.shift, w.mu, w.scalar_order
     grp = p.group
-    n = p.shape.n
-    ginv = grp.inv(shift)
-    correctors = [0] * n
-    inv_sigma = [0] * n
-    for i, k in enumerate(sigma):
-        correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
+    inv_sigma = [0] * p.shape.n
+    for i, k in enumerate(w.sigma):
         inv_sigma[k] = i
-    m2 = p2.division.order
-    order = lcm(p.division.order, m2, mu.order)
-    k2 = order // m2
+    k2 = order // p2.division.order
     km = order // mu.order
     sup2 = p2.division.support
     index2 = sup2.index
     mul2 = sup2.mul_table
     vals2 = p2.division.cocycle.values
     # a_k, c and their inverses are members of the target support, by position there
-    a_of = [index2[grp.conj(grp.inv(h), shift)] for h in correctors]
+    a_of = [index2[grp.conj(grp.inv(h), shift)] for h in w.correctors]
     conj = [grp.conj(h, shift) for h in p.division.support.members]
     c_of = [index2[c] for c in conj]
     mu_of = [km * mu.exp_of(c) for c in conj]
@@ -247,9 +284,22 @@ def _witness(
     offsets = [number[inv_sigma[i], inv_sigma[j]] * k for i, j, _ in cells]
     images = [off + y for key, off in zip(keys, offsets) for y in tables[key][0]]
     exponents = [e for key in keys for e in tables[key][1]]
-    return IsoWitness(
-        p, p2, shift, sigma, tuple(correctors), mu, order, tuple(images), tuple(exponents)
-    )
+    return tuple(images), tuple(exponents)
+
+
+def _first_read(w: IsoWitness) -> None:
+    """Build w's map and keep it once _is_isomorphism accepts it.  A map it
+    refuses is not kept: both sides are realized for verify_witness to name
+    the failures, and the engine error is raised."""
+    images, exponents = _monomial_map(w)
+    built = replace(w, images=images, exponents=exponents)
+    p, p2 = w.source, w.target
+    if not _is_isomorphism(p, p2, built, _layout(p.shape, p.division.support).walk):
+        report = verify_witness(realize(p), realize(p2), built)
+        raise AssertionError(
+            f"engine produced a witness that fails verification: {report.failures[:3]}"
+        )
+    w.__dict__.update(images=images, exponents=exponents)
 
 
 def build_witness(
@@ -551,21 +601,34 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
 
 
 def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verdict:
-    """The verified ISOMORPHIC verdict at a shift whose record has sigma set.
+    """The ISOMORPHIC verdict at a shift whose record has sigma set, decided on
+    the search's data in O(n), with no map built.
 
-    The data holds by construction, so build_witness's checks are not rerun:
-    sigma preserves blocks, the correctors _witness solves lie in H (paired
-    degrees share a coset), and mu is iso_division's exact solve on D^g and
-    D' (equal supports).  verify_witness's decision checks the map, on the
-    presentations: a YES realizes neither side.  Only a failure realizes
-    them, for verify_witness to name what fails.
+    By the paper's description of a graded isomorphism, a shift g, a
+    block-preserving sigma, correctors h in H and a corrector mu from D^g to
+    D' give one.  The search makes each by construction: sigma pairs
+    positions within blocks by coset, so the correctors _witness solves lie
+    in H, and mu is 0 on identical cocycles or passed the corrector law
+    inside cohomologous.  So D is not transported nor mu re-checked here;
+    sigma is checked to be a block-preserving permutation and each h to lie
+    in H, and a failure raises.  The map is built, and checked by
+    _is_isomorphism, when it is first read.
     """
     g, mu, sigma = found
-    w = _witness(p, p2, g, sigma, mu)
-    if not _is_isomorphism(p, p2, w, _layout(p.shape, p.division.support).walk):
-        report = verify_witness(realize(p), realize(p2), w)
+    shape = p.shape
+    n = shape.n
+    block = [b for b, m in enumerate(shape.blocks) for _ in range(m)]
+    if len(sigma) != n or set(sigma) != set(range(n)) or any(
+        block[i] != block[k] for i, k in enumerate(sigma)
+    ):
         raise AssertionError(
-            f"engine produced a witness that fails verification: {report.failures[:3]}"
+            f"engine produced a sigma that is no block-preserving permutation: {sigma}"
+        )
+    w = _witness(p, p2, g, sigma, mu)
+    sup = p.division.support.index
+    if any(h not in sup for h in w.correctors):
+        raise AssertionError(
+            f"engine produced correctors outside the division support: {w.correctors}"
         )
     return Verdict(ISOMORPHIC, witness=w)
 

@@ -72,6 +72,11 @@ walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
 witness's map by one given element by element, as a loaded witness carries
 it, and products_read counts the basis products the checks read.
+iso_over_fp searches for a graded isomorphism over F_q (field_for picks q,
+primitive_root fixes the roots of unity, OverFp reads an algebra's structure
+constants, affine_solutions solves the linear conditions on one generator's
+image) by backtracking over the images of the generators: the theorem-free
+oracle for iso_algebras, which knows no shift, pairing or corrector.
 ACCEPTANCE_LINES
 collects the acceptance suite's per-criterion verdict lines; they are printed
 after the run, outside output capture.
@@ -104,6 +109,7 @@ from flagiso import (
     build_abelian,
     iso_algebras,
     iso_division,
+    realize,
     shift_conjugate,
     solve_congruences,
     validate_cocycle,
@@ -1080,3 +1086,241 @@ def z2_bilinear(r):
     grp = build_abelian([2] * r)
     sub = Subgroup(grp, tuple(grp.elements()))
     return sub, [[bin(a & (b >> 1)).count("1") % 2 for b in sub.members] for a in sub.members]
+
+
+# -- graded isomorphism over F_q, from structure constants alone ---------------
+
+
+def field_for(p, p2) -> int:
+    """The least prime q with q not dividing |G| and q = 1 mod N, N the lcm of
+    the two root orders times the exponent of the supports: F_q then holds
+    mu_N, every root of unity a corrector between the two can take."""
+    grp = p.group
+    exponent = lcm(*(grp.order_of(h) for d in (p.division, p2.division) for h in d.support.members))
+    step = lcm(p.division.order, p2.division.order) * exponent
+    q = step + 1
+    while q < 2 or grp.size % q == 0 or any(q % f == 0 for f in range(2, int(q**0.5) + 1)):
+        q += step
+    return q
+
+
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of F_q, q prime."""
+    primes = {f for f in range(2, q) if (q - 1) % f == 0 and all(f % d for d in range(2, f))}
+    return next(r for r in range(1, q) if all(pow(r, (q - 1) // f, q) != 1 for f in primes))
+
+
+class OverFp:
+    """A realized algebra over F_q, read off its structure constants: the
+    scalar of exponent x in mu_m is root^((q-1)/m * x), so two algebras read
+    with one root embed their roots of unity consistently, as in C."""
+
+    def __init__(self, alg: GradedAlgebra, q: int, root: int):
+        zeta = pow(root, (q - 1) // alg.order, q)
+        self.q, self.dim, self.degree = q, alg.dim, alg.degree
+        self.rows: list[list[tuple[int, int, int]]] = [[] for _ in range(alg.dim)]
+        self.prod: dict[tuple[int, int], tuple[int, int]] = {}
+        for p1, p2, exp, pos in alg.nonzero_products():
+            c = pow(zeta, exp, q)
+            self.rows[p1].append((p2, c, pos))
+            self.prod[p1, p2] = (c, pos)
+        e = alg.group.identity
+        self.one = tuple(int(b.row == b.col and b.sup == e) for b in alg.basis)
+        self.by_degree: dict[int, list[int]] = {}
+        for pos, g in enumerate(alg.degree):
+            self.by_degree.setdefault(g, []).append(pos)
+
+    def unit(self, pos: int) -> tuple[int, ...]:
+        return tuple(int(i == pos) for i in range(self.dim))
+
+    def mul(self, u, v) -> tuple[int, ...]:
+        out = [0] * self.dim
+        for i, a in enumerate(u):
+            if a:
+                for j, c, pos in self.rows[i]:
+                    if v[j]:
+                        out[pos] += a * c * v[j]
+        return tuple(x % self.q for x in out)
+
+    def min_poly(self, v) -> list[int]:
+        """c_0..c_(r-1) with v^r = sum c_i v^i and r least: the minimal polynomial."""
+        powers = [self.one, tuple(v)]
+        while True:
+            solved = affine_solutions(list(zip(*powers[:-1])), powers[-1], len(powers) - 1, self.q)
+            if solved is not None:
+                return solved[0]
+            powers.append(self.mul(powers[-1], v))
+
+    def is_root(self, coeffs: list[int], v) -> bool:
+        power, acc = self.one, [0] * self.dim
+        for c in coeffs:
+            acc = [a + c * x for a, x in zip(acc, power)]
+            power = self.mul(power, v)
+        return all((x - a) % self.q == 0 for x, a in zip(power, acc))
+
+
+def affine_solutions(rows, rhs, nvars: int, q: int):
+    """(x0, null basis) with rows x = rhs mod the prime q exactly when x is x0
+    plus a combination of the null basis, or None when there is no solution:
+    Gauss-Jordan elimination."""
+    m = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
+    pivots: list[int] = []
+    for c in range(nvars):
+        r = len(pivots)
+        at = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if at is None:
+            continue
+        m[r], m[at] = m[at], m[r]
+        inv = pow(m[r][c], q - 2, q)
+        m[r] = [x * inv % q for x in m[r]]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                f = row[c]
+                m[i] = [(x - f * y) % q for x, y in zip(row, m[r])]
+        pivots.append(c)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    x0 = [0] * nvars
+    for i, c in enumerate(pivots):
+        x0[c] = m[i][-1]
+    null = []
+    for f in (c for c in range(nvars) if c not in pivots):
+        vec = [0] * nvars
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -m[i][f] % q
+        null.append(vec)
+    return x0, null
+
+
+class NodeBudgetExceeded(Exception):
+    """iso_over_fp tried more candidate images than its budget allows."""
+
+
+def iso_over_fp(p, p2, budget: int = 200_000, q: int | None = None):
+    """A graded isomorphism between the algebras of p and p2 over F_q (q
+    prime, by default field_for's), as {source basis position: image
+    vector}, or None when there is none; it reads only the two algebras'
+    degrees and structure constants, and none of the paper's description of
+    an isomorphism.
+
+    Component dimensions by degree must agree.  Then it backtracks over the
+    images of GradedAlgebra.generators(), ascending, each a nonzero vector of
+    the target component of the generator's degree that is a root of the
+    generator's minimal polynomial.  The candidates for a generator s are
+    the points of an affine space: s*b = c z, s*b = 0, b*s = c z and b*s = 0
+    for b and z whose images are known are linear in the image of s.  Each
+    choice is closed under products of known images, both ways round: an
+    unknown product's image is set, a known one must agree, a zero product
+    must map to zero, and the images must stay linearly independent.  The
+    first inconsistency prunes.  A complete map is accepted when it is
+    graded, has full rank and is multiplicative on generators x basis.
+    budget bounds the candidate points enumerated; past it,
+    NodeBudgetExceeded is raised."""
+    alg, alg2 = realize(p), realize(p2)
+    if p.group != p2.group or Counter(alg.degree) != Counter(alg2.degree):
+        return None
+    q = field_for(p, p2) if q is None else q
+    root = primitive_root(q)
+    src, tgt = OverFp(alg, q, root), OverFp(alg2, q, root)
+    gens = alg.generators()
+    polys = {s: src.min_poly(src.unit(s)) for s in gens}
+    spent = [0]
+
+    def candidates(s, known):
+        comp = tgt.by_degree.get(src.degree[s], [])
+        units = [tgt.unit(t) for t in comp]
+        rows, rhs = [], []
+        for b, fb in known.items():
+            for pair, right in (((s, b), True), ((b, s), False)):
+                hit = src.prod.get(pair)
+                if hit is not None and hit[1] not in known:
+                    continue
+                cols = [tgt.mul(u, fb) if right else tgt.mul(fb, u) for u in units]
+                rows += [list(r) for r in zip(*cols)]
+                rhs += [0] * tgt.dim if hit is None else [hit[0] * x for x in known[hit[1]]]
+        solved = affine_solutions(rows, rhs, len(comp), q) if rows else ([0] * len(comp), None)
+        if solved is None:
+            return
+        x0, null = solved
+        if null is None:
+            null = [[int(i == t) for i in range(len(comp))] for t in range(len(comp))]
+        for coeffs in itertools.product(range(q), repeat=len(null)):
+            spent[0] += 1
+            if spent[0] > budget:
+                raise NodeBudgetExceeded(f"more than {budget} candidate images")
+            x = [(a + sum(c * n[t] for c, n in zip(coeffs, null))) % q for t, a in enumerate(x0)]
+            v = [0] * tgt.dim
+            for t, pos in enumerate(comp):
+                v[pos] = x[t]
+            if any(v) and tgt.is_root(polys[s], v):
+                yield tuple(v)
+
+    def close(known, echelon, s, v):
+        """known and echelon extended by s -> v and closed under products, or None."""
+        known, echelon = dict(known), list(echelon)
+        queue = [(s, v)]
+        while queue:
+            x, fx = queue.pop()
+            if x in known:
+                if known[x] != fx:
+                    return None
+                continue
+            reduced = list(fx)
+            for pivot, row in echelon:
+                if reduced[pivot]:
+                    f = reduced[pivot]
+                    reduced = [(a - f * r) % q for a, r in zip(reduced, row)]
+            pivot = next((i for i, a in enumerate(reduced) if a), None)
+            if pivot is None:
+                return None
+            inv = pow(reduced[pivot], q - 2, q)
+            echelon.append((pivot, [a * inv % q for a in reduced]))
+            known[x] = fx
+            for y, fy in list(known.items()):
+                for a, b, fa, fb in ((x, y, fx, fy), (y, x, fy, fx)):
+                    image = tgt.mul(fa, fb)
+                    hit = src.prod.get((a, b))
+                    if hit is None:
+                        if any(image):
+                            return None
+                        continue
+                    c, z = hit
+                    scaled = tuple(pow(c, q - 2, q) * w % q for w in image)
+                    if z in known:
+                        if known[z] != scaled:
+                            return None
+                    else:
+                        queue.append((z, scaled))
+        return known, echelon
+
+    def accepted(f) -> bool:
+        """Graded, of full rank and multiplicative on generators x basis."""
+        if len(f) != src.dim:
+            return False
+        graded = all(
+            not x or tgt.degree[i] == src.degree[b] for b, fb in f.items() for i, x in enumerate(fb)
+        )
+        zero = (0,) * tgt.dim
+        return graded and all(
+            tgt.mul(f[s], f[b])
+            == (zero if hit is None else tuple(hit[0] * x % q for x in f[hit[1]]))
+            for s in gens
+            for b in range(src.dim)
+            for hit in [src.prod.get((s, b))]
+        )
+
+    def extend(known, echelon, k):
+        if k == len(gens):
+            return known if accepted(known) else None
+        s = gens[k]
+        if s in known:
+            return extend(known, echelon, k + 1)
+        for v in candidates(s, known):
+            state = close(known, echelon, s, v)
+            found = state and extend(*state, k + 1)
+            if found:
+                return found
+        return None
+
+    return extend({}, [], 0)

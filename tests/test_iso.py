@@ -18,6 +18,7 @@ from flagiso import (
     GroupMismatch,
     InvalidInput,
     InvariantMismatch,
+    IsoWitness,
     SearchExhausted,
     Subgroup,
     WitnessReport,
@@ -43,7 +44,7 @@ from flagiso import (
     validate_cocycle,
     verify_witness,
 )
-from flagiso.iso import _shift_outcomes
+from flagiso.iso import _certified, _shift_outcomes
 
 # -- helpers -----------------------------------------------------------------
 
@@ -386,6 +387,29 @@ def test_verify_rejects_algebras_of_different_dimensions():
     assert report == WitnessReport(False, 0, ("algebras have different dimensions",))
 
 
+def test_verify_refuses_one_shape_over_supports_of_different_sizes():
+    grp = build_abelian([2])
+    p = make_presentation(trivial_division(grp), [1], [0])
+    q = make_presentation(sign_division(grp, 1), [1], [0])
+    w = IsoWitness(p, q, 0, (0,), (0,), Corrector(q.division.support, 2, (0, 0)), 2, (0,), (0,))
+    report = verify_witness(realize(p), realize(q), w)
+    assert report == WitnessReport(False, 0, ("algebras have different dimensions",))
+
+
+def test_verify_refuses_a_map_off_the_target_basis_or_not_injective():
+    p, q, w = z2_witness()
+    alg, alg2 = realize(p), realize(q)
+    first, second = alg.basis[:2]
+    outside = BasisElem(p.shape.n, 0, 0)  # no basis has row n
+    off = witness_with_map(w, {**w.mapping, first: (outside, 0)})
+    assert verify_witness(alg, alg2, off) == WitnessReport(
+        False, 0, (f"image of {tuple(first)} is not a basis element: {tuple(outside)}",)
+    )
+    twice = witness_with_map(w, {**w.mapping, first: w.mapping[second]})
+    report = verify_witness(alg, alg2, twice)
+    assert report == WitnessReport(False, 0, ("map is not injective on basis elements",))
+
+
 def test_verify_rejects_scalar_corruption():
     p, q, w = z2_witness()
     bad_map = dict(w.mapping)
@@ -470,6 +494,7 @@ def test_a_valid_witness_checks_scalars_on_generator_products_only(
     q = random_transform(rng, p)
     w = iso_algebras(p, q).witness
     alg, alg2 = realize(p), realize(q)
+    assert len(w.images) == dim  # the map's first read, and its check, before the count
     report, walked = walked_products(alg, alg2, w)
     assert alg.dim == dim
     assert report.ok and report.checked_pairs == dim**2
@@ -478,17 +503,20 @@ def test_a_valid_witness_checks_scalars_on_generator_products_only(
 
 
 def test_generator_products_are_built_once_per_shape_and_support():
-    """Two YES queries on one shape and support build the shared generator
-    products once, with the layout; check_grading and verify_witness both
-    read them."""
+    """Two YES queries on one shape and support build no layout until their
+    maps are read, and then the shared generator products once, with the
+    layout; check_grading and verify_witness both read them."""
     layout = flagiso.algebras._layout
     layout.cache_clear()
     rng = random.Random(3)
     d = pauli(2, build_abelian([2, 4]), ["(1,0)", "(0,2)"])
     tuples = [[rng.randrange(8) for _ in range(3)] for _ in range(2)]
     sources = [make_presentation(d, (2, 1), t) for t in tuples]
-    for p in sources:
-        assert iso_algebras(p, random_transform(rng, p)).kind == ISOMORPHIC
+    verdicts = [iso_algebras(p, random_transform(rng, p)) for p in sources]
+    assert [v.kind for v in verdicts] == [ISOMORPHIC, ISOMORPHIC]
+    assert layout.cache_info().misses == 0
+    for v in verdicts:
+        assert v.witness.mapping  # the first read builds the map and checks it on the layout
     assert layout.cache_info().misses == 1
     p = sources[0]
     q = random_transform(rng, p)
@@ -500,7 +528,7 @@ def test_generator_products_are_built_once_per_shape_and_support():
     assert counts == [products]
     with products_read() as counts:
         assert verify_witness(alg, alg2, iso_algebras(p, q).witness).ok
-    assert counts == [products, products]  # the YES query's check, then this one
+    assert counts == [products, products]  # the map's first-read check, then this one
     assert layout.cache_info().misses == 1
 
 
@@ -783,3 +811,103 @@ def test_cosets_are_paired_once_per_left_coset_of_the_inverse_shift():
         with_corrector = sum(r.mu is not None for r in records)
         assert with_corrector > most  # one pairing per such shift would break the bound
         assert 1 <= sorts.call_count - 1 <= most
+
+
+# -- the map, built and checked on first read ------------------------------------
+
+
+def counting(monkeypatch, name):
+    """Count the calls of flagiso.iso.<name> into the returned list."""
+    calls = []
+    original = getattr(flagiso.iso, name)
+    monkeypatch.setattr(flagiso.iso, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_a_yes_builds_and_checks_its_map_on_first_read_only(monkeypatch):
+    """A YES is decided on the search's data: until its map is read it builds
+    no table and makes no decision; the first read of images, exponents or
+    mapping makes one of each, and later reads make none."""
+    tables = counting(monkeypatch, "_monomial_map")
+    decisions = counting(monkeypatch, "_is_isomorphism")
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    klein = pauli(2, build_abelian([2, 2]), [2, 1])
+    r = make_presentation(klein, [2, 1], [0, 1, 3])
+    for verdict, read in (
+        (iso_algebras(p, q), "images"),
+        (iso_pairs(p, q), "exponents"),
+        (iso_algebras(r, random_transform(random.Random(5), r)), "mapping"),
+    ):
+        assert verdict.kind == ISOMORPHIC and (len(tables), len(decisions)) == (0, 0)
+        w = verdict.witness
+        assert repr(w).startswith("IsoWitness(") and (len(tables), len(decisions)) == (0, 0)
+        first = getattr(w, read)
+        assert (len(tables), len(decisions)) == (1, 1)
+        assert getattr(w, read) == first and w.images and w.exponents and w.mapping
+        assert (len(tables), len(decisions)) == (1, 1)
+        tables.clear()
+        decisions.clear()
+
+
+def test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read(monkeypatch):
+    """The verdict rests on the search's data, so a corrector that breaks the
+    law still answers YES; the map it induces fails its check on first read,
+    and on every read after, and is never handed out."""
+
+    def off_by_one(d, d2):
+        mu = iso_division(d, d2)
+        return mu and Corrector(mu.support, mu.order, (mu.exps[0], mu.exps[1] + 1, *mu.exps[2:]))
+
+    monkeypatch.setattr(flagiso.iso, "iso_division", off_by_one)
+    klein = pauli(2, build_abelian([2, 2]), [2, 1])
+    p = make_presentation(klein, [1, 1], [0, 1])
+    verdict = iso_algebras(p, p)
+    assert verdict.kind == ISOMORPHIC and verdict.witness.mu.exps == (0, 1, 0, 0)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="engine produced a witness that fails verification"):
+            verdict.witness.mapping
+
+
+def test_a_built_witness_map_is_checked_on_first_read_too():
+    """build_witness, invert_witness and compose_witness derive their maps as
+    the engine does, on first read; a loaded map is kept as given."""
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    w = iso_algebras(p, q).witness
+    alg, alg2 = realize(p), realize(q)
+    for built, src, tgt in (
+        (build_witness(p, q, w.shift, w.sigma, w.correctors, w.mu), alg, alg2),
+        (invert_witness(w), alg2, alg),
+        (compose_witness(w, invert_witness(w)), alg, alg),
+    ):
+        assert "images" not in vars(built)
+        assert verify_witness(src, tgt, built).ok
+        assert "images" in vars(built)
+    loaded = witness_with_map(w, {b: (alg2.basis[0], 0) for b in alg.basis})
+    assert loaded.images == vars(loaded)["images"] == (0,) * alg.dim
+    assert not verify_witness(alg, alg2, loaded).ok
+
+
+def test_certified_refuses_data_outside_the_description():
+    """The decision's own checks, on records the search never yields: sigma
+    must be a block-preserving permutation, and the correctors it solves must
+    lie in the support."""
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    found = next(r for r in _shift_outcomes(p, q) if r.sigma is not None)
+    assert _certified(p, q, found).kind == ISOMORPHIC
+    for sigma in ((0,), (0, 0), (0, 2), (1, 0)):
+        with pytest.raises(AssertionError, match="no block-preserving permutation"):
+            _certified(p, q, found._replace(sigma=sigma))
+    with pytest.raises(AssertionError, match="correctors outside the division support"):
+        _certified(p, q, found._replace(g=grp.mul(found.g, 1)))
+    r = make_presentation(d, [2], [0, 2])
+    found = next(x for x in _shift_outcomes(r, r) if x.sigma is not None)
+    assert _certified(r, r, found._replace(sigma=(1, 0))).witness.sigma == (1, 0)

@@ -19,13 +19,14 @@ generating sets, subgroup closure and homomorphism extension all use it.
 One per-shift record owns each shift's decision in the isomorphism engine,
 and one cached action owns the admissible shifts' action on cosets, which
 ``tables`` reads through the public ``canonical_form``.
-One constructor derives every witness the library builds; caller data is
-checked once, where it enters.
+One constructor derives every witness the library builds, and one function
+its map, on first read; caller data is checked once, where it enters.
 A cohomology solve reads U rhs, U the row transform its cached system
 keeps, through one path; no operation log is kept to replay, and no
 elimination is memoized anywhere else.  One rule, the corrector law, decides
 every corrector, u = 0 across two root orders included.
-The decision engine realizes algebras only to certify a YES.
+The decision engine realizes algebras only to name the failures of a map
+that fails its first-read check.
 BlockShape.cells is the one description of where a basis element sits: the
 shared layout keeps no per-position copy of it.  An algebra's degrees are
 computed in one place, algebras._degrees, from the presentation alone, over
@@ -266,6 +267,10 @@ def test_one_constructor_builds_every_witness():
     )
     assert found == ["io.witness_from_obj", "iso._witness"]
     assert not hasattr(flagiso.iso, "_derive_mapping")
+    # and one place derives a map, on its first read, which checks it
+    iso = SRC / "iso.py"
+    assert references_by_function(iso, "_monomial_map") == ["_first_read"]
+    assert references_by_function(iso, "_first_read") == ["_MapField"]
     # caller data is checked once, on entry; no output is checked again
     assert references_by_function(SRC / "iso.py", "_validate_witness_data") == [
         "build_witness",
@@ -275,10 +280,11 @@ def test_one_constructor_builds_every_witness():
 
 
 def test_decisions_realize_only_to_certify():
-    # a YES is certified on both realized algebras; a NO reads its invariants
-    # off the presentations' cells
+    # a YES is decided on the search's data and realizes nothing; only a map
+    # that fails its check on first read realizes both sides, to name its
+    # failures; a NO reads its invariants off the presentations' cells
     assert set(references_by_function(SRC / "iso.py", "realize")) == {
-        "_certified",
+        "_first_read",
         "equiv_elementary",
     }
 

@@ -1306,6 +1306,20 @@ PER_CELL = st.one_of(CLASSIFIED, long_flags(), singleton_flags(), non_central_or
 
 
 @SETTINGS
+@given(st.one_of(SEARCH_INPUTS, rewrites(non_central_or_twisted())))
+def test_every_engine_yes_map_passes_verify_witness(pair):
+    """A YES is decided on the search's data and its map built on first read:
+    read, the map of every YES from iso_algebras and iso_pairs passes
+    verify_witness, over central, shifted and twisted supports and the
+    non-central ones (S3's <(01)>, the Klein four-group of S4 that
+    conjugation moves, D8's twisted center)."""
+    for verdict in (iso_algebras(*pair), iso_pairs(*pair)):
+        if verdict.kind == ISOMORPHIC:
+            w = verdict.witness
+            assert verify_witness(realize(w.source), realize(w.target), w).ok
+
+
+@SETTINGS
 @given(PER_CELL)
 def test_invariants_match_the_count_over_the_basis(p):
     alg = realize(p)
