@@ -52,6 +52,7 @@ REFUSALS = "tests/test_iso.py"
 OFF_BASIS = "tests/test_iso.py::test_verify_refuses_a_map_off_the_target_basis_or_not_injective"
 ON_FIRST_READ = "tests/test_iso.py::test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read"
 CERTIFIED = "tests/test_iso.py::test_certified_refuses_data_outside_the_description"
+ONCE = "tests/test_iso.py::test_verify_witness_checks_an_unread_map_once"
 LAW = "tests/test_cocycles.py"
 
 MUTANTS = (
@@ -186,18 +187,26 @@ MUTANTS = (
         "            pass\n",
         (LAW,),
     ),
-    # iso._certified, the O(n) checks a YES is decided on
+    # iso._data_failure, the O(n) checks a YES is decided on, and caller data too
     Mutant(
-        "certified-skips-sigma",
+        "data-skips-permutation",
         ISO,
-        "    if len(sigma) != n or set(sigma) != set(range(n)) or any(",
-        "    if False and any(",
+        "        if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(n)):\n"
+        '            return "sigma is not a permutation"\n',
+        "",
         (CERTIFIED,),
     ),
     Mutant(
-        "certified-skips-corrector-in-support",
+        "data-skips-blocks",
         ISO,
-        "    if any(h not in sup for h in w.correctors):",
+        "        if any(max(sigma[end - m : end]) >= end for m, end in zip(blocks, ends)):",
+        "        if False:",
+        (CERTIFIED,),
+    ),
+    Mutant(
+        "data-skips-corrector-in-support",
+        ISO,
+        "    if correctors is not None and (len(correctors) != n or not sup.keys() >= set(correctors)):",
         "    if False:",
         (CERTIFIED,),
     ),
@@ -205,9 +214,17 @@ MUTANTS = (
     Mutant(
         "first-read-skips-the-check",
         ISO,
-        "    if not _is_isomorphism(p, p2, built, _layout(p.shape, p.division.support).walk):",
+        "    if not _is_isomorphism(p, p2, built, walk):",
         "    if False:",
         (ON_FIRST_READ,),
+    ),
+    # iso.verify_witness builds an unread map on its own walk only for the witness's own algebras
+    Mutant(
+        "verify-skips-the-endpoints",
+        ISO,
+        '    if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):',
+        '    if w.__dict__["images"] is _DERIVE:',
+        (ONCE,),
     ),
 )
 

@@ -165,16 +165,6 @@ class Corrector:
         object.__setattr__(self, "exps", tuple(v % self.order for v in self.exps))
 
     @classmethod
-    def _reduced(cls, support: Subgroup, order: int, exps: tuple[int, ...]) -> Corrector:
-        """The corrector of exponents already reduced mod order, one per support
-        member, as cohomologous makes them: built without __post_init__'s length
-        check and reduction, which every other caller keeps."""
-        mu = object.__new__(cls)
-        fields = mu.__dict__
-        fields["support"], fields["order"], fields["exps"] = support, order, exps
-        return mu
-
-    @classmethod
     def from_map(cls, support: Subgroup, order: int, exp_of: Mapping[int, int] | Callable[[int], int]) -> Corrector:
         get = exp_of.__getitem__ if isinstance(exp_of, Mapping) else exp_of
         return cls(support, order, tuple(get(h) for h in support.members))
@@ -211,10 +201,10 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     _check_same_support(sigma, tau)
     sub = sigma.support
     if sigma.order == tau.order and sigma.values == tau.values:
-        return Corrector._reduced(sub, sigma.order, (0,) * len(sub.members))
+        return Corrector(sub, sigma.order, (0,) * len(sub.members))
     L = lcm(sigma.order, tau.order)
     if sigma.order != tau.order and _keeps_law([0] * len(sub.members), sigma, tau, L):
-        return Corrector._reduced(sub, L, (0,) * len(sub.members))
+        return Corrector(sub, L, (0,) * len(sub.members))
     ks, kt = L // sigma.order, L // tau.order
     sv, tv = sigma.values, tau.values
     system = _corrector_system(sub, L)
@@ -224,7 +214,7 @@ def cohomologous(sigma: Cocycle, tau: Cocycle) -> Corrector | None:
     u.insert(sub.index[sub.group.identity], 0)
     if not _keeps_law(u, sigma, tau, L):
         raise AssertionError("internal solver error: solution fails the original system")
-    return Corrector._reduced(sub, L, tuple(u))
+    return Corrector(sub, L, tuple(u))
 
 
 def _keeps_law(u: list[int], sigma: Cocycle, tau: Cocycle, L: int) -> bool:

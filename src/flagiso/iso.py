@@ -98,35 +98,49 @@ class Verdict:
     reason: str | None = None
 
 
-class _MapField:
-    """IsoWitness.images or .exponents: the value given, or else the map the
-    witness's data induces, built and checked on the first read of either
-    (_first_read) and kept.  A read whose check fails raises, and so does
-    every later one."""
+class _Derive:
+    """The map of a witness the library derives (_witness): built from the
+    witness's data and checked on the first read of images or exponents.  A
+    private marker, so the public constructor still takes a map; copies and
+    pickles of a witness keep the one marker."""
 
-    def __set_name__(self, owner, name: str):
+    def __reduce__(self):
+        return "_DERIVE"
+
+
+_DERIVE = _Derive()
+
+
+class _MapField:
+    """IsoWitness.images or .exponents: the value given, or, for a derived
+    witness, the map its data induces, built and checked on the first read of
+    either (_first_read) and kept.  A read whose check fails raises, and so
+    does every later one."""
+
+    def __init__(self, name: str):
         self.name = name
 
     def __get__(self, w, owner=None):
-        if w is None:  # the dataclass default: this field, so a map to derive
+        if w is None:
             return self
-        if self.name not in w.__dict__:
-            _first_read(w)
+        if w.__dict__[self.name] is _DERIVE:
+            p = w.source
+            _first_read(w, _layout(p.shape, p.division.support).walk)
         return w.__dict__[self.name]
 
     def __set__(self, w, value):
-        if value is not self:
-            w.__dict__[self.name] = value
+        w.__dict__[self.name] = value
 
 
 @dataclass
 class IsoWitness:
     """Checkable isomorphism data plus the monomial map it induces: source basis
     position p goes to target position images[p] with scalar exponent
-    exponents[p].  A witness the library derives (_witness) builds its map on
-    the first read of images or exponents, through mapping, equality,
-    save_witness or verify_witness, and checks it then; a map that fails
-    raises the engine error.  A loaded witness keeps its map as given,
+    exponents[p].  The constructor takes both.  A witness the library
+    derives (_witness) builds its map on the first read of images or
+    exponents, through mapping, equality, save_witness or verify_witness,
+    and checks it then; a map that fails raises the engine error.  A witness
+    made with a map, as a loaded one is, keeps it as given,
     unchecked: a loaded image outside the target basis stays a BasisElem, and
     a loaded map not on exactly the source basis has no images."""
 
@@ -137,8 +151,8 @@ class IsoWitness:
     correctors: tuple[int, ...]  # by source position, in supp D
     mu: Corrector  # corrector for D conjugated by the shift vs D'
     scalar_order: int
-    images: tuple[int | BasisElem, ...] = field(default=_MapField(), repr=False)
-    exponents: tuple[int, ...] = field(default=_MapField(), repr=False)
+    images: tuple[int | BasisElem, ...] = field(repr=False)
+    exponents: tuple[int, ...] = field(repr=False)
 
     @property
     def mapping(self) -> dict[BasisElem, tuple[BasisElem, int]]:
@@ -146,6 +160,11 @@ class IsoWitness:
         target = basis_of(self.target)
         pairs = zip(basis_of(self.source), self.images, self.exponents)
         return {b: (target[t] if type(t) is int else t, exp) for b, t, exp in pairs}
+
+
+# set after the dataclass is made, so both map fields stay required arguments
+IsoWitness.images = _MapField("images")
+IsoWitness.exponents = _MapField("exponents")
 
 
 @dataclass(frozen=True)
@@ -156,6 +175,25 @@ class WitnessReport:
 
 
 # -- witness construction ------------------------------------------------------
+
+
+def _data_failure(shape: BlockShape, sup, sigma=None, correctors=None) -> str | None:
+    """Why sigma or the correctors fall outside the paper's description of a
+    graded isomorphism, or None: sigma must be a block-preserving permutation
+    of the positions, with one corrector per position, each in the division
+    support (sup, member -> position).  Either may be None, and is then not
+    checked."""
+    n, blocks = shape.n, shape.blocks
+    if sigma is not None:
+        if set(map(type, sigma)) != {int} or sorted(sigma) != list(range(n)):
+            return "sigma is not a permutation"
+        # a permutation keeps the blocks iff no block's images reach past its end
+        ends = itertools.accumulate(blocks)
+        if any(max(sigma[end - m : end]) >= end for m, end in zip(blocks, ends)):
+            return "sigma does not preserve blocks"
+    if correctors is not None and (len(correctors) != n or not sup.keys() >= set(correctors)):
+        return "correctors must lie in the division support"
+    return None
 
 
 def _validate_witness_data(
@@ -171,24 +209,12 @@ def _validate_witness_data(
     grp = p.group
     if p.shape != p2.shape:
         raise InvalidInput("invalid witness data: block shapes differ", code="invalid-witness-data")
-    n = p.shape.n
     if not 0 <= shift < grp.size:
         raise InvalidInput("invalid witness data: shift out of range", code="invalid-witness-data")
-    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(n)):
-        raise InvalidInput(
-            "invalid witness data: sigma is not a permutation", code="invalid-witness-data"
-        )
-    if any(p.shape.block_of(i) != p.shape.block_of(sigma[i]) for i in range(n)):
-        raise InvalidInput(
-            "invalid witness data: sigma does not preserve blocks", code="invalid-witness-data"
-        )
-    sup = p.division.support.index
-    if len(correctors) != n or any(h not in sup for h in correctors):
-        raise InvalidInput(
-            "invalid witness data: correctors must lie in the division support",
-            code="invalid-witness-data",
-        )
-    for i in range(n):
+    failure = _data_failure(p.shape, p.division.support.index, sigma, correctors)
+    if failure is not None:
+        raise InvalidInput(f"invalid witness data: {failure}", code="invalid-witness-data")
+    for i in range(p.shape.n):
         k = sigma[i]
         want = grp.mul(grp.mul(p.degrees[k], correctors[k]), shift)
         if p2.degrees[i] != want:
@@ -232,7 +258,7 @@ def _witness(
     for i, k in enumerate(sigma):
         correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
     order = lcm(p.division.order, p2.division.order, mu.order)
-    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order)
+    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order, _DERIVE, _DERIVE)
 
 
 def _monomial_map(w: IsoWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -287,14 +313,15 @@ def _monomial_map(w: IsoWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(images), tuple(exponents)
 
 
-def _first_read(w: IsoWitness) -> None:
-    """Build w's map and keep it once _is_isomorphism accepts it.  A map it
+def _first_read(w: IsoWitness, walk) -> None:
+    """Build the map of the derived witness w and keep it once _is_isomorphism
+    accepts it over walk, the generator products of w's source.  A map it
     refuses is not kept: both sides are realized for verify_witness to name
     the failures, and the engine error is raised."""
     images, exponents = _monomial_map(w)
     built = replace(w, images=images, exponents=exponents)
     p, p2 = w.source, w.target
-    if not _is_isomorphism(p, p2, built, _layout(p.shape, p.division.support).walk):
+    if not _is_isomorphism(p, p2, built, walk):
         report = verify_witness(realize(p), realize(p2), built)
         raise AssertionError(
             f"engine produced a witness that fails verification: {report.failures[:3]}"
@@ -425,6 +452,8 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
 
     _is_isomorphism decides, on the algebras' presentations; the degrees are
     read off those, as invariants reads them, so alg.degree is not consulted.
+    A derived witness whose map was never read, given its own algebras, has
+    the map built and decided once, here (_first_read), and kept.
     Only a NO spells out its failures, in the passes below: the bijection,
     the degrees of every basis element, the zero pattern through pi, and the
     scalars over every nonzero product.  A map that keeps every degree and
@@ -435,7 +464,11 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
         raise GroupMismatch("witness endpoints are graded by different groups")
     basis = alg.basis
     dim = len(basis)
-    if _is_isomorphism(alg.presentation, alg2.presentation, w, alg.generator_products()):
+    p, p2, walk = alg.presentation, alg2.presentation, alg.generator_products()
+    if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):
+        _first_read(w, walk)  # the unread map is built and checked here, on this walk alone
+        return WitnessReport(True, dim * dim, ())
+    if _is_isomorphism(p, p2, w, walk):
         return WitnessReport(True, dim * dim, ())
     refused = _malformed(basis, len(alg2.basis), alg.order, alg2.order, w)
     if refused is not None:
@@ -611,24 +644,19 @@ def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verd
     in H, and mu is 0 on identical cocycles or passed the corrector law
     inside cohomologous.  So D is not transported nor mu re-checked here;
     sigma is checked to be a block-preserving permutation and each h to lie
-    in H, and a failure raises.  The map is built, and checked by
+    in H (_data_failure, the rule caller data is checked by), and a failure
+    raises.  The map is built, and checked by
     _is_isomorphism, when it is first read.
     """
     g, mu, sigma = found
-    shape = p.shape
-    n = shape.n
-    block = [b for b, m in enumerate(shape.blocks) for _ in range(m)]
-    if len(sigma) != n or set(sigma) != set(range(n)) or any(
-        block[i] != block[k] for i, k in enumerate(sigma)
-    ):
-        raise AssertionError(
-            f"engine produced a sigma that is no block-preserving permutation: {sigma}"
-        )
-    w = _witness(p, p2, g, sigma, mu)
     sup = p.division.support.index
-    if any(h not in sup for h in w.correctors):
+    failure = _data_failure(p.shape, sup, sigma)  # first: the correctors are solved from sigma
+    if failure is None:
+        w = _witness(p, p2, g, sigma, mu)
+        failure = _data_failure(p.shape, sup, correctors=w.correctors)
+    if failure is not None:
         raise AssertionError(
-            f"engine produced correctors outside the division support: {w.correctors}"
+            f"engine produced witness data outside the paper's description: {failure}"
         )
     return Verdict(ISOMORPHIC, witness=w)
 

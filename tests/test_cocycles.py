@@ -138,29 +138,6 @@ def test_a_corrector_that_moves_the_identity_breaks_the_law():
         assert not is_corrector(Corrector(sub, 2, (1,)), sigma, sigma)
 
 
-def test_solved_correctors_are_not_reduced_twice(monkeypatch):
-    """cohomologous builds its corrector from exponents it already reduced,
-    one per member, without Corrector's check and reduction; the corrector
-    equals the checked one, and every other caller is still checked."""
-    checked = []
-    post_init = Corrector.__post_init__
-    monkeypatch.setattr(Corrector, "__post_init__", lambda mu: checked.append(mu) or post_init(mu))
-    grp, tbl = klein_pauli_table()
-    sub = full_subgroup(grp)
-    sigma = validate_cocycle(sub, 2, tbl)
-    u, prod = (0, 1, 3, 2), sub.mul_table  # twist sigma, read in mu_4, by the coboundary of u
-    tau = validate_cocycle(
-        sub, 4, [[(2 * tbl[a][b] + u[a] + u[b] - u[prod[a][b]]) % 4 for b in range(4)] for a in range(4)]
-    )
-    for s, t in ((sigma, sigma), (sigma, tau), (tau, sigma)):
-        mu = cohomologous(s, t)
-        assert checked == [] and len(mu.exps) == 4 and all(0 <= v < mu.order for v in mu.exps)
-        assert mu == Corrector(mu.support, mu.order, mu.exps) and hash(mu) == hash(checked.pop())
-    with pytest.raises(InvalidInput):
-        Corrector(sub, 2, (0,))
-    assert Corrector(sub, 2, (0, 3, -1, 2)).exps == (0, 1, 1, 0)
-
-
 def test_cohomologous_self_gives_identity_corrector():
     grp, tbl = klein_pauli_table()
     coc = validate_cocycle(full_subgroup(grp), 2, tbl)

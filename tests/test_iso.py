@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from unittest import mock
 
@@ -494,7 +496,6 @@ def test_a_valid_witness_checks_scalars_on_generator_products_only(
     q = random_transform(rng, p)
     w = iso_algebras(p, q).witness
     alg, alg2 = realize(p), realize(q)
-    assert len(w.images) == dim  # the map's first read, and its check, before the count
     report, walked = walked_products(alg, alg2, w)
     assert alg.dim == dim
     assert report.ok and report.checked_pairs == dim**2
@@ -528,7 +529,7 @@ def test_generator_products_are_built_once_per_shape_and_support():
     assert counts == [products]
     with products_read() as counts:
         assert verify_witness(alg, alg2, iso_algebras(p, q).witness).ok
-    assert counts == [products, products]  # the map's first-read check, then this one
+    assert counts == [products]  # the unread map is built and checked on this walk alone
     assert layout.cache_info().misses == 1
 
 
@@ -866,9 +867,9 @@ def test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read(monkeypatch):
     p = make_presentation(klein, [1, 1], [0, 1])
     verdict = iso_algebras(p, p)
     assert verdict.kind == ISOMORPHIC and verdict.witness.mu.exps == (0, 1, 0, 0)
-    for _ in range(2):
+    for read in (lambda w: w.mapping, lambda w: verify_witness(realize(p), realize(p), w)) * 2:
         with pytest.raises(AssertionError, match="engine produced a witness that fails verification"):
-            verdict.witness.mapping
+            read(verdict.witness)
 
 
 def test_a_built_witness_map_is_checked_on_first_read_too():
@@ -885,12 +886,62 @@ def test_a_built_witness_map_is_checked_on_first_read_too():
         (invert_witness(w), alg2, alg),
         (compose_witness(w, invert_witness(w)), alg, alg),
     ):
-        assert "images" not in vars(built)
+        assert vars(built)["images"] is flagiso.iso._DERIVE
         assert verify_witness(src, tgt, built).ok
-        assert "images" in vars(built)
+        assert vars(built)["images"] == built.images and built.images
     loaded = witness_with_map(w, {b: (alg2.basis[0], 0) for b in alg.basis})
     assert loaded.images == vars(loaded)["images"] == (0,) * alg.dim
     assert not verify_witness(alg, alg2, loaded).ok
+
+
+def test_verify_witness_checks_an_unread_map_once(monkeypatch):
+    """verify_witness on an engine witness whose map was never read builds the
+    map once and decides it once, on its own walk, and keeps it; a later call
+    decides again on the kept map, and a call on other algebras builds and
+    keeps nothing of its own."""
+    tables = counting(monkeypatch, "_monomial_map")
+    decisions = counting(monkeypatch, "_is_isomorphism")
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    q = make_presentation(d, [1, 1], [2, 3])
+    alg, alg2 = realize(p), realize(q)
+    w = iso_algebras(p, q).witness
+    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 1)
+    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 2)
+    w = iso_algebras(p, q).witness
+    tables.clear()
+    decisions.clear()
+    r = make_presentation(d, [1, 1], [1, 0])
+    assert not verify_witness(realize(r), alg2, w).ok  # the map's first read checks it first
+    assert (len(tables), len(decisions)) == (1, 2)
+    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 3)
+
+
+def test_the_constructor_takes_a_whole_map_and_keeps_it():
+    """Only the library derives a map: a witness made by hand must carry both
+    images and exponents, and keeps them as given, unchecked, with no map built."""
+    grp = build_abelian([2])
+    p = make_presentation(trivial_division(grp), [1], [0])
+    mu = Corrector(p.division.support, 1, (0,))
+    with pytest.raises(TypeError):
+        IsoWitness(p, p, 0, (0,), (0,), mu, 1)
+    with pytest.raises(TypeError):
+        IsoWitness(p, p, 0, (0,), (0,), mu, 1, images=(0,))
+    with mock.patch("flagiso.iso._monomial_map") as derive:
+        w = IsoWitness(p, p, 0, (0,), (0,), mu, 1, (0,), (1,))
+        assert (w.images, w.exponents, w.mapping) == ((0,), (1,), {(0, 0, 0): ((0, 0, 0), 1)})
+    assert not derive.called
+
+
+def test_copies_of_an_unread_witness_derive_their_map():
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    w = iso_algebras(p, make_presentation(d, [1, 1], [2, 3])).witness
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert vars(twin)["images"] is flagiso.iso._DERIVE
+        assert (twin.images, twin.exponents) == (w.images, w.exponents)
 
 
 def test_certified_refuses_data_outside_the_description():
@@ -903,10 +954,15 @@ def test_certified_refuses_data_outside_the_description():
     q = make_presentation(d, [1, 1], [2, 3])
     found = next(r for r in _shift_outcomes(p, q) if r.sigma is not None)
     assert _certified(p, q, found).kind == ISOMORPHIC
-    for sigma in ((0,), (0, 0), (0, 2), (1, 0)):
-        with pytest.raises(AssertionError, match="no block-preserving permutation"):
+    for sigma, failure in (
+        ((0,), "sigma is not a permutation"),
+        ((0, 0), "sigma is not a permutation"),
+        ((0, 2), "sigma is not a permutation"),
+        ((1, 0), "sigma does not preserve blocks"),
+    ):
+        with pytest.raises(AssertionError, match=f"outside the paper's description: {failure}"):
             _certified(p, q, found._replace(sigma=sigma))
-    with pytest.raises(AssertionError, match="correctors outside the division support"):
+    with pytest.raises(AssertionError, match="correctors must lie in the division support"):
         _certified(p, q, found._replace(g=grp.mul(found.g, 1)))
     r = make_presentation(d, [2], [0, 2])
     found = next(x for x in _shift_outcomes(r, r) if x.sigma is not None)

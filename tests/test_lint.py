@@ -270,7 +270,19 @@ def test_one_constructor_builds_every_witness():
     # and one place derives a map, on its first read, which checks it
     iso = SRC / "iso.py"
     assert references_by_function(iso, "_monomial_map") == ["_first_read"]
-    assert references_by_function(iso, "_first_read") == ["_MapField"]
+    assert references_by_function(iso, "_first_read") == ["_MapField", "verify_witness"]
+    # only _witness makes a witness whose map is derived; the constructor takes a map
+    assert sorted(set(references_by_function(iso, "_DERIVE"))) == [
+        "<module>",
+        "_MapField",
+        "_witness",
+        "verify_witness",
+    ]
+    # one rule for sigma and the correctors, for caller data and the engine's alike
+    assert sorted(set(references_by_function(iso, "_data_failure"))) == [
+        "_certified",
+        "_validate_witness_data",
+    ]
     # caller data is checked once, on entry; no output is checked again
     assert references_by_function(SRC / "iso.py", "_validate_witness_data") == [
         "build_witness",
