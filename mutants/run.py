@@ -54,6 +54,7 @@ ON_FIRST_READ = "tests/test_iso.py::test_a_wrong_engine_mu_answers_yes_and_raise
 CERTIFIED = "tests/test_iso.py::test_certified_refuses_data_outside_the_description"
 ONCE = "tests/test_iso.py::test_verify_witness_checks_an_unread_map_once"
 LAW = "tests/test_cocycles.py"
+EQUIV = "tests/test_equiv.py::test_verify_equiv_"
 
 MUTANTS = (
     # iso._is_isomorphism, the decision every map anyone reads passes
@@ -208,7 +209,10 @@ MUTANTS = (
         ISO,
         "    if correctors is not None and (len(correctors) != n or not sup.keys() >= set(correctors)):",
         "    if False:",
-        (CERTIFIED,),
+        (
+            CERTIFIED,
+            "tests/test_io_cli.py::test_cli_witness_with_a_corrector_outside_the_support_exits_2",
+        ),
     ),
     # iso._first_read, the check every derived map passes before it is kept
     Mutant(
@@ -225,6 +229,95 @@ MUTANTS = (
         '    if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):',
         '    if w.__dict__["images"] is _DERIVE:',
         (ONCE,),
+    ),
+    # iso._equiv_report, the check of every equivalence witness, on the presentations
+    Mutant(
+        "equiv-skips-int-entries",
+        ISO,
+        "    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(shape.n)):",
+        "    if sorted(sigma) != list(range(shape.n)):",
+        (EQUIV + "refuses_a_sigma_of_equal_positions_that_are_not_ints",),
+    ),
+    Mutant(
+        "equiv-skips-permutation",
+        ISO,
+        "    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(shape.n)):",
+        "    if any(type(k) is not int for k in sigma):",
+        (EQUIV + "rejects_non_permutation", EQUIV + "checks_sigma_against_the_source_positions"),
+    ),
+    Mutant(
+        "equiv-skips-dimensions",
+        ISO,
+        "    if len(basis_of(p)) != len(basis_of(p2)):",
+        "    if False:",
+        (EQUIV + "rejects_dimension_mismatch",),
+    ),
+    Mutant(
+        "equiv-skips-nontrivial-source",
+        ISO,
+        "    if not p.division.is_trivial():\n"
+        '        return WitnessReport(False, 0, ("nontrivial division part in equivalence check",))',
+        "    if False:\n"
+        '        return WitnessReport(False, 0, ("nontrivial division part in equivalence check",))',
+        (EQUIV + "refuses_a_nontrivial_source_support",),
+    ),
+    Mutant(
+        "equiv-skips-leaving-images",
+        ISO,
+        "        if (sigma[i], sigma[j]) not in cells2:",
+        "        if False:",
+        (EQUIV + "rejects_cross_block_sigma",),
+    ),
+    Mutant(
+        "equiv-skips-split",
+        ISO,
+        "        if img_degree.setdefault(u, w) != w:",
+        "        if img_degree.setdefault(u, w) != w and False:",
+        (EQUIV + "rejects_component_splitting_sigma",),
+    ),
+    Mutant(
+        "equiv-names-a-split-per-cell",
+        ISO,
+        "        return WitnessReport(False, checked, tuple(dict.fromkeys(failures)))",
+        "        return WitnessReport(False, checked, tuple(failures))",
+        (EQUIV + "names_a_split_component_once",),
+    ),
+    Mutant(
+        "equiv-skips-merge",
+        ISO,
+        '    if len(set(img_degree.values())) != len(img_degree):\n'
+        '        failures.append("two components merge into one target degree")\n',
+        "",
+        (EQUIV + "rejects_merged_components",),
+    ),
+    Mutant(
+        "equiv-skips-component-dimensions",
+        ISO,
+        "        if dims1[u] != dims2[w]:",
+        "        if False:",
+        (EQUIV + "rejects_merged_components",),
+    ),
+    Mutant(
+        "equiv-skips-stated-map",
+        ISO,
+        "        if img_degree.get(u) != cm:",
+        "        if False:",
+        (EQUIV + "rejects_misstated_component_map",),
+    ),
+    # iso.iso_algebras, the profile comparison that names a NO's separating invariant
+    Mutant(
+        "no-skips-the-profile-comparison",
+        ISO,
+        "        if dims1 != dims2:",
+        "        if False:",
+        ("tests/test_iso.py::test_chain_flags_over_z3_not_isomorphic",),
+    ),
+    Mutant(
+        "no-separates-equal-profiles",
+        ISO,
+        "        if dims1 != dims2:",
+        "        if True:",
+        ("tests/test_iso.py::test_same_invariants_yet_not_isomorphic_gets_bare_exhaustion",),
     ),
 )
 

@@ -10,10 +10,10 @@ Every product of basis elements is zero or a root of unity times a basis
 element, so the whole algebra is a finite exact object.  BlockShape.cells is
 the one description of where a basis element sits.  The degree array is
 computed in one place, _degrees, over those cells, by basis position: realize
-stores it, and the report of a failed witness check reads it.  The graded
-invariants are read off the presentation's cosets, in one place,
-_coset_profiles, which counts cells, not degrees: invariants and every NO
-certificate read them there.
+stores it for check_grading, and the report of a failed witness check reads
+it.  The graded invariants are read off the presentation's cosets, in one
+place, _coset_profiles, which counts cells, not degrees: invariants, every NO
+certificate and the equivalence check read them there.
 """
 
 from __future__ import annotations

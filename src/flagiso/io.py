@@ -17,7 +17,7 @@ from .cocycles import Corrector, validate_cocycle
 from .division import GradedDivisionAlgebra, pauli, trivial_division
 from .errors import GroupMismatch, InvalidInput, _shown
 from .groups import Group, Subgroup, build_abelian, validate_table
-from .iso import IsoWitness
+from .iso import IsoWitness, _data_failure
 from .presentations import FlagPresentation, make_presentation
 
 __all__ = [
@@ -293,11 +293,9 @@ def witness_from_obj(
         raise InvalidInput(f"{where}: h must list {n} correctors", code="invalid-witness-data")
     message = f"{where}: h must list element names"
     correctors = tuple(_elem(grp, x, message, "invalid-witness-data") for x in h_raw)
-    sup = source.division.support.index
-    if any(h not in sup for h in correctors):
-        raise InvalidInput(
-            f"{where}: correctors must lie in the division support", code="invalid-witness-data"
-        )
+    failure = _data_failure(source.shape, source.division.support.index, correctors=correctors)
+    if failure is not None:
+        raise InvalidInput(f"{where}: {failure}", code="invalid-witness-data")
     order = _int(
         _require(obj, "root_order", where),
         f"{where}: root_order must be a positive integer",

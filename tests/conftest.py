@@ -72,6 +72,10 @@ walked the generator products afresh on every call, as the oracle for the
 verifier on positions and shared product arrays; witness_with_map replaces a
 witness's map by one given element by element, as a loaded witness carries
 it, and products_read counts the basis products the checks read.
+verify_equiv_by_degrees is verify_equiv_witness as it read the realized
+algebras' degree arrays, each image looked up in the target index and the
+component dimensions counted over the degrees, as the oracle for the check
+on the two presentations.
 iso_over_fp searches for a graded isomorphism over F_q (field_for picks q,
 primitive_root fixes the roots of unity, OverFp reads an algebra's structure
 constants, affine_solutions solves the linear conditions on one generator's
@@ -581,6 +585,53 @@ def verify_witness_by_dict(alg, alg2, w) -> WitnessReport:
         if not failures:
             break
     return WitnessReport(not failures, dim * dim, tuple(failures))
+
+
+def verify_equiv_by_degrees(alg, alg2, ew) -> WitnessReport:
+    """verify_equiv_witness on the degree arrays of the realized algebras: each
+    image (sigma i, sigma j, e) looked up in the target index, its degree read
+    there, and the component dimensions counted over both degree arrays.  It
+    names a split component once for every cell that splits it."""
+    failures: list[str] = []
+    sigma = ew.sigma
+    shape = alg.presentation.shape
+    if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(shape.n)):
+        return WitnessReport(False, 0, ("sigma is not a permutation",))
+    if alg.dim != alg2.dim:
+        return WitnessReport(False, 0, ("algebras have different dimensions",))
+    if not alg.presentation.division.is_trivial():
+        return WitnessReport(False, 0, ("nontrivial division part in equivalence check",))
+    e2 = alg2.group.identity
+    img_degree: dict[int, int] = {}
+    checked = 0
+    for pos, (i, j, _) in enumerate(shape.cells()):
+        tpos = alg2.index.get(BasisElem(sigma[i], sigma[j], e2))
+        if tpos is None:
+            failures.append(f"image of e_{i + 1}{j + 1} leaves the algebra")
+            continue
+        checked += 1
+        u = alg.degree[pos]
+        w = alg2.degree[tpos]
+        if img_degree.setdefault(u, w) != w:
+            failures.append(
+                f"component at degree {alg.group.name_of(u)} is split across target degrees"
+            )
+    if failures:
+        return WitnessReport(False, checked, tuple(failures))
+    if len(set(img_degree.values())) != len(img_degree):
+        failures.append("two components merge into one target degree")
+    dims1, dims2 = Counter(alg.degree), Counter(alg2.degree)
+    for u, w in img_degree.items():
+        if dims1[u] != dims2[w]:
+            failures.append(
+                f"component dimensions differ: {dims1[u]} at {alg.group.name_of(u)} "
+                f"vs {dims2[w]} at {alg2.group.name_of(w)}"
+            )
+    for u, cm in ew.component_map.items():
+        if img_degree.get(u) != cm:
+            failures.append("stated component map disagrees with the induced map")
+            break
+    return WitnessReport(not failures, checked, tuple(failures))
 
 
 def invariants_by_basis(alg) -> GradedInvariants:

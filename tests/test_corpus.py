@@ -20,7 +20,8 @@ divisions of Z2, Z4, Z6 and S3, within one group or across two: lam, sigma
 and the component map of an EQUIVALENT, or the reason.  Each
 ``verify_equiv`` line holds the report of ``verify_equiv_witness`` on an
 engine witness or on a corrupted copy of it: a sigma that moves positions
-across blocks, one that splits a component, a target whose degrees all
+across blocks, one that splits a component (each split component is named
+once), a target whose degrees all
 coincide (so components merge), a misstated component map, or a source over
 a nontrivial support.  Each ``coh`` line holds ``cohomologous`` on a
 clock-and-shift cocycle and a twist of it: by a coboundary, in a larger
@@ -41,7 +42,10 @@ from pathlib import Path
 
 from conftest import dihedral_8, make_sym
 
+import flagiso.algebras
+import flagiso.iso
 from flagiso import (
+    EQUIVALENT,
     GradedDivisionAlgebra,
     Subgroup,
     build_abelian,
@@ -363,17 +367,23 @@ def verify_equiv_lines(head, p, q, ew):
     return lines
 
 
-def equiv_lines(rng):
-    lines = []
+def equiv_pairs(rng):
+    """Yield (head, p, q) for each pair of the equiv lines, in order."""
     for label, grp, label2, grp2, relabel in RELABELINGS:
         for _ in range(8):
             p, q, kind = equiv_pair(rng, grp, grp2, relabel)
-            head = f"{describe(label, p)} ~ {describe(label2, q)} ({kind})"
-            verdict = equiv_elementary(p, q)
-            lines.append(f"equiv elementary {head} -> {equiv_verdict(verdict, grp, grp2)}")
-            lines.append(f"equiv check {head} -> {equiv_verdict(equiv_check(p, q), grp, grp2)}")
-            if verdict.equiv_witness is not None:
-                lines += verify_equiv_lines(head, p, q, verdict.equiv_witness)
+            yield f"{describe(label, p)} ~ {describe(label2, q)} ({kind})", p, q
+
+
+def equiv_lines(rng):
+    lines = []
+    for head, p, q in equiv_pairs(rng):
+        grp, grp2 = p.group, q.group
+        verdict = equiv_elementary(p, q)
+        lines.append(f"equiv elementary {head} -> {equiv_verdict(verdict, grp, grp2)}")
+        lines.append(f"equiv check {head} -> {equiv_verdict(equiv_check(p, q), grp, grp2)}")
+        if verdict.equiv_witness is not None:
+            lines += verify_equiv_lines(head, p, q, verdict.equiv_witness)
     return lines
 
 
@@ -441,6 +451,20 @@ def test_the_corpus_matches_the_golden():
     ]
     assert changed[:5] == [] and got == want
     assert elapsed < 3, f"the corpus took {elapsed:.2f} s to render"
+
+
+def test_an_equivalence_realizes_no_algebra_and_computes_no_degrees(monkeypatch):
+    """equiv_elementary decides and checks each pair of the equiv lines on the
+    presentations: neither realize nor _degrees is called, on any EQUIVALENT."""
+    calls = []
+    for module in (flagiso.iso, flagiso.algebras):
+        for name in ("realize", "_degrees"):
+            spy = lambda p, fn=getattr(module, name), name=name: calls.append(name) or fn(p)
+            monkeypatch.setattr(module, name, spy)
+    kinds = [equiv_elementary(p, q).kind for _, p, q in equiv_pairs(random.Random(SEED + 2))]
+    golden = CORPUS.read_text().splitlines()
+    want = sum(line.startswith("equiv elementary") and " -> EQUIVALENT " in line for line in golden)
+    assert kinds.count(EQUIVALENT) == want == 31 and calls == []
 
 
 if __name__ == "__main__":

@@ -231,11 +231,22 @@ def test_verify_equiv_rejects_component_splitting_sigma():
     # target slots makes one source component hit two target degrees
     bad = EquivWitness(p, q, {0: 1, 1: 0}, (0, 1, 2), {})
     rep = verify_equiv_witness(realize(p), realize(q), bad)
-    assert not rep.ok
-    assert any(
-        "split across target degrees" in f or "dimensions differ" in f
-        for f in rep.failures
-    )
+    assert rep == WitnessReport(False, 6, (
+        "component at degree (0) is split across target degrees",
+        "component at degree (1) is split across target degrees",
+    ))
+
+
+def test_verify_equiv_names_a_split_component_once():
+    """e_23 and e_32, of degree (3), both land off that component's first
+    image, (0): the line naming the split comes once, not once per cell."""
+    p = elem_pres([6], [1, 2], [4, 1, 4])
+    q = elem_pres([6], [1, 2], [0, 0, 3])
+    ew = EquivWitness(p, q, {}, (0, 1, 2), {})
+    assert verify_equiv_witness(realize(p), realize(q), ew) == WitnessReport(False, 7, (
+        "component at degree (0) is split across target degrees",
+        "component at degree (3) is split across target degrees",
+    ))
 
 
 def test_verify_equiv_rejects_misstated_component_map():

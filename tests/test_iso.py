@@ -651,7 +651,7 @@ def test_engine_witnesses_are_not_revalidated(monkeypatch):
 
 def test_each_presentation_is_realized_once_per_decision(monkeypatch):
     """A YES is certified on the presentations and realizes nothing, nor does a
-    NO or building a witness; an equivalence realizes each side once."""
+    NO, building a witness or an equivalence, whose check reads the presentations."""
     calls = []
     monkeypatch.setattr("flagiso.iso.realize", lambda p: calls.append(p) or realize(p))
 
@@ -679,7 +679,7 @@ def test_each_presentation_is_realized_once_per_decision(monkeypatch):
     eq, n_eq = count(
         equiv_elementary, make_presentation(t, [1, 1], [0, 1]), make_presentation(t, [1, 1], [0, 3])
     )
-    assert eq.kind == EQUIVALENT and n_eq == 2
+    assert eq.kind == EQUIVALENT and n_eq == 0
 
 
 def test_degrees_are_computed_once_per_side(monkeypatch):

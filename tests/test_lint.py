@@ -294,11 +294,9 @@ def test_one_constructor_builds_every_witness():
 def test_decisions_realize_only_to_certify():
     # a YES is decided on the search's data and realizes nothing; only a map
     # that fails its check on first read realizes both sides, to name its
-    # failures; a NO reads its invariants off the presentations' cells
-    assert set(references_by_function(SRC / "iso.py", "realize")) == {
-        "_first_read",
-        "equiv_elementary",
-    }
+    # failures; a NO reads its invariants off the presentations' cells, and an
+    # equivalence is checked on the presentations
+    assert set(references_by_function(SRC / "iso.py", "realize")) == {"_first_read"}
 
 
 def test_only_degrees_computes_the_cell_degrees():
@@ -306,7 +304,8 @@ def test_only_degrees_computes_the_cell_degrees():
     assert per_cell == []
     algebras = SRC / "algebras.py"
     # the degree array is computed only to realize; the graded invariants are
-    # counted once, off the coset configuration, for invariants and for a NO
+    # counted once, off the coset configuration, for invariants, for a NO and
+    # for the component dimensions of an equivalence check
     assert [path.name for path in SRC.glob("*.py") if "_cell_invariants" in path.read_text()] == []
     assert not hasattr(flagiso.algebras, "_count_invariants")
     fields = ("basis", "index", "at", "units", "generators", "walk")
@@ -320,7 +319,7 @@ def test_only_degrees_computes_the_cell_degrees():
         for path in sorted(SRC.glob("*.py"))
         for owner in references_by_function(path, "_coset_profiles")
     }
-    assert found == {"algebras.invariants", "iso.iso_algebras"}
+    assert found == {"algebras.invariants", "iso.iso_algebras", "iso._equiv_report"}
 
 
 def test_every_product_is_walked_only_to_report_a_failed_check():

@@ -4,7 +4,12 @@ Isomorphism: small same-division pairs in three setups, Z4 with the trivial
 division, Z2 x Z2 with the clock-and-shift division of degree 2, and S3 with
 the trivial division; shapes have at most three blocks and n <= 4.
 Equivalence: elementary pairs over ten abelian groups of order <= 9 with
-n <= 5, against a brute-force search over block-preserving permutations.
+n <= 5, against a brute-force search over block-preserving permutations;
+the check of an equivalence witness, on the presentations, against the
+check on the realized degree arrays, with repeated lines dropped, for engine
+witnesses, drawn sigma across blocks or not a permutation, merged targets,
+wrong component maps, targets over a nontrivial support and targets of
+another shape of the same dimension.
 Loaders: every fixture, its saved form and one fixture witness with one
 field replaced by a random JSON value or deleted, run through the CLI.
 Oracles for checks the library proves instead of re-running: verify_witness
@@ -124,6 +129,7 @@ from conftest import (
     mismatch_by_shared_support,
     product_pos,
     realize_by_basis,
+    verify_equiv_by_degrees,
     verify_witness_by_dict,
     witness_map_by_cell,
     witness_with_map,
@@ -140,6 +146,7 @@ from flagiso import (
     BlockShape,
     Cocycle,
     Corrector,
+    EquivWitness,
     GradedAlgebra,
     GradedDivisionAlgebra,
     Group,
@@ -171,12 +178,13 @@ from flagiso import (
     trivial_division,
     validate_cocycle,
     validate_table,
+    verify_equiv_witness,
     verify_witness,
 )
 from flagiso.algebras import _coset_profiles, basis_of
 from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
-from flagiso.iso import _Shift, _shift_outcomes
+from flagiso.iso import _equiv_report, _Shift, _shift_outcomes
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
 KLEIN = build_abelian([2, 2])
@@ -1697,6 +1705,110 @@ def equivalent_by_brute_force(p, q) -> bool:
 def test_equivalence_decision_matches_brute_force(pair):
     p, q = pair
     assert (equiv_elementary(p, q).kind == EQUIVALENT) == equivalent_by_brute_force(p, q)
+
+
+def compositions(n):
+    """Every block shape of n positions."""
+    if n == 0:
+        return [()]
+    return [(m, *rest) for m in range(1, n + 1) for rest in compositions(n - m)]
+
+
+def cell_count(blocks) -> int:
+    return (sum(blocks) ** 2 + sum(m * m for m in blocks)) // 2
+
+
+# by cell count, every shape of at most six positions
+SHAPES_BY_CELLS: dict[int, list[tuple[int, ...]]] = {}
+for _n in range(1, 7):
+    for _blocks in compositions(_n):
+        SHAPES_BY_CELLS.setdefault(cell_count(_blocks), []).append(_blocks)
+
+# division parts over a support of order 2 or 4: the order-2 support of Z2,
+# Z4, Z6 and Z2 x Z4 with the trivial cocycle, and the clock-and-shift Klein
+SUPPORTED = [
+    GradedDivisionAlgebra(trivial_cocycle(Subgroup(grp, (grp.identity, x))))
+    for grp, x in (
+        (build_abelian([2]), 1),
+        (build_abelian([4]), 2),
+        (build_abelian([6]), 3),
+        (build_abelian([2, 4]), 4),
+    )
+] + [pauli(2, KLEIN, ["(1,0)", "(0,1)"])]
+
+
+@st.composite
+def equiv_witness_cases(draw):
+    """(source, target, witness) for verify_equiv_witness.
+
+    The source is elementary, or rarely over a support of order 2, which is
+    refused.  The target is the drawn one, one whose degrees all coincide
+    (merged), one over a nontrivial support, or one of another shape; the
+    last two take a shape of the source's dimension when one exists.  sigma
+    is the engine's on the drawn pair when that is equivalent, one that
+    permutes within blocks, any permutation (across blocks too), or not a
+    permutation; the component map is the engine's, a drawn one or none.
+    """
+    p, q = draw(elementary_pairs())
+    found = equiv_elementary(p, q).equiv_witness
+    target = draw(st.sampled_from(["drawn", "merged", "support", "reshaped"]))
+    if target == "merged":
+        value = draw(st.integers(0, q.group.size - 1))
+        q = make_presentation(q.division, q.shape.blocks, [value] * q.shape.n)
+    elif target in ("support", "reshaped"):
+        cells = len(p.shape.cells())
+
+        def fits(division):
+            k = len(division.support.members)
+            shapes = SHAPES_BY_CELLS.get(cells // k, []) if cells % k == 0 else []
+            return [b for b in shapes if division is not q.division or b != p.shape.blocks]
+
+        divisions = [d for d in (SUPPORTED if target == "support" else [q.division]) if fits(d)]
+        if divisions:  # else the drawn target stays: no shape has the source's dimension
+            division = draw(st.sampled_from(divisions))
+            blocks = draw(st.sampled_from(fits(division)))
+            m = sum(blocks)
+            degrees = st.lists(st.integers(0, division.group.size - 1), min_size=m, max_size=m)
+            q = make_presentation(division, blocks, draw(degrees))
+    n = p.shape.n
+    how = draw(st.sampled_from(["engine", "engine", "blockwise", "any", "malformed"]))
+    if how == "engine" and found is not None:
+        ew = dataclasses.replace(found, target=q)
+    else:
+        if how == "malformed":
+            sigma = draw(
+                st.one_of(
+                    st.lists(st.integers(0, n), min_size=n - 1, max_size=n + 1),
+                    st.just([float(i) for i in range(n)]),
+                )
+            )
+        elif how == "any":
+            sigma = draw(st.permutations(range(n)))
+        else:
+            sigma = [k for block in p.shape.block_positions() for k in draw(st.permutations(block))]
+        ew = EquivWitness(p, q, {}, tuple(sigma), {})
+    stated = st.dictionaries(
+        st.integers(0, p.group.size - 1), st.integers(0, q.group.size - 1), max_size=3
+    )
+    ew = dataclasses.replace(ew, component_map=draw(st.one_of(st.just(ew.component_map), stated)))
+    if draw(st.sampled_from([False] * 9 + [True])):  # both over one support of order 2
+        division = draw(st.sampled_from(SUPPORTED[:4]))
+        size = division.group.size
+        p, q = (make_presentation(division, r.shape, [d % size for d in r.degrees]) for r in (p, q))
+    return p, q, ew
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(equiv_witness_cases())
+def test_the_equivalence_check_on_presentations_agrees_with_the_degree_arrays(case):
+    """_equiv_report, on the presentations, against the check on the realized
+    degree arrays, which repeats a split component's line once per cell."""
+    p, q, ew = case
+    alg, alg2 = realize(p), realize(q)
+    want = verify_equiv_by_degrees(alg, alg2, ew)
+    want = WitnessReport(want.ok, want.checked_pairs, tuple(dict.fromkeys(want.failures)))
+    assert _equiv_report(p, q, ew) == want
+    assert verify_equiv_witness(alg, alg2, ew) == want
 
 
 # -- table validation --------------------------------------------------------------------
