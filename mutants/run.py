@@ -7,7 +7,8 @@ The runner copies the tree to a temporary directory, checks that the
 unmutated copy passes every listed test, then applies one mutant at a time
 and runs its tests there with PYTHONPATH=src.  A mutant is killed when its
 tests fail.  A mutant marked equivalent carries the reason no test can kill
-it, and must survive.
+it, and must survive.  Each mutant's line ends with the seconds its tests
+took, and the run ends with its total wall time.
 
     python mutants/run.py               # every mutant
     python mutants/run.py NAME [NAME ...]
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,6 +46,7 @@ class Mutant:
 
 ISO = "src/flagiso/iso.py"
 COCYCLES = "src/flagiso/cocycles.py"
+GROUPS = "src/flagiso/groups.py"
 MULTIPLICATIVE = "tests/test_properties.py::test_a_misrouting_off_the_generators_is_rejected"
 GRADED = "tests/test_properties.py::test_a_multiplicative_map_that_moves_degrees_is_rejected"
 SHAPES = "tests/test_properties.py::test_no_bijection_between_different_shapes_of_one_dimension_is_accepted"
@@ -53,30 +56,38 @@ OFF_BASIS = "tests/test_iso.py::test_verify_refuses_a_map_off_the_target_basis_o
 ON_FIRST_READ = "tests/test_iso.py::test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read"
 CERTIFIED = "tests/test_iso.py::test_certified_refuses_data_outside_the_description"
 ONCE = "tests/test_iso.py::test_verify_witness_checks_an_unread_map_once"
+SUPPORTS = "tests/test_iso.py::test_no_bijection_over_supports_of_different_sizes_is_accepted"
+AGREE = "tests/test_properties.py::test_the_deciding_and_the_naming_pass_agree"
+COCYCLE_LEADS = "tests/test_cocycles.py::test_validate_rejects_a_failure_led_by_the_second_generator_only"
+TABLE_LEADS = "tests/test_groups.py::test_validate_table_rejects_a_failure_led_by_the_second_generator_only"
+ORDER_CAP = "tests/test_groups.py::test_group_order_cap_refuses_before_construction"
+SEARCH_CAP = "tests/test_groups.py::test_isomorphism_search_budget"
+BUDGET = "tests/test_classify.py::test_classify_budget_argument"
 LAW = "tests/test_cocycles.py"
 EQUIV = "tests/test_equiv.py::test_verify_equiv_"
 
 MUTANTS = (
-    # iso._is_isomorphism, the decision every map anyone reads passes
+    # iso._map_report, the one check of a witness map: its deciding pass decides every map
+    # anyone reads, and its naming pass names the failures of a refused one
     Mutant(
         "decision-skips-shape",
         ISO,
-        "    if p2.shape != shape or len(sup2.members) != k:\n        return False\n    layout",
-        "    if len(sup2.members) != k:\n        return False\n    layout",
+        "    img_at = list(map(layout2.at.__getitem__, images))",
+        "    img_at = list(map(layout.at.__getitem__, images))",
         (SHAPES,),
     ),
     Mutant(
         "decision-skips-support-size",
         ISO,
-        "    if p2.shape != shape or len(sup2.members) != k:\n        return False\n    layout",
-        "    if p2.shape != shape:\n        return False\n    layout",
-        ("tests/test_iso.py::test_verify_refuses_one_shape_over_supports_of_different_sizes",),
+        "    tbl, size2 = grp.table, len(members2)",
+        "    tbl, size2 = grp.table, len(sup.members)",
+        (SUPPORTS,),
     ),
     Mutant(
         "decision-skips-malformed",
         ISO,
-        "    if _malformed(layout.basis, len(layout.basis), m1, m2, w) is not None:\n        return False\n",
-        "",
+        "    if refused is not None:\n        return refused\n    images, exps, order",
+        "    images, exps, order",
         (REFUSALS,),
     ),
     Mutant(
@@ -84,10 +95,13 @@ MUTANTS = (
         ISO,
         "    if len(set(rows)) != n or list(map(want.__getitem__, at)) != img_at:",
         "    if list(map(want.__getitem__, at)) != img_at:",
-        (REFUSALS, SHAPES, MULTIPLICATIVE, GRADED, ALL_PAIRS),
+        (REFUSALS, SHAPES, SUPPORTS, MULTIPLICATIVE, GRADED, ALL_PAIRS, AGREE),
         equivalent=(
-            "with equal shapes and equal |H| a bijection of bases forces pi injective: two "
-            "units in one diagonal cell would put 2|H| images into |H| places"
+            "a bijection of bases that keeps the zero pattern and routing makes pi injective: "
+            "each unit (j,j,e) is a right identity of a generator s with column j, so routing "
+            "puts its image at the support identity of the cell (pi j, pi j), and two units "
+            "sharing that cell would share a position; the naming pass checks every degree, "
+            "and two units of degree e cannot share a cell, which holds one element of degree e"
         ),
     ),
     Mutant(
@@ -100,27 +114,39 @@ MUTANTS = (
     Mutant(
         "decision-skips-generator-degrees",
         ISO,
-        "        if tbl[tbl[p.degrees[i]][h]][inv[j]] != tbl[tbl[p2.degrees[r]][members2[t % k]]][inv2[c]]:",
-        "        if False:",
+        "    for s in range(dim) if every else layout.generators:",
+        "    for s in range(dim) if every else ():",
         (GRADED,),
     ),
     Mutant(
         "decision-skips-routing",
         ISO,
-        "        if img_sup[pos] != mul2[u][v] or (",
-        "        if (",
+        "        if img_sup[pos] != mul2[u][v] or (lhs - rhs) % order:",
+        "        if (lhs - rhs) % order:",
         (MULTIPLICATIVE,),
     ),
     Mutant(
         "decision-skips-scalars",
         ISO,
-        "        if img_sup[pos] != mul2[u][v] or (\n"
-        "            k1 * vals1[x][y] + exps[pos] - exps[s] - exps[b] - k2 * vals2[u][v]\n"
-        "        ) % order:",
+        "        if img_sup[pos] != mul2[u][v] or (lhs - rhs) % order:",
         "        if img_sup[pos] != mul2[u][v]:",
         ("tests/test_iso.py::test_verify_rejects_scalar_corruption",),
     ),
-    # iso._malformed, the bijection and scalar-order checks both halves share
+    Mutant(
+        "decision-walks-every-product",
+        ISO,
+        "    walk = _products(shape, sup, range(dim)) if every else zip(*layout.walk)",
+        "    walk = _products(shape, sup, range(dim))",
+        ("tests/test_iso.py::test_a_valid_witness_checks_scalars_on_generator_products_only",),
+    ),
+    Mutant(
+        "report-names-the-generator-pass",
+        ISO,
+        "    return report if report.ok else _map_report(p, p2, w, True)",
+        "    return report",
+        (ALL_PAIRS,),
+    ),
+    # iso._malformed, the bijection and scalar-order checks both passes share
     Mutant(
         "malformed-skips-length",
         ISO,
@@ -188,6 +214,86 @@ MUTANTS = (
         "            pass\n",
         (LAW,),
     ),
+    # cocycles.validate_cocycle, whose triples led by the support's generators decide the law
+    Mutant(
+        "cocycle-skips-the-generator-triples",
+        COCYCLES,
+        "    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators):",
+        "    if False:",
+        ("tests/test_cocycles.py::test_validate_rejects_broken_identity",),
+    ),
+    Mutant(
+        "cocycle-checks-the-first-generator-only",
+        COCYCLES,
+        "    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators):",
+        "    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators[:1]):",
+        (COCYCLE_LEADS,),
+    ),
+    # groups._check_table, Light's associativity test on the generators of a table
+    Mutant(
+        "table-skips-lights-test",
+        GROUPS,
+        "            if a_sc(row_a) != row_as:",
+        "            if False:",
+        ("tests/test_groups.py::test_validate_table_rejects_non_associative",),
+    ),
+    Mutant(
+        "table-checks-the-first-generator-only",
+        GROUPS,
+        "    for s in _closure(tbl, e, range(n))[0]:",
+        "    for s in _closure(tbl, e, range(n))[0][:1]:",
+        (TABLE_LEADS,),
+    ),
+    # the caps and budgets that keep every construction and search bounded
+    Mutant(
+        "group-order-cap-skipped",
+        GROUPS,
+        "    if size > GROUP_ORDER_CAP:",
+        "    if False:",
+        (ORDER_CAP,),
+    ),
+    Mutant(
+        "group-order-cap-refuses-the-cap",
+        GROUPS,
+        "    if size > GROUP_ORDER_CAP:",
+        "    if size >= GROUP_ORDER_CAP:",
+        (ORDER_CAP,),
+    ),
+    Mutant(
+        "search-cap-skipped",
+        GROUPS,
+        "    if len(elems1) > ISO_SEARCH_CAP or len(elems2) > ISO_SEARCH_CAP:",
+        "    if False:",
+        (SEARCH_CAP,),
+    ),
+    Mutant(
+        "search-cap-reads-one-side",
+        GROUPS,
+        "    if len(elems1) > ISO_SEARCH_CAP or len(elems2) > ISO_SEARCH_CAP:",
+        "    if len(elems1) > ISO_SEARCH_CAP:",
+        (SEARCH_CAP,),
+    ),
+    Mutant(
+        "search-cap-refuses-the-cap",
+        GROUPS,
+        "    if len(elems1) > ISO_SEARCH_CAP or len(elems2) > ISO_SEARCH_CAP:",
+        "    if len(elems1) >= ISO_SEARCH_CAP or len(elems2) >= ISO_SEARCH_CAP:",
+        (SEARCH_CAP,),
+    ),
+    Mutant(
+        "classify-budget-skipped",
+        ISO,
+        "    if base**n > limit:",
+        "    if False:",
+        (BUDGET,),
+    ),
+    Mutant(
+        "classify-budget-refuses-the-budget",
+        ISO,
+        "    if base**n > limit:",
+        "    if base**n >= limit:",
+        (BUDGET,),
+    ),
     # iso._data_failure, the O(n) checks a YES is decided on, and caller data too
     Mutant(
         "data-skips-permutation",
@@ -218,7 +324,7 @@ MUTANTS = (
     Mutant(
         "first-read-skips-the-check",
         ISO,
-        "    if not _is_isomorphism(p, p2, built, walk):",
+        "    if not _map_report(p, p2, built, False).ok:",
         "    if False:",
         (ON_FIRST_READ,),
     ),
@@ -304,6 +410,13 @@ MUTANTS = (
         "        if False:",
         (EQUIV + "rejects_misstated_component_map",),
     ),
+    Mutant(
+        "equiv-skips-lambda",
+        ISO,
+        "            if ew.lam.get(g) != p2.degrees[k]:",
+        "            if False:",
+        (EQUIV + "refuses_a_relabeling_that_disagrees_with_sigma",),
+    ),
     # iso.iso_algebras, the profile comparison that names a NO's separating invariant
     Mutant(
         "no-skips-the-profile-comparison",
@@ -359,16 +472,21 @@ def check(mutants, root: Path = ROOT, out=print) -> int:
             path = tree / m.path
             text = path.read_text()
             path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
             try:
                 killed = bool(m.tests) and not passes(tree, m.tests)
             finally:
                 path.write_text(text)
+            took = f"[{time.perf_counter() - start:.1f} s]"
             if m.equivalent is None:
                 failed |= not killed
-                out(f"{'killed' if killed else 'SURVIVED':<9} {m.name}")
+                out(f"{'killed' if killed else 'SURVIVED':<9} {m.name} {took}")
             else:
                 failed |= killed
-                out(f"{'KILLED' if killed else 'survived':<9} {m.name} (equivalent: {m.equivalent})")
+                out(
+                    f"{'KILLED' if killed else 'survived':<9} {m.name} {took} "
+                    f"(equivalent: {m.equivalent})"
+                )
     return int(failed)
 
 
@@ -378,7 +496,11 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(unknown)}")
         return 1
-    return check([m for m in MUTANTS if not names or m.name in names])
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    start = time.perf_counter()
+    status = check(chosen)
+    print(f"{len(chosen)} mutants in {time.perf_counter() - start:.1f} s")
+    return status
 
 
 if __name__ == "__main__":

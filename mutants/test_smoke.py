@@ -2,6 +2,7 @@
 of its entries, which must match the library's text and name their tests."""
 
 import importlib.util
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -55,8 +56,19 @@ def mutant(name, old, new, equivalent=None, path="src/pkg/mod.py"):
 
 
 def outcome(mutants, root):
+    """The run's status and its lines, each mutant's time taken out."""
     lines = []
-    return run.check(mutants, root, lines.append), lines
+    status = run.check(mutants, root, lines.append)
+    return status, [TIME.sub("", line) for line in lines]
+
+
+TIME = re.compile(r" \[\d+\.\d s\]")
+
+
+def test_each_mutant_line_carries_its_time(tree):
+    lines = []
+    run.check([mutant("boundary", "x > 0", "x >= 0")], tree, lines.append)
+    assert len(lines) == 1 and re.fullmatch(r"killed    boundary \[\d+\.\d s\]", lines[0])
 
 
 def test_a_killed_mutant_passes_and_a_survivor_fails(tree):

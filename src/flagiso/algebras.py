@@ -10,9 +10,9 @@ Every product of basis elements is zero or a root of unity times a basis
 element, so the whole algebra is a finite exact object.  BlockShape.cells is
 the one description of where a basis element sits.  The degree array is
 computed in one place, _degrees, over those cells, by basis position: realize
-stores it for check_grading, and the report of a failed witness check reads
-it.  The graded invariants are read off the presentation's cosets, in one
-place, _coset_profiles, which counts cells, not degrees: invariants, every NO
+stores it for check_grading, and no witness check reads it.  The graded
+invariants are read off the presentation's cosets, in one place,
+_coset_profiles, which counts cells, not degrees: invariants, every NO
 certificate and the equivalence check read them there.
 """
 
@@ -96,8 +96,8 @@ class GradedAlgebra:
 
     def nonzero_products(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (p1, p2, scalar exponent, position) for each nonzero basis
-        product, ascending in p1 and then in p2: the walk a failed check reruns
-        to name every failing product."""
+        product, ascending in p1 and then in p2: the walk check_grading reruns
+        to name every violation once a generator product fails."""
         p = self.presentation
         walk = _products(p.shape, p.division.support, range(self.dim))
         vals = p.division.cocycle.values

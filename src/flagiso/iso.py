@@ -9,9 +9,11 @@ D^g to D', related by the degree tuple relation
 
 The witness carries that data, and the monomial map it induces (basis
 element to scalar times basis element) is built on first read and checked
-then, exactly, by the decision verify_witness runs; a loaded witness carries
-its map as given.  NO answers carry either a separating invariant or an
-exhausted-search certificate.
+then, exactly, by the one check of a map, _map_report, which verify_witness
+runs too; it reads the two presentations alone, decides on the generators
+and names the failures of a refused map on every basis pair.  A loaded
+witness carries its map as given.  NO answers carry either a separating
+invariant or an exhausted-search certificate.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from .algebras import (
     BasisElem,
     GradedAlgebra,
     _coset_profiles,
-    _degrees,
     _layout,
+    _products,
     basis_of,
-    realize,
 )
 from .cocycles import Corrector, is_corrector
 from .config import classify_budget
@@ -123,8 +124,7 @@ class _MapField:
         if w is None:
             return self
         if w.__dict__[self.name] is _DERIVE:
-            p = w.source
-            _first_read(w, _layout(p.shape, p.division.support).walk)
+            _first_read(w)
         return w.__dict__[self.name]
 
     def __set__(self, w, value):
@@ -312,16 +312,15 @@ def _monomial_map(w: IsoWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(images), tuple(exponents)
 
 
-def _first_read(w: IsoWitness, walk) -> None:
-    """Build the map of the derived witness w and keep it once _is_isomorphism
-    accepts it over walk, the generator products of w's source.  A map it
-    refuses is not kept: both sides are realized for verify_witness to name
-    the failures, and the engine error is raised."""
+def _first_read(w: IsoWitness) -> None:
+    """Build the map of the derived witness w and keep it once _map_report
+    accepts it.  A map it refuses is not kept: the report names the
+    failures, and the engine error is raised."""
     images, exponents = _monomial_map(w)
     built = replace(w, images=images, exponents=exponents)
     p, p2 = w.source, w.target
-    if not _is_isomorphism(p, p2, built, walk):
-        report = verify_witness(realize(p), realize(p2), built)
+    if not _map_report(p, p2, built, False).ok:
+        report = _map_report(p, p2, built, True)
         raise AssertionError(
             f"engine produced a witness that fails verification: {report.failures[:3]}"
         )
@@ -368,155 +367,127 @@ def _malformed(basis, dim2: int, m1: int, m2: int, w: IsoWitness) -> WitnessRepo
     return None
 
 
-def _is_isomorphism(p: FlagPresentation, p2: FlagPresentation, w: IsoWitness, walk) -> bool:
-    """Whether w's map is an isomorphism of the graded algebras of p and p2,
-    decided on the two presentations and the shared layout alone: no algebra
-    is realized and no degree array computed.  walk is the generator products
-    of p's algebra, GradedAlgebra.generator_products.  verify_witness reports
-    on the map only when this says no.
+def _map_report(
+    p: FlagPresentation, p2: FlagPresentation, w: IsoWitness, every: bool
+) -> WitnessReport:
+    """The check that w's map is an isomorphism of the graded algebras of p
+    and p2, on the two presentations and their shared layouts alone: no
+    algebra is realized and no degree array computed.  With every false it
+    reads the generators and the generator walk of p's layout, and decides;
+    with every true it reads every basis position and every nonzero product,
+    and names each failure, in the all-pairs order.  checked_pairs is 0 when
+    the map is malformed or moves a degree, and dim^2 otherwise.
 
-    Different shapes, or supports of different sizes, are sent to the report.
-    The map must be a bijection of bases on positions, with a scalar order
-    that embeds both root groups.  Then, over the generator walk's
-    generating set S (GradedAlgebra.generators):
+    The checks, in order, each spelled out only when it fails:
 
+    - the map is a bijection of bases on positions, with a scalar order that
+      embeds both root groups (_malformed);
+    - the degrees, g_i h g_j^-1 against g'_r h' g'_c^-1: of the generators
+      S (GradedAlgebra.generators), or of every basis element;
     - the zero pattern, through one index map pi: pi(k) is the row of the
       image of the unit (k,k,e).  The map keeps every zero product zero and
       every nonzero product nonzero iff each image sits at (pi(row),
       pi(col)) and pi is injective.  The first is one comparison of each
-      image's cell position (row * n + column, the same array on both sides
-      of one shape) with the one pi predicts; the second is checked on pi.
-    - the degrees of the generators, g_i h g_j^-1 against g'_r h' g'_c^-1.
-    - the products s*b of a generator s and a basis element b, in one loop:
-      the image of s*b sits in the cell of f(s)*f(b), by the zero pattern, at
-      the support position mul(h'_s, h'_b) (routing), with the scalar of
-      f(s)*f(b) (scalars).
+      image's cell position (row * n + column on each side) with the one pi
+      predicts; the second is checked on pi.  A failure is named by the
+      nonzero products unit * b and b * unit whose images' product is zero;
+    - the products s*b of a left factor s and a basis element b, in one
+      loop: the image of s*b sits in the cell of f(s)*f(b), by the zero
+      pattern, at the support position mul(h'_s, h'_b) (routing), with the
+      scalar of f(s)*f(b) (scalars).
 
-    The x with f(x*y) = f(x)*f(y) for every y form a subspace T; T contains
-    S, as each s*b keeps its zero pattern, its routing and its scalar.  T is
-    closed under products: for s and w in T and every y,
+    Deciding suffices.  The x with f(x*y) = f(x)*f(y) for every y form a
+    subspace T; T contains S, as each s*b keeps its zero pattern, its
+    routing and its scalar.  T is closed under products: for s and w in T
+    and every y,
         f(s*w*y) = f(s)*f(w*y) = f(s)*f(w)*f(y) = f(s*w)*f(y).
     By induction on word length T holds every product of elements of S, and
     every basis element is one up to a root of unity, so T is the algebra.
     So f is multiplicative, and the degree of f(b) for b a word in S is the
     product of its generators' degrees, by the grading law of the target:
     a multiplicative bijection that keeps the generators' degrees keeps all.
+
+    The naming pass meets no routing or pi failure to name.  Once every
+    degree holds, pi is injective: two units of degree e cannot share a
+    cell (l,l), which holds one element of degree e.  With the zero pattern
+    too, every product is routed right, as within a target cell the degree
+    fixes the support element.  So the two passes accept the same maps.
     """
     shape, sup, sup2 = p.shape, p.division.support, p2.division.support
-    k = len(sup.members)
-    if p2.shape != shape or len(sup2.members) != k:
-        return False
-    layout = _layout(shape, sup)
+    layout, layout2 = _layout(shape, sup), _layout(p2.shape, sup2)
+    basis = layout.basis
+    dim = len(basis)
     m1, m2 = p.division.order, p2.division.order
-    if _malformed(layout.basis, len(layout.basis), m1, m2, w) is not None:
-        return False
+    refused = _malformed(basis, len(layout2.basis), m1, m2, w)
+    if refused is not None:
+        return refused
     images, exps, order = w.images, w.exponents, w.scalar_order
 
-    n, at, units = shape.n, layout.at, layout.units
-    img_at = list(map(at.__getitem__, images))
-    rows = [img_at[u] // n for u in units]  # pi
-    cols = [img_at[u] % n for u in units]
-    want = [c * n + r for c in cols for r in rows]  # by row * n + column
-    if len(set(rows)) != n or list(map(want.__getitem__, at)) != img_at:
-        return False
-
-    grp, cells = p.group, shape.cells()
-    tbl, members2 = grp.table, sup2.members
+    grp, cells2, members2 = p.group, p2.shape.cells(), sup2.members
+    tbl, size2 = grp.table, len(members2)
     inv = [grp.inv(g) for g in p.degrees]
     inv2 = [grp.inv(g) for g in p2.degrees]
-    for s in layout.generators:
-        i, j, h = layout.basis[s]
-        t = images[s]
-        r, c, _ = cells[t // k]
-        if tbl[tbl[p.degrees[i]][h]][inv[j]] != tbl[tbl[p2.degrees[r]][members2[t % k]]][inv2[c]]:
-            return False
+    moved = []
+    for s in range(dim) if every else layout.generators:
+        i, j, h = basis[s]
+        r, c, _ = cells2[images[s] // size2]
+        g = tbl[tbl[p.degrees[i]][h]][inv[j]]
+        g2 = tbl[tbl[p2.degrees[r]][members2[images[s] % size2]]][inv2[c]]
+        if g != g2:
+            moved.append(
+                f"degree mismatch at {tuple(basis[s])}: {grp.name_of(g)} -> {grp.name_of(g2)}"
+            )
+    if moved:
+        return WitnessReport(False, 0, tuple(moved))
+
+    n, n2, at, units = shape.n, p2.shape.n, layout.at, layout.units
+    img_at = list(map(layout2.at.__getitem__, images))
+    rows = [img_at[u] // n2 for u in units]  # pi
+    cols = [img_at[u] % n2 for u in units]
+    want = [c * n2 + r for c in cols for r in rows]  # by row * n + column
+    if len(set(rows)) != n or list(map(want.__getitem__, at)) != img_at:
+        img = list(map(layout2.basis.__getitem__, images))
+        broken = {(units[b.row], q) for q, b in enumerate(basis) if cols[b.row] != img[q].row}
+        broken.update((q, units[b.col]) for q, b in enumerate(basis) if img[q].col != rows[b.col])
+        return WitnessReport(False, dim * dim, tuple(
+            f"nonzero product {tuple(basis[s])} * {tuple(basis[b])} maps to a zero product"
+            for s, b in sorted(broken)
+        ))
 
     k1, k2 = order // m1, order // m2
-    vals1, vals2 = p.division.cocycle.values, p2.division.cocycle.values
-    mul2 = sup2.mul_table
+    vals1, vals2, mul2 = p.division.cocycle.values, p2.division.cocycle.values, sup2.mul_table
     # a cell holds support position x at offset x, so an image's is its position mod |H'|
-    img_sup = list(map(k.__rmod__, images))
-    for s, b, x, y, pos in zip(*walk):
+    img_sup = list(map(size2.__rmod__, images))
+    walk = _products(shape, sup, range(dim)) if every else zip(*layout.walk)
+    failures = []
+    for s, b, x, y, pos in walk:
         u, v = img_sup[s], img_sup[b]
-        if img_sup[pos] != mul2[u][v] or (
-            k1 * vals1[x][y] + exps[pos] - exps[s] - exps[b] - k2 * vals2[u][v]
-        ) % order:
-            return False
-    return True
+        lhs = k1 * vals1[x][y] + exps[pos]
+        rhs = exps[s] + exps[b] + k2 * vals2[u][v]
+        if img_sup[pos] != mul2[u][v] or (lhs - rhs) % order:
+            failures.append(
+                f"scalar mismatch at {tuple(basis[s])} * {tuple(basis[b])}: "
+                f"exponent {lhs % order} != {rhs % order} (mod {order})"
+            )
+    return WitnessReport(not failures, dim * dim, tuple(failures))
 
 
 def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> WitnessReport:
     """Exact check that the map is an isomorphism of graded algebras: bijective
     on bases, degree-preserving and multiplicative on all dim^2 basis pairs.
 
-    _is_isomorphism decides, on the algebras' presentations; the degrees are
-    read off those, as invariants reads them, so alg.degree is not consulted.
-    A derived witness whose map was never read, given its own algebras, has
-    the map built and decided once, here (_first_read), and kept.
-    Only a NO spells out its failures, in the passes below: the bijection,
-    the degrees of every basis element, the zero pattern through pi, and the
-    scalars over every nonzero product.  A map that keeps every degree and
-    the zero pattern routes every product right, as within a target cell the
-    degree fixes the support element, so no routing failure is named."""
-    grp = alg.group
-    if grp != alg2.group:
+    _map_report decides, on the algebras' presentations, and names the
+    failures of a map it refuses; alg.degree is not consulted.  A derived
+    witness whose map was never read, given its own algebras, has the map
+    built and decided once, here (_first_read), and kept."""
+    if alg.group != alg2.group:
         raise GroupMismatch("witness endpoints are graded by different groups")
-    basis = alg.basis
-    dim = len(basis)
-    p, p2, walk = alg.presentation, alg2.presentation, alg.generator_products()
+    p, p2 = alg.presentation, alg2.presentation
     if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):
-        _first_read(w, walk)  # the unread map is built and checked here, on this walk alone
-        return WitnessReport(True, dim * dim, ())
-    if _is_isomorphism(p, p2, w, walk):
-        return WitnessReport(True, dim * dim, ())
-    refused = _malformed(basis, len(alg2.basis), alg.order, alg2.order, w)
-    if refused is not None:
-        return refused
-    images, exps, order = w.images, w.exponents, w.scalar_order
-    k1, k2 = order // alg.order, order // alg2.order
-
-    deg, deg2 = _degrees(alg.presentation), _degrees(alg2.presentation)
-    if tuple(map(deg2.__getitem__, images)) != deg:
-        return WitnessReport(False, 0, tuple(
-            f"degree mismatch at {tuple(basis[pos])}: "
-            f"{grp.name_of(deg[pos])} -> {grp.name_of(deg2[t])}"
-            for pos, t in enumerate(images)
-            if deg2[t] != deg[pos]
-        ))
-
-    # With the degrees kept, pi is injective: two units of degree e cannot
-    # share a cell (l,l), which holds one element of degree e.  Each pair
-    # (k,k,e)(k,l,h) or (k,l,h)(l,l,e) is nonzero, so it fails when its
-    # images' product is zero.
-    layout = _layout(alg.presentation.shape, alg.presentation.division.support)
-    at, units = layout.at, layout.units  # units: by k, the position of (k,k,e)
-    at2 = _layout(alg2.presentation.shape, alg2.presentation.division.support).at
-    n, n2 = alg.presentation.shape.n, alg2.presentation.shape.n
-    img_at = list(map(at2.__getitem__, images))  # row * n2 + column of each image
-    rows = [img_at[u] // n2 for u in units]  # pi: by k, the row of the image of (k,k,e)
-    cols = [img_at[u] % n2 for u in units]
-    want = [cols[i] * n2 + rows[j] for i in range(n) for j in range(n)]  # by row * n + column
-    if list(map(want.__getitem__, at)) != img_at:
-        img = [alg2.basis[t] for t in images]
-        broken = {(units[b.row], p) for p, b in enumerate(basis) if cols[b.row] != img[p].row}
-        broken.update((p, units[b.col]) for p, b in enumerate(basis) if img[p].col != rows[b.col])
-        return WitnessReport(False, dim * dim, tuple(
-            f"nonzero product {tuple(basis[p1])} * {tuple(basis[q])} maps to a zero product"
-            for p1, q in sorted(broken)
-        ))
-
-    vals2 = alg2.presentation.division.cocycle.values
-    img_sup = list(map(len(alg2.presentation.division.support.members).__rmod__, images))
-    failures = []
-    for p1, q, s_exp, s_pos in alg.nonzero_products():
-        lhs = k1 * s_exp + exps[s_pos]
-        rhs = exps[p1] + exps[q] + k2 * vals2[img_sup[p1]][img_sup[q]]
-        if (lhs - rhs) % order:
-            failures.append(
-                f"scalar mismatch at {tuple(basis[p1])} * {tuple(basis[q])}: "
-                f"exponent {lhs % order} != {rhs % order} (mod {order})"
-            )
-    return WitnessReport(not failures, dim * dim, tuple(failures))
+        _first_read(w)  # the unread map is built and checked here, on its generator walk alone
+        return WitnessReport(True, alg.dim**2, ())
+    report = _map_report(p, p2, w, False)
+    return report if report.ok else _map_report(p, p2, w, True)
 
 
 def invert_witness(w: IsoWitness) -> IsoWitness:
@@ -644,8 +615,8 @@ def _certified(p: FlagPresentation, p2: FlagPresentation, found: _Shift) -> Verd
     inside cohomologous.  So D is not transported nor mu re-checked here;
     sigma is checked to be a block-preserving permutation and each h to lie
     in H (_data_failure, the rule caller data is checked by), and a failure
-    raises.  The map is built, and checked by
-    _is_isomorphism, when it is first read.
+    raises.  The map is built, and checked by _map_report, when it is
+    first read.
     """
     g, mu, sigma = found
     sup = p.division.support.index
@@ -897,7 +868,9 @@ def verify_equiv_witness(
 def _equiv_report(p: FlagPresentation, p2: FlagPresentation, ew: EquivWitness) -> WitnessReport:
     """For sigma a permutation of the source's positions and a trivial source support, e_ij
     has degree g_i g_j^-1, and its image is in the target iff (sigma i, sigma j) is a target
-    cell, of degree g'_{sigma i} g'_{sigma j}^-1.  Each split component is named once."""
+    cell, of degree g'_{sigma i} g'_{sigma j}^-1.  Each split component is named once.  Last,
+    once all else holds, the relabeling must agree with sigma: lam(g_i) = g'_{sigma i} at
+    every position i, and the first position where it fails is named."""
     sigma, shape = ew.sigma, p.shape
     if any(type(k) is not int for k in sigma) or sorted(sigma) != list(range(shape.n)):
         return WitnessReport(False, 0, ("sigma is not a permutation",))
@@ -933,6 +906,14 @@ def _equiv_report(p: FlagPresentation, p2: FlagPresentation, ew: EquivWitness) -
         if img_degree.get(u) != cm:
             failures.append("stated component map disagrees with the induced map")
             break
+    if not failures:
+        for i, (g, k) in enumerate(zip(p.degrees, sigma)):
+            if ew.lam.get(g) != p2.degrees[k]:
+                failures.append(
+                    f"lam does not send {grp.name_of(g)} to {grp2.name_of(p2.degrees[k])} "
+                    f"at position {i + 1}"
+                )
+                break
     return WitnessReport(not failures, checked, tuple(failures))
 
 

@@ -74,8 +74,9 @@ witness's map by one given element by element, as a loaded witness carries
 it, and products_read counts the basis products the checks read.
 verify_equiv_by_degrees is verify_equiv_witness as it read the realized
 algebras' degree arrays, each image looked up in the target index and the
-component dimensions counted over the degrees, as the oracle for the check
-on the two presentations.
+component dimensions counted over the degrees, with the same last check
+that lam sends each source degree to its image's, as the oracle for the
+check on the two presentations.
 iso_over_fp searches for a graded isomorphism over F_q (field_for picks q,
 primitive_root fixes the roots of unity, OverFp reads an algebra's structure
 constants, affine_solutions solves the linear conditions on one generator's
@@ -475,12 +476,12 @@ def witness_with_map(w, mapping, scalar_order=None) -> IsoWitness:
 def products_read():
     """Within the block, count into the yielded list the basis products the
     checks read: the shared generator products on each read of them, through
-    GradedAlgebra.generator_products or off the layout that verify_witness's
-    decision reads in flagiso.iso, and each product the all-products walk
-    yields."""
+    GradedAlgebra.generator_products or off the layout that the map check
+    reads in flagiso.iso, and each product an all-products walk yields,
+    check_grading's (GradedAlgebra.nonzero_products) or the map check's own
+    (flagiso.iso._products)."""
     counts: list[int] = []
     shared = GradedAlgebra.generator_products
-    walk = GradedAlgebra.nonzero_products
     layout = flagiso.iso._layout
 
     def reading(alg):
@@ -488,10 +489,13 @@ def products_read():
         counts.append(len(arrays[0]))
         return arrays
 
-    def walking(alg):
-        for product in walk(alg):
-            counts.append(1)
-            yield product
+    def counted(walk):
+        def walking(*args):
+            for product in walk(*args):
+                counts.append(1)
+                yield product
+
+        return walking
 
     class Counted(_Layout):
         __slots__ = ()
@@ -502,9 +506,12 @@ def products_read():
             counts.append(len(arrays[0]))
             return arrays
 
-    with mock.patch.object(GradedAlgebra, "generator_products", reading), mock.patch.object(
-        GradedAlgebra, "nonzero_products", walking
-    ), mock.patch.object(flagiso.iso, "_layout", lambda *key: Counted(*layout(*key))):
+    with (
+        mock.patch.object(GradedAlgebra, "generator_products", reading),
+        mock.patch.object(GradedAlgebra, "nonzero_products", counted(GradedAlgebra.nonzero_products)),
+        mock.patch.object(flagiso.iso, "_products", counted(flagiso.iso._products)),
+        mock.patch.object(flagiso.iso, "_layout", lambda *key: Counted(*layout(*key))),
+    ):
         yield counts
 
 
@@ -591,7 +598,8 @@ def verify_equiv_by_degrees(alg, alg2, ew) -> WitnessReport:
     """verify_equiv_witness on the degree arrays of the realized algebras: each
     image (sigma i, sigma j, e) looked up in the target index, its degree read
     there, and the component dimensions counted over both degree arrays.  It
-    names a split component once for every cell that splits it."""
+    names a split component once for every cell that splits it.  When all
+    that passes, lam must send each source degree g_i to g'_{sigma i}."""
     failures: list[str] = []
     sigma = ew.sigma
     shape = alg.presentation.shape
@@ -631,6 +639,15 @@ def verify_equiv_by_degrees(alg, alg2, ew) -> WitnessReport:
         if img_degree.get(u) != cm:
             failures.append("stated component map disagrees with the induced map")
             break
+    if not failures:
+        degrees, degrees2 = alg.presentation.degrees, alg2.presentation.degrees
+        wrong = [i for i in range(shape.n) if ew.lam.get(degrees[i]) != degrees2[sigma[i]]]
+        if wrong:
+            i = wrong[0]
+            failures.append(
+                f"lam does not send {alg.group.name_of(degrees[i])} to "
+                f"{alg2.group.name_of(degrees2[sigma[i]])} at position {i + 1}"
+            )
     return WitnessReport(not failures, checked, tuple(failures))
 
 

@@ -76,6 +76,20 @@ def test_validate_rejects_broken_identity():
     assert "triple" in str(ei.value)
 
 
+def test_validate_rejects_a_failure_led_by_the_second_generator_only():
+    """Over the Klein four-group, generated by (0,1) and then (1,0), every
+    triple led by (0,1) keeps the identity and one led by (1,0) breaks it:
+    both generators' triples are checked, and the first failing triple is named."""
+    grp = build_abelian([2, 2])
+    sub = full_subgroup(grp)
+    assert [grp.name_of(x) for x in sub.generators] == ["(0,1)", "(1,0)"]
+    tbl = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1]]
+    with pytest.raises(InvalidInput) as ei:
+        validate_cocycle(sub, 2, tbl)
+    assert ei.value.code == "cocycle-identity"
+    assert str(ei.value) == "cocycle identity fails at triple ((1,0),(0,1),(1,0))"
+
+
 def test_validate_rejects_unnormalized():
     grp, tbl = klein_pauli_table()
     tbl[0][1] = 1

@@ -259,6 +259,25 @@ def test_verify_equiv_rejects_misstated_component_map():
     assert any("stated component map disagrees" in f for f in rep.failures)
 
 
+def test_verify_equiv_refuses_a_relabeling_that_disagrees_with_sigma():
+    """lam is printed with the witness, so it must send each source degree to
+    the target degree at sigma's image: the first position where it fails is
+    named, after every other check has passed."""
+    p = elem_pres([2], [1, 1], [0, 1])
+    q = elem_pres([4], [1, 1], [0, 1])
+    ew = equiv_elementary(p, q).equiv_witness
+    assert (ew.lam, ew.sigma) == ({0: 0, 1: 1}, (0, 1))
+    assert verify_equiv_witness(realize(p), realize(q), ew) == WitnessReport(True, 3, ())
+    for lam, failure in (
+        ({0: 3, 1: 2}, "lam does not send (0) to (0) at position 1"),
+        ({0: 0}, "lam does not send (1) to (1) at position 2"),
+    ):
+        bad = EquivWitness(p, q, lam, ew.sigma, ew.component_map)
+        assert verify_equiv_witness(realize(p), realize(q), bad) == WitnessReport(
+            False, 3, (failure,)
+        )
+
+
 def test_verify_equiv_rejects_dimension_mismatch():
     p, q, ew = equivalent_pair()
     r = elem_pres([2], [1, 1], [0, 1])

@@ -26,7 +26,7 @@ from flagiso import (
     trivial_division,
     validate_table,
 )
-from flagiso.config import GROUP_ORDER_CAP
+from flagiso.config import GROUP_ORDER_CAP, ISO_SEARCH_CAP
 
 # -- oracles -----------------------------------------------------------------
 
@@ -155,6 +155,25 @@ def test_validate_table_rejects_non_associative():
     assert str(ei.value) == "not associative at triple (1,1,2)"
     t = NONASSOC_LOOP
     assert t[t[1][1]][2] != t[1][t[1][2]]
+
+
+def test_validate_table_rejects_a_failure_led_by_the_second_generator_only():
+    """A loop of order 6 whose greedy generators are 1 and 2: every triple
+    (a, 1, c) associates, and (2, 2, 4) does not, so Light's test must check
+    each generator, not the first alone."""
+    loop = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 3, 2, 5, 4],
+        [2, 3, 4, 5, 0, 1],
+        [3, 2, 5, 4, 1, 0],
+        [4, 5, 0, 1, 3, 2],
+        [5, 4, 1, 0, 2, 3],
+    ]
+    assert all(loop[loop[a][1]][c] == loop[a][loop[1][c]] for a in range(6) for c in range(6))
+    with pytest.raises(InvalidInput) as ei:
+        validate_table(loop)
+    assert ei.value.code == "non-associative"
+    assert str(ei.value) == "not associative at triple (2,2,4)"
 
 
 UP_TO_THE_CAP = [[256], [2] * 8, [4] * 4, [2, 4, 8], "S4", "S5"]
@@ -465,6 +484,11 @@ def test_subgroup_carrier_isomorphism():
 
 
 def test_isomorphism_search_budget():
-    big = build_abelian([17])
-    with pytest.raises(BudgetExceeded):
-        find_isomorphisms(big, big)
+    """The search runs up to order ISO_SEARCH_CAP = 16 and refuses a larger
+    domain or codomain before comparing orders."""
+    small, big = build_abelian([16]), build_abelian([17])
+    assert ISO_SEARCH_CAP == 16
+    assert len(find_isomorphisms(small, small)) == 8  # the units of Z16
+    for h1, h2 in ((big, big), (big, small), (small, big)):
+        with pytest.raises(BudgetExceeded, match="^isomorphism search capped at order 16$"):
+            find_isomorphisms(h1, h2)

@@ -1,11 +1,12 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from unittest import mock
 
 import pytest
-from conftest import make_sym, products_read, witness_with_map
+from conftest import make_sym, products_read, verify_witness_by_dict, witness_with_map
 
 import flagiso.algebras
 import flagiso.cocycles
@@ -398,6 +399,24 @@ def test_verify_refuses_one_shape_over_supports_of_different_sizes():
     assert report == WitnessReport(False, 0, ("algebras have different dimensions",))
 
 
+def test_no_bijection_over_supports_of_different_sizes_is_accepted():
+    """Blocks (2) over a trivial support against the Klein clock-and-shift
+    division algebra, both of dimension 4, each way: every bijection of bases
+    is refused, as the dict verifier refuses it, by the map check reading each
+    side's own support."""
+    grp = build_abelian([2, 2])
+    split = make_presentation(trivial_division(grp), [2], [0, 1])
+    klein = make_presentation(pauli(2, grp, [2, 1]), [1], [0])
+    for p, q in ((split, klein), (klein, split)):
+        alg, alg2 = realize(p), realize(q)
+        assert alg.dim == alg2.dim == 4
+        mu = Corrector(q.division.support, 2, (0,) * len(q.division.support.members))
+        for images in itertools.permutations(range(4)):
+            w = IsoWitness(p, q, 0, (0,) * p.shape.n, (0,) * p.shape.n, mu, 2, images, (0,) * 4)
+            report = verify_witness(alg, alg2, w)
+            assert not report.ok and report == verify_witness_by_dict(alg, alg2, w)
+
+
 def test_verify_refuses_a_map_off_the_target_basis_or_not_injective():
     p, q, w = z2_witness()
     alg, alg2 = realize(p), realize(q)
@@ -651,13 +670,17 @@ def test_engine_witnesses_are_not_revalidated(monkeypatch):
 
 def test_each_presentation_is_realized_once_per_decision(monkeypatch):
     """A YES is certified on the presentations and realizes nothing, nor does a
-    NO, building a witness or an equivalence, whose check reads the presentations."""
+    NO, building a witness or an equivalence, whose check reads the presentations;
+    none of them checks a map, as none reads one.  flagiso.iso imports no
+    realize, so the spy sits on its one home, flagiso.algebras."""
     calls = []
-    monkeypatch.setattr("flagiso.iso.realize", lambda p: calls.append(p) or realize(p))
+    monkeypatch.setattr(flagiso.algebras, "realize", lambda p: calls.append(p) or realize(p))
+    checks = counting(monkeypatch, "_map_report")
 
     def count(fn, *args):
         calls.clear()
         out = fn(*args)
+        assert checks == []
         return out, len(calls)
 
     grp = build_abelian([4])
@@ -825,12 +848,17 @@ def counting(monkeypatch, name):
     return calls
 
 
+def passes(checks) -> tuple[int, int]:
+    """The deciding and the naming calls among calls of _map_report."""
+    return sum(not every for *_, every in checks), sum(every for *_, every in checks)
+
+
 def test_a_yes_builds_and_checks_its_map_on_first_read_only(monkeypatch):
     """A YES is decided on the search's data: until its map is read it builds
     no table and makes no decision; the first read of images, exponents or
     mapping makes one of each, and later reads make none."""
     tables = counting(monkeypatch, "_monomial_map")
-    decisions = counting(monkeypatch, "_is_isomorphism")
+    decisions = counting(monkeypatch, "_map_report")
     grp = build_abelian([4])
     d = sign_division(grp, 2)
     p = make_presentation(d, [1, 1], [0, 1])
@@ -846,22 +874,23 @@ def test_a_yes_builds_and_checks_its_map_on_first_read_only(monkeypatch):
         w = verdict.witness
         assert repr(w).startswith("IsoWitness(") and (len(tables), len(decisions)) == (0, 0)
         first = getattr(w, read)
-        assert (len(tables), len(decisions)) == (1, 1)
+        assert (len(tables), passes(decisions)) == (1, (1, 0))
         assert getattr(w, read) == first and w.images and w.exponents and w.mapping
-        assert (len(tables), len(decisions)) == (1, 1)
+        assert (len(tables), passes(decisions)) == (1, (1, 0))
         tables.clear()
         decisions.clear()
+
+
+def off_by_one(d, d2):
+    """iso_division with the corrector's second exponent raised by 1."""
+    mu = iso_division(d, d2)
+    return mu and Corrector(mu.support, mu.order, (mu.exps[0], mu.exps[1] + 1, *mu.exps[2:]))
 
 
 def test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read(monkeypatch):
     """The verdict rests on the search's data, so a corrector that breaks the
     law still answers YES; the map it induces fails its check on first read,
     and on every read after, and is never handed out."""
-
-    def off_by_one(d, d2):
-        mu = iso_division(d, d2)
-        return mu and Corrector(mu.support, mu.order, (mu.exps[0], mu.exps[1] + 1, *mu.exps[2:]))
-
     monkeypatch.setattr(flagiso.iso, "iso_division", off_by_one)
     klein = pauli(2, build_abelian([2, 2]), [2, 1])
     p = make_presentation(klein, [1, 1], [0, 1])
@@ -870,6 +899,26 @@ def test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read(monkeypatch):
     for read in (lambda w: w.mapping, lambda w: verify_witness(realize(p), realize(p), w)) * 2:
         with pytest.raises(AssertionError, match="engine produced a witness that fails verification"):
             read(verdict.witness)
+
+
+def test_a_map_refused_on_first_read_realizes_nothing(monkeypatch):
+    """The engine error of a derived map that fails its first read names the
+    failures through the map check itself, one deciding and one naming pass:
+    no algebra is realized and no degree array computed."""
+    calls = []
+    for name in ("realize", "_degrees"):
+        fn = getattr(flagiso.algebras, name)
+        monkeypatch.setattr(
+            flagiso.algebras, name, lambda p, fn=fn, name=name: calls.append(name) or fn(p)
+        )
+    checks = counting(monkeypatch, "_map_report")
+    monkeypatch.setattr(flagiso.iso, "iso_division", off_by_one)
+    klein = pauli(2, build_abelian([2, 2]), [2, 1])
+    p = make_presentation(klein, [1, 1], [0, 1])
+    verdict = iso_algebras(p, p)
+    with pytest.raises(AssertionError, match=r"fails verification: \('scalar mismatch at "):
+        verdict.witness.mapping
+    assert calls == [] and passes(checks) == (1, 1)
 
 
 def test_a_built_witness_map_is_checked_on_first_read_too():
@@ -898,24 +947,25 @@ def test_verify_witness_checks_an_unread_map_once(monkeypatch):
     """verify_witness on an engine witness whose map was never read builds the
     map once and decides it once, on its own walk, and keeps it; a later call
     decides again on the kept map, and a call on other algebras builds and
-    keeps nothing of its own."""
+    keeps nothing of its own.  Only a refused map is walked a second time, to
+    name its failures."""
     tables = counting(monkeypatch, "_monomial_map")
-    decisions = counting(monkeypatch, "_is_isomorphism")
+    checks = counting(monkeypatch, "_map_report")
     grp = build_abelian([4])
     d = sign_division(grp, 2)
     p = make_presentation(d, [1, 1], [0, 1])
     q = make_presentation(d, [1, 1], [2, 3])
     alg, alg2 = realize(p), realize(q)
     w = iso_algebras(p, q).witness
-    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 1)
-    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 2)
+    assert verify_witness(alg, alg2, w).ok and (len(tables), passes(checks)) == (1, (1, 0))
+    assert verify_witness(alg, alg2, w).ok and (len(tables), passes(checks)) == (1, (2, 0))
     w = iso_algebras(p, q).witness
     tables.clear()
-    decisions.clear()
+    checks.clear()
     r = make_presentation(d, [1, 1], [1, 0])
     assert not verify_witness(realize(r), alg2, w).ok  # the map's first read checks it first
-    assert (len(tables), len(decisions)) == (1, 2)
-    assert verify_witness(alg, alg2, w).ok and (len(tables), len(decisions)) == (1, 3)
+    assert (len(tables), passes(checks)) == (1, (2, 1))
+    assert verify_witness(alg, alg2, w).ok and (len(tables), passes(checks)) == (1, (3, 1))
 
 
 def test_the_constructor_takes_a_whole_map_and_keeps_it():

@@ -25,8 +25,9 @@ A cohomology solve reads U rhs, U the row transform its cached system
 keeps, through one path; no operation log is kept to replay, and no
 elimination is memoized anywhere else.  One rule, the corrector law, decides
 every corrector, u = 0 across two root orders included.
-The decision engine realizes algebras only to name the failures of a map
-that fails its first-read check.
+The decision engine realizes no algebra and computes no degree array: the
+one check of a witness map reads the two presentations, to decide and to
+name the failures of a refused map alike.
 BlockShape.cells is the one description of where a basis element sits: the
 shared layout keeps no per-position copy of it.  An algebra's degrees are
 computed in one place, algebras._degrees, from the presentation alone, over
@@ -291,12 +292,13 @@ def test_one_constructor_builds_every_witness():
     ]
 
 
-def test_decisions_realize_only_to_certify():
-    # a YES is decided on the search's data and realizes nothing; only a map
-    # that fails its check on first read realizes both sides, to name its
-    # failures; a NO reads its invariants off the presentations' cells, and an
-    # equivalence is checked on the presentations
-    assert set(references_by_function(SRC / "iso.py", "realize")) == {"_first_read"}
+def test_the_engine_realizes_no_algebra():
+    # a YES is decided on the search's data, and the map check, deciding or
+    # naming, reads the presentations; a NO reads its invariants off the
+    # presentations' cells, and an equivalence is checked on the presentations
+    iso = SRC / "iso.py"
+    assert references_by_function(iso, "realize") == []
+    assert references_by_function(iso, "_degrees") == []
 
 
 def test_only_degrees_computes_the_cell_degrees():
@@ -331,10 +333,17 @@ def test_every_product_is_walked_only_to_report_a_failed_check():
         for call in ast.walk(node)
         if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "nonzero_products"
     ]
-    assert sorted(calls) == [("algebras.check_grading", 0), ("iso.verify_witness", 0)]
-    # and both read the shared generator products first
+    assert sorted(calls) == [("algebras.check_grading", 0)]
+    # the map check walks every product itself, on the naming pass only
+    walks = {
+        f"{path.stem}.{owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner in references_by_function(path, "_products")
+    }
+    assert walks == {"algebras.GradedAlgebra", "algebras._layout", "iso._map_report"}
+    # and both checks read the shared generator products first
     assert references_by_function(SRC / "algebras.py", "generator_products") == ["check_grading"]
-    assert references_by_function(SRC / "iso.py", "generator_products") == ["verify_witness"]
+    assert set(references_by_function(SRC / "iso.py", "walk")) == {"_map_report"}
     assert list(inspect.signature(flagiso.GradedAlgebra.nonzero_products).parameters) == ["self"]
 
 

@@ -14,7 +14,8 @@ Loaders: every fixture, its saved form and one fixture witness with one
 field replaced by a random JSON value or deleted, run through the CLI.
 Oracles for checks the library proves instead of re-running: verify_witness
 against the all-pairs loop, on valid and corrupted witnesses, also with its
-scalars checked on generator products alone; the premise of that check, that
+deciding pass alone, which checks generators; that pass against its naming
+pass over every basis pair; the premise of that check, that
 products of the generators reach every basis element, on the three setups,
 shifted supports, both Klein four-groups of S4 and every shape of at most
 five positions over a trivial, a cyclic and a Z3 x Z3 support, with no
@@ -184,7 +185,7 @@ from flagiso import (
 from flagiso.algebras import _coset_profiles, basis_of
 from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
-from flagiso.iso import _equiv_report, _Shift, _shift_outcomes
+from flagiso.iso import _equiv_report, _map_report, _Shift, _shift_outcomes
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
 
 KLEIN = build_abelian([2, 2])
@@ -385,26 +386,14 @@ def test_verify_witness_agrees_with_the_all_pairs_loop(case):
         assert got.failures == want.failures
 
 
-def generators_only(nonzero_products):
-    """nonzero_products with the full walk replaced by the generator pass."""
-
-    def walk(alg):
-        gens = set(alg.generators())
-        return (t for t in nonzero_products(alg) if t[0] in gens)
-
-    return walk
-
-
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(witnesses())
 def test_the_generator_pass_alone_decides_like_the_all_pairs_loop(case):
-    """Scalars checked on generators x basis, with no rerun over every nonzero
-    product, reject exactly the witnesses the all-pairs loop rejects."""
+    """The deciding pass of the map check, degrees of the generators and
+    scalars on generators x basis, with no naming pass over every nonzero
+    product, rejects exactly the witnesses the all-pairs loop rejects."""
     alg, alg2, w = case
-    with mock.patch.object(
-        GradedAlgebra, "nonzero_products", generators_only(GradedAlgebra.nonzero_products)
-    ):
-        got = verify_witness(alg, alg2, w)
+    got = _map_report(alg.presentation, alg2.presentation, w, False)
     assert got.ok == verify_witness_by_pairs(alg, alg2, w).ok
 
 
@@ -697,7 +686,20 @@ def test_verify_witness_agrees_with_the_dict_verifier(case):
     assert verify_witness(alg, alg2, w) == verify_witness_by_dict(alg, alg2, w)
 
 
-# -- what verify_witness's decision checks that degrees used to give -----------------
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(witnesses(), witnesses(rewrites(SEARCHED))))
+def test_the_deciding_and_the_naming_pass_agree(case):
+    """The map check's proof in code: the pass over the generators and the
+    pass over every basis pair accept the same maps, corrupted or not, and a
+    refused map is named by at least one failure."""
+    alg, alg2, w = case
+    p, p2 = alg.presentation, alg2.presentation
+    decided, named = _map_report(p, p2, w, False), _map_report(p, p2, w, True)
+    assert decided.ok == named.ok
+    assert named.ok or named.failures
+
+
+# -- what the map check's deciding pass checks that degrees used to give ------------
 
 
 def reported_as_by_the_loop(alg, alg2, w) -> WitnessReport:
