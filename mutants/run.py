@@ -65,6 +65,10 @@ SEARCH_CAP = "tests/test_groups.py::test_isomorphism_search_budget"
 BUDGET = "tests/test_classify.py::test_classify_budget_argument"
 LAW = "tests/test_cocycles.py"
 EQUIV = "tests/test_equiv.py::test_verify_equiv_"
+ADMITTED = (
+    "tests/test_properties.py::test_the_search_yields_every_shift_that_pairs",
+    "tests/test_properties.py::test_a_yes_whose_least_admitted_shift_is_not_the_identity",
+)
 
 MUTANTS = (
     # iso._map_report, the one check of a witness map: its deciding pass decides every map
@@ -431,6 +435,29 @@ MUTANTS = (
         "        if dims1 != dims2:",
         "        if True:",
         ("tests/test_iso.py::test_same_invariants_yet_not_isomorphic_gets_bare_exhaustion",),
+    ),
+    # iso._shift_outcomes, the block test that admits the shifts a search decides: a shift
+    # it leaves out is never decided, so a YES it drops becomes a wrong NO
+    Mutant(
+        "admission-multiplies-on-the-right",
+        ISO,
+        "            {rep[tbl[inv(p2.degrees[i])][classes[0]]] for i in block}",
+        "            {rep[tbl[classes[0]][inv(p2.degrees[i])]] for i in block}",
+        ADMITTED,
+    ),
+    Mutant(
+        "admission-reads-the-source-degrees",
+        ISO,
+        "            {rep[tbl[inv(p2.degrees[i])][classes[0]]] for i in block}",
+        "            {rep[tbl[inv(p.degrees[i])][classes[0]]] for i in block}",
+        ADMITTED,
+    ),
+    Mutant(
+        "admission-drops-a-key",
+        ISO,
+        "        shifts = sorted([tbl[h][k] for k in map(inv, keys) for h in sup.members])",
+        "        shifts = sorted([tbl[h][k] for k in map(inv, sorted(keys)[1:]) for h in sup.members])",
+        ADMITTED,
     ),
 )
 

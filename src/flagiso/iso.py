@@ -81,8 +81,8 @@ class InvariantMismatch:
 
 @dataclass(frozen=True)
 class SearchExhausted:
-    """The complete criterion search failed.  shifts_tried counts the per-shift
-    records read: all of G for iso_algebras, the identity alone for iso_pairs."""
+    """The complete criterion search failed.  shifts_tried counts the shifts
+    decided: all of G for iso_algebras, the identity alone for iso_pairs."""
 
     shifts_tried: int
     detail: str
@@ -563,7 +563,16 @@ def _shift_correctors(d: GradedDivisionAlgebra, d2: GradedDivisionAlgebra, shift
 
 
 def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
-    """Yield one _Shift per shift g, failures included: over shifts, or all of G ascending.
+    """Yield one _Shift per shift g, failures included: over shifts, or, when
+    shifts is None, over the shifts every block admits, ascending.
+
+    Block b admits g when its least source class c (the least coset
+    representative of its source degrees) is met by a target degree d' of b
+    shifted by g^-1: d' g^-1 in cH, that is rep[g^-1] = rep[d'^-1 c].  A
+    pairing needs every class met, so a shift some block does not admit has
+    sigma None whatever its corrector, and is not yielded.  One key set per
+    block is built and the sets intersected; the admitted shifts are the
+    inverses of kH for each key k left, listed in |keys| * |H| <= |G| steps.
 
     The division decision is _shift_correctors'.  Where a corrector is found,
     source degrees and target degrees shifted by g^-1 are paired blockwise by
@@ -573,13 +582,23 @@ def _shift_outcomes(p: FlagPresentation, p2: FlagPresentation, shifts=None):
     for every target degree d, so both shifts pose the same target cosets.
     """
     grp = p.group
-    rep = p.division.support.coset_rep
+    tbl = grp.table
+    sup = p.division.support
+    rep = sup.coset_rep
     src = [rep[d] for d in p.degrees]
     blocks = []  # per block, sorted once: its positions, source positions by class, classes
     for block in p.shape.block_positions():
         src_ids = sorted(block, key=src.__getitem__)
         blocks.append((block, src_ids, [src[i] for i in src_ids]))
-    rows = [grp.table[d] for d in p2.degrees]  # row[x] is d * x
+    if shifts is None:
+        inv = grp.inv
+        keys = set.intersection(*(
+            {rep[tbl[inv(p2.degrees[i])][classes[0]]] for i in block}
+            for block, _, classes in blocks
+        ))
+        # g^-1 in kH iff g in H k^-1
+        shifts = sorted([tbl[h][k] for k in map(inv, keys) for h in sup.members])
+    rows = [tbl[d] for d in p2.degrees]  # row[x] is d * x
     paired = [False] * grp.size  # by key rep[g^-1]: sigma, None, or False before pairing
     for g, mu in _shift_correctors(p.division, p2.division, shifts):
         if mu is None:
@@ -660,11 +679,14 @@ def iso_pairs(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
 def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     """Graded isomorphism decision for flag algebras over a common group.
 
-    Searches every shift g in ascending element order; for each, requires the
-    shifted division part to be isomorphic to the target's and the blockwise
-    left-coset multisets to match.  The first success yields a verified
-    witness; exhaustion yields a certificate, with a separating invariant
-    attached when one exists.
+    Searches the shifts g every block admits (_shift_outcomes), in ascending
+    element order; for each, requires the shifted division part to be
+    isomorphic to the target's and the blockwise left-coset multisets to
+    match.  The first success is the answer, its witness decided on the
+    search's data (_certified), its map built and checked on first read.
+    Exhaustion yields a certificate over all of G, each shift decided by its
+    record or by the block test, with a separating invariant attached when
+    one exists.
     """
     if p.group != p2.group:
         raise GroupMismatch("presentations are graded by different groups")
@@ -675,11 +697,11 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
                 f"block shapes differ: {p.shape.blocks} vs {p2.shape.blocks}"
             ),
         )
-    tried = 0
-    for tried, found in enumerate(_shift_outcomes(p, p2), 1):
+    for found in _shift_outcomes(p, p2):
         if found.sigma is not None:
             return _certified(p, p2, found)
 
+    tried = p.group.size  # the admitted shifts by their records, the rest by the block test
     sup, sup2 = p.division.support, p2.division.support
     shared = sup.central and sup == sup2
     levels = zip(_coset_profiles(p, shared), _coset_profiles(p2, shared))

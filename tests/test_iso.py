@@ -728,8 +728,10 @@ def test_degrees_are_computed_once_per_side(monkeypatch):
 
 
 def test_each_conjugation_map_is_decided_once(monkeypatch):
-    """The shift search solves the division question once per distinct map
-    h -> g^-1 h g on the support, not once per shift."""
+    """The shift search solves the division question at most once per distinct
+    map h -> g^-1 h g on the support among the shifts the blocks admit, not
+    once per shift: a NO decides each such map once, and none when no shift
+    is admitted."""
     calls = []
     monkeypatch.setattr(
         "flagiso.iso.iso_division", lambda d, d2: calls.append(d) or iso_division(d, d2)
@@ -740,24 +742,45 @@ def test_each_conjugation_map_is_decided_once(monkeypatch):
         out = fn(*args)
         return out, len(calls)
 
-    def conjugation_maps(d):
+    def conjugation_maps(d, shifts=None):
         grp = d.group
-        return len({tuple(grp.conj(h, g) for h in d.support.members) for g in grp.elements()})
+        shifts = grp.elements() if shifts is None else shifts
+        return len({tuple(grp.conj(h, g) for h in d.support.members) for g in shifts})
+
+    def admitted(p, q):
+        """The shifts g at which each block's least source class is met by a
+        target degree shifted by g^-1, by the definition."""
+        grp, rep = p.group, p.division.support.coset_rep
+        blocks = p.shape.block_positions()
+        least = [min(rep[p.degrees[i]] for i in b) for b in blocks]
+        return [
+            g
+            for g in grp.elements()
+            if all(
+                c in {rep[grp.mul(q.degrees[i], grp.inv(g))] for i in b}
+                for b, c in zip(blocks, least)
+            )
+        ]
 
     z3z6 = build_abelian([3, 6])
     d = pauli(3, z3z6, ["(1,0)", "(0,2)"])
-    p, q = (make_presentation(d, [1, 1], degrees) for degrees in ([0, 1], [0, 0]))
-    no, n_no = count(iso_algebras, p, q)
-    assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == 18
-    assert n_no == 1  # abelian: every shift gives the same D^g
-
     s3 = make_sym(3)[0]
     sub = Subgroup(s3, (s3.identity, s3.elem_by_name("102").index))
     t = GradedDivisionAlgebra(validate_cocycle(sub, 2, [[0, 0], [0, 1]]))
-    p, q = (make_presentation(t, [1, 1], degrees) for degrees in ([0, 1], [0, 0]))
-    no, n_no = count(iso_algebras, p, q)
-    assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == 6
-    assert n_no == conjugation_maps(t) == 3  # |S3 : C(H)| conjugates of {e, (01)}
+    for division, blocks, degrees, n_admitted, n_maps in (
+        (d, [1, 1], ([0, 1], [0, 0]), 0, 0),  # no shift admitted: nothing decided
+        (t, [1, 1], ([0, 1], [0, 0]), 0, 0),
+        (d, [2], ([0, 1], [0, 0]), 9, 1),  # abelian: every shift gives the same D^g
+        (t, [3], ([0, 0, 0], [0, 2, 4]), 4, 2),
+        (t, [3], ([0, 0, 0], [2, 3, 4]), 6, 3),  # |S3 : C(H)| conjugates of {e, (01)}
+    ):
+        p, q = (make_presentation(division, blocks, tup) for tup in degrees)
+        no, n_no = count(iso_algebras, p, q)
+        assert no.kind == NOT_ISOMORPHIC
+        assert no.certificate.shifts_tried == division.group.size
+        shifts = admitted(p, q)
+        assert len(shifts) == n_admitted
+        assert n_no == conjugation_maps(division, shifts) == n_maps
 
     for division in (d, t, trivial_division(s3)):
         flagiso.iso._coset_action.cache_clear()  # a cached shift action solves nothing
@@ -792,9 +815,9 @@ def test_shifts_that_move_nothing_transport_and_eliminate_nothing():
 
 
 def test_each_moving_conjugation_map_is_shifted_once():
-    """Over the Klein four-group of S4 that conjugation moves, D^g is built once
-    per distinct conjugation map other than the identity; the shifts that
-    centralize the support compare D itself."""
+    """Over the Klein four-group of S4 that conjugation moves, a search over
+    every shift of G builds D^g once per distinct conjugation map other than
+    the identity; the shifts that centralize the support compare D itself."""
     s4 = make_sym(4)[0]
     d = pauli(2, s4, ["1023", "0132"])
     members = d.support.members
@@ -806,7 +829,7 @@ def test_each_moving_conjugation_map_is_shifted_once():
     maps = {conjugation_map(g) for g in s4.elements()}
     p, q = (make_presentation(d, [1, 1], tup) for tup in ([0, 1], [5, 7]))
     with mock.patch("flagiso.iso.shift_conjugate", wraps=shift_conjugate) as shifted:
-        records = list(_shift_outcomes(p, q))
+        records = list(_shift_outcomes(p, q, s4.elements()))  # every shift, admitted or not
     assert [r.g for r in records] == list(s4.elements())
     moving = [conjugation_map(c.args[1]) for c in shifted.call_args_list]
     assert len(moving) == len(set(moving)) == len(maps) - 1 == 5  # |S4 : C(V)| = 6 maps
@@ -815,7 +838,8 @@ def test_each_moving_conjugation_map_is_shifted_once():
 
 def test_cosets_are_paired_once_per_left_coset_of_the_inverse_shift():
     """The blockwise pairing depends on g only through the coset g^-1 H, so a
-    search makes at most |G:H| pairings however many shifts find a corrector.
+    search over every shift of G makes at most |G:H| pairings however many
+    shifts find a corrector.
     Over one block each pairing sorts the target positions once, and the
     source positions are sorted once per search."""
     s4 = make_sym(4)[0]
@@ -829,7 +853,7 @@ def test_cosets_are_paired_once_per_left_coset_of_the_inverse_shift():
         outside = next(x for x in grp.elements() if x not in d.support.index)
         p, q = (make_presentation(d, [2], tup) for tup in ([0, outside], [0, 0]))
         with mock.patch("flagiso.iso.sorted", create=True, wraps=sorted) as sorts:
-            records = list(_shift_outcomes(p, q))
+            records = list(_shift_outcomes(p, q, grp.elements()))  # every shift, admitted or not
         assert [r.g for r in records] == list(grp.elements()) and len(records) == n_records
         assert all(r.sigma is None for r in records)
         with_corrector = sum(r.mu is not None for r in records)

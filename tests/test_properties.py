@@ -187,6 +187,7 @@ from flagiso.cli import main
 from flagiso.config import ISO_SEARCH_CAP
 from flagiso.iso import _equiv_report, _map_report, _Shift, _shift_outcomes
 from flagiso.io import load_presentation, save_presentation, witness_from_obj, witness_to_obj
+from flagiso.presentations import shift_presentation
 
 KLEIN = build_abelian([2, 2])
 DIVISIONS = [
@@ -810,11 +811,12 @@ def test_a_misrouting_off_the_generators_is_rejected(rewrite, data):
 @SETTINGS
 @given(SEARCH_INPUTS, st.data())
 def test_shift_search_matches_the_per_shift_loop(pair, data):
-    """One solve per conjugation map, the source side sorted once and one pairing
-    per coset g^-1 H yield, shift by shift and failures included, the records of
-    one solve and one count per shift, in any shift order and with repeats."""
+    """Over every shift of G, one solve per conjugation map, the source side
+    sorted once and one pairing per coset g^-1 H yield, shift by shift and
+    failures included, the records of one solve and one count per shift, in
+    any shift order and with repeats."""
     p, p2 = pair
-    got = [outcome(r) for r in _shift_outcomes(p, p2)]
+    got = [outcome(r) for r in _shift_outcomes(p, p2, p.group.elements())]
     with mock.patch(f"{__name__}.shift_conjugate", wraps=shift_conjugate) as shifted:
         assert got == [outcome(r) for r in per_shift_outcomes(p, p2)]
     assert shifted.call_count == p.group.size  # the oracle builds D^g at every shift
@@ -827,6 +829,57 @@ def test_shift_search_matches_the_per_shift_loop(pair, data):
     ):
         got = [outcome(r) for r in _shift_outcomes(p, p2, shifts)]
         assert got == [outcome(r) for r in per_shift_outcomes(p, p2, shifts)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(SEARCH_INPUTS)
+def test_the_search_yields_every_shift_that_pairs(pair):
+    """Left to choose its shifts, the search yields, ascending, every shift at
+    which the per-shift loop pairs, each with the loop's record; every shift
+    it leaves out has no pairing in the loop."""
+    p, p2 = pair
+    want = {r.g: outcome(r) for r in per_shift_outcomes(p, p2)}
+    got = [outcome(r) for r in _shift_outcomes(p, p2)]
+    yielded = [g for g, _, _ in got]
+    assert yielded == sorted(set(yielded))
+    assert got == [want[g] for g in yielded]
+    assert {g for g, (_, _, sigma) in want.items() if sigma is not None} <= set(yielded)
+    assert all(want[g][2] is None for g in want.keys() - set(yielded))
+
+
+def test_a_no_whose_blocks_admit_no_shift_decides_no_division():
+    """Over the Klein four-group of S4 that conjugation moves, neither block's
+    least source class can be met at any shift: the NO makes no division
+    decision and builds no D^g, yet counts all of G as tried and carries the
+    per-shift loop's certificate."""
+    d = SHIFTED[4]
+    p, q = (make_presentation(d, [1, 1], tup) for tup in ([0, 1], [5, 7]))
+    assert list(_shift_outcomes(p, q)) == []
+    with (
+        mock.patch("flagiso.iso.iso_division", wraps=iso_division) as decided,
+        mock.patch("flagiso.iso.shift_conjugate", wraps=shift_conjugate) as shifted,
+    ):
+        no = iso_algebras(p, q)
+    assert decided.call_count == shifted.call_count == 0
+    assert no.kind == NOT_ISOMORPHIC and no.certificate.shifts_tried == S4.size
+    with mock.patch("flagiso.iso._shift_outcomes", per_shift_outcomes):
+        assert iso_algebras(p, q) == no
+
+
+def test_a_yes_whose_least_admitted_shift_is_not_the_identity():
+    """A non-abelian YES over a moved support whose admitted shifts are one
+    coset H g away from the identity: the search starts at g, and the verdict
+    and witness are the per-shift loop's.  No degree lies in H, so each
+    block's least class c is not e, and d'^-1 c and c d'^-1 name different
+    cosets."""
+    d = SHIFTED[4]
+    p = make_presentation(d, [1, 2], [2, 2, 5])
+    q = shift_presentation(p, 13)
+    assert [r.g for r in _shift_outcomes(p, q)] == [13, 15, 19, 21]
+    yes = iso_algebras(p, q)
+    assert yes.kind == ISOMORPHIC and yes.witness.shift == 13
+    with mock.patch("flagiso.iso._shift_outcomes", per_shift_outcomes):
+        assert iso_algebras(p, q) == yes
 
 
 @SETTINGS
