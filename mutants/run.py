@@ -56,6 +56,8 @@ OFF_BASIS = "tests/test_iso.py::test_verify_refuses_a_map_off_the_target_basis_o
 ON_FIRST_READ = "tests/test_iso.py::test_a_wrong_engine_mu_answers_yes_and_raises_on_first_read"
 CERTIFIED = "tests/test_iso.py::test_certified_refuses_data_outside_the_description"
 ONCE = "tests/test_iso.py::test_verify_witness_checks_an_unread_map_once"
+UNREAD = "tests/test_iso.py::test_an_unread_witness_answers_only_for_its_map"
+COPIES = "tests/test_iso.py::test_copies_of_an_unread_witness_derive_their_map"
 SUPPORTS = "tests/test_iso.py::test_no_bijection_over_supports_of_different_sizes_is_accepted"
 AGREE = "tests/test_properties.py::test_the_deciding_and_the_naming_pass_agree"
 COCYCLE_LEADS = "tests/test_cocycles.py::test_validate_rejects_a_failure_led_by_the_second_generator_only"
@@ -336,9 +338,24 @@ MUTANTS = (
     Mutant(
         "verify-skips-the-endpoints",
         ISO,
-        '    if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):',
-        '    if w.__dict__["images"] is _DERIVE:',
+        '    if "images" not in vars(w) and (p, p2) == (w.source, w.target):',
+        '    if "images" not in vars(w):',
         (ONCE,),
+    ),
+    # IsoWitness.__getattr__ derives the two map fields alone, and only _witness leaves them missing
+    Mutant(
+        "hook-answers-every-name",
+        ISO,
+        '        if name not in ("images", "exponents"):',
+        "        if False:",
+        (UNREAD, COPIES),
+    ),
+    Mutant(
+        "witness-keeps-placeholder-map",
+        ISO,
+        "    del w.images, w.exponents  # derived on first read",
+        "    pass",
+        (UNREAD, ON_FIRST_READ),
     ),
     # iso._equiv_report, the check of every equivalence witness, on the presentations
     Mutant(

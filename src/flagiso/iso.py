@@ -7,13 +7,14 @@ D^g to D', related by the degree tuple relation
 
     tuple'[i] = tuple[sigma[i]] * h[sigma[i]] * g        (all i)
 
-The witness carries that data, and the monomial map it induces (basis
-element to scalar times basis element) is built on first read and checked
-then, exactly, by the one check of a map, _map_report, which verify_witness
-runs too; it reads the two presentations alone, decides on the generators
-and names the failures of a refused map on every basis pair.  A loaded
-witness carries its map as given.  NO answers carry either a separating
-invariant or an exhausted-search certificate.
+The witness carries that data.  The monomial map it induces (basis element
+to scalar times basis element) is missing from the instance until its first
+read, which IsoWitness.__getattr__ answers: the map is built then and
+checked, exactly, by the one check of a map, _map_report, which
+verify_witness runs too; it reads the two presentations alone, decides on
+the generators and names the failures of a refused map on every basis pair.
+A loaded witness carries its map as given.  NO answers carry either a
+separating invariant or an exhausted-search certificate.
 """
 
 from __future__ import annotations
@@ -98,50 +99,18 @@ class Verdict:
     reason: str | None = None
 
 
-class _Derive:
-    """The map of a witness the library derives (_witness): built from the
-    witness's data and checked on the first read of images or exponents.  A
-    private marker, so the public constructor still takes a map; copies and
-    pickles of a witness keep the one marker."""
-
-    def __reduce__(self):
-        return "_DERIVE"
-
-
-_DERIVE = _Derive()
-
-
-class _MapField:
-    """IsoWitness.images or .exponents: the value given, or, for a derived
-    witness, the map its data induces, built and checked on the first read of
-    either (_first_read) and kept.  A read whose check fails raises, and so
-    does every later one."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __get__(self, w, owner=None):
-        if w is None:
-            return self
-        if w.__dict__[self.name] is _DERIVE:
-            _first_read(w)
-        return w.__dict__[self.name]
-
-    def __set__(self, w, value):
-        w.__dict__[self.name] = value
-
-
 @dataclass
 class IsoWitness:
     """Checkable isomorphism data plus the monomial map it induces: source basis
     position p goes to target position images[p] with scalar exponent
     exponents[p].  The constructor takes both.  A witness the library
-    derives (_witness) builds its map on the first read of images or
-    exponents, through mapping, equality, save_witness or verify_witness,
-    and checks it then; a map that fails raises the engine error.  A witness
-    made with a map, as a loaded one is, keeps it as given,
-    unchecked: a loaded image outside the target basis stays a BasisElem, and
-    a loaded map not on exactly the source basis has no images."""
+    derives (_witness) has neither on the instance: the first read of images
+    or exponents, through mapping, equality, save_witness or verify_witness,
+    reaches __getattr__, which builds the map, checks it and keeps it; a map
+    that fails raises the engine error and is not kept.  A witness made with
+    a map, as a loaded one is, keeps it as given, unchecked: a loaded image
+    outside the target basis stays a BasisElem, and a loaded map not on
+    exactly the source basis has no images."""
 
     source: FlagPresentation
     target: FlagPresentation
@@ -160,10 +129,13 @@ class IsoWitness:
         pairs = zip(basis_of(self.source), self.images, self.exponents)
         return {b: (target[t] if type(t) is int else t, exp) for b, t, exp in pairs}
 
-
-# set after the dataclass is made, so both map fields stay required arguments
-IsoWitness.images = _MapField("images")
-IsoWitness.exponents = _MapField("exponents")
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks; any name but the map's
+        # (copy and pickle ask for __deepcopy__ and __setstate__) is missing
+        if name not in ("images", "exponents"):
+            raise AttributeError(f"'IsoWitness' object has no attribute {name!r}")
+        _first_read(self)
+        return vars(self)[name]
 
 
 @dataclass(frozen=True)
@@ -249,15 +221,18 @@ def _witness(
 ) -> IsoWitness:
     """The witness of the pair isomorphism with this shift, sigma and mu, in
     O(n): the correctors solve the tuple relation, h_k = g_k^-1 g'_i g^-1 for
-    k = sigma(i), and the scalar order is lcm(m, m', mu.order).  Its map is
-    built on first read (_monomial_map) and checked then (_first_read)."""
+    k = sigma(i), and the scalar order is lcm(m, m', mu.order).  Its map
+    fields are deleted, so their first read builds the map (_monomial_map)
+    and checks it (_first_read)."""
     grp = p.group
     ginv = grp.inv(shift)
     correctors = [0] * p.shape.n
     for i, k in enumerate(sigma):
         correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
     order = lcm(p.division.order, p2.division.order, mu.order)
-    return IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order, _DERIVE, _DERIVE)
+    w = IsoWitness(p, p2, shift, sigma, tuple(correctors), mu, order, (), ())
+    del w.images, w.exponents  # derived on first read
+    return w
 
 
 def _monomial_map(w: IsoWitness) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -324,7 +299,7 @@ def _first_read(w: IsoWitness) -> None:
         raise AssertionError(
             f"engine produced a witness that fails verification: {report.failures[:3]}"
         )
-    w.__dict__.update(images=images, exponents=exponents)
+    vars(w).update(images=images, exponents=exponents)
 
 
 def build_witness(
@@ -483,7 +458,7 @@ def verify_witness(alg: GradedAlgebra, alg2: GradedAlgebra, w: IsoWitness) -> Wi
     if alg.group != alg2.group:
         raise GroupMismatch("witness endpoints are graded by different groups")
     p, p2 = alg.presentation, alg2.presentation
-    if w.__dict__["images"] is _DERIVE and (p, p2) == (w.source, w.target):
+    if "images" not in vars(w) and (p, p2) == (w.source, w.target):
         _first_read(w)  # the unread map is built and checked here, on its generator walk alone
         return WitnessReport(True, alg.dim**2, ())
     report = _map_report(p, p2, w, False)

@@ -959,7 +959,7 @@ def test_a_built_witness_map_is_checked_on_first_read_too():
         (invert_witness(w), alg2, alg),
         (compose_witness(w, invert_witness(w)), alg, alg),
     ):
-        assert vars(built)["images"] is flagiso.iso._DERIVE
+        assert "images" not in vars(built)
         assert verify_witness(src, tgt, built).ok
         assert vars(built)["images"] == built.images and built.images
     loaded = witness_with_map(w, {b: (alg2.basis[0], 0) for b in alg.basis})
@@ -1014,8 +1014,20 @@ def test_copies_of_an_unread_witness_derive_their_map():
     p = make_presentation(d, [1, 1], [0, 1])
     w = iso_algebras(p, make_presentation(d, [1, 1], [2, 3])).witness
     for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
-        assert vars(twin)["images"] is flagiso.iso._DERIVE
+        assert "images" not in vars(twin)
         assert (twin.images, twin.exponents) == (w.images, w.exponents)
+
+
+def test_an_unread_witness_answers_only_for_its_map(monkeypatch):
+    """Only images and exponents are derived when missing: any other missing
+    name, as copy asks for, stays missing and builds no map."""
+    tables = counting(monkeypatch, "_monomial_map")
+    grp = build_abelian([4])
+    d = sign_division(grp, 2)
+    p = make_presentation(d, [1, 1], [0, 1])
+    w = iso_algebras(p, make_presentation(d, [1, 1], [2, 3])).witness
+    assert getattr(w, "colour", None) is None and not hasattr(w, "__deepcopy__")
+    assert tables == [] and "images" not in vars(w)
 
 
 def test_certified_refuses_data_outside_the_description():

@@ -271,14 +271,18 @@ def test_one_constructor_builds_every_witness():
     # and one place derives a map, on its first read, which checks it
     iso = SRC / "iso.py"
     assert references_by_function(iso, "_monomial_map") == ["_first_read"]
-    assert references_by_function(iso, "_first_read") == ["_MapField", "verify_witness"]
-    # only _witness makes a witness whose map is derived; the constructor takes a map
-    assert sorted(set(references_by_function(iso, "_DERIVE"))) == [
-        "<module>",
-        "_MapField",
-        "_witness",
-        "verify_witness",
+    assert references_by_function(iso, "_first_read") == ["IsoWitness", "verify_witness"]
+    # only _witness makes a witness whose map is derived, by deleting the map it was
+    # constructed with; the missing-attribute hook derives it, with no marker or descriptor
+    deleting = [
+        node.name
+        for node in ast.parse(iso.read_text(), filename=str(iso)).body
+        for stmt in ast.walk(node)
+        if isinstance(stmt, ast.Delete)
+        and any(getattr(target, "attr", None) == "images" for target in stmt.targets)
     ]
+    assert deleting == ["_witness"]
+    assert not any(hasattr(flagiso.iso, name) for name in ("_Derive", "_DERIVE", "_MapField"))
     # one rule for sigma and the correctors, for caller data and the engine's alike
     assert sorted(set(references_by_function(iso, "_data_failure"))) == [
         "_certified",

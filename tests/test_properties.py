@@ -1186,7 +1186,9 @@ def test_canonical_form_matches_the_least_form_over_every_shift(p):
     shifts = admissible_shifts(p.division)
     want = least_form(p.division.support, p.shape.block_positions(), p.degrees, shifts)
     assert canonical_form(p) == want
-    assert want in classify(p.group, p.shape, p.division).representatives
+    # a shape of four over S4 has 24^4 tuples, past classify's default budget
+    total = p.group.size ** p.shape.n
+    assert want in classify(p.group, p.shape, p.division, budget=total).representatives
 
 
 # the three setups, the twisted transposition in S3, the Z2 x Z4 clock-and-shift
