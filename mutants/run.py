@@ -67,6 +67,7 @@ SEARCH_CAP = "tests/test_groups.py::test_isomorphism_search_budget"
 BUDGET = "tests/test_classify.py::test_classify_budget_argument"
 LAW = "tests/test_cocycles.py"
 EQUIV = "tests/test_equiv.py::test_verify_equiv_"
+EAGER = "tests/test_properties.py::test_a_no_reads_the_eager_invariant_on_first_read"
 ADMITTED = (
     "tests/test_properties.py::test_the_search_yields_every_shift_that_pairs",
     "tests/test_properties.py::test_a_yes_whose_least_admitted_shift_is_not_the_identity",
@@ -234,6 +235,14 @@ MUTANTS = (
         "    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators):",
         "    if any(_failing_pair(tbl, prod, order, support.index[x]) for x in support.generators[:1]):",
         (COCYCLE_LEADS,),
+    ),
+    # groups._check_table: a row passes whole only when its entries are plain ints
+    Mutant(
+        "table-row-passes-without-its-types",
+        GROUPS,
+        "        if set(map(type, row)) == {int} and set(row) == full:",
+        "        if set(row) == full:",
+        ("tests/test_groups.py::test_table_entries_must_not_be_booleans",),
     ),
     # groups._check_table, Light's associativity test on the generators of a table
     Mutant(
@@ -438,20 +447,35 @@ MUTANTS = (
         "            if False:",
         (EQUIV + "refuses_a_relabeling_that_disagrees_with_sigma",),
     ),
-    # iso.iso_algebras, the profile comparison that names a NO's separating invariant
+    # iso._separating_invariant, the profile comparison that names a NO's separating
+    # invariant, and SearchExhausted.__getattr__, which runs it on the invariant's first read
     Mutant(
         "no-skips-the-profile-comparison",
         ISO,
         "        if dims1 != dims2:",
         "        if False:",
-        ("tests/test_iso.py::test_chain_flags_over_z3_not_isomorphic",),
+        ("tests/test_iso.py::test_chain_flags_over_z3_not_isomorphic", EAGER),
     ),
     Mutant(
         "no-separates-equal-profiles",
         ISO,
         "        if dims1 != dims2:",
         "        if True:",
-        ("tests/test_iso.py::test_same_invariants_yet_not_isomorphic_gets_bare_exhaustion",),
+        ("tests/test_iso.py::test_same_invariants_yet_not_isomorphic_gets_bare_exhaustion", EAGER),
+    ),
+    Mutant(
+        "no-certificate-derives-any-missing-name",
+        ISO,
+        '        if name != "invariant_mismatch":',
+        "        if False:",
+        ("tests/test_iso.py::test_an_unread_certificate_answers_only_for_its_invariant",),
+    ),
+    Mutant(
+        "no-certificate-compares-a-side-with-itself",
+        ISO,
+        '            state["invariant_mismatch"] = _separating_invariant(*sides)',
+        '            state["invariant_mismatch"] = _separating_invariant(sides[0], sides[0])',
+        ("tests/test_iso.py::test_chain_flags_over_z3_not_isomorphic", EAGER),
     ),
     # iso._shift_outcomes, the block test that admits the shifts a search decides: a shift
     # it leaves out is never decided, so a YES it drops becomes a wrong NO

@@ -13,7 +13,8 @@ computed in one place, _degrees, over those cells, by basis position: realize
 stores it for check_grading, and no witness check reads it.  The graded
 invariants are read off the presentation's cosets, in one place,
 _coset_profiles, which counts cells, not degrees: invariants, every NO
-certificate and the equivalence check read them there.
+certificate (on its invariant's first read) and the equivalence check read
+them there.
 """
 
 from __future__ import annotations

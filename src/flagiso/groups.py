@@ -249,16 +249,22 @@ def _check_table(tbl: tuple[tuple[int, ...], ...]) -> int:
     n = len(tbl)
     if n == 0:
         raise InvalidInput("empty table", code="non-latin")
-    for row in tbl:
+    full = set(range(n))
+    unpermuted = []  # rows whose entries pass but do not hold each of 0..n-1 once
+    for i, row in enumerate(tbl):
         if len(row) != n:
             raise InvalidInput("table is not square", code="non-latin")
+        # a row of plain ints that permutes 0..n-1 passes whole; any other row
+        # is read entry by entry, to name its first bad entry
+        if set(map(type, row)) == {int} and set(row) == full:
+            continue
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise InvalidInput(f"table entry {v!r} out of range", code="non-latin")
-    full = set(range(n))
-    for i, row in enumerate(tbl):
         if set(row) != full:
-            raise InvalidInput(f"row {i} is not a permutation", code="non-latin")
+            unpermuted.append(i)
+    if unpermuted:
+        raise InvalidInput(f"row {unpermuted[0]} is not a permutation", code="non-latin")
     for j, col in enumerate(zip(*tbl)):
         if set(col) != full:
             raise InvalidInput(f"column {j} is not a permutation", code="non-latin")

@@ -14,7 +14,10 @@ checked, exactly, by the one check of a map, _map_report, which
 verify_witness runs too; it reads the two presentations alone, decides on
 the generators and names the failures of a refused map on every basis pair.
 A loaded witness carries its map as given.  NO answers carry either a
-separating invariant or an exhausted-search certificate.
+separating invariant or an exhausted-search certificate; the latter's
+separating invariant, when iso_algebras makes it, is missing from the
+instance until its first read, which SearchExhausted.__getattr__ answers
+with the value an eager comparison gives.
 """
 
 from __future__ import annotations
@@ -83,11 +86,30 @@ class InvariantMismatch:
 @dataclass(frozen=True)
 class SearchExhausted:
     """The complete criterion search failed.  shifts_tried counts the shifts
-    decided: all of G for iso_algebras, the identity alone for iso_pairs."""
+    decided: all of G for iso_algebras, the identity alone for iso_pairs.
+
+    invariant_mismatch defaults to None.  A certificate from iso_algebras
+    keeps its two presentations instead: the first read of the field, through
+    equality, repr or the CLI, reaches __getattr__, which compares them
+    (_separating_invariant), keeps the result and drops them.  Read, it is
+    the certificate an eager comparison makes."""
 
     shifts_tried: int
     detail: str
-    invariant_mismatch: InvariantMismatch | None = None
+    # a factory, not a default: the class has no attribute to hide __getattr__
+    invariant_mismatch: InvariantMismatch | None = field(default_factory=lambda: None)
+
+    def __getattr__(self, name: str):
+        # reached only for a name the instance lacks; any name but the invariant
+        # (copy and pickle ask for __deepcopy__ and __setstate__) is missing
+        if name != "invariant_mismatch":
+            raise AttributeError(f"'SearchExhausted' object has no attribute {name!r}")
+        state = vars(self)
+        sides = state.get("_sides")  # gone once a concurrent first read has kept its result
+        if sides is not None:
+            state["invariant_mismatch"] = _separating_invariant(*sides)
+            state.pop("_sides", None)
+        return state["invariant_mismatch"]
 
 
 @dataclass
@@ -660,8 +682,8 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
     match.  The first success is the answer, its witness decided on the
     search's data (_certified), its map built and checked on first read.
     Exhaustion yields a certificate over all of G, each shift decided by its
-    record or by the block test, with a separating invariant attached when
-    one exists.
+    record or by the block test, whose separating invariant, or None when
+    none exists, is computed on its first read (SearchExhausted.__getattr__).
     """
     if p.group != p2.group:
         raise GroupMismatch("presentations are graded by different groups")
@@ -677,34 +699,35 @@ def iso_algebras(p: FlagPresentation, p2: FlagPresentation) -> Verdict:
             return _certified(p, p2, found)
 
     tried = p.group.size  # the admitted shifts by their records, the rest by the block test
+    cert = SearchExhausted(
+        shifts_tried=tried,
+        detail=(
+            f"searched all {tried} shifts with blockwise coset matching "
+            f"over a support of size {len(p.division.support.members)}"
+        ),
+    )
+    state = vars(cert)  # frozen: the invariant is left missing, and derived on first read
+    del state["invariant_mismatch"]
+    state["_sides"] = (p, p2)
+    return Verdict(NOT_ISOMORPHIC, certificate=cert)
+
+
+def _separating_invariant(p: FlagPresentation, p2: FlagPresentation) -> InvariantMismatch | None:
+    """The first profile of J^c, c = 0, 1, ..., whose dimensions by degree
+    differ between p and p2, named, or None when all agree: for the algebra
+    itself (c = 0), the least degree whose dimension differs."""
     sup, sup2 = p.division.support, p2.division.support
     shared = sup.central and sup == sup2
     levels = zip(_coset_profiles(p, shared), _coset_profiles(p2, shared))
-    mismatch = None
     for c, (dims1, dims2) in enumerate(levels):
         if dims1 != dims2:
-            mismatch = InvariantMismatch(_separate(p.group, c, dims1, dims2))
-            break
-    return Verdict(
-        NOT_ISOMORPHIC,
-        certificate=SearchExhausted(
-            shifts_tried=tried,
-            detail=(
-                f"searched all {tried} shifts with blockwise coset matching "
-                f"over a support of size {len(p.division.support.members)}"
-            ),
-            invariant_mismatch=mismatch,
-        ),
-    )
-
-
-def _separate(grp: Group, c: int, dims1: dict[int, int], dims2: dict[int, int]) -> str:
-    """Name what separates two profiles of J^c that differ: for the algebra
-    itself (c = 0), the least degree whose dimension differs."""
-    if c:
-        return f"radical power {c} dimension profile differs"
-    u = min(u for u in dims1.keys() | dims2.keys() if dims1.get(u, 0) != dims2.get(u, 0))
-    return f"dim at degree {grp.name_of(u)}: {dims1.get(u, 0)} vs {dims2.get(u, 0)}"
+            if c:
+                return InvariantMismatch(f"radical power {c} dimension profile differs")
+            u = min(u for u in dims1.keys() | dims2.keys() if dims1.get(u, 0) != dims2.get(u, 0))
+            return InvariantMismatch(
+                f"dim at degree {p.group.name_of(u)}: {dims1.get(u, 0)} vs {dims2.get(u, 0)}"
+            )
+    return None
 
 
 # -- equivalence ---------------------------------------------------------------

@@ -25,9 +25,11 @@ invariants_by_cell counts them cell by cell, as the oracles for the one
 degree array by basis position that realize stores and the profiles a NO
 reads off the cells' cosets; separate_by_invariants names the least degree,
 else the first radical power, at which two such counts differ, as the
-oracle for a NO certificate's invariant mismatch; mismatch_by_shared_support
-reads that mismatch with reps_only on a shared central support alone, as the
-oracle for the reps_only count on a side with a trivial support;
+oracle for a NO certificate's invariant mismatch; eager_invariant_mismatch
+is the comparison every NO once made, reading that mismatch with reps_only
+on a shared central support alone, as the oracle for the reps_only count on
+a side with a trivial support and for the mismatch a certificate derives on
+its first read;
 witness_map_by_cell
 extends a witness's images and exponents one cell at a time, as the oracle
 for the two comprehensions by position.
@@ -123,7 +125,6 @@ import flagiso.iso
 from flagiso.algebras import _coset_profiles, _Layout
 from flagiso.errors import _shown
 from flagiso.io import _positions
-from flagiso.iso import _separate
 from flagiso.modlinalg import _diagonalize, _solve
 
 pytest_plugins = ("pytester",)
@@ -718,16 +719,24 @@ def separate_by_invariants(grp, inv1, inv2) -> str:
     return "graded invariants differ"
 
 
-def mismatch_by_shared_support(p, p2):
-    """A NO's invariant mismatch as iso_algebras read it when only one shared
-    central support took the reps_only path: a side over a trivial support
-    next to a different support expanded each cell through its one-element H."""
+def eager_invariant_mismatch(p, p2):
+    """A NO's invariant mismatch as iso_algebras computed it on every NO, before
+    the certificate derived it on first read: the profiles compared when only
+    one shared central support takes the reps_only path (a side over a trivial
+    support next to a different support expands each cell through its
+    one-element H), and the first that differs named."""
     sup = p.division.support
     reps_only = sup.central and sup == p2.division.support
     levels = zip(_coset_profiles(p, reps_only), _coset_profiles(p2, reps_only))
     for c, (dims1, dims2) in enumerate(levels):
         if dims1 != dims2:
-            return InvariantMismatch(_separate(p.group, c, dims1, dims2))
+            if c:
+                return InvariantMismatch(f"radical power {c} dimension profile differs")
+            u = min(u for u in dims1.keys() | dims2.keys() if dims1.get(u, 0) != dims2.get(u, 0))
+            grp = p.group
+            return InvariantMismatch(
+                f"dim at degree {grp.name_of(u)}: {dims1.get(u, 0)} vs {dims2.get(u, 0)}"
+            )
     return None
 
 

@@ -370,6 +370,28 @@ def test_table_entries_may_be_int_subclasses():
     assert g.identity == 0 and g.mul(1, 1) == 0
 
 
+def test_one_int_subclass_entry_among_plain_ints_is_accepted():
+    """A row that is not all plain ints is read entry by entry, and an int
+    subclass passes there as it always did."""
+
+    class Label(int):
+        pass
+
+    g = validate_table([[0, 1, 2], [1, Label(2), 0], [2, 0, 1]])
+    assert g.identity == 0 and g.mul(1, 1) == 2
+
+
+def test_one_bool_entry_among_plain_ints_is_named():
+    """A bool among ints is refused as the first bad entry of its row, ahead of
+    a later entry out of range and of an earlier row that is no permutation."""
+    with pytest.raises(InvalidInput) as ei:
+        validate_table([[0, 0, 2], [1, True, 7], [2, 0, 1]])
+    assert ei.value.code == "non-latin"
+    assert str(ei.value) == "table entry True out of range"
+    with pytest.raises(InvalidInput, match=r"^row 0 is not a permutation$"):
+        validate_table([[0, 0, 2], [1, 2, 0], [2, 0, 1]])
+
+
 # -- subgroups -------------------------------------------------------------------
 
 

@@ -3,10 +3,18 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
-from conftest import make_sym, products_read, verify_witness_by_dict, witness_with_map
+from conftest import (
+    eager_invariant_mismatch,
+    make_sym,
+    products_read,
+    verify_witness_by_dict,
+    witness_with_map,
+)
 
 import flagiso.algebras
 import flagiso.cocycles
@@ -30,6 +38,7 @@ from flagiso import (
     check_grading,
     classify,
     compose_witness,
+    enumerate_classes,
     equiv_elementary,
     invariants,
     invert_witness,
@@ -1028,6 +1037,123 @@ def test_an_unread_witness_answers_only_for_its_map(monkeypatch):
     w = iso_algebras(p, make_presentation(d, [1, 1], [2, 3])).witness
     assert getattr(w, "colour", None) is None and not hasattr(w, "__deepcopy__")
     assert tables == [] and "images" not in vars(w)
+
+
+# -- a NO's separating invariant, derived on first read ----------------------------
+
+
+def chain_no():
+    """Chain flags over Z3 that a degree's dimension separates."""
+    d = trivial_division(build_abelian([3]))
+    return make_presentation(d, [1, 1], [0, 1]), make_presentation(d, [1, 1], [0, 2])
+
+
+def unseparated_no():
+    """(e,e,a) and (e,a,a) over Z4: a NO with every profile equal."""
+    d = trivial_division(build_abelian([4]))
+    return make_presentation(d, [1, 1, 1], [0, 0, 1]), make_presentation(d, [1, 1, 1], [0, 1, 1])
+
+
+def test_a_no_compares_profiles_on_first_read_only(monkeypatch):
+    """A NO compares no profile until its invariant is read; the first read
+    compares the two sides once, keeps the result and drops the presentations,
+    and a second read compares nothing."""
+    profiles = counting(monkeypatch, "_coset_profiles")
+    for p, q in (chain_no(), unseparated_no()):
+        profiles.clear()
+        cert = iso_algebras(p, q).certificate
+        assert profiles == [] and "invariant_mismatch" not in vars(cert)
+        want = eager_invariant_mismatch(p, q)
+        profiles.clear()
+        assert cert.invariant_mismatch == want
+        assert [args[0] for args in profiles] == [p, q]
+        assert vars(cert).keys() == {"shifts_tried", "detail", "invariant_mismatch"}
+        assert cert.invariant_mismatch == want and len(profiles) == 2
+
+
+def test_an_unread_certificate_answers_only_for_its_invariant(monkeypatch):
+    """Only invariant_mismatch is derived when missing: any other missing name,
+    as copy asks for, stays missing and compares nothing.  The class holds no
+    default that would answer for the hook."""
+    profiles = counting(monkeypatch, "_coset_profiles")
+    cert = iso_algebras(*chain_no()).certificate
+    assert getattr(cert, "colour", None) is None and not hasattr(cert, "__deepcopy__")
+    assert profiles == [] and "invariant_mismatch" not in vars(cert)
+    assert "invariant_mismatch" not in vars(SearchExhausted)
+
+
+def test_copies_of_an_unread_certificate_derive_its_invariant():
+    for p, q in (chain_no(), unseparated_no()):
+        cert = iso_algebras(p, q).certificate
+        twins = (copy.copy(cert), copy.deepcopy(cert), pickle.loads(pickle.dumps(cert)))
+        assert "invariant_mismatch" not in vars(cert)
+        for twin in twins:
+            assert "invariant_mismatch" not in vars(twin)
+            assert twin.invariant_mismatch == eager_invariant_mismatch(p, q)
+        assert cert.invariant_mismatch == eager_invariant_mismatch(p, q)
+
+
+def test_an_unread_certificate_compares_and_prints_as_an_eager_one():
+    """Equality, hashing and repr read the invariant, so an unread certificate
+    meets them as one made with its invariant computed."""
+    for p, q in (chain_no(), unseparated_no()):
+        made = iso_algebras(p, q).certificate
+        eager = SearchExhausted(made.shifts_tried, made.detail, eager_invariant_mismatch(p, q))
+        assert iso_algebras(p, q).certificate == eager and eager == iso_algebras(p, q).certificate
+        assert repr(iso_algebras(p, q).certificate) == repr(eager)
+        assert hash(iso_algebras(p, q).certificate) == hash(eager)
+        assert iso_algebras(p, q).certificate == made
+    assert repr(made).endswith("invariant_mismatch=None)")
+
+
+def test_made_and_pair_certificates_read_none(monkeypatch):
+    """A SearchExhausted made by hand, or by iso_pairs, holds None and compares nothing."""
+    profiles = counting(monkeypatch, "_coset_profiles")
+    assert SearchExhausted(1, "made").invariant_mismatch is None
+    mismatch = InvariantMismatch("made")
+    assert SearchExhausted(1, "made", mismatch).invariant_mismatch is mismatch
+    d = trivial_division(build_abelian([3]))
+    cert = iso_pairs(make_presentation(d, [2], [0, 0]), make_presentation(d, [2], [0, 1])).certificate
+    assert isinstance(cert, SearchExhausted) and cert.invariant_mismatch is None
+    assert profiles == []
+
+
+def test_concurrent_first_reads_agree():
+    """Threads that read unread certificates at once all read the eager
+    invariant, and none fails: a read keeps its result before it drops the
+    presentations, and a read that finds them gone returns the kept result."""
+    p, q = chain_no()
+    want = eager_invariant_mismatch(p, q)
+    certs = [iso_algebras(p, q).certificate for _ in range(300)]
+    start = threading.Barrier(4, timeout=30)
+    reads, errors = [], []
+
+    def read():
+        try:
+            start.wait()
+            reads.append([cert.invariant_mismatch for cert in certs])
+        except Exception as e:  # the assertion below reports it
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and reads == [[want] * len(certs)] * 4
+
+
+def test_the_class_cross_check_compares_no_profile(monkeypatch):
+    """enumerate_classes reads only the kind of each pairwise NO."""
+    profiles = counting(monkeypatch, "_coset_profiles")
+    cls = enumerate_classes(build_abelian([3]), (1, 1), trivial_division(build_abelian([3])))
+    assert cls.pairwise_checked and cls.count > 1 and profiles == []
 
 
 def test_certified_refuses_data_outside_the_description():

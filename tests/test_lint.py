@@ -325,7 +325,7 @@ def test_only_degrees_computes_the_cell_degrees():
         for path in sorted(SRC.glob("*.py"))
         for owner in references_by_function(path, "_coset_profiles")
     }
-    assert found == {"algebras.invariants", "iso.iso_algebras", "iso._equiv_report"}
+    assert found == {"algebras.invariants", "iso._separating_invariant", "iso._equiv_report"}
 
 
 def test_every_product_is_walked_only_to_report_a_failed_check():

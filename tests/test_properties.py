@@ -118,6 +118,7 @@ from conftest import (
     composed_witness_data,
     derive_mapping_by_basis,
     dihedral_8,
+    eager_invariant_mismatch,
     generators_by_rebuilding,
     grading_by_products,
     invariants_by_basis,
@@ -127,7 +128,6 @@ from conftest import (
     isomorphisms_by_closing,
     least_form,
     make_sym,
-    mismatch_by_shared_support,
     product_pos,
     realize_by_basis,
     verify_equiv_by_degrees,
@@ -1535,22 +1535,68 @@ def test_no_certificates_match_the_shared_support_reading(pair):
     shared central support alone."""
     verdict = iso_algebras(*pair)
     assume(verdict.kind == NOT_ISOMORPHIC)
-    assert verdict.certificate.invariant_mismatch == mismatch_by_shared_support(*pair)
+    assert verdict.certificate.invariant_mismatch == eager_invariant_mismatch(*pair)
 
 
 def test_a_trivial_support_counts_its_cells_once_next_to_another_support():
     """Inside _coset_profiles, the side over a trivial support counts its cells'
     degrees, one per cell, with nothing expanded, whatever its caller asks;
-    the Z2 x Z4 side keys each cell by its pair of cosets and expands them."""
+    the Z2 x Z4 side keys each cell by its pair of cosets and expands them.
+    A NO counts them when its invariant is read, so both are read here."""
     p, q = TRIVIAL_AGAINST_PAULI
     with mock.patch("flagiso.algebras.Counter", wraps=Counter) as counted:
         verdict = iso_algebras(p, q)
+        verdict.certificate.invariant_mismatch
         again = iso_algebras(q, p)
+        again.certificate.invariant_mismatch
     assert verdict.kind == again.kind == NOT_ISOMORPHIC
     by_cell = [degree for (degree,) in cell_degrees(p)]
     counts = [call.args[0] for call in counted.call_args_list if call.args]
     assert counts[0] == counts[-1] == by_cell
     assert all(isinstance(key, tuple) for key in counts[1]) and len(counts[1]) == len(by_cell)
+
+
+# each kind of support pair a NO's invariant is read over, by name: the two
+# sides' division parts
+LAZY_CASES = [
+    ("shared central", DIVISIONS[0], DIVISIONS[0]),
+    ("shared twisted central", SHIFTED[1], SHIFTED[1]),
+    ("S3 <(01)>", transposition_division("102"), transposition_division("102")),
+    ("S3 twisted <(01)>", SHIFTED[5], SHIFTED[5]),
+    ("S4 moved Klein", SHIFTED[4], SHIFTED[4]),
+    ("trivial against Pauli", *DIFFERING_SUPPORTS[0]),
+    *(("different supports", *pair) for pair in DIFFERING_SUPPORTS[1:]),
+]
+
+
+def test_a_no_reads_the_eager_invariant_on_first_read():
+    """Over seeded random NO pairs of every kind of support pair, in either
+    order, TRIVIAL_AGAINST_PAULI both ways and (e,e,a) against (e,a,a) over
+    Z4, which no profile separates, the invariant a certificate derives on
+    first read is the one the eager comparison makes, None included, and it
+    is not there before."""
+    rng = random.Random(41)
+    pairs = [("trivial against Pauli", *TRIVIAL_AGAINST_PAULI[::k]) for k in (1, -1)]
+    unseparated = (make_presentation(DIVISIONS[0], (1, 1, 1), x) for x in ([0, 0, 1], [0, 1, 1]))
+    pairs.append(("shared central", *unseparated))
+    for _ in range(400):
+        name, d, d2 = rng.choice(LAZY_CASES)
+        if rng.random() < 0.5:
+            d, d2 = d2, d
+        blocks = rng.choice([(1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2), (1, 2, 1), (3, 1)])
+        x, y = ([rng.randrange(d.group.size) for _ in range(sum(blocks))] for _ in "pq")
+        pairs.append((name, make_presentation(d, blocks, x), make_presentation(d2, blocks, y)))
+    seen = set()
+    for name, p, q in pairs:
+        verdict = iso_algebras(p, q)
+        if verdict.kind == NOT_ISOMORPHIC:
+            cert = verdict.certificate
+            assert "invariant_mismatch" not in vars(cert)
+            want = eager_invariant_mismatch(p, q)
+            assert cert.invariant_mismatch == want
+            seen.add((name, want is None))
+    assert {name for name, _ in seen} == {name for name, *_ in LAZY_CASES}
+    assert {separated for _, separated in seen} == {True, False}
 
 
 def assert_valid(cocycle):
