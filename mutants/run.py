@@ -68,6 +68,8 @@ BUDGET = "tests/test_classify.py::test_classify_budget_argument"
 LAW = "tests/test_cocycles.py"
 EQUIV = "tests/test_equiv.py::test_verify_equiv_"
 EAGER = "tests/test_properties.py::test_a_no_reads_the_eager_invariant_on_first_read"
+TABLES = "src/flagiso/tables.py"
+CROSS_CHECKS = "tests/test_classify.py::test_enumerate_classes_catches_"
 ADMITTED = (
     "tests/test_properties.py::test_the_search_yields_every_shift_that_pairs",
     "tests/test_properties.py::test_a_yes_whose_least_admitted_shift_is_not_the_identity",
@@ -476,6 +478,37 @@ MUTANTS = (
         '            state["invariant_mismatch"] = _separating_invariant(*sides)',
         '            state["invariant_mismatch"] = _separating_invariant(sides[0], sides[0])',
         ("tests/test_iso.py::test_chain_flags_over_z3_not_isomorphic", EAGER),
+    ),
+    # tables.enumerate_classes, whose cross-checks refuse a class table the pairwise engine
+    # contradicts
+    Mutant(
+        "classes-skip-the-partition",
+        TABLES,
+        "    if sum(cls.orbit_sizes) != cls.total:",
+        "    if False:",
+        (CROSS_CHECKS + "orbit_sizes_that_miss_tuples",),
+    ),
+    Mutant(
+        "classes-skip-the-collapse",
+        TABLES,
+        "            if verdict.kind != NOT_ISOMORPHIC:",
+        "            if False:",
+        (CROSS_CHECKS + "representatives_that_collapse",),
+    ),
+    Mutant(
+        "classes-skip-the-membership",
+        TABLES,
+        "            if verdict.kind != ISOMORPHIC:",
+        "            if False:",
+        (CROSS_CHECKS + "a_tuple_that_misses_its_representative",),
+    ),
+    # iso.equiv_elementary's check of the witness it builds
+    Mutant(
+        "equiv-engine-skips-its-check",
+        ISO,
+        "    report = _equiv_report(p, p2, witness)\n    if not report.ok:",
+        "    report = _equiv_report(p, p2, witness)\n    if False:",
+        ("tests/test_equiv.py::test_an_engine_witness_that_fails_its_check_raises",),
     ),
     # iso._shift_outcomes, the block test that admits the shifts a search decides: a shift
     # it leaves out is never decided, so a YES it drops becomes a wrong NO

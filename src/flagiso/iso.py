@@ -37,7 +37,7 @@ from .algebras import (
     basis_of,
 )
 from .cocycles import Corrector, is_corrector
-from .config import classify_budget
+from .config import DEFAULT_CLASSIFY_BUDGET
 from .division import GradedDivisionAlgebra, _as_index, equiv_division, iso_division, shift_conjugate
 from .errors import BudgetExceeded, GroupMismatch, InvalidInput, UnsupportedInput
 from .groups import Group
@@ -1028,7 +1028,7 @@ def classify(
         raise GroupMismatch("division part lives over a different group")
     shape = blocks if isinstance(blocks, BlockShape) else BlockShape(tuple(blocks))
     n = shape.n
-    limit = classify_budget(budget)
+    limit = DEFAULT_CLASSIFY_BUDGET if budget is None else budget
     base = max(group.size, 2)
     note = "" if group.size > 1 else " (a one-element group is budgeted as order 2)"
     # base^n >= 2^(n*(b-1)) for b the bit length of base: past the budget's

@@ -24,15 +24,10 @@ cell_degrees yields the degrees of each cell in turn, and
 invariants_by_cell counts them cell by cell, as the oracles for the one
 degree array by basis position that realize stores and the profiles a NO
 reads off the cells' cosets; separate_by_invariants names the least degree,
-else the first radical power, at which two such counts differ, as the
-oracle for a NO certificate's invariant mismatch; eager_invariant_mismatch
-is the comparison every NO once made, reading that mismatch with reps_only
-on a shared central support alone, as the oracle for the reps_only count on
-a side with a trivial support and for the mismatch a certificate derives on
-its first read;
-witness_map_by_cell
-extends a witness's images and exponents one cell at a time, as the oracle
-for the two comprehensions by position.
+else the first radical power, at which two such counts differ, and
+eager_invariant_mismatch wraps that separation of both sides' per-cell
+counts, or None where they agree, as the oracle for a NO certificate's
+invariant mismatch, read on its first read or made eagerly.
 inverted_witness_data and composed_witness_data compute the data of an
 inverse and a composite witness with explicit corrector formulas, as the
 oracle for invert_witness and compose_witness, which solve the tuple
@@ -53,19 +48,19 @@ all products of members: the oracles, error for error, for validate_cocycle
 and transport, which check on the triples and pairs led by generators, and
 for Subgroup, which decides closure by one closure walk.  solve_congruences_by_elimination
 eliminates every system from scratch, as the oracle for solve_congruences,
-which diagonalizes the matrix and reads U b; cohomologous_by_elimination
-builds the coboundary rows over every non-identity pair afresh and solves
-them that way, cohomologous_by_dense_solve passes those rows to
-solve_congruences, which checks every row densely, and
-cohomologous_by_replay applies every row of their diagonalization's row
-transform U to the full right-hand side: the oracles for the verdict of
-cohomologous' solve on the generator rows, whose corrector keeps the law
-and differs from theirs by a homomorphism H -> Z_L (assert_solves_as,
-differ_by_a_homomorphism).  all_cocycles_by_brute lists every normalized
-cocycle of a small support by its identity on all triples, and
-corrector_by_brute tries every exponent vector against the corrector law:
-the exhaustive oracles for the cocycle solver.  z2_bilinear builds the
-bilinear cocycle table of Z2^r that the large-support checks use.
+which diagonalizes the matrix and reads U b.  The cohomology oracles run
+none of the library's solving code: cohomologous_by_elimination solves
+coboundary_rows, the rows over every non-identity pair, that way, as the
+oracle for the verdict of cohomologous' solve on the generator rows, whose
+corrector keeps the law and differs from its solution by a homomorphism
+H -> Z_L (assert_solves_as, differ_by_a_homomorphism).
+all_cocycles_by_brute lists every normalized cocycle of a small support by
+its identity on all triples, and corrector_by_brute tries every exponent
+vector against the corrector law: the exhaustive oracles for the cocycle
+solver.  Both corrector oracles search the orders oracle_moduli names, in
+turn, so that one line sets the roots of unity a corrector may take.
+z2_bilinear builds the bilinear cocycle table of Z2^r that the
+large-support checks use.
 is_corrector_by_pairs checks the corrector law on all |H|^2 pairs, as the
 oracle for the law cohomologous and is_corrector read on generator pairs.
 verify_witness_by_dict is
@@ -118,14 +113,12 @@ from flagiso import (
     iso_division,
     realize,
     shift_conjugate,
-    solve_congruences,
     validate_cocycle,
 )
 import flagiso.iso
-from flagiso.algebras import _coset_profiles, _Layout
+from flagiso.algebras import _Layout
 from flagiso.errors import _shown
 from flagiso.io import _positions
-from flagiso.modlinalg import _diagonalize, _solve
 
 pytest_plugins = ("pytester",)
 ACCEPTANCE_LINES: list[str] = []
@@ -720,76 +713,12 @@ def separate_by_invariants(grp, inv1, inv2) -> str:
 
 
 def eager_invariant_mismatch(p, p2):
-    """A NO's invariant mismatch as iso_algebras computed it on every NO, before
-    the certificate derived it on first read: the profiles compared when only
-    one shared central support takes the reps_only path (a side over a trivial
-    support next to a different support expands each cell through its
-    one-element H), and the first that differs named."""
-    sup = p.division.support
-    reps_only = sup.central and sup == p2.division.support
-    levels = zip(_coset_profiles(p, reps_only), _coset_profiles(p2, reps_only))
-    for c, (dims1, dims2) in enumerate(levels):
-        if dims1 != dims2:
-            if c:
-                return InvariantMismatch(f"radical power {c} dimension profile differs")
-            u = min(u for u in dims1.keys() | dims2.keys() if dims1.get(u, 0) != dims2.get(u, 0))
-            grp = p.group
-            return InvariantMismatch(
-                f"dim at degree {grp.name_of(u)}: {dims1.get(u, 0)} vs {dims2.get(u, 0)}"
-            )
-    return None
-
-
-def witness_map_by_cell(p, p2, shift, sigma, mu):
-    """(images, exponents) of the witness with this shift, sigma and mu, one
-    cell at a time: each cell looks up the table of its pair (a_k, a_l),
-    building it when first met, and extends both by it, the images offset to
-    the cell's target cell."""
-    grp = p.group
-    n = p.shape.n
-    ginv = grp.inv(shift)
-    correctors = [0] * n
-    inv_sigma = [0] * n
-    for i, k in enumerate(sigma):
-        correctors[k] = grp.mul(grp.inv(p.degrees[k]), grp.mul(p2.degrees[i], ginv))
-        inv_sigma[k] = i
-    m2 = p2.division.order
-    order = lcm(p.division.order, m2, mu.order)
-    k2 = order // m2
-    km = order // mu.order
-    sup2 = p2.division.support
-    index2 = sup2.index
-    mul2 = sup2.mul_table
-    vals2 = p2.division.cocycle.values
-    a_of = [index2[grp.conj(grp.inv(h), shift)] for h in correctors]
-    conj = [grp.conj(h, shift) for h in p.division.support.members]
-    c_of = [index2[c] for c in conj]
-    mu_of = [km * mu.exp_of(c) for c in conj]
-
-    def cell_images(a, b):
-        binv = index2[grp.inv(sup2.members[b])]
-        row, va, back = mul2[a], vals2[a], vals2[b][binv]
-        ys, exps = [], []
-        for c, m in zip(c_of, mu_of):
-            ac = row[c]
-            ys.append(mul2[ac][binv])
-            exps.append((m + k2 * (va[c] + vals2[ac][binv] - back)) % order)
-        return ys, exps
-
-    number = p.shape.cell_number
-    k = len(c_of)
-    tables = {}
-    images = []
-    exponents = []
-    for i, j, _ in p.shape.cells():
-        key = (a_of[i], a_of[j])
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = cell_images(*key)
-        off = number[inv_sigma[i], inv_sigma[j]] * k
-        images += [off + y for y in table[0]]
-        exponents += table[1]
-    return tuple(images), tuple(exponents)
+    """A NO's invariant mismatch as an eager comparison makes it: both sides'
+    per-cell invariants separated, or None when they agree."""
+    inv1, inv2 = invariants_by_cell(p), invariants_by_cell(p2)
+    if inv1 == inv2:
+        return None
+    return InvariantMismatch(separate_by_invariants(p.group, inv1, inv2))
 
 
 def derive_mapping_by_basis(p, p2, shift, sigma, correctors, mu):
@@ -977,31 +906,10 @@ def solve_congruences_by_elimination(a, rhs, modulus):
     return x
 
 
-def cohomologous_by_elimination(sigma, tau):
-    """A corrector, or None: the corrector law on the non-identity pairs, built
-    afresh and solved by solve_congruences_by_elimination."""
-    sub = sigma.support
-    grp = sub.group
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
-    e = grp.identity
-    unknowns = [h for h in sub.members if h != e]
-    col = {h: i for i, h in enumerate(unknowns)}
-    rows, rhs = [], []
-    for a in unknowns:
-        for b in unknowns:
-            coeff = [0] * len(unknowns)
-            coeff[col[a]] += 1
-            coeff[col[b]] += 1
-            ab = grp.mul(a, b)
-            if ab != e:
-                coeff[col[ab]] -= 1
-            rows.append(coeff)
-            rhs.append(ks * sigma.val(a, b) - kt * tau.val(a, b))
-    sol = solve_congruences_by_elimination(rows, rhs, L)
-    if sol is None:
-        return None
-    return Corrector(sub, L, tuple(0 if h == e else sol[col[h]] for h in sub.members))
+def oracle_moduli(sigma, tau) -> tuple[int, ...]:
+    """The orders L, in turn, in whose roots of unity mu_L the corrector
+    oracles look for a corrector of sigma to tau."""
+    return (lcm(sigma.order, tau.order),)
 
 
 def coboundary_rows(sub):
@@ -1025,45 +933,21 @@ def coboundary_rows(sub):
     return tuple(rows), tuple(sub.index[h] for h in unknowns)
 
 
-def cohomologous_by_dense_solve(sigma, tau):
-    """The corrector that solve_congruences finds over the coboundary rows,
-    or None: the right-hand side by non-identity pair, 0 at e."""
+def cohomologous_by_elimination(sigma, tau):
+    """A corrector in the first order of oracle_moduli that has one, or None:
+    the corrector law on the non-identity pairs, coboundary_rows against
+    sigma - tau there, solved by solve_congruences_by_elimination."""
     sub = sigma.support
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
     rows, pos = coboundary_rows(sub)
     sv, tv = sigma.values, tau.values
-    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
-    sol = solve_congruences(rows, rhs, L)
-    if sol is None:
-        return None
-    sol.insert(sub.index[sub.group.identity], 0)
-    return Corrector(sub, L, tuple(sol))
-
-
-def cohomologous_by_replay(sigma, tau):
-    """The corrector cohomologous finds, or None: every row of the row
-    transform U applied to the full right-hand side, then checked by the
-    corrector law."""
-    sub = sigma.support
-    if sigma.order == tau.order and sigma.values == tau.values:
-        return Corrector(sub, sigma.order, (0,) * len(sub.members))
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
-    rows, pos = coboundary_rows(sub)
-    sv, tv = sigma.values, tau.values
-    rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
-    if not any(v % L for v in rhs):
-        return Corrector(sub, L, (0,) * len(sub.members))
-    u = _solve(_diagonalize(rows, L), rhs, L)
-    if u is None:
-        return None
-    u.insert(sub.index[sub.group.identity], 0)
-    table = sub.mul_table
-    pairs = [(a, b, table[a][b]) for a in pos for b in pos]
-    if any((u[a] + u[b] - u[ab] - r) % L for (a, b, ab), r in zip(pairs, rhs)):
-        raise AssertionError("internal solver error: solution fails the original system")
-    return Corrector(sub, L, tuple(u))
+    for L in oracle_moduli(sigma, tau):
+        ks, kt = L // sigma.order, L // tau.order
+        rhs = [ks * sv[i][j] - kt * tv[i][j] for i in pos for j in pos]
+        sol = solve_congruences_by_elimination(rows, rhs, L)
+        if sol is not None:
+            sol.insert(sub.index[sub.group.identity], 0)
+            return Corrector(sub, L, tuple(sol))
+    return None
 
 
 def differ_by_a_homomorphism(mu, nu) -> bool:
@@ -1136,23 +1020,24 @@ def all_cocycles_by_brute(sub, order):
 
 
 def corrector_by_brute(sigma, tau):
-    """A normalized corrector as {member: exponent mod lcm}, or None: every
-    exponent vector is tried against the corrector law on all |H|^2 pairs."""
+    """A normalized corrector as {member: exponent mod L}, L the first order of
+    oracle_moduli that has one, or None: every exponent vector is tried
+    against the corrector law on all |H|^2 pairs."""
     sub = sigma.support
     grp = sub.group
-    L = lcm(sigma.order, tau.order)
-    ks, kt = L // sigma.order, L // tau.order
     e = grp.identity
     rest = [h for h in sub.members if h != e]
-    for combo in itertools.product(range(L), repeat=len(rest)):
-        u = {e: 0, **dict(zip(rest, combo))}
-        if all(
-            (ks * sigma.val(a, b) + u[grp.mul(a, b)]) % L
-            == (u[a] + u[b] + kt * tau.val(a, b)) % L
-            for a in sub.members
-            for b in sub.members
-        ):
-            return u
+    for L in oracle_moduli(sigma, tau):
+        ks, kt = L // sigma.order, L // tau.order
+        for combo in itertools.product(range(L), repeat=len(rest)):
+            u = {e: 0, **dict(zip(rest, combo))}
+            if all(
+                (ks * sigma.val(a, b) + u[grp.mul(a, b)]) % L
+                == (u[a] + u[b] + kt * tau.val(a, b)) % L
+                for a in sub.members
+                for b in sub.members
+            ):
+                return u
     return None
 
 

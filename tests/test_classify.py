@@ -8,11 +8,12 @@ from conftest import classes_by_burnside, classify_by_tuples, count_classes_pair
 import flagiso.iso
 import flagiso.tables
 from flagiso import (
+    ISOMORPHIC,
+    NOT_ISOMORPHIC,
     BudgetExceeded,
     GradedDivisionAlgebra,
     Group,
     GroupMismatch,
-    InvalidInput,
     build_abelian,
     canonical_form,
     classify,
@@ -320,21 +321,7 @@ def test_classify_budget_argument():
     classify(grp, (1, 1), trivial_division(grp), budget=16)  # exactly enough
 
 
-def test_classify_budget_env_var(monkeypatch):
-    grp = build_abelian([4])
-    monkeypatch.setenv("FLAGISO_BUDGET", "15")
-    with pytest.raises(BudgetExceeded):
-        classify(grp, (1, 1), trivial_division(grp))
-    # an explicit argument wins over the environment
-    classify(grp, (1, 1), trivial_division(grp), budget=16)
-    monkeypatch.setenv("FLAGISO_BUDGET", "plenty")
-    with pytest.raises(InvalidInput) as ei:
-        classify(grp, (1, 1), trivial_division(grp))
-    assert ei.value.code == "invalid-budget"
-
-
-def test_classify_budgets_a_one_element_group_as_order_two(monkeypatch):
-    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
+def test_classify_budgets_a_one_element_group_as_order_two():
     one = Group([[0]], ["e"])
     d = trivial_division(one)
     with pytest.raises(BudgetExceeded) as ei:
@@ -393,6 +380,37 @@ def test_enumerate_classes_catches_a_wrong_orbit_size(monkeypatch):
     monkeypatch.setattr(flagiso.tables, "classify", lambda *args: wrong)
     with pytest.raises(AssertionError, match="orbit sizes"):
         enumerate_classes(grp, (1, 1), d)
+
+
+def test_enumerate_classes_catches_orbit_sizes_that_miss_tuples(monkeypatch):
+    grp = build_abelian([3])
+    d = trivial_division(grp)
+    short = dataclasses.replace(classify(grp, (1, 1), d), orbit_sizes=(3, 3, 2))
+    monkeypatch.setattr(flagiso.tables, "classify", lambda *args: short)
+    with pytest.raises(AssertionError, match="^orbit sizes do not partition the tuple space$"):
+        enumerate_classes(grp, (1, 1), d)
+
+
+def test_enumerate_classes_catches_representatives_that_collapse(monkeypatch):
+    grp = build_abelian([3])
+    monkeypatch.setattr(
+        flagiso.tables, "iso_algebras", lambda a, b: types.SimpleNamespace(kind=ISOMORPHIC)
+    )
+    with pytest.raises(AssertionError) as ei:
+        enumerate_classes(grp, (1, 1), trivial_division(grp))
+    assert str(ei.value) == (
+        "representatives ('(0)', '(0)') and ('(0)', '(1)') collapse under the pairwise engine"
+    )
+
+
+def test_enumerate_classes_catches_a_tuple_that_misses_its_representative(monkeypatch):
+    grp = build_abelian([3])
+    monkeypatch.setattr(
+        flagiso.tables, "iso_algebras", lambda a, b: types.SimpleNamespace(kind=NOT_ISOMORPHIC)
+    )
+    with pytest.raises(AssertionError) as ei:
+        enumerate_classes(grp, (1, 1), trivial_division(grp))
+    assert str(ei.value) == "tuple ('(0)', '(0)') fails to reach its representative ('(0)', '(0)')"
 
 
 def test_enumerate_classes_respects_pair_budget(monkeypatch):

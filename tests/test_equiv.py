@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import flagiso.iso
 from flagiso import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -62,6 +63,18 @@ def test_sigma_convention_source_to_target():
     assert ew.lam == {0: 1, 1: 0}
     assert ew.sigma == (1, 0, 2)  # source position 0 lands on target position 1
     assert ew.component_map == {0: 0, 1: 1}
+
+
+def test_an_engine_witness_that_fails_its_check_raises(monkeypatch):
+    """equiv_elementary checks the witness it builds, and a failure is a bug, not an answer."""
+    refused = WitnessReport(False, 0, ("made to fail",))
+    monkeypatch.setattr(flagiso.iso, "_equiv_report", lambda *args: refused)
+    p = elem_pres([2], [1, 1], [0, 1])
+    with pytest.raises(AssertionError) as ei:
+        equiv_elementary(p, p)
+    assert str(ei.value) == (
+        "engine produced an equivalence witness failing verification: ('made to fail',)"
+    )
 
 
 def test_equivalent_but_not_isomorphic():

@@ -630,21 +630,18 @@ def test_cli_classify(capsys):
     ]
 
 
-def test_cli_classify_pauli_division(capsys):
-    code = main(
-        [
-            "classify",
-            "--group",
-            "abelian:2,2",
-            "--blocks",
-            "1,1",
-            "--division",
-            "pauli:2:(1,0),(0,1)",
-        ]
-    )
-    out = capsys.readouterr().out.splitlines()
+def test_cli_classify_pauli_division(tmp_path, capsys):
+    """The Klein Pauli division, by name or from a division file, classifies alike."""
+    args = ["classify", "--group", "abelian:2,2", "--blocks", "1,1", "--division"]
+    code = main([*args, "pauli:2:(1,0),(0,1)"])
+    named = capsys.readouterr().out
     assert code == 0
-    assert out[0] == "CLASSES 1"
+    assert named.splitlines()[0] == "CLASSES 1"
+    path = tmp_path / "pauli.json"
+    d = pauli(2, build_abelian([2, 2]), ["(1,0)", "(0,1)"])
+    path.write_text(json.dumps({"v": 1, **division_to_obj(d)}))
+    assert main([*args, str(path)]) == 0
+    assert capsys.readouterr().out == named
 
 
 def test_cli_classify_budget_exit(capsys):
@@ -660,11 +657,8 @@ def test_cli_classify_budget_exit(capsys):
     "group, blocks, power",
     [("abelian:3", "10000", "3^10000"), ("abelian:2", "100000000", "2^100000000")],
 )
-def test_cli_classify_refuses_huge_counts_without_printing_them(
-    monkeypatch, capsys, group, blocks, power
-):
+def test_cli_classify_refuses_huge_counts_without_printing_them(capsys, group, blocks, power):
     """A count past the integer-to-string limit is named by its power, and refused at once."""
-    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
     code = main(["classify", "--group", group, "--blocks", blocks])
     captured = capsys.readouterr()
     assert code == 2, captured.err
@@ -673,11 +667,8 @@ def test_cli_classify_refuses_huge_counts_without_printing_them(
     )
 
 
-def test_cli_classify_refuses_a_count_with_a_huge_exponent_without_printing_it(
-    monkeypatch, capsys
-):
+def test_cli_classify_refuses_a_count_with_a_huge_exponent_without_printing_it(capsys):
     """A 4,000-digit block size parses; the refusal names neither it nor the count."""
-    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
     code = main(["classify", "--group", "abelian:2", "--blocks", "7" * 4000])
     captured = capsys.readouterr()
     assert code == 2, captured.err
@@ -687,9 +678,8 @@ def test_cli_classify_refuses_a_count_with_a_huge_exponent_without_printing_it(
     )
 
 
-def test_cli_classify_budgets_a_one_element_group_as_order_two(tmp_path, monkeypatch, capsys):
+def test_cli_classify_budgets_a_one_element_group_as_order_two(tmp_path, capsys):
     """Its lone tuple would realize an algebra of dimension 80200: refused at once."""
-    monkeypatch.delenv("FLAGISO_BUDGET", raising=False)
     path = tmp_path / "g1.json"
     path.write_text(json.dumps({"v": 1, "kind": "table", "table": [[0]], "names": ["e"]}))
     code = main(["classify", "--group", str(path), "--blocks", "400"])
@@ -699,16 +689,6 @@ def test_cli_classify_budgets_a_one_element_group_as_order_two(tmp_path, monkeyp
         "validation error: enumeration of 2^400 tuples exceeds budget 100000"
         " (a one-element group is budgeted as order 2)\n"
     )
-
-
-def test_cli_classify_env_budget(monkeypatch, capsys):
-    monkeypatch.setenv("FLAGISO_BUDGET", "15")
-    code = main(["classify", "--group", "abelian:4", "--blocks", "1,1"])
-    assert code == 2
-    capsys.readouterr()
-    code = main(["classify", "--group", "abelian:4", "--blocks", "1,1", "--budget", "16"])
-    assert code == 0
-    capsys.readouterr()
 
 
 def test_cli_file_and_parse_errors(tmp_path, capsys):

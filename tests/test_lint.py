@@ -42,6 +42,9 @@ Memos kept across calls key on structure (shapes, supports, divisions,
 moduli), never on one query's presentation, algebra or cocycle.
 Every library name the benchmark's tracer wraps must exist, so deleting one
 fails here and not only in a benchmark run.
+The tests' oracles for cohomology, a NO's invariant and a witness map call
+none of the library code they check, so a change to that code is checked
+against an answer it cannot change.
 """
 
 import ast
@@ -432,3 +435,54 @@ def test_benchmark_traced_names_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+
+def test_the_oracles_run_none_of_the_code_they_check():
+    # an oracle that calls the solver or the profile count it checks would pass
+    # a change to that code by construction: conftest's oracles for a corrector,
+    # a NO's invariant and a witness map reference none of the library code
+    # that answers those questions, and conftest imports none of it
+    oracles = (
+        "corrector_by_brute",
+        "cohomologous_by_elimination",
+        "solve_congruences_by_elimination",
+        "coboundary_rows",
+        "eager_invariant_mismatch",
+        "invariants_by_cell",
+        "cell_degrees",
+        "separate_by_invariants",
+        "derive_mapping_by_basis",
+    )
+    checked = {
+        "cohomologous",
+        "solve_congruences",
+        "_solve",
+        "_diagonalize",
+        "_corrector_system",
+        "_coset_profiles",
+        "_separating_invariant",
+        "invariants",
+        "_monomial_map",
+        "_witness",
+    }
+    conftest = ROOT / "tests" / "conftest.py"
+    tree = ast.parse(conftest.read_text(), filename=str(conftest))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [name for name in oracles if name not in defined] == []
+    found = sorted(
+        f"{name}: {ref}"
+        for name in oracles
+        for node in ast.walk(defined[name])
+        for ref in (getattr(node, "id", None), getattr(node, "attr", None))
+        if ref in checked
+    )
+    assert found == [], f"oracles that run the code they check: {found}"
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name in checked or "flagiso.modlinalg" in (alias.name, getattr(node, "module", None))
+    ]
+    assert imported == [], f"conftest imports the code its oracles check: {imported}"

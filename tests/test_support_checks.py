@@ -29,7 +29,7 @@ import random
 import pytest
 from conftest import (
     assert_solves_as,
-    cohomologous_by_replay,
+    cohomologous_by_elimination,
     dihedral_8,
     is_corrector_by_pairs,
     make_sym,
@@ -379,7 +379,7 @@ def test_cohomologous_decides_as_the_law_on_every_pair(pair):
     """The solve on the generator rows decides as the full system over every
     non-identity pair, and its corrector keeps the law on every pair and
     differs from the full system's by a homomorphism H -> Z_L."""
-    assert_solves_as(cohomologous(*pair), cohomologous_by_replay(*pair), pair)
+    assert_solves_as(cohomologous(*pair), cohomologous_by_elimination(*pair), pair)
 
 
 @pytest.mark.parametrize("modulus", [2, 12])
